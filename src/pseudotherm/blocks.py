@@ -23,6 +23,7 @@ and the grand total over full block labels is 2**(4*Omega + 2*(Omega1+Omega2)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 
 from .algebra import require_half_integer
@@ -213,15 +214,19 @@ def enumerate_qubit_labels(omega1: int, omega2: int) -> list[QubitBlockLabel]:
     return labels
 
 
-def enumerate_blocks(omega: float, omega1: int, omega2: int) -> list[BlockLabel]:
-    """Every admissible product sector exactly once, deterministically ordered."""
+@lru_cache(maxsize=32)
+def enumerate_blocks(omega: float, omega1: int, omega2: int) -> tuple[BlockLabel, ...]:
+    """Every admissible product sector exactly once, deterministically ordered.
+
+    Memoized per system size; the tuple is shared by every caller.
+    """
     if omega <= 0 or omega1 <= 0 or omega2 <= 0:
         raise ValueError("all register sizes must be positive")
     nv_labels = enumerate_nv_labels(omega)
     qb_labels = enumerate_qubit_labels(omega1, omega2)
     blocks = [BlockLabel(nv, qb) for nv in nv_labels for qb in qb_labels]
     blocks.sort(key=BlockLabel.key)
-    return blocks
+    return tuple(blocks)
 
 
 def total_dimension(blocks) -> int:

@@ -42,6 +42,10 @@ __all__ = [
 G0_REFERENCE = 3.006
 FIT_A = 2.7289
 FIT_B = 0.73029
+# Holds every (s1, s2, S) shape of the sizes in use (81 at Omega = 4,
+# Omega1 = 2; 272 at Omega = 8, Omega1 = 3; 525 at Omega = 10, Omega1 = 4),
+# so a parameter sweep reassembles from cached operators at every point.
+SHAPE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ class ModelParams:
     def with_(self, **kw) -> "ModelParams":
         return replace(self, **kw)
 
-    def blocks(self) -> list[BlockLabel]:
+    def blocks(self) -> tuple[BlockLabel, ...]:
         return enumerate_blocks(self.Omega, self.Omega1, self.Omega2)
 
     @property
@@ -114,7 +118,7 @@ class RescaledParams:
     Delta0: float
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _shape_operators(two_s1: int, two_s2: int, two_S: int) -> dict:
     """Embedded operator combinations for one (s1, s2, S) shape.
 

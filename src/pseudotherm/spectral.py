@@ -26,10 +26,11 @@ import numpy as np
 from .blocks import BlockLabel
 from .errors import SolverFailure
 from .model import (
+    SHAPE_CACHE_SIZE,
     ModelParams,
     _shape_of,
+    _shape_operators,
     build_block_hamiltonian,
-    qubit_sz_diagonal,
 )
 
 __all__ = [
@@ -155,12 +156,17 @@ def diagonalize(
     )
 
 
-def _sector_split(b: BlockLabel):
-    mdiag = qubit_sz_diagonal(b)
-    keys = np.round(2 * mdiag).astype(int)
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _shape_sectors(shape: tuple) -> tuple:
+    """(pair projection m, basis indices, np.ix_ submatrix index) of each
+    pair-projection sector of one (s1, s2, S) shape."""
+    keys = np.round(2 * _shape_operators(*shape)["ztot_diag"]).astype(int)
+    sectors = []
     for key in np.unique(keys):
         idx = np.nonzero(keys == key)[0]
-        yield key / 2.0, idx
+        idx.setflags(write=False)
+        sectors.append((key / 2.0, idx, np.ix_(idx, idx)))
+    return tuple(sectors)
 
 
 def _batched_eigvals(tasks):
@@ -183,74 +189,76 @@ def block_spectra(
     p: ModelParams,
     blocks=None,
     want_vectors: bool = False,
-    split_sectors: bool = True,
 ) -> list[BlockSpectrum]:
-    """Diagonalize every block of the model.
+    """Diagonalize every block of the model, once per (s1, s2, S) shape.
 
-    Eigenvalues of each block are merged across pair-projection sectors and
-    sorted by (Re, Im); eigenvectors, when requested, are embedded back
-    into the full block basis.
+    The Hamiltonian reads only the shape of a block, so one representative
+    per distinct shape among `blocks` is solved and every block of that
+    shape gets the same read-only arrays.  Eigenvalues are merged across
+    pair-projection sectors and sorted by (Re, Im); eigenvectors, when
+    requested, are embedded back into the full block basis.
     """
     if blocks is None:
         blocks = p.blocks()
+    shapes = [_shape_of(b) for b in blocks]
+    reps = {}
+    for shape, b in zip(shapes, blocks):
+        reps.setdefault(shape, b)
     shift = 0.5 * (p.Omega1 + p.Omega2)
-    plan = []
-    for bi, b in enumerate(blocks):
-        h = build_block_hamiltonian(p, b)
-        sectors = (
-            list(_sector_split(b)) if split_sectors else [(None, np.arange(h.shape[0]))]
-        )
-        plan.append((b, h, sectors))
+    plan = [
+        (shape, b, build_block_hamiltonian(p, b), _shape_sectors(shape))
+        for shape, b in reps.items()
+    ]
 
     eig_cache = None
     if not want_vectors:
         tasks = [
-            ((bi, si), h[np.ix_(idx, idx)])
-            for bi, (_, h, sectors) in enumerate(plan)
-            for si, (_, idx) in enumerate(sectors)
+            ((shape, si), h[sub])
+            for shape, _, h, sectors in plan
+            for si, (_, _, sub) in enumerate(sectors)
         ]
         eig_cache = _batched_eigvals(tasks)
 
-    out = []
-    for bi, (b, h, sectors) in enumerate(plan):
+    solved = {}
+    for shape, b, h, sectors in plan:
         vals, nqbs = [], []
         rights, lefts, norms, flags = [], [], [], []
-        for si, (m, idx) in enumerate(sectors):
+        for si, (m, idx, sub) in enumerate(sectors):
             if want_vectors:
-                sub = diagonalize(h[np.ix_(idx, idx)], label=b)
-                vals.append(sub.eigenvalues)
+                dec = diagonalize(h[sub], label=b)
+                vals.append(dec.eigenvalues)
                 r_full = np.zeros((h.shape[0], len(idx)), dtype=complex)
                 l_full = np.zeros_like(r_full)
-                r_full[idx, :] = sub.right_vectors
-                l_full[idx, :] = sub.left_vectors
+                r_full[idx, :] = dec.right_vectors
+                l_full[idx, :] = dec.left_vectors
                 rights.append(r_full)
                 lefts.append(l_full)
-                norms.append(sub.biorth_norms)
-                flags.append(sub.near_defective)
+                norms.append(dec.biorth_norms)
+                flags.append(dec.near_defective)
             else:
-                vals.append(eig_cache[(bi, si)])
-            nqb_val = np.nan if m is None else m + shift
-            nqbs.append(np.full(len(idx), nqb_val))
+                vals.append(eig_cache[(shape, si)])
+            nqbs.append(np.full(len(idx), m + shift))
         w = np.concatenate(vals)
-        nqb = np.concatenate(nqbs)
         order = _sorted_order(w)
-        spec = BlockSpectrum(label=b, eigenvalues=w[order], nqb=nqb[order])
+        fields = {"eigenvalues": w[order], "nqb": np.concatenate(nqbs)[order]}
         if want_vectors:
-            spec.right_vectors = np.concatenate(rights, axis=1)[:, order]
-            spec.left_vectors = np.concatenate(lefts, axis=1)[:, order]
-            spec.biorth_norms = np.concatenate(norms)[order]
-            spec.near_defective = np.concatenate(flags)[order]
-        out.append(spec)
-    return out
+            fields["right_vectors"] = np.concatenate(rights, axis=1)[:, order]
+            fields["left_vectors"] = np.concatenate(lefts, axis=1)[:, order]
+            fields["biorth_norms"] = np.concatenate(norms)[order]
+            fields["near_defective"] = np.concatenate(flags)[order]
+        for a in fields.values():
+            a.setflags(write=False)
+        solved[shape] = fields
+    return [BlockSpectrum(label=b, **solved[shape]) for shape, b in zip(shapes, blocks)]
 
 
 @lru_cache(maxsize=EIGEN_CACHE_SIZE)
 def block_eigen_data(p: ModelParams) -> tuple:
     """Cached eigenvalue-only spectra (label, eigenvalues, nqb) per block.
 
-    This is the workhorse behind thermal tables and exceptional-point
-    sweeps; parameter sweeps that revisit the same point (bisections,
-    cycle grids) hit the cache.
+    The per-block view behind the spectrum table, the block union spectrum
+    and exceptional-point sweeps; blocks of one shape share read-only
+    arrays.  Sweeps that revisit the same point (bisections) hit the cache.
     """
     return tuple(
         (s.label, s.eigenvalues, s.nqb) for s in block_spectra(p, want_vectors=False)
@@ -298,16 +306,23 @@ class GroundStateInfo:
 
 
 def _entry_arrays(spectra):
-    """(eps, gam>=0, mult) rows, one per eigenvalue with Im >= 0."""
+    """(eps, gam>=0, mult) rows, one per eigenvalue with Im >= 0.
+
+    Blocks that share one eigenvalue array (one shape, see block_spectra)
+    give one set of rows with their summed multiplicity.
+    """
     if hasattr(spectra, "eps"):  # thermal table
         return spectra.eps, spectra.gam, spectra.mult
-    eps, gam, mult = [], [], []
+    folded = {}
     for s in spectra:
-        w = s.eigenvalues
+        w, m = folded.get(id(s.eigenvalues), (s.eigenvalues, 0))
+        folded[id(s.eigenvalues)] = (w, m + s.mult)
+    eps, gam, mult = [], [], []
+    for w, m in folded.values():
         keep = w.imag >= 0.0
         eps.append(w.real[keep])
         gam.append(w.imag[keep])
-        mult.append(np.full(int(np.sum(keep)), float(s.mult)))
+        mult.append(np.full(int(np.sum(keep)), float(m)))
     return np.concatenate(eps), np.concatenate(gam), np.concatenate(mult)
 
 
@@ -522,13 +537,8 @@ def _march_to_ep(
     part drops below the lowest real level.  The pair itself was born at an
     exceptional point further from alpha = 1.
     """
-    # build_block_hamiltonian reads only the (s1, s2, S) shape and
-    # is_complex ignores multiplicities, so one block per shape suffices
-    blocks = list({_shape_of(b): b for b in p.blocks()}.values())
-
     def broken(x: float) -> bool:
-        spectra = block_spectra(p.with_(alpha=x), blocks=blocks)
-        return ground_state_info(spectra).is_complex
+        return ground_state_info(block_spectra(p.with_(alpha=x))).is_complex
 
     ln_span = math.log(span)
     inner = 1.0

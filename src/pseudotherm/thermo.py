@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import spectral
+from . import model, spectral
 from .errors import ZeroPartitionError
-from .model import ModelParams, gap_operator
+from .model import ModelParams, _shape_of, gap_operator
 
 __all__ = [
     "SpectrumTable",
@@ -54,9 +54,11 @@ TABLE_CACHE_SIZE = 128
 class SpectrumTable:
     """Flattened eigenvalue data for thermal sums.
 
-    One row per real level or conjugate pair (the +i*gamma member); `pair`
-    marks rows that stand for two eigenvalues.  nS and npair carry the
-    conserved-number labels used by the chemical-potential shifts.
+    One row per real level or conjugate pair (the +i*gamma member) of each
+    fold row; `pair` marks rows that stand for two eigenvalues and `mult`
+    the summed multiplicity of the blocks behind them.  nS and npair carry
+    the conserved-number labels used by the chemical-potential shifts; nS
+    is NaN where the table was folded over N.
     """
 
     eps: np.ndarray
@@ -71,31 +73,31 @@ class SpectrumTable:
         return len(self.eps)
 
 
-def table_from_spectra(spectra, im_tol: float = spectral.IM_TOL) -> SpectrumTable:
-    """Fold block spectra (or (label, eigenvalues, nqb) triples) into a table."""
+def table_from_spectra(rows, im_tol: float = spectral.IM_TOL) -> SpectrumTable:
+    """Fold spectra into a table.
+
+    Each row is (mult, N, eigenvalues, nqb): the exact integer multiplicity
+    behind the eigenvalues, their ensemble-number label (None when the row
+    spans several N), and their pair-number labels (None when unknown).
+    """
     eps, gam, mult, ns, npair, pair = [], [], [], [], [], []
     dim_total = 0
-    for item in spectra:
-        if isinstance(item, spectral.BlockSpectrum):
-            label, w, nqb = item.label, item.eigenvalues, item.nqb
-        else:
-            label, w, nqb = item
+    for m, n, w, nqb in rows:
         if nqb is None:
             nqb = np.full(len(w), np.nan)
-        dim_total += label.mult * len(w)
+        dim_total += m * len(w)
         thresh = im_tol * np.maximum(1.0, np.abs(w))
         is_real = np.abs(w.imag) <= thresh
         n_pos = int(np.sum(~is_real & (w.imag > 0)))
         n_neg = int(np.sum(~is_real & (w.imag < 0)))
         if n_pos != n_neg:
-            raise AssertionError(
-                f"conjugation symmetry violated in block {label.key()}"
-            )
+            raise AssertionError(f"conjugation symmetry violated in a row with N={n}")
         keep = is_real | (w.imag > thresh)
+        kept = int(np.sum(keep))
         eps.append(w.real[keep])
         gam.append(np.where(is_real[keep], 0.0, w.imag[keep]))
-        mult.append(np.full(int(np.sum(keep)), float(label.mult)))
-        ns.append(np.full(int(np.sum(keep)), float(label.nv.N)))
+        mult.append(np.full(kept, float(m)))
+        ns.append(np.full(kept, np.nan if n is None else float(n)))
         npair.append(nqb[keep])
         pair.append(~is_real[keep])
     return SpectrumTable(
@@ -109,10 +111,51 @@ def table_from_spectra(spectra, im_tol: float = spectral.IM_TOL) -> SpectrumTabl
     )
 
 
+def _block_rows(spectra):
+    """Fold rows of per-block spectra: BlockSpectrum objects or
+    (label, eigenvalues, nqb) triples as block_eigen_data gives them."""
+    for item in spectra:
+        if isinstance(item, spectral.BlockSpectrum):
+            label, w, nqb = item.label, item.eigenvalues, item.nqb
+        else:
+            label, w, nqb = item
+        yield label.mult, label.nv.N, w, nqb
+
+
+@lru_cache(maxsize=32)
+def _fold_plan(omega: float, omega1: int, omega2: int, split_n: bool) -> tuple:
+    """One representative block per (s1, s2, S) shape, and the fold groups.
+
+    Blocks of one shape share their spectrum, so they fold into one group
+    (one per (shape, N) with split_n).  Groups are (representative index,
+    N or None, exact summed multiplicity), in block order.
+    """
+    reps, groups = {}, {}
+    for b in model.enumerate_blocks(omega, omega1, omega2):
+        shape = _shape_of(b)
+        reps.setdefault(shape, b)
+        key = (shape, b.nv.N if split_n else None)
+        groups[key] = groups.get(key, 0) + b.mult
+    index = {shape: i for i, shape in enumerate(reps)}
+    return tuple(reps.values()), tuple(
+        (index[shape], n, m) for (shape, n), m in groups.items()
+    )
+
+
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def thermal_table(p: ModelParams, im_tol: float = spectral.IM_TOL) -> SpectrumTable:
-    """Cached spectrum table for a parameter point."""
-    return table_from_spectra(spectral.block_eigen_data(p), im_tol=im_tol)
+    """Cached spectrum table for a parameter point.
+
+    Built from one eigensolve per (s1, s2, S) shape, with one fold row per
+    shape, or per (shape, N) when p.muS != 0 so the muS shift stays exact.
+    A table folded over N has NaN nS and refuses muS != 0.
+    """
+    reps, groups = _fold_plan(p.Omega, p.Omega1, p.Omega2, p.muS != 0.0)
+    spectra = spectral.block_spectra(p, blocks=reps)
+    return table_from_spectra(
+        ((m, n, spectra[i].eigenvalues, spectra[i].nqb) for i, n, m in groups),
+        im_tol=im_tol,
+    )
 
 
 def _as_table(spectra) -> SpectrumTable:
@@ -120,7 +163,7 @@ def _as_table(spectra) -> SpectrumTable:
         return spectra
     if isinstance(spectra, ModelParams):
         return thermal_table(spectra)
-    return table_from_spectra(spectra)
+    return table_from_spectra(_block_rows(spectra))
 
 
 class SignedLog(NamedTuple):
@@ -186,12 +229,25 @@ def _weighted_sum(
     return signed_logsumexp(log_mag, np.sign(amp))
 
 
+def _labels(values: np.ndarray, what: str, mu: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} labels unavailable for {mu} != 0")
+    return values
+
+
 def _eps_eff(table: SpectrumTable, muS: float, muQb: float) -> np.ndarray:
+    """Grand-canonical energies eps - muS*N - muQb*N_qb.
+
+    Each term is applied only when its chemical potential is nonzero, so a
+    table without N labels (NaN nS) serves every muS = 0 point.
+    """
     if muS == 0.0 and muQb == 0.0:
         return table.eps
-    shift = muS * table.nS + muQb * table.npair
-    if muQb != 0.0 and np.any(~np.isfinite(shift)):
-        raise ValueError("pair-number labels unavailable for muQb != 0")
+    shift = 0.0
+    if muS != 0.0:
+        shift = muS * _labels(table.nS, "ensemble-number", "muS")
+    if muQb != 0.0:
+        shift = shift + muQb * _labels(table.npair, "pair-number", "muQb")
     return table.eps - shift
 
 
@@ -443,9 +499,13 @@ def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> 
 
     mu_term = 0.0
     if p.muS != 0.0 or p.muQb != 0.0:
-        n_s = _ratio(_weighted_sum(table, beta, table.nS, 0.0, eps_eff), m0)
-        n_p = _ratio(_weighted_sum(table, beta, table.npair, 0.0, eps_eff), m0)
-        mu_term = p.muS * n_s + p.muQb * n_p
+        # a term only at a nonzero potential: a table folded over N has no N labels
+        if p.muS != 0.0:
+            n_s = _ratio(_weighted_sum(table, beta, table.nS, 0.0, eps_eff), m0)
+            mu_term += p.muS * n_s
+        if p.muQb != 0.0:
+            n_p = _ratio(_weighted_sum(table, beta, table.npair, 0.0, eps_eff), m0)
+            mu_term += p.muQb * n_p
         e_re, e_im = table.eps, table.gam
     else:
         e_re, e_im = eps_eff, table.gam

@@ -13,7 +13,7 @@ from pseudotherm.oracle import (
     fock_partition,
     fock_spectrum,
 )
-from pseudotherm.thermo import partition_function, thermal_table
+from pseudotherm.thermo import partition_function, potentials, thermal_table
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +117,29 @@ def test_chemical_potential_enters_grand_matrix(tiny):
     zf = fock_partition(p, 0.9)
     zb = partition_function(thermal_table(p), 0.9, muS=0.4)
     assert zb == pytest.approx(zf, rel=1e-8)
+
+
+@pytest.mark.parametrize("mu_s, mu_qb", [(0.0, 0.3), (0.4, 0.0), (0.4, 0.3)])
+def test_grand_partition_matches_fock_with_chemical_potentials(mu_s, mu_qb):
+    # the muQb-only point uses a table folded over N (NaN nS), which must
+    # not leak into Z or the potentials
+    p = ModelParams(
+        Omega=1.0, Omega1=1, Omega2=1, alpha=0.5, g=1.2, muS=mu_s, muQb=mu_qb
+    )
+    ops = fock_operators(FockSpace(1.0, 1, 1))
+    h = fock_hamiltonian(p, ops)
+    table = thermal_table(p)
+    for t in (0.2, 0.7, 3.0):
+        beta = 1.0 / t
+        zf = fock_partition(p, beta, ops)
+        zb = partition_function(table, beta, p.muS, p.muQb)
+        assert zb == pytest.approx(zf, rel=1e-8)
+        n_s = fock_expectation(ops.n_nv, p, beta, ops)
+        n_p = fock_expectation(ops.n_pairs, p, beta, ops)
+        pt = potentials(p, t)
+        assert pt.valid
+        assert pt.ln_abs_z == pytest.approx(math.log(abs(zf)), rel=1e-8, abs=1e-10)
+        f_want = -t * math.log(abs(zf)) + mu_s * n_s + mu_qb * n_p
+        assert pt.F == pytest.approx(f_want, rel=1e-8, abs=1e-10)
+        u_want = fock_expectation(h, p, beta, ops)
+        assert pt.U == pytest.approx(u_want, rel=1e-8, abs=1e-10)

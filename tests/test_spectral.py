@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pseudotherm import ModelParams
-from pseudotherm.model import build_block_hamiltonian
+from pseudotherm.model import _shape_of, build_block_hamiltonian
 from pseudotherm.spectral import (
     block_eigen_data,
     block_spectra,
@@ -86,6 +86,24 @@ def test_eigendata_matches_full_matrix_eig(tiny):
         assert np.max(
             np.abs(np.sort_complex(w) - np.sort_complex(w_full))
         ) < 1e-8
+
+
+def test_blocks_of_one_shape_share_read_only_spectra(desk_broken):
+    spectra = block_spectra(desk_broken)
+    by_shape = {}
+    for s in spectra:
+        by_shape.setdefault(_shape_of(s.label), []).append(s)
+    assert len(spectra) == 855 and len(by_shape) == 81
+    for group in by_shape.values():
+        first = group[0]
+        assert not first.eigenvalues.flags.writeable and not first.nqb.flags.writeable
+        for s in group[1:]:
+            assert s.eigenvalues is first.eigenvalues and s.nqb is first.nqb
+    # the shared spectrum equals a solve of any one block of the shape
+    for group in list(by_shape.values())[::9]:
+        (alone,) = block_spectra(desk_broken, blocks=[group[-1].label])
+        assert np.array_equal(alone.eigenvalues, group[0].eigenvalues)
+        assert np.array_equal(alone.nqb, group[0].nqb)
 
 
 def test_classify_all_real():

@@ -8,7 +8,7 @@ from pseudotherm.algebra import spin_operators
 from pseudotherm.blocks import enumerate_nv_labels, enumerate_qubit_labels
 from pseudotherm.errors import ZeroPartitionError
 from pseudotherm.model import build_block_hamiltonian, gap_operator
-from pseudotherm.spectral import block_spectra
+from pseudotherm.spectral import block_eigen_data, block_spectra
 from pseudotherm.thermo import (
     SignedLog,
     SpectrumTable,
@@ -22,6 +22,7 @@ from pseudotherm.thermo import (
     potentials,
     potentials_fd,
     signed_logsumexp,
+    table_from_spectra,
     thermal_expectation,
     thermal_table,
 )
@@ -109,6 +110,39 @@ def test_partition_blockwise_equals_merged(desk_broken):
         )
         z_merged = partition_function(table, beta)
         assert z_blocks == pytest.approx(z_merged, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.36])
+def test_shape_fold_matches_per_block_fold(alpha):
+    # thermal_table folds blocks of one (s1, s2, S) shape into one row set;
+    # the per-block fold of the same spectra is the reference
+    p = ModelParams(alpha=alpha, g=1.73)
+    table = thermal_table(p)
+    per_block = table_from_spectra(
+        (label.mult, label.nv.N, w, nqb) for label, w, nqb in block_eigen_data(p)
+    )
+    assert table.dim_total == per_block.dim_total == 2**24
+    assert len(table) < len(per_block)
+    assert np.all(np.isnan(table.nS))
+    for t in (0.05, 0.144, 0.5, 2.0, 5.0):
+        got = potentials(p, t, table=table)
+        want = potentials(p, t, table=per_block)
+        assert got.z_sign == want.z_sign
+        assert got.valid == want.valid
+        assert abs(got.ln_abs_z - want.ln_abs_z) <= 1e-14 * abs(want.ln_abs_z)
+        if want.valid:
+            for a, b in ((got.U, want.U), (got.S, want.S), (got.Cv, want.Cv)):
+                assert abs(a - b) <= 1e-9 * abs(b)
+
+
+def test_table_folded_over_n_refuses_mu_s(desk_broken):
+    table = thermal_table(desk_broken)
+    with pytest.raises(ValueError):
+        partition_function(table, 1.0, muS=0.4)
+    with pytest.raises(ValueError):
+        potentials(desk_broken.with_(muS=0.4), 1.0, table=table)
+    split = thermal_table(desk_broken.with_(muS=0.4))
+    assert np.all(np.isfinite(split.nS)) and len(split) > len(table)
 
 
 def subsystem_partition(p, beta):
