@@ -223,9 +223,8 @@ def cmd_thermo(p: ModelParams, args, config) -> None:
         r = rescale(p, p.Omega1, args.nv_count, 0.0)
         p = p.with_(E=r.Er, g=r.gr, Omega=args.nv_count / 2.0)
     table = thermo.thermal_table(p)
-    spectra = spectral.block_spectra(p, want_vectors=True) if args.gap else None
     gaps = (
-        thermo.gap_curve(p, t_values, spectra=spectra)
+        thermo.gap_curve(p, t_values)
         if args.gap
         else [math.nan] * len(t_values)
     )

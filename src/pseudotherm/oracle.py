@@ -191,13 +191,17 @@ def fock_spectrum(p: ModelParams, ops: _FockOps | None = None) -> np.ndarray:
 
 
 def block_union_spectrum(p: ModelParams) -> np.ndarray:
-    """Multiplicity-expanded union of the block spectra, sorted by (Re, Im).
+    """Multiplicity-expanded union of the grand-canonical block spectra
+    E - muS*N - muQb*N_qb, sorted by (Re, Im).
 
     This is the quantity fock_spectrum must reproduce as a multiset.
     """
     from .spectral import block_eigen_data
 
-    chunks = [np.repeat(w, label.mult) for label, w, _ in block_eigen_data(p)]
+    chunks = [
+        np.repeat(w - p.muS * label.nv.N - p.muQb * nqb, label.mult)
+        for label, w, nqb in block_eigen_data(p)
+    ]
     w = np.concatenate(chunks)
     return w[np.lexsort((w.imag, w.real))]
 

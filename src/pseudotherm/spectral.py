@@ -1,11 +1,12 @@
 """Non-symmetric block eigendecomposition and exceptional-point location.
 
 Blocks are real matrices, so eigenvalues are real or come in exact
-complex-conjugate pairs.  Right eigenvectors come from H, left ones from
-H^T, matched by eigenvalue; the biorthogonal overlap <L_n|R_n> (a bilinear
-product, no conjugation) is recorded so thermal averages can divide by it.
-Vanishing overlap marks a near-defective level (the fingerprint of an
-exceptional point); such levels are flagged, never fatal.
+complex-conjugate pairs.  Right eigenvectors R come from one eigensolve of
+H; the left ones are the rows of inv(R), so <L_m|R_n> = delta_mn (a
+bilinear product, no conjugation) holds by construction and the
+resolution of the identity is sum_n |R_n><L_n|.  With unit right vectors,
+the phase rigidity 1/|L_n| vanishes as a level nears an exceptional point;
+such near-defective levels are flagged, never fatal.
 
 Every term of the Hamiltonian conserves the total quasispin projection of
 the pairing register, so each block is diagonalized sector by sector in
@@ -49,8 +50,8 @@ __all__ = [
     "EpUnityTable",
 ]
 
-DEFECT_TOL = 1e-8          # |<L|R>| below this (unit vectors) flags near-defective
-TIE_TOL = 1e-7             # GHz; eigenvalue matching and degeneracy counting
+DEFECT_TOL = 1e-8          # phase rigidity 1/|L| (unit R) below this: near-defective
+TIE_TOL = 1e-7             # GHz; degeneracy counting of the ground level
 IM_TOL = 1e-9              # GHz-relative floor for treating Im E as zero
 # EP indicator threshold: must sit above the non-symmetric eigensolver's
 # noise at near-degenerate real levels (~1e-5 GHz for ~60 GHz matrices)
@@ -66,6 +67,7 @@ class BlockSpectrum:
 
     eigenvalues are sorted by (Re, Im) so conjugate partners sit adjacent;
     nqb holds the exact pair-number label of each eigenvector's sector.
+    Left and right vectors are biorthonormal columns, left.T @ right = I.
     Vector fields are None when only eigenvalues were requested.
     """
 
@@ -73,7 +75,6 @@ class BlockSpectrum:
     eigenvalues: np.ndarray
     right_vectors: np.ndarray | None = None
     left_vectors: np.ndarray | None = None
-    biorth_norms: np.ndarray | None = None
     nqb: np.ndarray | None = None
     near_defective: np.ndarray | None = None
 
@@ -86,18 +87,13 @@ def _sorted_order(w: np.ndarray) -> np.ndarray:
     return np.lexsort((w.imag, w.real))
 
 
-def diagonalize(
-    h: np.ndarray,
-    label: BlockLabel | None = None,
-    defect_tol: float = DEFECT_TOL,
-    tie_tol: float = TIE_TOL,
-) -> BlockSpectrum:
+def diagonalize(h: np.ndarray, label: BlockLabel | None = None) -> BlockSpectrum:
     """Full eigendecomposition of a real square matrix.
 
     Exactly symmetric input takes the symmetric solver (real spectrum,
-    orthonormal vectors, unit biorthogonal norms).  Otherwise right and
-    left eigenvectors are matched greedily by eigenvalue; the match must
-    close to within tie_tol or a SolverFailure is raised.
+    orthonormal vectors, left = right).  Otherwise the left vectors are the
+    rows of inv(R), biorthonormal to the unit right vectors; a level whose
+    phase rigidity 1/|L_n| falls below DEFECT_TOL is flagged near-defective.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -108,51 +104,28 @@ def diagonalize(
         order = np.argsort(w)
         w = w[order].astype(complex)
         v = v[:, order].astype(complex)
-        norms = np.ones(len(w), dtype=complex)
         return BlockSpectrum(
             label=label,
             eigenvalues=w,
             right_vectors=v,
             left_vectors=v.copy(),
-            biorth_norms=norms,
             near_defective=np.zeros(len(w), dtype=bool),
         )
 
     try:
         w, vr = np.linalg.eig(h)
-        wl, vl = np.linalg.eig(h.T)
+        left = np.linalg.inv(vr).T
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"eigensolver failed for block {label!r}") from exc
 
     order = _sorted_order(w)
-    w, vr = w[order], vr[:, order]
-
-    # greedy eigenvalue matching of left partners (conjugate-aware: both
-    # lists carry the full conjugate-closed multiset)
-    used = np.zeros(len(wl), dtype=bool)
-    left = np.empty_like(vr)
-    scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
-    for i, lam in enumerate(w):
-        dist = np.abs(wl - lam)
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        if dist[j] > 1e3 * tie_tol * scale:
-            raise SolverFailure(
-                f"left/right eigenvalue match failed for block {label!r}: "
-                f"residual {dist[j]:.3e}"
-            )
-        used[j] = True
-        left[:, i] = vl[:, j]
-
-    norms = np.einsum("ij,ij->j", left, vr)
-    flags = np.abs(norms) < defect_tol
+    w, vr, left = w[order], vr[:, order], left[:, order]
     return BlockSpectrum(
         label=label,
         eigenvalues=w,
         right_vectors=vr,
         left_vectors=left,
-        biorth_norms=norms,
-        near_defective=flags,
+        near_defective=1.0 / np.linalg.norm(left, axis=0) < DEFECT_TOL,
     )
 
 
@@ -222,7 +195,7 @@ def block_spectra(
     solved = {}
     for shape, b, h, sectors in plan:
         vals, nqbs = [], []
-        rights, lefts, norms, flags = [], [], [], []
+        rights, lefts, flags = [], [], []
         for si, (m, idx, sub) in enumerate(sectors):
             if want_vectors:
                 dec = diagonalize(h[sub], label=b)
@@ -233,7 +206,6 @@ def block_spectra(
                 l_full[idx, :] = dec.left_vectors
                 rights.append(r_full)
                 lefts.append(l_full)
-                norms.append(dec.biorth_norms)
                 flags.append(dec.near_defective)
             else:
                 vals.append(eig_cache[(shape, si)])
@@ -244,7 +216,6 @@ def block_spectra(
         if want_vectors:
             fields["right_vectors"] = np.concatenate(rights, axis=1)[:, order]
             fields["left_vectors"] = np.concatenate(lefts, axis=1)[:, order]
-            fields["biorth_norms"] = np.concatenate(norms)[order]
             fields["near_defective"] = np.concatenate(flags)[order]
         for a in fields.values():
             a.setflags(write=False)
@@ -305,20 +276,27 @@ class GroundStateInfo:
     eps0: float
 
 
-def _entry_arrays(spectra):
-    """(eps, gam>=0, mult) rows, one per eigenvalue with Im >= 0.
+def _fold_shared(spectra) -> list:
+    """(first spectrum, summed multiplicity) per distinct eigenvalue array.
 
-    Blocks that share one eigenvalue array (one shape, see block_spectra)
-    give one set of rows with their summed multiplicity.
+    Blocks of one shape share one eigenvalue array (see block_spectra), so
+    they fold into one entry.
     """
-    if hasattr(spectra, "eps"):  # thermal table
-        return spectra.eps, spectra.gam, spectra.mult
     folded = {}
     for s in spectra:
-        w, m = folded.get(id(s.eigenvalues), (s.eigenvalues, 0))
-        folded[id(s.eigenvalues)] = (w, m + s.mult)
+        first, m = folded.get(id(s.eigenvalues), (s, 0))
+        folded[id(s.eigenvalues)] = (first, m + s.mult)
+    return list(folded.values())
+
+
+def _entry_arrays(spectra):
+    """(eps, gam>=0, mult) rows, one per eigenvalue with Im >= 0, blocks
+    that share one eigenvalue array folded (see _fold_shared)."""
+    if hasattr(spectra, "eps"):  # thermal table
+        return spectra.eps, spectra.gam, spectra.mult
     eps, gam, mult = [], [], []
-    for w, m in folded.values():
+    for s, m in _fold_shared(spectra):
+        w = s.eigenvalues
         keep = w.imag >= 0.0
         eps.append(w.real[keep])
         gam.append(w.imag[keep])
@@ -359,15 +337,6 @@ def max_imag_eigenvalue(p: ModelParams) -> float:
         (float(np.max(np.abs(w.imag))) if len(w) else 0.0)
         for _, w, _ in block_eigen_data(p)
     )
-
-
-def complex_pair_count(p: ModelParams, im_floor: float = EP_IM_FLOOR) -> int:
-    """Number of conjugate pairs with Im E above the floor, over all blocks.
-
-    Unlike the max-|Im| indicator this changes at every pair's exceptional
-    point, including those inside an already-broken region.
-    """
-    return int(sum(complex_pair_counts(p, im_floor)))
 
 
 def complex_pair_counts(p: ModelParams, im_floor: float = EP_IM_FLOOR) -> tuple:

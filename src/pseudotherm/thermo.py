@@ -7,7 +7,9 @@ signed-log form (log magnitude plus sign) with exact compensated summation
 (math.fsum) after a common shift, which survives beta up to 1e3/GHz and
 resolves the cancellations that produce zeros.
 
-Thermal averages use the biorthogonal resolution sum_n |R_n><L_n| / <L_n|R_n>.
+Thermal averages use the biorthogonal resolution sum_n |R_n><L_n| with
+<L_m|R_n> = delta_mn: <O> = (1/Z) sum_n mult_n e^{-beta E_n} <L_n|O|R_n> goes
+through the same signed-log kernel as Z, one row per eigenvalue.
 """
 
 from __future__ import annotations
@@ -337,6 +339,19 @@ def _refine_bracket(table, t_lo, t_hi, s_lo, muS, muQb, rtol):
     return ZeroRecord(0.5 * (lo + hi), (lo, hi), (s_lo, -s_lo))
 
 
+def _doubled(table, grid, signs, muS, muQb):
+    """The sorted grid with its midpoints interleaved, and the sign of Z on
+    it.  Only the midpoints are evaluated: each sign of z_signs_on_grid
+    depends on its own temperature alone, so the known ones are reused."""
+    denser = np.empty(2 * len(grid) - 1)
+    denser[0::2] = grid
+    denser[1::2] = 0.5 * (grid[:-1] + grid[1:])
+    denser_signs = np.empty(len(denser), dtype=int)
+    denser_signs[0::2] = signs
+    denser_signs[1::2] = z_signs_on_grid(table, denser[1::2], muS, muQb)
+    return denser, denser_signs
+
+
 def _brackets(grid, signs):
     out = []
     for t_lo, t_hi, s_lo, s_hi in zip(grid[:-1], grid[1:], signs[:-1], signs[1:]):
@@ -364,14 +379,15 @@ def find_zeros(
     grid = np.asarray(sorted(t_grid), dtype=float)
     if len(grid) < 2 or grid[0] <= 0:
         raise ValueError("t_grid must hold at least two positive temperatures")
-    brackets = _brackets(grid, z_signs_on_grid(table, grid, muS, muQb))
+    signs = z_signs_on_grid(table, grid, muS, muQb)
+    brackets = _brackets(grid, signs)
     for _ in range(max_doublings):
-        denser = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
-        denser_brackets = _brackets(denser, z_signs_on_grid(table, denser, muS, muQb))
+        grid, signs = _doubled(table, grid, signs, muS, muQb)
+        denser_brackets = _brackets(grid, signs)
         if len(denser_brackets) == len(brackets):
             brackets = denser_brackets
             break
-        grid, brackets = denser, denser_brackets
+        brackets = denser_brackets
     else:
         warnings.warn(
             f"zero count still changing after {max_doublings} grid doublings "
@@ -404,15 +420,16 @@ def critical_temperature(
     table = _as_table(p)
     muS, muQb = (p.muS, p.muQb) if isinstance(p, ModelParams) else (0.0, 0.0)
     grid = np.geomspace(t_min, t_max, steps)
+    signs = z_signs_on_grid(table, grid, muS, muQb)
 
-    def top_bracket(g):
-        br = _brackets(g, z_signs_on_grid(table, g, muS, muQb))
+    def top_bracket():
+        br = _brackets(grid, signs)
         return br[-1] if br else None
 
-    top = top_bracket(grid)
+    top = top_bracket()
     for _ in range(max_doublings):
-        grid = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
-        denser_top = top_bracket(grid)
+        grid, signs = _doubled(table, grid, signs, muS, muQb)
+        denser_top = top_bracket()
         if top is None and denser_top is None:
             return 0.0
         if top is not None and denser_top is not None and denser_top[0] >= top[0]:
@@ -559,6 +576,49 @@ class ExpectationResult(NamedTuple):
     defective_blocks: tuple
 
 
+def _vector_table(spectra, op) -> tuple[SpectrumTable, np.ndarray]:
+    """Per-eigenvalue table of vector spectra and the coefficients <L_n|O|R_n>.
+
+    Blocks that share one eigenvalue array (one shape) fold into one set of
+    rows with their summed multiplicity (spectral._fold_shared), so op,
+    which maps a BlockLabel to its operator matrix, must depend on the
+    block shape alone.  Every eigenvalue has its own row (pair False,
+    signed gam); the rows span every N and carry no number labels.
+    """
+    folded = spectral._fold_shared(spectra)
+    w = np.concatenate([s.eigenvalues for s, _ in folded])
+    mult = [np.full(len(s.eigenvalues), float(m)) for s, m in folded]
+    no_label = np.full(len(w), np.nan)
+    table = SpectrumTable(
+        eps=w.real,
+        gam=w.imag,
+        mult=np.concatenate(mult),
+        nS=no_label,
+        npair=no_label,
+        pair=np.zeros(len(w), dtype=bool),
+        dim_total=sum(m * len(s.eigenvalues) for s, m in folded),
+    )
+    coef = [
+        np.einsum("in,ij,jn->n", s.left_vectors, op(s.label), s.right_vectors)
+        for s, _ in folded
+    ]
+    return table, np.concatenate(coef)
+
+
+def _biorthogonal_mean(table: SpectrumTable, coef: np.ndarray, beta: float):
+    """(1/Z) sum_n mult_n e^{-beta E_n} c_n over a per-eigenvalue table, as a
+    complex number; None where Z counts as zero, that is where
+    |Z| <= CANCEL_FLOOR * sum_n mult_n |e^{-beta E_n}|."""
+    z = _weighted_sum(table, beta, 1.0, 0.0, table.eps)
+    log_terms = np.log(table.mult) - beta * table.eps
+    modulus = signed_logsumexp(log_terms, np.ones(len(table)))
+    if z.sign == 0 or z.log_abs - modulus.log_abs <= math.log(CANCEL_FLOOR):
+        return None
+    re = _ratio(_weighted_sum(table, beta, coef.real, coef.imag, table.eps), z)
+    im = _ratio(_weighted_sum(table, beta, coef.imag, -coef.real, table.eps), z)
+    return complex(re, im)
+
+
 def thermal_expectation(
     op,
     p: ModelParams,
@@ -567,89 +627,52 @@ def thermal_expectation(
 ) -> ExpectationResult:
     """Thermal mean of a blockwise operator via biorthogonal weights.
 
-    op maps a BlockLabel to the operator matrix on that block.  The value
-    is (1/Z) sum mult_n e^{-beta Etilde_n} <L_n|O|R_n>/<L_n|R_n>, returned
-    as its real part with the imaginary residue as a quality metric.
-    Near-defective blocks are reported, not fatal.
+    op maps a BlockLabel to the operator matrix on that block and must
+    depend on the block shape alone (np.eye(b.dim) and gap_operator do).
+    The value is the real part of (1/Z) sum mult_n e^{-beta E_n}
+    <L_n|O|R_n>, with the modulus of its imaginary part as a quality
+    metric.  Near-defective blocks are reported, not fatal.
     """
     if t <= 0:
         raise ValueError("temperature must be positive")
-    beta = 1.0 / t
     if spectra is None:
         spectra = spectral.block_spectra(p, want_vectors=True)
-
-    shift = min(float(np.min(s.eigenvalues.real)) for s in spectra)
-    num = 0.0 + 0.0j
-    den = 0.0 + 0.0j
-    den_abs = 0.0
-    defective = []
-    for s in spectra:
-        o_mat = op(s.label)
-        w = np.einsum(
-            "in,ij,jn->n", s.left_vectors, o_mat.astype(complex), s.right_vectors
-        )
-        w = w / s.biorth_norms
-        boltz = np.exp(-beta * (s.eigenvalues - shift))
-        num += s.mult * complex(np.sum(w * boltz))
-        den += s.mult * complex(np.sum(boltz))
-        den_abs += s.mult * float(np.sum(np.abs(boltz)))
-        if s.near_defective is not None and np.any(s.near_defective):
-            defective.append(s.label.key())
-    if abs(den.real) <= CANCEL_FLOOR * den_abs:
+    mean = _biorthogonal_mean(*_vector_table(spectra, op), 1.0 / t)
+    if mean is None:
         raise ZeroPartitionError(
             f"partition function vanishes at T={t:.6g}; expectation undefined"
         )
-    val = num / den.real
-    return ExpectationResult(
-        value=float(val.real),
-        imag_residue=abs(float(val.imag)),
-        defective_blocks=tuple(defective),
+    defective = tuple(
+        s.label.key()
+        for s in spectra
+        if s.near_defective is not None and np.any(s.near_defective)
     )
+    return ExpectationResult(mean.real, abs(mean.imag), defective)
 
 
-def gap_curve(
-    p: ModelParams,
-    t_values,
-    operator: str = "collective",
-    spectra: list | None = None,
-) -> np.ndarray:
+def gap_curve(p: ModelParams, t_values, operator: str = "collective") -> np.ndarray:
     """Pairing gap Delta(T) = (G/2) sqrt(<pair correlator>) on a T grid.
 
-    The eigenbasis and operator matrix elements are computed once and
-    reused across temperatures.
+    The eigenbasis and operator coefficients are computed once and reused
+    across temperatures; Delta is NaN where Z vanishes.
     """
-    if spectra is None:
-        spectra = spectral.block_spectra(p, want_vectors=True)
-    weights, eigs, mults = [], [], []
-    for s in spectra:
-        o_mat = gap_operator(s.label, operator=operator)
-        w = np.einsum(
-            "in,ij,jn->n", s.left_vectors, o_mat.astype(complex), s.right_vectors
-        )
-        weights.append(w / s.biorth_norms)
-        eigs.append(s.eigenvalues)
-        mults.append(s.mult)
-
-    out = np.empty(len(list(t_values)))
+    table, coef = _vector_table(
+        spectral.block_spectra(p, want_vectors=True),
+        lambda b: gap_operator(b, operator=operator),
+    )
     tv = np.asarray(list(t_values), dtype=float)
-    shift = min(float(np.min(e.real)) for e in eigs)
+    out = np.empty(len(tv))
     for i, t in enumerate(tv):
-        beta = 1.0 / t
-        num = 0.0 + 0.0j
-        den = 0.0 + 0.0j
-        for w, e, m in zip(weights, eigs, mults):
-            boltz = np.exp(-beta * (e - shift))
-            num += m * complex(np.sum(w * boltz))
-            den += m * complex(np.sum(boltz))
-        if den.real == 0.0:
+        mean = _biorthogonal_mean(table, coef, 1.0 / t)
+        if mean is None:
             out[i] = math.nan
             continue
-        corr = (num / den.real).real
-        if corr < -1e-8:
+        if mean.real < -1e-8:
             raise ArithmeticError(
-                f"pair correlator {corr:.3e} is negative beyond tolerance at T={t:.6g}"
+                f"pair correlator {mean.real:.3e} is negative beyond tolerance "
+                f"at T={t:.6g}"
             )
-        out[i] = 0.5 * p.G * math.sqrt(max(0.0, corr))
+        out[i] = 0.5 * p.G * math.sqrt(max(0.0, mean.real))
     return out
 
 

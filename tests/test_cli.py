@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pseudotherm
 from pseudotherm.cli import (
     VALID_KEYS,
     main,
@@ -134,6 +137,35 @@ def test_oracle_check_passes(tmp_path, tiny_cfg):
     assert rc == 0
     _, _, rows = read_table(os.path.join(str(tmp_path), "oracle_check.tsv"))
     assert float(rows[0][1]) < 1e-8
+
+
+@pytest.mark.parametrize("mu_s, mu_qb", [(0.0, 0.3), (0.4, 0.0), (0.4, 0.3)])
+def test_oracle_check_passes_with_chemical_potentials(tmp_path, mu_s, mu_qb):
+    # the Fock spectrum is the grand-canonical one, so the block union must
+    # carry the same -muS*N - muQb*N_qb shift
+    cfg = tmp_path / "mu.json"
+    cfg.write_text(json.dumps({
+        "system.Omega": 1.0, "system.Omega1": 1, "system.Omega2": 1,
+        "model.alpha": 0.5, "model.g": 1.2, "model.muS": mu_s, "model.muQb": mu_qb,
+    }))
+    rc = main(["--config", str(cfg), "--out", str(tmp_path), "oracle-check"])
+    assert rc == 0
+    _, _, rows = read_table(os.path.join(str(tmp_path), "oracle_check.tsv"))
+    assert float(rows[0][1]) < 1e-8 and float(rows[1][1]) < 1e-8
+
+
+def test_module_entry_point_runs(tmp_path, tiny_cfg):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudotherm.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pseudotherm", "--config", tiny_cfg,
+         "--out", str(tmp_path), "blocks-dump"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, cols, _ = read_table(os.path.join(str(tmp_path), "blocks.tsv"))
+    assert cols[:2] == ["N", "tau"]
 
 
 def test_cycle_stirling_tiny(tmp_path, tiny_cfg):

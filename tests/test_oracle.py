@@ -62,9 +62,11 @@ def test_fock_hamiltonian_symmetric_at_alpha_one():
     assert np.array_equal(h, h.T)
 
 
-def test_spectrum_multiset_matches_blocks(tiny):
-    wf = fock_spectrum(tiny)
-    wb = block_union_spectrum(tiny)
+@pytest.mark.parametrize("coupling_z", ["difference", "total"])
+def test_spectrum_multiset_matches_blocks(tiny, coupling_z):
+    p = tiny.with_(coupling_z=coupling_z)
+    wf = fock_spectrum(p)
+    wb = block_union_spectrum(p)
     assert len(wf) == len(wb) == 64
     assert np.max(np.abs(wf - wb)) < 1e-8
 
@@ -74,10 +76,12 @@ def test_spectrum_multiset_matches_blocks_hermitian():
     assert np.max(np.abs(fock_spectrum(p) - block_union_spectrum(p))) < 1e-8
 
 
-def test_partition_agrees_with_block_pipeline(tiny):
-    table = thermal_table(tiny)
+@pytest.mark.parametrize("coupling_z", ["difference", "total"])
+def test_partition_agrees_with_block_pipeline(tiny, coupling_z):
+    p = tiny.with_(coupling_z=coupling_z)
+    table = thermal_table(p)
     for beta in (0.1, 1.0, 5.0, 20.0):
-        zf = fock_partition(tiny, beta)
+        zf = fock_partition(p, beta)
         zb = partition_function(table, beta)
         assert zb == pytest.approx(zf, rel=1e-8)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pseudotherm import ModelParams
 from pseudotherm.model import _shape_of, build_block_hamiltonian
@@ -41,7 +43,21 @@ def test_symmetric_input_takes_exact_real_path():
     h = a + a.T
     spec = diagonalize(h)
     assert np.max(np.abs(spec.eigenvalues.imag)) == 0.0
-    assert np.allclose(spec.biorth_norms, 1.0)
+    assert np.allclose(spec.left_vectors.T @ spec.right_vectors, np.eye(12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_nonsymmetric_left_vectors_are_biorthonormal(n, seed):
+    h = np.random.default_rng(seed).standard_normal((n, n))
+    spec = diagonalize(h)
+    w, left, right = spec.eigenvalues, spec.left_vectors, spec.right_vectors
+    # well-separated levels only: near a coalescence inv(R) loses cond(R) digits
+    assume(np.linalg.cond(right) < 1e6)
+    assert np.allclose(left.T @ right, np.eye(n), atol=1e-8)
+    scale = max(1.0, np.abs(w).max())
+    assert np.allclose(left.T @ h @ right, np.diag(w), atol=1e-8 * scale)
+    assert np.allclose(np.sort_complex(w.conj()), np.sort_complex(w), atol=1e-12)
 
 
 def test_conjugation_closure_per_block(desk_broken):
@@ -62,9 +78,7 @@ def test_biorthogonal_completeness(desk_broken):
     for n in range(len(spec.eigenvalues)):
         if spec.near_defective[n]:
             continue
-        ident += np.outer(
-            spec.right_vectors[:, n], spec.left_vectors[:, n]
-        ) / spec.biorth_norms[n]
+        ident += np.outer(spec.right_vectors[:, n], spec.left_vectors[:, n])
     assert not np.any(spec.near_defective)
     assert np.max(np.abs(ident - np.eye(dim))) < 1e-8
 

@@ -223,6 +223,20 @@ def test_zero_structure_in_critical_window(desk_broken):
         assert hi - lo <= 1e-8 * max(hi, 1.0) + 1e-12
 
 
+def test_doubled_grid_signs_equal_full_rescan(desk_broken):
+    from pseudotherm.thermo import _doubled, z_signs_on_grid
+
+    table = thermal_table(desk_broken)
+    grid = np.geomspace(2e-3, 2.0, 200)
+    signs = z_signs_on_grid(table, grid)
+    for _ in range(4):
+        denser = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
+        grid, signs = _doubled(table, grid, signs, 0.0, 0.0)
+        assert np.array_equal(grid, denser)
+        assert np.array_equal(signs, z_signs_on_grid(table, denser))
+    assert np.any(signs < 0) and np.any(signs > 0)
+
+
 def test_find_zeros_validates_grid(desk):
     with pytest.raises(ValueError):
         find_zeros(desk, [0.5])
@@ -356,7 +370,6 @@ def test_expectation_raises_at_partition_zero():
         eigenvalues=np.array([-1.0 - 1j * gamma, -1.0 + 1j * gamma]),
         right_vectors=np.eye(2, dtype=complex),
         left_vectors=np.eye(2, dtype=complex),
-        biorth_norms=np.ones(2, dtype=complex),
         near_defective=np.zeros(2, dtype=bool),
     )
     t_zero = 2.0 * gamma / math.pi
