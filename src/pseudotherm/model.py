@@ -26,6 +26,8 @@ __all__ = [
     "ModelParams",
     "RescaledParams",
     "build_block_hamiltonian",
+    "assemble_hamiltonian",
+    "assembly_operators",
     "qubit_sz_diagonal",
     "pair_number_diagonal",
     "gap_operator",
@@ -123,7 +125,8 @@ def _shape_operators(two_s1: int, two_s2: int, two_S: int) -> dict:
     """Embedded operator combinations for one (s1, s2, S) shape.
 
     Blocks with equal spins share these read-only matrices; assembly then
-    reduces to scaled sums.
+    reduces to scaled sums.  The coupling terms live in
+    _coupling_operators, built only for the coupling_z in use.
     """
     s1, s2, s_nv = two_s1 / 2.0, two_s2 / 2.0, two_S / 2.0
     ops1 = algebra.spin_operators(s1)
@@ -137,27 +140,79 @@ def _shape_operators(two_s1: int, two_s2: int, two_S: int) -> dict:
     z_nv = algebra.embed3(i1, i2, ops_nv["Sz"])
     p_nv = algebra.embed3(i1, i2, ops_nv["Splus"])
     m_nv = p_nv.T
-    ztot = z1 + z2
-    zdiff = z2 - z1
     out = {
         "z1": z1,
         "z2": z2,
         "pair_scatter": p_qb @ p_qb.T,
         "zz_nv": z_nv @ z_nv,
         "strain": p_nv @ p_nv + m_nv @ m_nv,
-        "couple_plus_difference": zdiff @ p_nv,
-        "couple_minus_difference": zdiff @ m_nv,
-        "couple_plus_total": ztot @ p_nv,
-        "couple_minus_total": ztot @ m_nv,
-        "ztot_diag": np.diag(ztot).copy(),
+        "ztot_diag": np.diag(z1 + z2).copy(),
     }
     for a in out.values():
         a.setflags(write=False)
     return out
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _coupling_operators(two_s1: int, two_s2: int, two_S: int, coupling_z: str) -> dict:
+    """couple_plus/minus_<coupling_z>: s_z S+nv and s_z S-nv for one shape,
+    with s_z = Sz2 - Sz1 ("difference") or Sz1 + Sz2 ("total")."""
+    ops = _shape_operators(two_s1, two_s2, two_S)
+    p_nv = algebra.embed3(
+        algebra.identity(two_s1 / 2.0),
+        algebra.identity(two_s2 / 2.0),
+        algebra.spin_operators(two_S / 2.0)["Splus"],
+    )
+    s_z = ops["z2"] - ops["z1"] if coupling_z == "difference" else ops["z1"] + ops["z2"]
+    out = {
+        f"couple_plus_{coupling_z}": s_z @ p_nv,
+        f"couple_minus_{coupling_z}": s_z @ p_nv.T,
+    }
+    for a in out.values():
+        a.setflags(write=False)
+    return out
+
+
+def _assembly_inputs(shape: tuple, coupling_z: str) -> dict:
+    """The shape and coupling operators of one shape: everything
+    assemble_hamiltonian reads."""
+    return {**_shape_operators(*shape), **_coupling_operators(*shape, coupling_z)}
+
+
 def _shape_of(b: BlockLabel) -> tuple:
     return (round(2 * b.qb.s1), round(2 * b.qb.s2), round(2 * b.nv.S))
+
+
+def assembly_operators(coupling_z: str) -> tuple:
+    """Names of the shape operators that assemble_hamiltonian combines."""
+    return (
+        "z1",
+        "z2",
+        "pair_scatter",
+        "zz_nv",
+        "strain",
+        f"couple_plus_{coupling_z}",
+        f"couple_minus_{coupling_z}",
+    )
+
+
+def assemble_hamiltonian(p: ModelParams, ops) -> np.ndarray:
+    """H as the linear combination of the shape operators in `ops`.
+
+    ops maps each name of assembly_operators(p.coupling_z) to an array: one
+    shape's matrices, or stacks of sector-restricted matrices of equal size.
+    Every term is elementwise, so a restriction of the result equals the
+    result on restricted operators to the last bit.
+    """
+    h = p.eps1 * ops["z1"] + p.eps2 * ops["z2"]
+    h -= p.G * ops["pair_scatter"]
+    h += p.D * ops["zz_nv"]
+    h += 0.5 * p.E * ops["strain"]
+    h += p.g * (
+        p.alpha * ops[f"couple_plus_{p.coupling_z}"]
+        + ops[f"couple_minus_{p.coupling_z}"]
+    )
+    return h
 
 
 def build_block_hamiltonian(p: ModelParams, b: BlockLabel) -> np.ndarray:
@@ -171,16 +226,7 @@ def build_block_hamiltonian(p: ModelParams, b: BlockLabel) -> np.ndarray:
     term is assembled in its real ladder form so the matrix stays real; it
     is symmetric exactly at alpha = 1.
     """
-    ops = _shape_operators(*_shape_of(b))
-    h = p.eps1 * ops["z1"] + p.eps2 * ops["z2"]
-    h -= p.G * ops["pair_scatter"]
-    h += p.D * ops["zz_nv"]
-    h += 0.5 * p.E * ops["strain"]
-    h += p.g * (
-        p.alpha * ops[f"couple_plus_{p.coupling_z}"]
-        + ops[f"couple_minus_{p.coupling_z}"]
-    )
-    return h
+    return assemble_hamiltonian(p, _assembly_inputs(_shape_of(b), p.coupling_z))
 
 
 def qubit_sz_diagonal(b: BlockLabel) -> np.ndarray:

@@ -13,24 +13,38 @@ the pairing register, so each block is diagonalized sector by sector in
 that projection.  This keeps the eigenproblem small, tags every eigenvalue
 with its exact pair-number label, and keeps accidental cross-sector
 degeneracies out of the eigensolver.
+
+The Hamiltonian reads only the (s1, s2, S) shape of a block.  The sectors
+of all shapes in use are grouped by size, and their restricted shape
+operators are stacked once per size and cached (_sector_plan).  A parameter
+point assembles every stack with model.assemble_hamiltonian, the linear
+combination build_block_hamiltonian uses, and solves each (size, symmetric)
+group with one batched eigenvalue call; one lexsort then orders every
+shape's eigenvalues.  Each matrix of a batch is solved on its own, so the
+result equals a per-sector solve bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .blocks import BlockLabel
 from .errors import SolverFailure
+# build_block_hamiltonian is not called in this module; perfbench/spans.py wraps
+# it under this module's name.
 from .model import (
-    SHAPE_CACHE_SIZE,
     ModelParams,
+    _assembly_inputs,
     _shape_of,
-    _shape_operators,
+    assemble_hamiltonian,
+    assembly_operators,
     build_block_hamiltonian,
 )
 
@@ -59,6 +73,7 @@ IM_TOL = 1e-9              # GHz-relative floor for treating Im E as zero
 # resolvable parameter step).
 EP_IM_FLOOR = 1e-4
 EIGEN_CACHE_SIZE = 768
+PLAN_CACHE_SIZE = 32
 
 
 @dataclass
@@ -129,33 +144,80 @@ def diagonalize(h: np.ndarray, label: BlockLabel | None = None) -> BlockSpectrum
     )
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _shape_sectors(shape: tuple) -> tuple:
-    """(pair projection m, basis indices, np.ix_ submatrix index) of each
-    pair-projection sector of one (s1, s2, S) shape."""
-    keys = np.round(2 * _shape_operators(*shape)["ztot_diag"]).astype(int)
-    sectors = []
-    for key in np.unique(keys):
-        idx = np.nonzero(keys == key)[0]
-        idx.setflags(write=False)
-        sectors.append((key / 2.0, idx, np.ix_(idx, idx)))
-    return tuple(sectors)
+class _SizeGroup(NamedTuple):
+    """Every pair-projection sector of one size n among a plan's shapes."""
+
+    ops: dict           # operator name -> read-only (k, n, n) sector stack
+    slots: np.ndarray   # (k, n) eigenvalue slots of each stacked sector
+    sectors: tuple      # (shape index, basis indices) of each stacked sector
 
 
-def _batched_eigvals(tasks):
-    """Eigenvalues for a list of (key, matrix) with same-size matrices stacked
-    into single LAPACK calls; returns {key: eigenvalues}."""
-    by_shape: dict = {}
-    for key, h in tasks:
-        sym = np.array_equal(h, h.T)
-        by_shape.setdefault((h.shape[0], sym), []).append((key, h))
-    out = {}
-    for (n, sym), group in by_shape.items():
-        stack = np.stack([h for _, h in group])
-        w = np.linalg.eigvalsh(stack) if sym else np.linalg.eigvals(stack)
-        for (key, _), wi in zip(group, w):
-            out[key] = wi.astype(complex)
-    return out
+class _SectorPlan(NamedTuple):
+    """Sector stacks of a tuple of (s1, s2, S) shapes.
+
+    Eigenvalue slots run shape by shape and, within a shape, sector by
+    sector in increasing pair projection m.
+    """
+
+    groups: tuple        # _SizeGroup per sector size
+    slot_shape: np.ndarray  # shape index of each slot
+    slot_m: np.ndarray   # pair projection of each slot
+    bounds: tuple        # (first, last + 1) slot of each shape
+    dims: tuple          # block dimension of each shape
+
+
+_PLAN_LOCK = threading.Lock()
+
+
+def _sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
+    """The cached sector plan of a shape tuple and coupling mode.
+
+    The lock makes threads that miss the cache together (the workers of a
+    parallel sweep, on their first points) wait for one build instead of
+    each building the same plan.
+    """
+    with _PLAN_LOCK:
+        return _build_sector_plan(shapes, coupling_z)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _build_sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
+    """Stacks of the sector-restricted shape operators, built once per
+    shape tuple and coupling mode, grouped by sector size."""
+    names = assembly_operators(coupling_z)
+    by_size: dict = {}
+    slot_shape, slot_m, bounds, dims = [], [], [], []
+    for si, shape in enumerate(shapes):
+        ops = _assembly_inputs(shape, coupling_z)
+        every_op = np.stack([ops[name] for name in names])
+        keys = np.round(2 * ops["ztot_diag"]).astype(int)
+        first = len(slot_m)
+        for key in np.unique(keys):
+            idx = np.nonzero(keys == key)[0]
+            slots = np.arange(len(slot_m), len(slot_m) + len(idx))
+            sector_ops = every_op[:, idx[:, None], idx]
+            by_size.setdefault(len(idx), []).append((si, idx, slots, sector_ops))
+            slot_shape.extend([si] * len(idx))
+            slot_m.extend([key / 2.0] * len(idx))
+        bounds.append((first, len(slot_m)))
+        dims.append(len(keys))
+    groups = []
+    for members in by_size.values():
+        every_stack = np.stack([sector_ops for _, _, _, sector_ops in members])
+        stacks = {name: every_stack[:, j].copy() for j, name in enumerate(names)}
+        slots = np.stack([sl for _, _, sl, _ in members])
+        for a in (*stacks.values(), slots):
+            a.setflags(write=False)
+        groups.append(
+            _SizeGroup(stacks, slots, tuple((si, idx) for si, idx, _, _ in members))
+        )
+    return _SectorPlan(
+        groups=tuple(groups),
+        slot_shape=np.array(slot_shape),
+        slot_m=np.array(slot_m),
+        bounds=tuple(bounds),
+        dims=tuple(dims),
+    )
 
 
 def block_spectra(
@@ -167,9 +229,12 @@ def block_spectra(
 
     The Hamiltonian reads only the shape of a block, so one representative
     per distinct shape among `blocks` is solved and every block of that
-    shape gets the same read-only arrays.  Eigenvalues are merged across
-    pair-projection sectors and sorted by (Re, Im); eigenvectors, when
-    requested, are embedded back into the full block basis.
+    shape gets the same read-only arrays.  The sectors of all shapes are
+    assembled as one stack per sector size and solved with one eigenvalue
+    call per (size, symmetric) group; each shape's eigenvalues are merged
+    across sectors and sorted by (Re, Im) in one sort.  Eigenvectors, when
+    requested, come from one diagonalize call per sector and are embedded
+    back into the full block basis.
     """
     if blocks is None:
         blocks = p.blocks()
@@ -177,46 +242,49 @@ def block_spectra(
     reps = {}
     for shape, b in zip(shapes, blocks):
         reps.setdefault(shape, b)
-    shift = 0.5 * (p.Omega1 + p.Omega2)
-    plan = [
-        (shape, b, build_block_hamiltonian(p, b), _shape_sectors(shape))
-        for shape, b in reps.items()
-    ]
-
-    eig_cache = None
-    if not want_vectors:
-        tasks = [
-            ((shape, si), h[sub])
-            for shape, _, h, sectors in plan
-            for si, (_, _, sub) in enumerate(sectors)
+    plan = _sector_plan(tuple(reps), p.coupling_z)
+    labels = list(reps.values())
+    w = np.empty(len(plan.slot_m), dtype=complex)
+    if want_vectors:  # per shape: right, left, near_defective; columns by slot
+        vectors = [
+            (
+                np.zeros((dim, hi - lo), dtype=complex),
+                np.zeros((dim, hi - lo), dtype=complex),
+                np.zeros(hi - lo, dtype=bool),
+            )
+            for (lo, hi), dim in zip(plan.bounds, plan.dims)
         ]
-        eig_cache = _batched_eigvals(tasks)
-
-    solved = {}
-    for shape, b, h, sectors in plan:
-        vals, nqbs = [], []
-        rights, lefts, flags = [], [], []
-        for si, (m, idx, sub) in enumerate(sectors):
-            if want_vectors:
-                dec = diagonalize(h[sub], label=b)
-                vals.append(dec.eigenvalues)
-                r_full = np.zeros((h.shape[0], len(idx)), dtype=complex)
-                l_full = np.zeros_like(r_full)
-                r_full[idx, :] = dec.right_vectors
-                l_full[idx, :] = dec.left_vectors
-                rights.append(r_full)
-                lefts.append(l_full)
-                flags.append(dec.near_defective)
-            else:
-                vals.append(eig_cache[(shape, si)])
-            nqbs.append(np.full(len(idx), m + shift))
-        w = np.concatenate(vals)
-        order = _sorted_order(w)
-        fields = {"eigenvalues": w[order], "nqb": np.concatenate(nqbs)[order]}
+    for group in plan.groups:
+        h = assemble_hamiltonian(p, group.ops)
         if want_vectors:
-            fields["right_vectors"] = np.concatenate(rights, axis=1)[:, order]
-            fields["left_vectors"] = np.concatenate(lefts, axis=1)[:, order]
-            fields["near_defective"] = np.concatenate(flags)[order]
+            for slots, (si, idx), hk in zip(group.slots, group.sectors, h):
+                dec = diagonalize(hk, label=labels[si])
+                w[slots] = dec.eigenvalues
+                cols = slots - plan.bounds[si][0]
+                right, left, flags = vectors[si]
+                right[idx[:, None], cols] = dec.right_vectors
+                left[idx[:, None], cols] = dec.left_vectors
+                flags[cols] = dec.near_defective
+            continue
+        sym = (h == h.transpose(0, 2, 1)).all(axis=(1, 2))
+        if sym.any():
+            w[group.slots[sym]] = np.linalg.eigvalsh(h[sym])
+        if not sym.all():
+            w[group.slots[~sym]] = np.linalg.eigvals(h[~sym])
+
+    order = np.lexsort((w.imag, w.real, plan.slot_shape))
+    w = w[order]
+    nqb = plan.slot_m[order] + 0.5 * (p.Omega1 + p.Omega2)
+    solved = {}
+    for si, (shape, (lo, hi)) in enumerate(zip(reps, plan.bounds)):
+        fields = {"eigenvalues": w[lo:hi], "nqb": nqb[lo:hi]}
+        if want_vectors:
+            local = order[lo:hi] - lo
+            for a in vectors[si]:
+                a[...] = a[..., local]  # in place: one shape's copy at a time
+            fields["right_vectors"], fields["left_vectors"], fields["near_defective"] = (
+                vectors[si]
+            )
         for a in fields.values():
             a.setflags(write=False)
         solved[shape] = fields
@@ -276,16 +344,19 @@ class GroundStateInfo:
     eps0: float
 
 
-def _fold_shared(spectra) -> list:
-    """(first spectrum, summed multiplicity) per distinct eigenvalue array.
+def _fold_shared(spectra, split_n: bool = False) -> list:
+    """(first spectrum, summed multiplicity) per distinct eigenvalue array,
+    or per (eigenvalue array, N) with split_n.
 
     Blocks of one shape share one eigenvalue array (see block_spectra), so
-    they fold into one entry.
+    they fold into one entry; with split_n the first spectrum's label
+    carries the entry's N.
     """
     folded = {}
     for s in spectra:
-        first, m = folded.get(id(s.eigenvalues), (s, 0))
-        folded[id(s.eigenvalues)] = (first, m + s.mult)
+        key = (id(s.eigenvalues), s.label.nv.N if split_n else None)
+        first, m = folded.get(key, (s, 0))
+        folded[key] = (first, m + s.mult)
     return list(folded.values())
 
 

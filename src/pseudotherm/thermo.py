@@ -76,40 +76,39 @@ class SpectrumTable:
 
 
 def table_from_spectra(rows, im_tol: float = spectral.IM_TOL) -> SpectrumTable:
-    """Fold spectra into a table.
+    """Fold spectra into a table in one vectorized pass.
 
     Each row is (mult, N, eigenvalues, nqb): the exact integer multiplicity
     behind the eigenvalues, their ensemble-number label (None when the row
     spans several N), and their pair-number labels (None when unknown).
+    Table rows keep the order of the input rows and of the eigenvalues in
+    each; a conjugate pair keeps only its +i*gamma member.
     """
-    eps, gam, mult, ns, npair, pair = [], [], [], [], [], []
-    dim_total = 0
-    for m, n, w, nqb in rows:
-        if nqb is None:
-            nqb = np.full(len(w), np.nan)
-        dim_total += m * len(w)
-        thresh = im_tol * np.maximum(1.0, np.abs(w))
-        is_real = np.abs(w.imag) <= thresh
-        n_pos = int(np.sum(~is_real & (w.imag > 0)))
-        n_neg = int(np.sum(~is_real & (w.imag < 0)))
-        if n_pos != n_neg:
-            raise AssertionError(f"conjugation symmetry violated in a row with N={n}")
-        keep = is_real | (w.imag > thresh)
-        kept = int(np.sum(keep))
-        eps.append(w.real[keep])
-        gam.append(np.where(is_real[keep], 0.0, w.imag[keep]))
-        mult.append(np.full(kept, float(m)))
-        ns.append(np.full(kept, np.nan if n is None else float(n)))
-        npair.append(nqb[keep])
-        pair.append(~is_real[keep])
+    mults, ns, ws, nqbs = zip(*rows)
+    sizes = [len(w) for w in ws]
+    w = np.concatenate(ws)
+    npair = np.concatenate(
+        [np.full(k, np.nan) if q is None else q for k, q in zip(sizes, nqbs)]
+    )
+    row = np.repeat(np.arange(len(sizes)), sizes)
+    thresh = im_tol * np.maximum(1.0, np.abs(w))
+    is_real = np.abs(w.imag) <= thresh
+    n_pos = np.bincount(row[~is_real & (w.imag > 0)], minlength=len(sizes))
+    n_neg = np.bincount(row[~is_real & (w.imag < 0)], minlength=len(sizes))
+    if not np.array_equal(n_pos, n_neg):
+        n = ns[int(np.argmax(n_pos != n_neg))]
+        raise AssertionError(f"conjugation symmetry violated in a row with N={n}")
+    keep = is_real | (w.imag > thresh)
+    mult = np.repeat(np.array([float(m) for m in mults]), sizes)
+    n_s = np.repeat(np.array([np.nan if n is None else float(n) for n in ns]), sizes)
     return SpectrumTable(
-        eps=np.concatenate(eps),
-        gam=np.concatenate(gam),
-        mult=np.concatenate(mult),
-        nS=np.concatenate(ns),
-        npair=np.concatenate(npair),
-        pair=np.concatenate(pair),
-        dim_total=dim_total,
+        eps=w.real[keep],
+        gam=np.where(is_real, 0.0, w.imag)[keep],
+        mult=mult[keep],
+        nS=n_s[keep],
+        npair=npair[keep],
+        pair=~is_real[keep],
+        dim_total=sum(m * k for m, k in zip(mults, sizes)),
     )
 
 
@@ -312,17 +311,27 @@ def z_signs_on_grid(table: SpectrumTable, t_values, muS: float = 0.0, muQb: floa
     Uses a per-temperature max-shift and plain float64 summation, which
     resolves signs everywhere except within rounding distance of a zero;
     brackets found here are refined with the exact-summation evaluator.
+    The log-magnitudes fill one (T, rows) buffer that is shifted,
+    exponentiated and summed in place; cos, log|amp| and sign are taken
+    only on the columns with gamma != 0, since cos(0) = 1 leaves the other
+    terms at mult * factor * exp(-beta * eps).
     """
     betas = 1.0 / np.asarray(list(t_values), dtype=float)
     eps_eff = _eps_eff(table, muS, muQb)
     factor = np.where(table.pair, 2.0, 1.0)
-    x = np.outer(betas, table.gam)
-    amp = factor[None, :] * np.cos(x)
+    log_base = np.log(table.mult) + np.log(factor)
+    trig = np.flatnonzero(table.gam != 0.0)
+    buf = np.multiply.outer(betas, eps_eff)
+    np.subtract(log_base, buf, out=buf)
+    amp = factor[trig] * np.cos(np.multiply.outer(betas, table.gam[trig]))
     with np.errstate(divide="ignore"):
-        log_mag = np.log(table.mult)[None, :] + np.log(np.abs(amp)) - np.outer(betas, eps_eff)
-    shift = np.max(log_mag, axis=1, keepdims=True)
-    total = np.sum(np.sign(amp) * np.exp(log_mag - shift), axis=1)
-    return np.sign(total).astype(int)
+        buf[:, trig] = (
+            np.log(table.mult[trig]) + np.log(np.abs(amp))
+        ) - np.multiply.outer(betas, eps_eff[trig])
+    buf -= np.max(buf, axis=1, keepdims=True)
+    np.exp(buf, out=buf)
+    buf[:, trig] *= np.sign(amp)
+    return np.sign(np.sum(buf, axis=1)).astype(int)
 
 
 def _refine_bracket(table, t_lo, t_hi, s_lo, muS, muQb, rtol):
@@ -576,46 +585,53 @@ class ExpectationResult(NamedTuple):
     defective_blocks: tuple
 
 
-def _vector_table(spectra, op) -> tuple[SpectrumTable, np.ndarray]:
+def _vector_table(spectra, op, split_n: bool) -> tuple[SpectrumTable, np.ndarray]:
     """Per-eigenvalue table of vector spectra and the coefficients <L_n|O|R_n>.
 
     Blocks that share one eigenvalue array (one shape) fold into one set of
-    rows with their summed multiplicity (spectral._fold_shared), so op,
-    which maps a BlockLabel to its operator matrix, must depend on the
-    block shape alone.  Every eigenvalue has its own row (pair False,
-    signed gam); the rows span every N and carry no number labels.
+    rows with their summed multiplicity (spectral._fold_shared), one set
+    per (shape, N) with split_n, so op, which maps a BlockLabel to its
+    operator matrix, must depend on the block shape alone.  Every
+    eigenvalue has its own row (pair False, signed gam) and carries its
+    pair-number label; nS is the row set's N with split_n, NaN without.
     """
-    folded = spectral._fold_shared(spectra)
+    folded = spectral._fold_shared(spectra, split_n)
+    coef_of = {}
+    for s, _ in folded:
+        if id(s.eigenvalues) not in coef_of:
+            coef_of[id(s.eigenvalues)] = np.einsum(
+                "in,ij,jn->n", s.left_vectors, op(s.label), s.right_vectors
+            )
     w = np.concatenate([s.eigenvalues for s, _ in folded])
-    mult = [np.full(len(s.eigenvalues), float(m)) for s, m in folded]
-    no_label = np.full(len(w), np.nan)
+    sizes = [len(s.eigenvalues) for s, _ in folded]
+    n_s = [float(s.label.nv.N) if split_n else np.nan for s, _ in folded]
     table = SpectrumTable(
         eps=w.real,
         gam=w.imag,
-        mult=np.concatenate(mult),
-        nS=no_label,
-        npair=no_label,
+        mult=np.repeat(np.array([float(m) for _, m in folded]), sizes),
+        nS=np.repeat(np.array(n_s), sizes),
+        npair=np.concatenate(
+            [np.full(k, np.nan) if s.nqb is None else s.nqb for (s, _), k in zip(folded, sizes)]
+        ),
         pair=np.zeros(len(w), dtype=bool),
-        dim_total=sum(m * len(s.eigenvalues) for s, m in folded),
+        dim_total=sum(m * k for (_, m), k in zip(folded, sizes)),
     )
-    coef = [
-        np.einsum("in,ij,jn->n", s.left_vectors, op(s.label), s.right_vectors)
-        for s, _ in folded
-    ]
-    return table, np.concatenate(coef)
+    coef = np.concatenate([coef_of[id(s.eigenvalues)] for s, _ in folded])
+    return table, coef
 
 
-def _biorthogonal_mean(table: SpectrumTable, coef: np.ndarray, beta: float):
+def _biorthogonal_mean(table: SpectrumTable, coef: np.ndarray, beta: float, eps_eff):
     """(1/Z) sum_n mult_n e^{-beta E_n} c_n over a per-eigenvalue table, as a
-    complex number; None where Z counts as zero, that is where
+    complex number, with Re E_n = eps_eff (the grand-canonical energies);
+    None where Z counts as zero, that is where
     |Z| <= CANCEL_FLOOR * sum_n mult_n |e^{-beta E_n}|."""
-    z = _weighted_sum(table, beta, 1.0, 0.0, table.eps)
-    log_terms = np.log(table.mult) - beta * table.eps
+    z = _weighted_sum(table, beta, 1.0, 0.0, eps_eff)
+    log_terms = np.log(table.mult) - beta * eps_eff
     modulus = signed_logsumexp(log_terms, np.ones(len(table)))
     if z.sign == 0 or z.log_abs - modulus.log_abs <= math.log(CANCEL_FLOOR):
         return None
-    re = _ratio(_weighted_sum(table, beta, coef.real, coef.imag, table.eps), z)
-    im = _ratio(_weighted_sum(table, beta, coef.imag, -coef.real, table.eps), z)
+    re = _ratio(_weighted_sum(table, beta, coef.real, coef.imag, eps_eff), z)
+    im = _ratio(_weighted_sum(table, beta, coef.imag, -coef.real, eps_eff), z)
     return complex(re, im)
 
 
@@ -631,13 +647,16 @@ def thermal_expectation(
     depend on the block shape alone (np.eye(b.dim) and gap_operator do).
     The value is the real part of (1/Z) sum mult_n e^{-beta E_n}
     <L_n|O|R_n>, with the modulus of its imaginary part as a quality
-    metric.  Near-defective blocks are reported, not fatal.
+    metric.  The weights are grand-canonical: E_n is shifted by
+    -muS*N - muQb*N_qb, as in Z.  Near-defective blocks are reported, not
+    fatal.
     """
     if t <= 0:
         raise ValueError("temperature must be positive")
     if spectra is None:
         spectra = spectral.block_spectra(p, want_vectors=True)
-    mean = _biorthogonal_mean(*_vector_table(spectra, op), 1.0 / t)
+    table, coef = _vector_table(spectra, op, p.muS != 0.0)
+    mean = _biorthogonal_mean(table, coef, 1.0 / t, _eps_eff(table, p.muS, p.muQb))
     if mean is None:
         raise ZeroPartitionError(
             f"partition function vanishes at T={t:.6g}; expectation undefined"
@@ -654,16 +673,19 @@ def gap_curve(p: ModelParams, t_values, operator: str = "collective") -> np.ndar
     """Pairing gap Delta(T) = (G/2) sqrt(<pair correlator>) on a T grid.
 
     The eigenbasis and operator coefficients are computed once and reused
-    across temperatures; Delta is NaN where Z vanishes.
+    across temperatures; the weights are grand-canonical, as in
+    thermal_expectation.  Delta is NaN where Z vanishes.
     """
     table, coef = _vector_table(
         spectral.block_spectra(p, want_vectors=True),
         lambda b: gap_operator(b, operator=operator),
+        p.muS != 0.0,
     )
+    eps_eff = _eps_eff(table, p.muS, p.muQb)
     tv = np.asarray(list(t_values), dtype=float)
     out = np.empty(len(tv))
     for i, t in enumerate(tv):
-        mean = _biorthogonal_mean(table, coef, 1.0 / t)
+        mean = _biorthogonal_mean(table, coef, 1.0 / t, eps_eff)
         if mean is None:
             out[i] = math.nan
             continue

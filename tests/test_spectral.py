@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pseudotherm import ModelParams
-from pseudotherm.model import _shape_of, build_block_hamiltonian
+from pseudotherm.model import _shape_of, build_block_hamiltonian, qubit_sz_diagonal
 from pseudotherm.spectral import (
     block_eigen_data,
     block_spectra,
@@ -118,6 +118,96 @@ def test_blocks_of_one_shape_share_read_only_spectra(desk_broken):
         (alone,) = block_spectra(desk_broken, blocks=[group[-1].label])
         assert np.array_equal(alone.eigenvalues, group[0].eigenvalues)
         assert np.array_equal(alone.nqb, group[0].nqb)
+
+
+def _sector_indices(p, b):
+    """(pair-number label, basis indices) of each pair-projection sector."""
+    keys = np.round(2 * qubit_sz_diagonal(b)).astype(int)
+    shift = 0.5 * (p.Omega1 + p.Omega2)
+    return [(key / 2.0 + shift, np.nonzero(keys == key)[0]) for key in np.unique(keys)]
+
+
+def _one_block_per_shape(p):
+    reps = {}
+    for b in p.blocks():
+        reps.setdefault(_shape_of(b), b)
+    return list(reps.values())
+
+
+@pytest.mark.parametrize("coupling_z", ["difference", "total"])
+@pytest.mark.parametrize("alpha, g", [(0.36, 1.73), (1.0, 1.73), (0.36, 0.0)])
+def test_stacked_solve_equals_per_sector_solves(coupling_z, alpha, g):
+    # alpha = 1 and g = 0 make every sector symmetric (eigvalsh branch)
+    p = ModelParams(alpha=alpha, g=g, coupling_z=coupling_z)
+    reps = _one_block_per_shape(p)
+    stacked = block_spectra(p, blocks=reps)
+    for b, s in zip(reps, stacked):
+        h = build_block_hamiltonian(p, b)
+        vals, nqbs = [], []
+        for n_qb, idx in _sector_indices(p, b):
+            sub = h[np.ix_(idx, idx)]
+            solve = np.linalg.eigvalsh if np.array_equal(sub, sub.T) else np.linalg.eigvals
+            vals.append(solve(sub).astype(complex))
+            nqbs.append(np.full(len(idx), n_qb))
+        w = np.concatenate(vals)
+        order = np.lexsort((w.imag, w.real))
+        assert np.array_equal(s.eigenvalues, w[order])
+        assert np.array_equal(s.nqb, np.concatenate(nqbs)[order])
+    has_pairs = any(np.any(s.eigenvalues.imag != 0) for s in stacked)
+    assert has_pairs == (alpha != 1.0 and g != 0.0)
+
+
+def test_stacked_vectors_equal_per_sector_diagonalize(desk_broken):
+    reps = _one_block_per_shape(desk_broken)[::10]
+    for b, s in zip(reps, block_spectra(desk_broken, blocks=reps, want_vectors=True)):
+        h = build_block_hamiltonian(desk_broken, b)
+        vals, rights, lefts, flags = [], [], [], []
+        for _, idx in _sector_indices(desk_broken, b):
+            dec = diagonalize(h[np.ix_(idx, idx)])
+            right = np.zeros((b.dim, len(idx)), dtype=complex)
+            left = np.zeros_like(right)
+            right[idx], left[idx] = dec.right_vectors, dec.left_vectors
+            vals.append(dec.eigenvalues)
+            rights.append(right)
+            lefts.append(left)
+            flags.append(dec.near_defective)
+        w = np.concatenate(vals)
+        order = np.lexsort((w.imag, w.real))
+        assert np.array_equal(s.eigenvalues, w[order])
+        assert np.array_equal(s.right_vectors, np.concatenate(rights, axis=1)[:, order])
+        assert np.array_equal(s.left_vectors, np.concatenate(lefts, axis=1)[:, order])
+        assert np.array_equal(s.near_defective, np.concatenate(flags)[order])
+        assert not s.right_vectors.flags.writeable
+
+
+def test_threads_missing_together_build_one_plan():
+    import sys
+    import threading
+
+    from pseudotherm.spectral import _build_sector_plan
+
+    points = [ModelParams(alpha=0.3 + 0.02 * i, g=1.73) for i in range(4)]
+    _build_sector_plan.cache_clear()
+    results = [None] * len(points)
+
+    def solve(i):
+        results[i] = block_spectra(points[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(points))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert _build_sector_plan.cache_info().misses == 1
+    for p, spectra in zip(points, results):
+        for s, alone in zip(spectra, block_spectra(p)):
+            assert np.array_equal(s.eigenvalues, alone.eigenvalues)
 
 
 def test_classify_all_real():

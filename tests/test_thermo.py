@@ -135,6 +135,43 @@ def test_shape_fold_matches_per_block_fold(alpha):
                 assert abs(a - b) <= 1e-9 * abs(b)
 
 
+@pytest.mark.parametrize("muS", [0.0, 0.2])
+def test_thermal_table_equals_fold_of_blocks_solved_alone(muS):
+    # thermal_table solves all shapes in one stacked pass; solving each
+    # representative block alone stacks it with nothing else
+    from pseudotherm.thermo import _fold_plan
+
+    p = ModelParams(alpha=0.36, g=1.73, muS=muS)
+    reps, groups = _fold_plan(p.Omega, p.Omega1, p.Omega2, muS != 0.0)
+    alone = [block_spectra(p, blocks=[b])[0] for b in reps]
+    want = table_from_spectra(
+        (m, n, alone[i].eigenvalues, alone[i].nqb) for i, n, m in groups
+    )
+    got = thermal_table(p)
+    assert got.dim_total == want.dim_total == 2**24
+    for field in ("eps", "gam", "mult", "nS", "npair", "pair"):
+        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+
+
+def test_vectorized_fold_equals_row_by_row_fold(desk_broken):
+    from pseudotherm.thermo import _block_rows
+
+    spectra = block_spectra(desk_broken)
+    table = table_from_spectra(_block_rows(spectra))
+    rows = [table_from_spectra([row]) for row in _block_rows(spectra)]
+    assert table.dim_total == sum(r.dim_total for r in rows) == 2**24
+    for field in ("eps", "gam", "mult", "nS", "npair", "pair"):
+        want = np.concatenate([getattr(r, field) for r in rows])
+        assert np.array_equal(getattr(table, field), want)
+
+
+def test_fold_rejects_unpaired_complex_value():
+    real = np.array([1.0 + 0j, 2.0 + 0j])
+    unpaired = np.array([1.0 + 0.5j, 2.0 + 0j])
+    with pytest.raises(AssertionError, match="N=7"):
+        table_from_spectra([(1, 3, real, None), (2, 7, unpaired, None)])
+
+
 def test_table_folded_over_n_refuses_mu_s(desk_broken):
     table = thermal_table(desk_broken)
     with pytest.raises(ValueError):
@@ -235,6 +272,29 @@ def test_doubled_grid_signs_equal_full_rescan(desk_broken):
         assert np.array_equal(grid, denser)
         assert np.array_equal(signs, z_signs_on_grid(table, denser))
     assert np.any(signs < 0) and np.any(signs > 0)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [ModelParams(alpha=0.36, g=1.73), ModelParams(alpha=0.24, g=1.73, muS=0.2, muQb=0.1)],
+    ids=["canonical", "grand-canonical"],
+)
+def test_fast_z_signs_equal_exact_signs_away_from_zeros(p):
+    # within rounding distance of a zero the float64 scan may err: there the
+    # exact sum has lost more than 10 of its ~16 digits to cancellation
+    from pseudotherm.thermo import _z_sign, z_signs_on_grid
+
+    table = thermal_table(p)
+    grid = np.geomspace(2e-3, 2.0, 400)
+    fast = z_signs_on_grid(table, grid, p.muS, p.muQb)
+    assert np.sum(fast[:-1] != fast[1:]) >= 50
+    checked = 0
+    for t, s in zip(grid, fast):
+        if log_partition(table, 1.0 / t, p.muS, p.muQb).cancellation > 10.0:
+            continue
+        assert s == _z_sign(table, t, p.muS, p.muQb)
+        checked += 1
+    assert checked >= 390
 
 
 def test_find_zeros_validates_grid(desk):
@@ -404,6 +464,22 @@ def test_gap_against_fock_trace():
         corr = fock_expectation(o_mat, p, 1.0 / t)
         want = 0.5 * p.G * math.sqrt(max(corr, 0.0))
         assert pairing_gap(p, t) == pytest.approx(want, rel=1e-10)
+
+
+def test_gap_is_grand_canonical():
+    from pseudotherm.oracle import FockSpace, fock_expectation, fock_operators
+
+    p = ModelParams(Omega=1.0, Omega1=1, Omega2=1, alpha=0.5, g=1.2, muS=0.4, muQb=0.3)
+    ops = fock_operators(FockSpace(1.0, 1, 1))
+    pair_plus = ops.s_plus_qb1 + ops.s_plus_qb2
+    o_mat = pair_plus @ pair_plus.T
+    gaps = gap_curve(p, [0.3, 1.0])
+    for t, gap, want in zip((0.3, 1.0), gaps, (1.18819, 1.07655)):
+        corr = fock_expectation(o_mat, p, 1.0 / t)
+        assert 0.5 * p.G * math.sqrt(corr) == pytest.approx(want, abs=5e-6)
+        assert gap == pytest.approx(0.5 * p.G * math.sqrt(corr), rel=1e-10)
+        out = thermal_expectation(gap_operator, p, t)
+        assert out.value == pytest.approx(corr, rel=1e-10)
 
 
 def test_gap_collapse_at_low_temperature():
