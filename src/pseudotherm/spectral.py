@@ -192,8 +192,11 @@ def _build_sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
         every_op = np.stack([ops[name] for name in names])
         keys = np.round(2 * ops["ztot_diag"]).astype(int)
         first = len(slot_m)
-        for key in np.unique(keys):
-            idx = np.nonzero(keys == key)[0]
+        # sectors in ascending key order, each index run ascending; np.unique
+        # would import numpy.ma into every process (~17 ms)
+        order = np.argsort(keys, kind="stable")
+        for idx in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+            key = keys[idx[0]]
             slots = np.arange(len(slot_m), len(slot_m) + len(idx))
             sector_ops = every_op[:, idx[:, None], idx]
             by_size.setdefault(len(idx), []).append((si, idx, slots, sector_ops))

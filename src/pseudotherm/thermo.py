@@ -2,14 +2,22 @@
 
 Conjugate eigenvalue pairs eps +- i*gamma are folded into real Boltzmann
 terms 2*exp(-beta*eps)*cos(beta*gamma), so Z is real by construction but
-may vanish in the broken-symmetry phase.  All accumulations run in
-signed-log form (log magnitude plus sign) with exact compensated summation
-(math.fsum) after a common shift, which survives beta up to 1e3/GHz and
-resolves the cancellations that produce zeros.
+may vanish in the broken-symmetry phase.
+
+Every thermal sum at one temperature goes through one moments kernel
+(_moments).  It takes the log-weights lw = ln(mult * factor) - beta*eps,
+with factor 2 on pair rows, and their maximum m, and forms
+w = exp(lw - m), w*cos(beta*gamma) and w*sin(beta*gamma) once.  Z e^{-m}
+is the exactly rounded sum (math.fsum) of w*cos, and each moment, the
+numerator of U, <E Etilde>, <N> or a biorthogonal mean, is one more exact
+sum of a coefficient column against w*cos and w*sin, so a ratio of two
+moments needs no exponential.  The shift survives beta up to 1e3/GHz, and
+the exact sums resolve the cancellations that produce zeros; the sum of
+|terms| is kept to detect where they do.
 
 Thermal averages use the biorthogonal resolution sum_n |R_n><L_n| with
 <L_m|R_n> = delta_mn: <O> = (1/Z) sum_n mult_n e^{-beta E_n} <L_n|O|R_n> goes
-through the same signed-log kernel as Z, one row per eigenvalue.
+through the same kernel as Z, one row per eigenvalue with signed gamma.
 """
 
 from __future__ import annotations
@@ -210,24 +218,55 @@ def signed_logsumexp(log_mag, sign) -> SignedLog:
     return SignedLog(m + math.log(abs(total)), 1 if total > 0 else -1, log_abs_sum)
 
 
-def _weighted_sum(
+class _Moments(NamedTuple):
+    """Sums over a table at one beta, all scaled by exp(-shift).
+
+    z is Z; abs_sum is sum |w cos|, the sum of |terms| of Z, and w_sum is
+    sum w, the sum of the moduli of the complex terms of a per-eigenvalue
+    table; each is a cancellation reference for z.  sums[k] is the k-th
+    coefficient column's moment, so sums[k] / z is its thermal mean.
+    """
+
+    shift: float
+    z: float
+    abs_sum: float
+    w_sum: float
+    sums: tuple
+
+
+def _moments(
     table: SpectrumTable,
     beta: float,
-    coef_re,
-    coef_im,
     eps_eff: np.ndarray,
-) -> SignedLog:
-    """Signed-log of sum_n mult_n * Re[c_n * exp(-beta * E_n)] over the table.
+    columns=(),
+) -> _Moments:
+    """One amplitude pass over the table, then one math.fsum per signed sum.
 
-    c_n = coef_re + i*coef_im is the per-entry analytic weight; conjugate
-    pairs contribute twice their real part, i.e. an amplitude
-    2*(Re c * cos(beta*gamma) + Im c * sin(beta*gamma)).
+    The term of row n is w_n = mult_n * factor_n * exp(-beta*eps_n) times
+    cos(beta*gamma_n) for Z, and times c_re*cos(beta*gamma_n) +
+    c_im*sin(beta*gamma_n) for a column (c_re, c_im) (either may be a
+    scalar); factor_n is 2 on pair rows.  A sum of non-negative terms loses
+    nothing to cancellation, so abs_sum and w_sum take a plain float64 sum.
     """
+    lw = np.log(np.where(table.pair, 2.0 * table.mult, table.mult)) - beta * eps_eff
+    shift = float(np.max(lw))
+    w = np.exp(lw - shift)
     x = beta * table.gam
-    amp = np.where(table.pair, 2.0, 1.0) * (coef_re * np.cos(x) + coef_im * np.sin(x))
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(table.mult) + np.log(np.abs(amp)) - beta * eps_eff
-    return signed_logsumexp(log_mag, np.sign(amp))
+    wc = w * np.cos(x)
+    z = math.fsum(wc.tolist())
+    sums = ()
+    if columns:
+        ws = w * np.sin(x)
+        sums = tuple(math.fsum((re * wc + im * ws).tolist()) for re, im in columns)
+    return _Moments(shift, z, float(np.sum(np.abs(wc))), float(np.sum(w)), sums)
+
+
+def _signed_log(x: float, shift: float, abs_sum: float = 0.0) -> SignedLog:
+    """x * e^shift in signed-log form; abs_sum * e^shift is its sum of |terms|."""
+    log_abs_sum = shift + math.log(abs_sum) if abs_sum > 0.0 else -math.inf
+    if x == 0.0:
+        return SignedLog(-math.inf, 0, log_abs_sum)
+    return SignedLog(shift + math.log(abs(x)), 1 if x > 0 else -1, log_abs_sum)
 
 
 def _labels(values: np.ndarray, what: str, mu: str) -> np.ndarray:
@@ -259,7 +298,8 @@ def log_partition(
     if beta <= 0:
         raise ValueError("beta must be positive")
     table = _as_table(spectra)
-    return _weighted_sum(table, beta, 1.0, 0.0, _eps_eff(table, muS, muQb))
+    mom = _moments(table, beta, _eps_eff(table, muS, muQb))
+    return _signed_log(mom.z, mom.shift, mom.abs_sum)
 
 
 def partition_function(
@@ -279,17 +319,15 @@ def dominant_split(spectra, beta: float) -> tuple[float, float]:
     ground state, 2*g0*exp(-beta*eps)*cos(beta*gamma) for a complex one."""
     table = _as_table(spectra)
     gs = spectral.ground_state_info(table)
-    z = _weighted_sum(table, beta, 1.0, 0.0, table.eps)
+    mom = _moments(table, beta, table.eps)
     if gs.is_complex:
         amp = 2.0 * gs.g0 * math.cos(beta * gs.gamma0)
     else:
         amp = gs.g0
-    if amp == 0.0:
-        z0 = SignedLog(-math.inf, 0)
-    else:
-        z0 = SignedLog(math.log(abs(amp)) - beta * gs.eps0, 1 if amp > 0 else -1)
-    zp = signed_logsumexp([z.log_abs, z0.log_abs], [z.sign, -z0.sign])
-    return z0.value(), zp.value()
+    # the ground row's log-weight is at least -beta*eps0 and at most the
+    # shift, so the scaled ground term cannot overflow
+    z0 = amp * math.exp(-beta * gs.eps0 - mom.shift)
+    return _signed_log(z0, mom.shift).value(), _signed_log(mom.z - z0, mom.shift).value()
 
 
 @dataclass(frozen=True)
@@ -473,17 +511,6 @@ class ThermoPoint:
         return SignedLog(self.ln_abs_z, self.z_sign).value()
 
 
-def _ratio(num: SignedLog, den: SignedLog) -> float:
-    if den.sign == 0:
-        return math.nan
-    if num.sign == 0:
-        return 0.0
-    try:
-        return num.sign * den.sign * math.exp(num.log_abs - den.log_abs)
-    except OverflowError:
-        return num.sign * den.sign * math.inf
-
-
 def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> ThermoPoint:
     """F, U, S, C_V from the exact partition function at temperature t.
 
@@ -500,12 +527,27 @@ def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> 
     if table is None:
         table = thermal_table(p)
     eps_eff = _eps_eff(table, p.muS, p.muQb)
-
-    m0 = _weighted_sum(table, beta, 1.0, 0.0, eps_eff)
+    # E is the bare energy, Etilde = eps_eff the grand-canonical one; they
+    # coincide at mu = 0.  A chemical-potential mean is taken only at a
+    # nonzero potential: a table folded over N has no N labels.
+    mu = p.muS != 0.0 or p.muQb != 0.0
+    e_re = table.eps if mu else eps_eff
+    columns = {
+        "u": (eps_eff, table.gam),
+        "ee": (e_re * eps_eff - table.gam * table.gam, table.gam * (e_re + eps_eff)),
+    }
+    if mu:
+        columns["e"] = (e_re, table.gam)
+    if p.muS != 0.0:
+        columns["n_s"] = (table.nS, 0.0)
+    if p.muQb != 0.0:
+        columns["n_qb"] = (table.npair, 0.0)
+    mom = _moments(table, beta, eps_eff, tuple(columns.values()))
+    m0 = _signed_log(mom.z, mom.shift)
     invalid = (
-        m0.sign == 0
+        mom.z == 0.0
         or m0.log_abs < Z_FLOOR_LOG
-        or (m0.log_abs - m0.log_abs_sum) < math.log(CANCEL_FLOOR)
+        or abs(mom.z) < CANCEL_FLOOR * mom.abs_sum
     )
     if invalid:
         return ThermoPoint(
@@ -520,32 +562,15 @@ def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> 
             z_nonpositive=m0.sign <= 0,
         )
 
-    m_eff = _weighted_sum(table, beta, eps_eff, table.gam, eps_eff)
-    u_eff = _ratio(m_eff, m0)
-
-    mu_term = 0.0
-    if p.muS != 0.0 or p.muQb != 0.0:
-        # a term only at a nonzero potential: a table folded over N has no N labels
-        if p.muS != 0.0:
-            n_s = _ratio(_weighted_sum(table, beta, table.nS, 0.0, eps_eff), m0)
-            mu_term += p.muS * n_s
-        if p.muQb != 0.0:
-            n_p = _ratio(_weighted_sum(table, beta, table.npair, 0.0, eps_eff), m0)
-            mu_term += p.muQb * n_p
-        e_re, e_im = table.eps, table.gam
-    else:
-        e_re, e_im = eps_eff, table.gam
+    mean = dict(zip(columns, (s / mom.z for s in mom.sums)))
+    u_eff = mean["u"]
+    mu_term = p.muS * mean.get("n_s", 0.0) + p.muQb * mean.get("n_qb", 0.0)
 
     u = u_eff + mu_term
     f = -t * m0.log_abs + mu_term
     s = (u - f) / t
-
-    # covariance <E Etilde> - <E><Etilde> with E the bare energy
-    ee_re = e_re * eps_eff - e_im * table.gam
-    ee_im = table.gam * (e_re + eps_eff)
-    m_ee = _weighted_sum(table, beta, ee_re, ee_im, eps_eff)
-    e_bare = _ratio(_weighted_sum(table, beta, e_re, e_im, eps_eff), m0)
-    cv = beta * beta * (_ratio(m_ee, m0) - e_bare * u_eff)
+    # covariance form <E Etilde> - <E><Etilde>
+    cv = beta * beta * (mean["ee"] - mean.get("e", u_eff) * u_eff)
 
     return ThermoPoint(
         T=t,
@@ -563,8 +588,11 @@ def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> 
 def potentials_fd(p: ModelParams, t: float, rel_step: float = 1e-3) -> dict:
     """Finite-difference cross-checks of the analytic potentials.
 
-    Central differences: U from -d(ln Z)/d(beta), S from -dF/dT, C_V from
-    dU/dT.  Meaningful away from zeros of Z.
+    Central differences with step h = rel_step * t: S from -dOmega/dT with
+    the grand potential Omega = -T ln|Z|, C_V from dU/dT, and U from
+    -d(ln|Z|)/d(beta) = <H - muS N - muQb N_qb> plus muS <N> + muQb <N_qb>,
+    where <N> = T d(ln|Z|)/d(muS) (likewise N_qb) is differenced in the
+    potential with the same step h.  Meaningful away from zeros of Z.
     """
     h = rel_step * t
     lo, hi = potentials(p, t - h), potentials(p, t + h)
@@ -572,9 +600,20 @@ def potentials_fd(p: ModelParams, t: float, rel_step: float = 1e-3) -> dict:
         raise ZeroPartitionError("finite-difference stencil crosses an invalid point")
     beta_lo, beta_hi = 1.0 / (t - h), 1.0 / (t + h)
     u_fd = -(hi.ln_abs_z - lo.ln_abs_z) / (beta_hi - beta_lo)
+    if p.muS != 0.0 or p.muQb != 0.0:
+        table = thermal_table(p)
+
+        def ln_z(d_mu_s, d_mu_qb):
+            return log_partition(table, 1.0 / t, p.muS + d_mu_s, p.muQb + d_mu_qb).log_abs
+
+        if p.muS != 0.0:
+            u_fd += p.muS * t * (ln_z(h, 0.0) - ln_z(-h, 0.0)) / (2.0 * h)
+        if p.muQb != 0.0:
+            u_fd += p.muQb * t * (ln_z(0.0, h) - ln_z(0.0, -h)) / (2.0 * h)
+    omega_lo, omega_hi = -lo.T * lo.ln_abs_z, -hi.T * hi.ln_abs_z
     return {
         "U_fd": u_fd,
-        "S_fd": -(hi.F - lo.F) / (2.0 * h),
+        "S_fd": -(omega_hi - omega_lo) / (2.0 * h),
         "Cv_fd": (hi.U - lo.U) / (2.0 * h),
     }
 
@@ -625,14 +664,10 @@ def _biorthogonal_mean(table: SpectrumTable, coef: np.ndarray, beta: float, eps_
     complex number, with Re E_n = eps_eff (the grand-canonical energies);
     None where Z counts as zero, that is where
     |Z| <= CANCEL_FLOOR * sum_n mult_n |e^{-beta E_n}|."""
-    z = _weighted_sum(table, beta, 1.0, 0.0, eps_eff)
-    log_terms = np.log(table.mult) - beta * eps_eff
-    modulus = signed_logsumexp(log_terms, np.ones(len(table)))
-    if z.sign == 0 or z.log_abs - modulus.log_abs <= math.log(CANCEL_FLOOR):
+    mom = _moments(table, beta, eps_eff, ((coef.real, coef.imag), (coef.imag, -coef.real)))
+    if mom.z == 0.0 or abs(mom.z) <= CANCEL_FLOOR * mom.w_sum:
         return None
-    re = _ratio(_weighted_sum(table, beta, coef.real, coef.imag, eps_eff), z)
-    im = _ratio(_weighted_sum(table, beta, coef.imag, -coef.real, eps_eff), z)
-    return complex(re, im)
+    return complex(mom.sums[0] / mom.z, mom.sums[1] / mom.z)
 
 
 def thermal_expectation(

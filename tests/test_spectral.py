@@ -180,6 +180,31 @@ def test_stacked_vectors_equal_per_sector_diagonalize(desk_broken):
         assert not s.right_vectors.flags.writeable
 
 
+def test_thermal_table_leaves_numpy_ma_unimported():
+    # numpy.ma costs ~17 ms to import; np.unique pulls it in on first use
+    import os
+    import subprocess
+    import sys
+
+    import pseudotherm
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudotherm.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from pseudotherm import ModelParams\n"
+        "from pseudotherm.thermo import thermal_table\n"
+        "thermal_table(ModelParams(alpha=0.36, g=1.73))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_threads_missing_together_build_one_plan():
     import sys
     import threading

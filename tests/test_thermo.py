@@ -238,6 +238,172 @@ def test_dominant_split_negative_below_tc(desk_broken):
     )
 
 
+# ------------------------------------------------- per-moment reference sums
+# The formula every thermal sum used before the one-pass kernel: each
+# moment is its own signed-log sum, with its own amplitudes, logs, shift
+# and exponentials, and a mean is exp(ln|num| - ln|Z|).
+
+
+def reference_sum(table, beta, coef_re, coef_im, eps_eff):
+    """Signed-log of sum_n mult_n * factor_n * (c_re cos(beta gamma_n) +
+    c_im sin(beta gamma_n)) * exp(-beta eps_n), factor 2 on pair rows."""
+    x = beta * table.gam
+    amp = np.where(table.pair, 2.0, 1.0) * (coef_re * np.cos(x) + coef_im * np.sin(x))
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(table.mult) + np.log(np.abs(amp)) - beta * eps_eff
+    return signed_logsumexp(log_mag, np.sign(amp))
+
+
+def reference_ratio(num, den):
+    if den.sign == 0:
+        return math.nan
+    if num.sign == 0:
+        return 0.0
+    return num.sign * den.sign * math.exp(num.log_abs - den.log_abs)
+
+
+def reference_potentials(p, t, table):
+    """(ln|Z|, sign, F, U, S, Cv, valid, z_nonpositive) from per-moment sums."""
+    from pseudotherm.thermo import CANCEL_FLOOR, Z_FLOOR_LOG, _eps_eff
+
+    beta = 1.0 / t
+    eps_eff = _eps_eff(table, p.muS, p.muQb)
+    m0 = reference_sum(table, beta, 1.0, 0.0, eps_eff)
+    if (
+        m0.sign == 0
+        or m0.log_abs < Z_FLOOR_LOG
+        or (m0.log_abs - m0.log_abs_sum) < math.log(CANCEL_FLOOR)
+    ):
+        nan = math.nan
+        return m0.log_abs, m0.sign, nan, nan, nan, nan, False, m0.sign <= 0
+    u_eff = reference_ratio(reference_sum(table, beta, eps_eff, table.gam, eps_eff), m0)
+    mu_term = 0.0
+    if p.muS != 0.0:
+        mu_term += p.muS * reference_ratio(reference_sum(table, beta, table.nS, 0.0, eps_eff), m0)
+    if p.muQb != 0.0:
+        mu_term += p.muQb * reference_ratio(
+            reference_sum(table, beta, table.npair, 0.0, eps_eff), m0
+        )
+    e_re = table.eps if (p.muS != 0.0 or p.muQb != 0.0) else eps_eff
+    u = u_eff + mu_term
+    f = -t * m0.log_abs + mu_term
+    ee_re = e_re * eps_eff - table.gam * table.gam
+    ee_im = table.gam * (e_re + eps_eff)
+    ee = reference_ratio(reference_sum(table, beta, ee_re, ee_im, eps_eff), m0)
+    e_bare = reference_ratio(reference_sum(table, beta, e_re, table.gam, eps_eff), m0)
+    cv = beta * beta * (ee - e_bare * u_eff)
+    return m0.log_abs, m0.sign, f, u, (u - f) / t, cv, True, m0.sign < 0
+
+
+def reference_biorthogonal_mean(table, coef, beta, eps_eff):
+    """None where |Z| <= CANCEL_FLOOR * sum_n mult_n |e^{-beta E_n}|."""
+    from pseudotherm.thermo import CANCEL_FLOOR
+
+    z = reference_sum(table, beta, 1.0, 0.0, eps_eff)
+    modulus = signed_logsumexp(np.log(table.mult) - beta * eps_eff, np.ones(len(table)))
+    if z.sign == 0 or z.log_abs - modulus.log_abs <= math.log(CANCEL_FLOOR):
+        return None
+    re = reference_ratio(reference_sum(table, beta, coef.real, coef.imag, eps_eff), z)
+    im = reference_ratio(reference_sum(table, beta, coef.imag, -coef.real, eps_eff), z)
+    return complex(re, im)
+
+
+REFERENCE_GRID = np.geomspace(0.05, 15.0, 80)
+
+
+def assert_matches_reference(p, t, table):
+    """The kernel's potentials against the per-moment reference.
+
+    Flags and the sign of Z are identical.  Each value agrees within 1e-14
+    (ln|Z|, F) or 1e-12 (U, S, Cv) of its scale, times 10^c where c is the
+    number of digits Z loses to cancellation: the reference takes each mean
+    as exp(ln|num| - ln|Z|), with a relative error of about |ln Z| * 2e-16
+    (<= 1.2e-13 on this grid), and near a zero of Z both sides lose c
+    digits.  Scales: max(1, |x|) for ln|Z|, F and U; max(1, |U|, |F|)/T
+    for S = (U - F)/T; max(1, U^2)/T^2 for Cv = (<E Etilde> - <E><Etilde>)/T^2.
+    """
+    got = potentials(p, t, table=table)
+    ln_z, sign, f, u, s, cv, valid, z_nonpositive = reference_potentials(p, t, table)
+    assert (got.z_sign, got.valid, got.z_nonpositive) == (sign, valid, z_nonpositive)
+    digits = 10.0 ** log_partition(table, 1.0 / t, p.muS, p.muQb).cancellation
+    assert abs(got.ln_abs_z - ln_z) <= 1e-14 * max(1.0, abs(ln_z)) * digits
+    if not valid:
+        return
+    assert abs(got.F - f) <= 1e-14 * max(1.0, abs(f)) * digits
+    assert abs(got.U - u) <= 1e-12 * max(1.0, abs(u)) * digits
+    assert abs(got.S - s) <= 1e-12 * max(1.0, abs(u), abs(f)) / t * digits
+    assert abs(got.Cv - cv) <= 1e-12 * max(1.0, u * u) / t**2 * digits
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        ModelParams(),
+        ModelParams(alpha=0.36, g=1.73),
+        ModelParams(alpha=0.36, g=1.73, muS=0.2, muQb=0.1),
+    ],
+    ids=["desk", "desk_broken", "muS-muQb"],
+)
+def test_potentials_match_per_moment_reference(p):
+    table = thermal_table(p)
+    for t in REFERENCE_GRID:
+        assert_matches_reference(p, float(t), table)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[(1.0, 0.7, 1)], [(-1.0, 0.0, 1), (1.0, 0.0, 1)], [(0.0, 0.5, 1), (1.0, 0.0, 3)]],
+    ids=["pair", "two-level", "pair-and-level"],
+)
+def test_toy_potentials_match_per_moment_reference(entries):
+    table = toy_table(entries)
+    for t in REFERENCE_GRID:
+        assert_matches_reference(ModelParams(), float(t), table)
+
+
+def test_flags_match_reference_beside_every_zero(desk_broken):
+    table = thermal_table(desk_broken)
+    zeros = find_zeros(desk_broken, np.geomspace(0.02, 0.5, 200))
+    assert len(zeros) >= 10
+    for z in zeros:
+        for t in (z.T_zero * (1 - 1e-6), z.T_zero * (1 + 1e-6)):
+            assert_matches_reference(desk_broken, t, table)
+
+
+def test_biorthogonal_mean_vanishes_where_reference_does(desk_broken):
+    # zeros bisected to 1e-15 put T within a few ulps of a zero, where
+    # |Z| drops below CANCEL_FLOOR times the modulus sum
+    from pseudotherm.thermo import _biorthogonal_mean, _vector_table
+
+    table, coef = _vector_table(
+        block_spectra(desk_broken, want_vectors=True), gap_operator, False
+    )
+    zeros = find_zeros(desk_broken, np.geomspace(0.02, 0.5, 200), rtol=1e-15)
+    near = [t for z in zeros for t in (z.T_zero, *z.bracket)]
+    vanished = 0
+    for t in [*near, *REFERENCE_GRID]:
+        got = _biorthogonal_mean(table, coef, 1.0 / t, table.eps)
+        want = reference_biorthogonal_mean(table, coef, 1.0 / t, table.eps)
+        assert (got is None) == (want is None)
+        vanished += got is None
+    assert vanished >= 10
+    for t in REFERENCE_GRID:
+        got = _biorthogonal_mean(table, coef, 1.0 / t, table.eps)
+        want = reference_biorthogonal_mean(table, coef, 1.0 / t, table.eps)
+        digits = 10.0 ** log_partition(table, 1.0 / t).cancellation
+        assert abs(got - want) <= 1e-12 * abs(want) * digits
+    pair = SpectrumTable(
+        eps=np.array([1.0, 1.0]), gam=np.array([0.5, -0.5]), mult=np.ones(2),
+        nS=np.zeros(2), npair=np.zeros(2), pair=np.zeros(2, dtype=bool), dim_total=2,
+    )
+    beta_zero = math.pi / (2.0 * 0.5)
+    for beta in (beta_zero, beta_zero * (1 + 1e-9)):
+        got = _biorthogonal_mean(pair, np.ones(2, dtype=complex), beta, pair.eps)
+        want = reference_biorthogonal_mean(pair, np.ones(2, dtype=complex), beta, pair.eps)
+        assert (got is None) == (want is None)
+    assert _biorthogonal_mean(pair, np.ones(2, dtype=complex), beta_zero, pair.eps) is None
+
+
 # ---------------------------------------------------------------------- zeros
 
 
@@ -347,6 +513,17 @@ def test_legendre_identity_everywhere(desk_broken):
 
 def test_fd_cross_checks(desk):
     p = desk.with_(alpha=0.8)
+    for t in (0.6, 1.7, 6.0):
+        pt = potentials(p, t)
+        fd = potentials_fd(p, t)
+        assert pt.U == pytest.approx(fd["U_fd"], rel=1e-4)
+        assert pt.S == pytest.approx(fd["S_fd"], rel=1e-4)
+        assert pt.Cv == pytest.approx(fd["Cv_fd"], rel=1e-4)
+
+
+@pytest.mark.parametrize("mu_s, mu_qb", [(0.2, 0.0), (0.0, 0.3), (0.2, 0.1)])
+def test_fd_cross_checks_with_chemical_potentials(desk, mu_s, mu_qb):
+    p = desk.with_(alpha=0.8, muS=mu_s, muQb=mu_qb)
     for t in (0.6, 1.7, 6.0):
         pt = potentials(p, t)
         fd = potentials_fd(p, t)
