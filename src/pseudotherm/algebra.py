@@ -4,8 +4,10 @@ Every Hamiltonian block acts on a product of three irreducible spin spaces
 (two pairing quasispins and one collective ensemble spin).  Operators are
 plain dense ndarrays in the |s, m> basis with the fixed ordering
 m = s, s-1, ..., -s; all modules share this ordering so eigenvector output
-is reproducible.  Block dimensions stay small (a few hundred at most), so
-dense storage is deliberate.
+is reproducible.  The model builds its operators from per-space factors
+(see pseudotherm.model).  kron and embed3 (with identity), which form
+operators on the full product space, are kept for the tests'
+independent Kronecker-product reference; the package does not use them.
 """
 
 from __future__ import annotations

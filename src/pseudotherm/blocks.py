@@ -22,8 +22,9 @@ and the grand total over full block labels is 2**(4*Omega + 2*(Omega1+Omega2)).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, factorial
 
 from .algebra import require_half_integer
@@ -214,8 +215,25 @@ def enumerate_qubit_labels(omega1: int, omega2: int) -> list[QubitBlockLabel]:
     return labels
 
 
+def serialized(cached):
+    """A cached function behind a lock of its own.
+
+    Threads that miss the cache together (the workers of a parallel sweep,
+    on their first points) then wait for one build instead of each
+    building the same result.
+    """
+    lock = threading.Lock()
+
+    @wraps(cached)
+    def locked(*args, **kwargs):
+        with lock:
+            return cached(*args, **kwargs)
+
+    return locked
+
+
 @lru_cache(maxsize=32)
-def enumerate_blocks(omega: float, omega1: int, omega2: int) -> tuple[BlockLabel, ...]:
+def _enumerate_blocks(omega: float, omega1: int, omega2: int) -> tuple[BlockLabel, ...]:
     """Every admissible product sector exactly once, deterministically ordered.
 
     Memoized per system size; the tuple is shared by every caller.
@@ -227,6 +245,9 @@ def enumerate_blocks(omega: float, omega1: int, omega2: int) -> tuple[BlockLabel
     blocks = [BlockLabel(nv, qb) for nv in nv_labels for qb in qb_labels]
     blocks.sort(key=BlockLabel.key)
     return tuple(blocks)
+
+
+enumerate_blocks = serialized(_enumerate_blocks)
 
 
 def total_dimension(blocks) -> int:

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -128,6 +127,9 @@ def _resolved_config(p: ModelParams, extra: dict) -> dict:
 def _parallel_map(fn, items, workers: int):
     if workers <= 1:
         return [fn(x) for x in items]
+    # concurrent.futures pulls in logging (~10 ms); single-worker steps skip it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

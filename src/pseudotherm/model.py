@@ -7,6 +7,12 @@ and an asymmetric coupling g * (Sz1 + Sz2) * (alpha * S+ + S-) between
 them.  For alpha != 1 the matrix is real but non-symmetric; alpha = 1 is
 the symmetric (Hermitian) limit.
 
+Every term is a register factor on the (m1, m2) space times an ensemble
+factor on the M space, so an operator on any set of basis states (one
+pair-projection sector, or the whole block) is a gather from two small
+factor matrices and one elementwise product; no operator is ever formed on
+the full product space and then cut down.
+
 Energies are in GHz with k_B = 1, so temperatures are in GHz too.
 """
 
@@ -15,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +51,11 @@ __all__ = [
 G0_REFERENCE = 3.006
 FIT_A = 2.7289
 FIT_B = 0.73029
-# Holds every (s1, s2, S) shape of the sizes in use (81 at Omega = 4,
-# Omega1 = 2; 272 at Omega = 8, Omega1 = 3; 525 at Omega = 10, Omega1 = 4),
-# so a parameter sweep reassembles from cached operators at every point.
+# Bound of the per-shape basis-index cache and the factor caches.  It holds
+# every (s1, s2, S) shape of the sizes in use (81 at Omega = 4, Omega1 = 2;
+# 272 at Omega = 8, Omega1 = 3; 525 at Omega = 10, Omega1 = 4).  Entries are
+# index vectors of one block's length and factors of (2s1+1)(2s2+1) or 2S+1
+# rows; no full-block operator is cached.
 SHAPE_CACHE_SIZE = 1024
 
 
@@ -120,63 +129,138 @@ class RescaledParams:
     Delta0: float
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _shape_operators(two_s1: int, two_s2: int, two_S: int) -> dict:
-    """Embedded operator combinations for one (s1, s2, S) shape.
+# Every assembly operator is a register factor, on the (2s1+1)(2s2+1) space
+# of (m1, m2), times an ensemble factor, on the 2S+1 space of M.  Operator
+# name -> (index into _register_factors, index into _nv_factors).
+_TERMS = {
+    "z1": (1, 0),
+    "z2": (2, 0),
+    "pair_scatter": (3, 0),
+    "zz_nv": (0, 1),
+    "strain": (0, 2),
+    "couple_plus_difference": (4, 3),
+    "couple_minus_difference": (4, 4),
+    "couple_plus_total": (5, 3),
+    "couple_minus_total": (5, 4),
+}
 
-    Blocks with equal spins share these read-only matrices; assembly then
-    reduces to scaled sums.  The coupling terms live in
-    _coupling_operators, built only for the coupling_z in use.
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _register_factors(two_s1: int, two_s2: int) -> np.ndarray:
+    """(6, d, d) register factors of one (s1, s2), d = (2s1+1)(2s2+1):
+    1, Sz1, Sz2, (S+1 + S+2)(S-1 + S-2), Sz2 - Sz1 and Sz1 + Sz2."""
+    ops1 = algebra.spin_operators(two_s1 / 2.0)
+    ops2 = algebra.spin_operators(two_s2 / 2.0)
+    i1, i2 = np.eye(two_s1 + 1), np.eye(two_s2 + 1)
+    z1 = np.kron(ops1["Sz"], i2)
+    z2 = np.kron(i1, ops2["Sz"])
+    p = np.kron(ops1["Splus"], i2) + np.kron(i1, ops2["Splus"])
+    out = np.stack([np.eye(len(z1)), z1, z2, p @ p.T, z2 - z1, z1 + z2])
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _nv_factors(two_S: int) -> np.ndarray:
+    """(5, 2S+1, 2S+1) ensemble factors of one S:
+    1, Sz^2, S+^2 + S-^2, S+ and S-."""
+    ops = algebra.spin_operators(two_S / 2.0)
+    sz, sp = ops["Sz"], ops["Splus"]
+    sm = sp.T
+    out = np.stack([np.eye(two_S + 1), sz @ sz, sp @ sp + sm @ sm, sp, sm])
+    out.setflags(write=False)
+    return out
+
+
+class _ShapeBasis(NamedTuple):
+    """The product basis of one (s1, s2, S) shape, state by state."""
+
+    reg: np.ndarray        # register index of (m1, m2)
+    nv: np.ndarray         # ensemble index of M
+    ztot_diag: np.ndarray  # m1 + m2
+    sectors: tuple         # (2(m1 + m2), basis indices) per sector, ascending
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _shape_operators(two_s1: int, two_s2: int, two_S: int) -> _ShapeBasis:
+    """Where each basis state of one shape sits in the factor spaces, and
+    its split into pair-projection sectors.
+
+    Blocks with equal spins share these read-only index arrays; every
+    operator of the shape is a gather from its factors at them (see
+    _sector_stacks).  The name is that of the per-shape cache that
+    perfbench/spans.py reports.
     """
-    s1, s2, s_nv = two_s1 / 2.0, two_s2 / 2.0, two_S / 2.0
-    ops1 = algebra.spin_operators(s1)
-    ops2 = algebra.spin_operators(s2)
-    ops_nv = algebra.spin_operators(s_nv)
-    i1, i2, inv = algebra.identity(s1), algebra.identity(s2), algebra.identity(s_nv)
-
-    z1 = algebra.embed3(ops1["Sz"], i2, inv)
-    z2 = algebra.embed3(i1, ops2["Sz"], inv)
-    p_qb = algebra.embed3(ops1["Splus"], i2, inv) + algebra.embed3(i1, ops2["Splus"], inv)
-    z_nv = algebra.embed3(i1, i2, ops_nv["Sz"])
-    p_nv = algebra.embed3(i1, i2, ops_nv["Splus"])
-    m_nv = p_nv.T
-    out = {
-        "z1": z1,
-        "z2": z2,
-        "pair_scatter": p_qb @ p_qb.T,
-        "zz_nv": z_nv @ z_nv,
-        "strain": p_nv @ p_nv + m_nv @ m_nv,
-        "ztot_diag": np.diag(z1 + z2).copy(),
-    }
-    for a in out.values():
+    two_m1 = two_s1 - 2 * np.arange(two_s1 + 1)  # m = s, s-1, ..., -s
+    two_m2 = two_s2 - 2 * np.arange(two_s2 + 1)
+    reg_keys = (two_m1[:, None] + two_m2).ravel()
+    reg = np.repeat(np.arange(len(reg_keys)), two_S + 1)
+    nv = np.tile(np.arange(two_S + 1), len(reg_keys))
+    keys = reg_keys[reg]
+    # sectors in ascending key order, each index run ascending; np.unique
+    # would import numpy.ma into every process (~17 ms)
+    order = np.argsort(keys, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    out = _ShapeBasis(reg, nv, keys / 2.0, tuple((int(keys[i[0]]), i) for i in runs))
+    for a in (out.reg, out.nv, out.ztot_diag, *runs):
         a.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _coupling_operators(two_s1: int, two_s2: int, two_S: int, coupling_z: str) -> dict:
-    """couple_plus/minus_<coupling_z>: s_z S+nv and s_z S-nv for one shape,
-    with s_z = Sz2 - Sz1 ("difference") or Sz1 + Sz2 ("total")."""
-    ops = _shape_operators(two_s1, two_s2, two_S)
-    p_nv = algebra.embed3(
-        algebra.identity(two_s1 / 2.0),
-        algebra.identity(two_s2 / 2.0),
-        algebra.spin_operators(two_S / 2.0)["Splus"],
-    )
-    s_z = ops["z2"] - ops["z1"] if coupling_z == "difference" else ops["z1"] + ops["z2"]
-    out = {
-        f"couple_plus_{coupling_z}": s_z @ p_nv,
-        f"couple_minus_{coupling_z}": s_z @ p_nv.T,
-    }
-    for a in out.values():
-        a.setflags(write=False)
+def _padded(factors) -> np.ndarray:
+    """(factor, len(factors), d, d): (factor, d_i, d_i) arrays of unequal
+    size d_i, zero-padded into one array."""
+    d = max(f.shape[-1] for f in factors)
+    out = np.zeros((factors[0].shape[0], len(factors), d, d))
+    for i, f in enumerate(factors):
+        out[:, i, : f.shape[1], : f.shape[2]] = f
     return out
 
 
-def _assembly_inputs(shape: tuple, coupling_z: str) -> dict:
-    """The shape and coupling operators of one shape: everything
-    assemble_hamiltonian reads."""
-    return {**_shape_operators(*shape), **_coupling_operators(*shape, coupling_z)}
+def _flat_index(factors, ids, idx) -> np.ndarray:
+    """(k, n, n) positions, in one flattened (spins, d, d) factor of
+    factors, of the rows and columns idx[i] of spin ids[i]."""
+    d = factors.shape[-1]
+    return (ids * d * d)[:, None, None] + idx[:, :, None] * d + idx[:, None, :]
+
+
+def _sector_stacks(names, shapes, groups) -> list:
+    """(len(names), k, n, n) stacks of the named operators, one per group
+    of k sectors of n basis states each.
+
+    A sector is (index into shapes, basis indices of that shape).  The
+    register factors of each distinct (s1, s2) among shapes, and the
+    ensemble factors of each distinct S, are zero-padded into one array
+    each; each operator of a group is then one flat take from its register
+    factor and one from its ensemble factor, multiplied.
+    """
+    reg_keys = list(dict.fromkeys(shape[:2] for shape in shapes))
+    nv_keys = list(dict.fromkeys(shape[2] for shape in shapes))
+    reg = _padded([_register_factors(*key) for key in reg_keys])
+    nv = _padded([_nv_factors(key) for key in nv_keys])
+    reg_id = np.array([reg_keys.index(shape[:2]) for shape in shapes])
+    nv_id = np.array([nv_keys.index(shape[2]) for shape in shapes])
+    bases = [_shape_operators(*shape) for shape in shapes]
+    out = []
+    for sectors in groups:
+        si = np.array([i for i, _ in sectors])
+        ra = np.stack([bases[i].reg[idx] for i, idx in sectors])
+        na = np.stack([bases[i].nv[idx] for i, idx in sectors])
+        at_reg, at_nv = _flat_index(reg, reg_id[si], ra), _flat_index(nv, nv_id[si], na)
+        stack = np.empty((len(names), *at_reg.shape))
+        for a, name in zip(stack, names):
+            r, v = _TERMS[name]
+            reg[r].take(at_reg, out=a)
+            a *= nv[v].take(at_nv)
+        out.append(stack)
+    return out
+
+
+def _block_operators(names, shape: tuple) -> np.ndarray:
+    """(len(names), dim, dim): the named operators on the whole block of a
+    shape, the one sector that holds every basis state."""
+    every = np.arange(len(_shape_operators(*shape).reg))
+    return _sector_stacks(names, (shape,), [[(0, every)]])[0][:, 0]
 
 
 def _shape_of(b: BlockLabel) -> tuple:
@@ -226,12 +310,13 @@ def build_block_hamiltonian(p: ModelParams, b: BlockLabel) -> np.ndarray:
     term is assembled in its real ladder form so the matrix stays real; it
     is symmetric exactly at alpha = 1.
     """
-    return assemble_hamiltonian(p, _assembly_inputs(_shape_of(b), p.coupling_z))
+    names = assembly_operators(p.coupling_z)
+    return assemble_hamiltonian(p, dict(zip(names, _block_operators(names, _shape_of(b)))))
 
 
 def qubit_sz_diagonal(b: BlockLabel) -> np.ndarray:
     """Diagonal of Sz1 + Sz2 in the product basis (conserved by every term)."""
-    return _shape_operators(*_shape_of(b))["ztot_diag"]
+    return _shape_operators(*_shape_of(b)).ztot_diag
 
 
 def pair_number_diagonal(p: ModelParams, b: BlockLabel) -> np.ndarray:
@@ -247,11 +332,10 @@ def gap_operator(b: BlockLabel, operator: str = "collective") -> np.ndarray:
     Sz1 + Sz2 + (s1 + s2), i.e. pairs counted from the quasispin floor of
     the block.
     """
-    ops = _shape_operators(*_shape_of(b))
     if operator == "collective":
-        return ops["pair_scatter"]
+        return _block_operators(("pair_scatter",), _shape_of(b))[0]
     if operator == "diagonal":
-        return np.diag(ops["ztot_diag"] + (b.qb.s1 + b.qb.s2))
+        return np.diag(qubit_sz_diagonal(b) + (b.qb.s1 + b.qb.s2))
     raise ValueError(f"unknown gap operator {operator!r} (use collective|diagonal)")
 
 

@@ -15,19 +15,21 @@ with its exact pair-number label, and keeps accidental cross-sector
 degeneracies out of the eigensolver.
 
 The Hamiltonian reads only the (s1, s2, S) shape of a block.  The sectors
-of all shapes in use are grouped by size, and their restricted shape
-operators are stacked once per size and cached (_sector_plan).  A parameter
-point assembles every stack with model.assemble_hamiltonian, the linear
-combination build_block_hamiltonian uses, and solves each (size, symmetric)
-group with one batched eigenvalue call; one lexsort then orders every
-shape's eigenvalues.  Each matrix of a batch is solved on its own, so the
-result equals a per-sector solve bit for bit.
+of all shapes in use are grouped by size, and their restricted operators
+are stacked once per size and cached (_sector_plan).  Each stack is written
+straight from the small register and ensemble factors of model: one gather
+from each at the sectors' basis indices and one product, so no full-block
+operator is ever built.  A parameter point assembles every stack with
+model.assemble_hamiltonian, the linear combination build_block_hamiltonian
+uses on the whole block, and solves each (size, symmetric) group with one
+batched eigenvalue call; one lexsort then orders every shape's eigenvalues.
+Each matrix of a batch is solved on its own, so the result equals a
+per-sector solve bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,14 +37,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import BlockLabel
+from .blocks import BlockLabel, serialized
 from .errors import SolverFailure
 # build_block_hamiltonian is not called in this module; perfbench/spans.py wraps
 # it under this module's name.
 from .model import (
     ModelParams,
-    _assembly_inputs,
+    _sector_stacks,
     _shape_of,
+    _shape_operators,
     assemble_hamiltonian,
     assembly_operators,
     build_block_hamiltonian,
@@ -166,54 +169,33 @@ class _SectorPlan(NamedTuple):
     dims: tuple          # block dimension of each shape
 
 
-_PLAN_LOCK = threading.Lock()
-
-
-def _sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
-    """The cached sector plan of a shape tuple and coupling mode.
-
-    The lock makes threads that miss the cache together (the workers of a
-    parallel sweep, on their first points) wait for one build instead of
-    each building the same plan.
-    """
-    with _PLAN_LOCK:
-        return _build_sector_plan(shapes, coupling_z)
-
-
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _build_sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
     """Stacks of the sector-restricted shape operators, built once per
-    shape tuple and coupling mode, grouped by sector size."""
+    shape tuple and coupling mode, grouped by sector size, straight from
+    the spin factors (model._sector_stacks)."""
     names = assembly_operators(coupling_z)
     by_size: dict = {}
     slot_shape, slot_m, bounds, dims = [], [], [], []
     for si, shape in enumerate(shapes):
-        ops = _assembly_inputs(shape, coupling_z)
-        every_op = np.stack([ops[name] for name in names])
-        keys = np.round(2 * ops["ztot_diag"]).astype(int)
+        basis = _shape_operators(*shape)
         first = len(slot_m)
-        # sectors in ascending key order, each index run ascending; np.unique
-        # would import numpy.ma into every process (~17 ms)
-        order = np.argsort(keys, kind="stable")
-        for idx in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
-            key = keys[idx[0]]
+        for key, idx in basis.sectors:
             slots = np.arange(len(slot_m), len(slot_m) + len(idx))
-            sector_ops = every_op[:, idx[:, None], idx]
-            by_size.setdefault(len(idx), []).append((si, idx, slots, sector_ops))
+            by_size.setdefault(len(idx), []).append(((si, idx), slots))
             slot_shape.extend([si] * len(idx))
             slot_m.extend([key / 2.0] * len(idx))
         bounds.append((first, len(slot_m)))
-        dims.append(len(keys))
+        dims.append(len(basis.reg))
+    sectors = [tuple(sector for sector, _ in members) for members in by_size.values()]
     groups = []
-    for members in by_size.values():
-        every_stack = np.stack([sector_ops for _, _, _, sector_ops in members])
-        stacks = {name: every_stack[:, j].copy() for j, name in enumerate(names)}
-        slots = np.stack([sl for _, _, sl, _ in members])
-        for a in (*stacks.values(), slots):
+    for group, every, members in zip(
+        sectors, _sector_stacks(names, shapes, sectors), by_size.values()
+    ):
+        slots = np.stack([sl for _, sl in members])
+        for a in (every, slots):
             a.setflags(write=False)
-        groups.append(
-            _SizeGroup(stacks, slots, tuple((si, idx) for si, idx, _, _ in members))
-        )
+        groups.append(_SizeGroup(dict(zip(names, every)), slots, group))
     return _SectorPlan(
         groups=tuple(groups),
         slot_shape=np.array(slot_shape),
@@ -221,6 +203,11 @@ def _build_sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
         bounds=tuple(bounds),
         dims=tuple(dims),
     )
+
+
+# the cached plan of a shape tuple and coupling mode; the workers of a
+# parallel sweep, missing it together on their first points, build it once
+_sector_plan = serialized(_build_sector_plan)
 
 
 def block_spectra(

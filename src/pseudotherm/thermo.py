@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model, spectral
+from .blocks import serialized
 from .errors import ZeroPartitionError
 from .model import ModelParams, _shape_of, gap_operator
 
@@ -132,7 +133,7 @@ def _block_rows(spectra):
 
 
 @lru_cache(maxsize=32)
-def _fold_plan(omega: float, omega1: int, omega2: int, split_n: bool) -> tuple:
+def _build_fold_plan(omega: float, omega1: int, omega2: int, split_n: bool) -> tuple:
     """One representative block per (s1, s2, S) shape, and the fold groups.
 
     Blocks of one shape share their spectrum, so they fold into one group
@@ -149,6 +150,9 @@ def _fold_plan(omega: float, omega1: int, omega2: int, split_n: bool) -> tuple:
     return tuple(reps.values()), tuple(
         (index[shape], n, m) for (shape, n), m in groups.items()
     )
+
+
+_fold_plan = serialized(_build_fold_plan)
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)

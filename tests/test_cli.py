@@ -168,6 +168,25 @@ def test_module_entry_point_runs(tmp_path, tiny_cfg):
     assert cols[:2] == ["N", "tau"]
 
 
+def test_cli_leaves_thread_pool_unimported():
+    # concurrent.futures (and logging with it) costs ~10 ms to import; only
+    # a step with more than one worker needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudotherm.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from pseudotherm.cli import _parallel_map\n"
+        "assert _parallel_map(abs, [-1, 2], 1) == [1, 2]\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cycle_stirling_tiny(tmp_path, tiny_cfg):
     rc = main(["--config", tiny_cfg, "--out", str(tmp_path), "cycle",
                "--kind", "stirling", "--t-values", "0.3,0.9",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import kron_shape_operators
 
 from pseudotherm import model
 from pseudotherm.model import (
@@ -79,17 +80,83 @@ def test_pair_scatter_commutes_with_total_sz(desk):
     # [Sz1+Sz2, (S+1+S+2)(S-1+S-2)] = 0, term by term
     for b in desk.blocks():
         if b.dim > 40:
-            ops = model._shape_operators(*model._shape_of(b))
-            ztot = np.diag(ops["ztot_diag"])
-            comm = ztot @ ops["pair_scatter"] - ops["pair_scatter"] @ ztot
+            ztot = np.diag(qubit_sz_diagonal(b))
+            pair_scatter = gap_operator(b, "collective")
+            comm = ztot @ pair_scatter - pair_scatter @ ztot
             assert np.max(np.abs(comm)) < 1e-12
             break
 
 
 def test_qubit_sz_diagonal_matches_operator(desk):
     b = max(desk.blocks(), key=lambda x: x.dim)
-    ops = model._shape_operators(*model._shape_of(b))
-    assert np.array_equal(qubit_sz_diagonal(b), np.diag(ops["z1"] + ops["z2"]))
+    ref = kron_shape_operators(*model._shape_of(b), desk.coupling_z)
+    assert np.array_equal(qubit_sz_diagonal(b), np.diag(ref["z1"] + ref["z2"]))
+
+
+def _identical(a, ref):
+    return a.dtype == ref.dtype and np.array_equal(a, ref)
+
+
+def _shapes(p):
+    reps = {}
+    for b in p.blocks():
+        reps.setdefault(model._shape_of(b), b)
+    return reps
+
+
+SIZES = [ModelParams(alpha=0.36), ModelParams(alpha=0.36, Omega=1.0, Omega1=1, Omega2=1)]
+
+
+@pytest.mark.parametrize("coupling_z", ["difference", "total"])
+@pytest.mark.parametrize("size", SIZES, ids=["desk", "omega1"])
+def test_block_operators_match_kron_reference(size, coupling_z):
+    p = size.with_(coupling_z=coupling_z, muS=0.2, muQb=0.1)
+    names = model.assembly_operators(coupling_z)
+    for shape, b in _shapes(p).items():
+        ref = kron_shape_operators(*shape, coupling_z)
+        assert _identical(
+            build_block_hamiltonian(p, b), model.assemble_hamiltonian(p, ref)
+        )
+        for name, op in zip(names, model._block_operators(names, shape)):
+            assert _identical(op, ref[name]), (shape, name)
+
+
+@pytest.mark.parametrize("coupling_z", ["difference", "total"])
+@pytest.mark.parametrize("size", SIZES, ids=["desk", "omega1"])
+def test_sector_stacks_match_kron_reference(size, coupling_z):
+    from pseudotherm.spectral import _build_sector_plan
+
+    shapes = tuple(_shapes(size))
+    plan = _build_sector_plan(shapes, coupling_z)
+    refs = [kron_shape_operators(*shape, coupling_z) for shape in shapes]
+    seen = [[] for _ in shapes]
+    for group in plan.groups:
+        for j, (si, idx) in enumerate(group.sectors):
+            ztot = refs[si]["ztot_diag"]
+            # one sector: a single pair projection, complete, ascending
+            assert np.all(ztot[idx] == ztot[idx[0]]) and np.all(np.diff(idx) > 0)
+            assert np.array_equal(idx, np.flatnonzero(ztot == ztot[idx[0]]))
+            assert np.all(plan.slot_m[group.slots[j]] == ztot[idx[0]])
+            seen[si].append(idx)
+            for name, stack in group.ops.items():
+                assert _identical(stack[j], refs[si][name][np.ix_(idx, idx)]), (si, name)
+    for ref, idxs in zip(refs, seen):
+        assert np.array_equal(np.sort(np.concatenate(idxs)), np.arange(len(ref["ztot_diag"])))
+    # slots run shape by shape, sector by sector in increasing projection
+    for si, (lo, hi) in enumerate(plan.bounds):
+        assert np.all(plan.slot_shape[lo:hi] == si)
+        assert np.all(np.diff(plan.slot_m[lo:hi]) >= 0)
+
+
+@pytest.mark.parametrize("size", SIZES, ids=["desk", "omega1"])
+def test_gap_operators_match_kron_reference(size):
+    for shape, b in _shapes(size).items():
+        ref = kron_shape_operators(*shape, size.coupling_z)
+        assert _identical(gap_operator(b, "collective"), ref["pair_scatter"])
+        assert _identical(
+            gap_operator(b, "diagonal"), np.diag(ref["ztot_diag"] + (b.qb.s1 + b.qb.s2))
+        )
+        assert _identical(qubit_sz_diagonal(b), ref["ztot_diag"])
 
 
 def test_gap_operator_variants(desk):

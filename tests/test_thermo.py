@@ -153,6 +153,49 @@ def test_thermal_table_equals_fold_of_blocks_solved_alone(muS):
         assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
 
 
+def test_threads_missing_together_enumerate_blocks_once(monkeypatch):
+    # the workers of a parallel sweep all start on a cold process
+    import sys
+    import threading
+
+    from pseudotherm import blocks, model, thermo
+
+    calls = []
+    enumerate_blocks = model.enumerate_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_blocks(*args)
+
+    monkeypatch.setattr(model, "enumerate_blocks", counted)
+    points = [ModelParams(alpha=0.3 + 0.02 * i, g=1.73) for i in range(4)]
+    blocks._enumerate_blocks.cache_clear()
+    thermo._build_fold_plan.cache_clear()
+    results = [None] * len(points)
+
+    def solve(i):
+        results[i] = (points[i].blocks(), thermo.thermal_table.__wrapped__(points[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(points))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    # one lookup per thread, one more for the one fold plan
+    assert calls == [(4.0, 2, 2)] * (len(points) + 1)
+    assert blocks._enumerate_blocks.cache_info().misses == 1
+    assert thermo._build_fold_plan.cache_info().misses == 1
+    for p, (labels, table) in zip(points, results):
+        assert labels is results[0][0]
+        assert np.array_equal(table.eps, thermal_table(p).eps)
+
+
 def test_vectorized_fold_equals_row_by_row_fold(desk_broken):
     from pseudotherm.thermo import _block_rows
 
