@@ -202,6 +202,11 @@ def cmd_eps(p: ModelParams, args, config) -> None:
 
 
 def cmd_tc_map(p: ModelParams, args, config) -> None:
+    if not thermo.TC_T_MIN < args.t_max < math.inf:
+        raise InfeasibleRequest(
+            f"--t-max {args.t_max} must be finite and exceed the scan's lowest "
+            f"temperature {thermo.TC_T_MIN}"
+        )
     alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_steps)
     g_values = _values_arg(args.g_values) if args.g_values else [p.g]
 

@@ -228,20 +228,26 @@ def fock_expectation(
 def hermitian_reference(p: ModelParams, t: float) -> dict:
     """Symmetric-solver thermodynamics for the alpha = 1 (or g = 0) limit.
 
-    Independent accumulation path: eigh per block sector, positive
-    Boltzmann weights, plain shifted sums; no signed-log machinery.  Only
-    valid when every block is exactly symmetric.
+    Independent accumulation path: one eigh per (s1, s2, S) block shape,
+    whose levels carry the summed multiplicity of the shape's blocks,
+    positive Boltzmann weights, plain shifted sums; no signed-log machinery.
+    Only valid when every block is exactly symmetric.
     """
-    from .model import build_block_hamiltonian
+    from .model import _shape_of, build_block_hamiltonian
 
     beta = 1.0 / t
-    evs, mults = [], []
+    reps, weight = {}, {}
     for b in p.blocks():
+        shape = _shape_of(b)
+        reps.setdefault(shape, b)
+        weight[shape] = weight.get(shape, 0) + b.mult
+    evs, mults = [], []
+    for shape, b in reps.items():
         h = build_block_hamiltonian(p, b)
         if not np.array_equal(h, h.T):
             raise ValueError("hermitian_reference requires a symmetric Hamiltonian")
         evs.append(np.linalg.eigvalsh(h))
-        mults.append(np.full(h.shape[0], float(b.mult)))
+        mults.append(np.full(h.shape[0], float(weight[shape])))
     e = np.concatenate(evs)
     m = np.concatenate(mults)
     e0 = float(np.min(e))

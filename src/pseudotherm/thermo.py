@@ -15,6 +15,14 @@ moments needs no exponential.  The shift survives beta up to 1e3/GHz, and
 the exact sums resolve the cancellations that produce zeros; the sum of
 |terms| is kept to detect where they do.
 
+Zeros of Z(T) are bracketed by z_signs_on_grid, a float64 sign scan over a
+whole temperature grid, and bisected with the exact sums.  The scan first
+asks a ground-level certificate: where the real levels below every complex
+row outweigh, twice over, the moduli of the complex terms whose cosine can
+be negative, Z > 0 is proven and the temperature gets +1 without a scan.
+The factor 2 is far beyond the scan's rounding, so every sign, and every
+zero, is the one the full scan gives.
+
 Thermal averages use the biorthogonal resolution sum_n |R_n><L_n| with
 <L_m|R_n> = delta_mn: <O> = (1/Z) sum_n mult_n e^{-beta E_n} <L_n|O|R_n> goes
 through the same kernel as Z, one row per eigenvalue with signed gamma.
@@ -59,6 +67,8 @@ __all__ = [
 Z_FLOOR_LOG = math.log(1e-300)   # absolute |Z| floor in signed-log form
 CANCEL_FLOOR = 1e-14             # |sum| / sum|terms| below this: sign unreliable
 TABLE_CACHE_SIZE = 128
+TC_T_MIN = 2e-3                  # lowest temperature critical_temperature scans
+CERT_ROWS = 16                   # lowest real rows in the Z > 0 certificate
 
 
 @dataclass(frozen=True)
@@ -347,19 +357,40 @@ def _z_sign(table: SpectrumTable, t: float, muS: float, muQb: float) -> int:
     return log_partition(table, 1.0 / t, muS, muQb).sign
 
 
-def z_signs_on_grid(table: SpectrumTable, t_values, muS: float = 0.0, muQb: float = 0.0):
-    """Vectorized sign of Z over a temperature grid (fast scan path).
+def _certified_positive(table: SpectrumTable, betas: np.ndarray, eps_eff: np.ndarray):
+    """Mask over betas (all > 0) where a ground-level bound proves Z > 0.
 
-    Uses a per-temperature max-shift and plain float64 summation, which
-    resolves signs everywhere except within rounding distance of a zero;
-    brackets found here are refined with the exact-summation evaluator.
-    The log-magnitudes fill one (T, rows) buffer that is shifted,
-    exponentiated and summed in place; cos, log|amp| and sign are taken
-    only on the columns with gamma != 0, since cos(0) = 1 leaves the other
-    terms at mult * factor * exp(-beta * eps).
+    P sums the real rows (gamma = 0) whose eps_eff lies below that of every
+    complex row, the lowest CERT_ROWS of them; Q sums the moduli
+    mult * factor * exp(-beta * eps_eff) of the complex rows whose cosine
+    can be negative, beta*|gamma| >= pi/2 (below it cos > 0).  Both are
+    scaled by exp(beta * min eps_eff), so no term exceeds mult * factor.
+    Every other term of Z is positive, so Z >= P - Q, and a temperature
+    passes where Q = 0 or P > 2Q: there the negative terms are at most half
+    the positive ones.  A table without complex rows passes everywhere.
     """
-    betas = 1.0 / np.asarray(list(t_values), dtype=float)
-    eps_eff = _eps_eff(table, muS, muQb)
+    trig = np.flatnonzero(table.gam != 0.0)
+    if len(trig) == 0:
+        return np.ones(len(betas), dtype=bool)
+    e0 = float(np.min(eps_eff))
+    low = np.flatnonzero((table.gam == 0.0) & (eps_eff < np.min(eps_eff[trig])))
+    if len(low) > CERT_ROWS:
+        low = low[np.argpartition(eps_eff[low], CERT_ROWS)[:CERT_ROWS]]
+    p = np.exp(np.multiply.outer(betas, e0 - eps_eff[low])) @ table.mult[low]
+    w = np.exp(np.multiply.outer(betas, e0 - eps_eff[trig]))
+    w[np.multiply.outer(betas, np.abs(table.gam[trig])) < 0.5 * math.pi] = 0.0
+    q = w @ (np.where(table.pair[trig], 2.0, 1.0) * table.mult[trig])
+    return (q == 0.0) | (p > 2.0 * q)
+
+
+def _scan_signs(table: SpectrumTable, betas: np.ndarray, eps_eff: np.ndarray):
+    """Sign of the float64 sum of the terms of Z at each beta.
+
+    The log-magnitudes fill one (T, rows) buffer that is shifted by its
+    per-temperature maximum, exponentiated and summed in place; cos,
+    log|amp| and sign are taken only on the columns with gamma != 0, since
+    cos(0) = 1 leaves the other terms at mult * factor * exp(-beta * eps).
+    """
     factor = np.where(table.pair, 2.0, 1.0)
     log_base = np.log(table.mult) + np.log(factor)
     trig = np.flatnonzero(table.gam != 0.0)
@@ -374,6 +405,29 @@ def z_signs_on_grid(table: SpectrumTable, t_values, muS: float = 0.0, muQb: floa
     np.exp(buf, out=buf)
     buf[:, trig] *= np.sign(amp)
     return np.sign(np.sum(buf, axis=1)).astype(int)
+
+
+def z_signs_on_grid(table: SpectrumTable, t_values, muS: float = 0.0, muQb: float = 0.0):
+    """Vectorized sign of Z over a grid of positive temperatures (fast scan path).
+
+    A temperature where _certified_positive proves Z > 0 gets +1 at once;
+    the rest are scanned with a per-temperature max-shift and plain float64
+    summation, which resolves signs everywhere except within rounding
+    distance of a zero; brackets found here are refined with the
+    exact-summation evaluator.  The certificate leaves every sign as the
+    scan would give it: where it passes, the negative terms are at most
+    half the positive ones, a margin no float64 rounding of the scan's sum
+    can close, so the scan too returns +1 there.
+    """
+    t = np.asarray(list(t_values), dtype=float)
+    if not np.all(t > 0.0):
+        raise ValueError("temperatures must be positive")
+    betas = 1.0 / t
+    eps_eff = _eps_eff(table, muS, muQb)
+    signs = np.ones(len(betas), dtype=int)
+    scan = np.flatnonzero(~_certified_positive(table, betas, eps_eff))
+    signs[scan] = _scan_signs(table, betas[scan], eps_eff)
+    return signs
 
 
 def _refine_bracket(table, t_lo, t_hi, s_lo, muS, muQb, rtol):
@@ -455,7 +509,7 @@ def find_zeros(
 
 def critical_temperature(
     p: ModelParams,
-    t_min: float = 2e-3,
+    t_min: float = TC_T_MIN,
     t_max: float = 2.0,
     steps: int = 200,
     rtol: float = 1e-8,
@@ -466,8 +520,13 @@ def critical_temperature(
     Only the highest sign change matters, so the scan stabilizes the
     location of the topmost bracket under grid doubling instead of the
     full zero count (zeros pile up towards T = 0 when the ground state is
-    complex).
+    complex).  The range must satisfy 0 < t_min < t_max < inf, with
+    steps >= 2.
     """
+    if not 0.0 < t_min < t_max < math.inf or steps < 2:
+        raise ValueError(
+            f"need 0 < t_min < t_max < inf and steps >= 2, got [{t_min}, {t_max}] x {steps}"
+        )
     table = _as_table(p)
     muS, muQb = (p.muS, p.muQb) if isinstance(p, ModelParams) else (0.0, 0.0)
     grid = np.geomspace(t_min, t_max, steps)

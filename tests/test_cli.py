@@ -8,6 +8,7 @@ import pytest
 
 import pseudotherm
 from pseudotherm.cli import (
+    CONFIG_ENV_VAR,
     VALID_KEYS,
     main,
     params_from_mapping,
@@ -122,6 +123,33 @@ def test_empty_grid_exits_two(tmp_path, tiny_cfg):
     rc = main(["--config", tiny_cfg, "--out", str(tmp_path), "tc-map",
                "--alpha-min", "1.0", "--alpha-max", "0.0", "--alpha-steps", "3"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("t_max", ["0.001", "-1", "inf"])
+def test_tc_map_t_max_below_scan_exits_two(tmp_path, monkeypatch, t_max):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    rc = main(["--g", "1.73", "--out", str(tmp_path), "tc-map", "--alpha-min", "0.246",
+               "--alpha-max", "0.246", "--alpha-steps", "1", "--t-max", t_max])
+    assert rc == 2
+    assert not (tmp_path / "tc_map.tsv").exists()
+
+
+def test_tc_map_desk_critical_temperatures(tmp_path, monkeypatch):
+    # desk size at g 1.73: only alpha 0.246 has a zero of Z below T = 2, and
+    # two worker threads write the same bytes as one
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    tables = {}
+    for workers in ("2", "1"):
+        out = tmp_path / f"w{workers}"
+        assert main(["--g", "1.73", "--workers", workers, "--out", str(out), "tc-map",
+                     "--alpha-min", "0.006", "--alpha-max", "1.206",
+                     "--alpha-steps", "6"]) == 0
+        tables[workers] = (out / "tc_map.tsv").read_bytes()
+    _, cols, rows = read_table(str(tmp_path / "w2" / "tc_map.tsv"))
+    assert cols == ["alpha", "g", "T_c"]
+    assert [r[0] for r in rows] == ["0.006", "0.246", "0.486", "0.726", "0.966", "1.206"]
+    assert [r[2] for r in rows] == ["0", "0.156025268619", "0", "0", "0", "0"]
+    assert tables["2"] == tables["1"]
 
 
 def test_unknown_config_key_exits_one(tmp_path):

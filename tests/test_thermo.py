@@ -513,6 +513,142 @@ def test_find_zeros_validates_grid(desk):
         find_zeros(desk, [-1.0, 0.5])
 
 
+# ------------------------------------------------------- z > 0 certificate
+
+
+def reference_z_signs(table, t_values, muS=0.0, muQb=0.0):
+    """The float64 sign scan over every temperature, with no certificate:
+    the signs z_signs_on_grid must reproduce bit for bit."""
+    from pseudotherm.thermo import _eps_eff
+
+    betas = 1.0 / np.asarray(list(t_values), dtype=float)
+    eps_eff = _eps_eff(table, muS, muQb)
+    factor = np.where(table.pair, 2.0, 1.0)
+    log_base = np.log(table.mult) + np.log(factor)
+    trig = np.flatnonzero(table.gam != 0.0)
+    buf = np.multiply.outer(betas, eps_eff)
+    np.subtract(log_base, buf, out=buf)
+    amp = factor[trig] * np.cos(np.multiply.outer(betas, table.gam[trig]))
+    with np.errstate(divide="ignore"):
+        buf[:, trig] = (
+            np.log(table.mult[trig]) + np.log(np.abs(amp))
+        ) - np.multiply.outer(betas, eps_eff[trig])
+    buf -= np.max(buf, axis=1, keepdims=True)
+    np.exp(buf, out=buf)
+    buf[:, trig] *= np.sign(amp)
+    return np.sign(np.sum(buf, axis=1)).astype(int)
+
+
+_CERT_GRID = np.geomspace(2e-3, 2.0, 200)
+CERT_GRIDS = {
+    "geom": _CERT_GRID,
+    "midpoints": 0.5 * (_CERT_GRID[:-1] + _CERT_GRID[1:]),
+    "linear": np.linspace(0.05, 15.0, 300),
+}
+CERT_POINTS = {
+    **{
+        f"a{alpha}-g{g}": ModelParams(alpha=alpha, g=g)
+        for alpha in (0.006, 0.246, 0.486, 0.966, 1.206)
+        for g in (1.0, 1.73)
+    },
+    "a0.24-mu": ModelParams(alpha=0.24, g=1.73, muS=0.2, muQb=0.1),
+    "hermitian": ModelParams(alpha=1.0, g=1.73),
+}
+# the lowest row is a pair, so only Q = 0 can pass a temperature
+PAIR_GROUND_TOY = [(0.0, 0.8, 1), (0.3, 0.0, 2), (0.5, 2.5, 3), (1.2, 0.0, 6)]
+
+
+def cert_table(key):
+    if key == "pair-ground-toy":
+        return toy_table(PAIR_GROUND_TOY), 0.0, 0.0
+    p = CERT_POINTS[key]
+    return thermal_table(p), p.muS, p.muQb
+
+
+@pytest.mark.parametrize("grid", list(CERT_GRIDS))
+@pytest.mark.parametrize("key", [*CERT_POINTS, "pair-ground-toy"])
+def test_z_signs_equal_unpruned_scan(key, grid):
+    from pseudotherm.thermo import z_signs_on_grid
+
+    table, mu_s, mu_qb = cert_table(key)
+    got = z_signs_on_grid(table, CERT_GRIDS[grid], mu_s, mu_qb)
+    want = reference_z_signs(table, CERT_GRIDS[grid], mu_s, mu_qb)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def certified(table, t_values, mu_s=0.0, mu_qb=0.0):
+    from pseudotherm.thermo import _certified_positive, _eps_eff
+
+    t = np.asarray(t_values, dtype=float)
+    return _certified_positive(table, 1.0 / t, _eps_eff(table, mu_s, mu_qb))
+
+
+@pytest.mark.parametrize("key", list(CERT_POINTS))
+def test_certificate_passes_only_where_exact_z_is_positive(key):
+    from pseudotherm.thermo import _z_sign
+
+    table, mu_s, mu_qb = cert_table(key)
+    t = np.concatenate(list(CERT_GRIDS.values()))
+    ok = certified(table, t, mu_s, mu_qb)
+    assert all(_z_sign(table, x, mu_s, mu_qb) == 1 for x in t[ok])
+
+
+def test_certificate_covers_real_ground_levels():
+    # the tc-map points whose ground level is real are passed on most of the
+    # grid, and a table without complex rows on all of it
+    from pseudotherm.spectral import ground_state_info
+
+    for key in CERT_POINTS:
+        table, mu_s, mu_qb = cert_table(key)
+        share = certified(table, _CERT_GRID, mu_s, mu_qb).mean()
+        if not np.any(table.pair):
+            assert share == 1.0, key
+        elif not ground_state_info(table).is_complex:
+            assert share >= 0.7, key
+
+
+@pytest.mark.parametrize("offset", [-0.4, 0.0, 0.05, 0.6])
+def test_certificate_on_pair_and_level_toys(offset):
+    # a level of multiplicity g0 = 4 at 0 and a pair of multiplicity m at
+    # offset, 2m/g0 from 0.4 to 3: wherever the certificate passes, exact
+    # Z > 0, and it passes while the pair's cosine is still positive
+    from pseudotherm.thermo import _z_sign
+
+    gamma, g0 = 1.3, 4
+    t = np.geomspace(0.01, 20.0, 300)
+    for ratio in np.linspace(0.4, 3.0, 14):
+        table = toy_table([(0.0, 0.0, g0), (offset, gamma, ratio * g0 / 2.0)])
+        ok = certified(table, t)
+        assert all(_z_sign(table, x, 0.0, 0.0) == 1 for x in t[ok]), ratio
+        assert np.all(ok[gamma / t < 0.5 * math.pi]), ratio
+        if offset > 0.0 and ratio < 0.5:
+            # 2m exp(-beta*offset) < g0/2: the level outweighs the pair twice over
+            assert np.all(ok)
+
+
+def test_z_signs_refuse_nonpositive_temperatures(desk):
+    from pseudotherm.thermo import z_signs_on_grid
+
+    table = thermal_table(desk)
+    for bad in ([0.0, 0.5], [-0.1, 0.5], [math.nan, 0.5]):
+        with pytest.raises(ValueError):
+            z_signs_on_grid(table, bad)
+    assert len(z_signs_on_grid(table, [])) == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"t_min": 0.5, "t_max": 0.01}, {"t_max": -1.0}, {"t_max": 1e-3}, {"t_min": 0.0},
+     {"t_max": math.inf}, {"steps": 1}],
+    ids=["reversed", "negative-max", "max-below-min", "zero-min", "infinite-max",
+         "one-step"],
+)
+def test_critical_temperature_validates_range(kwargs):
+    with pytest.raises(ValueError):
+        critical_temperature(ModelParams(alpha=0.246, g=1.73), **kwargs)
+
+
 # ----------------------------------------------------------------- potentials
 
 
