@@ -149,6 +149,13 @@ def _values_arg(text: str) -> list[float]:
     return vals
 
 
+def _temperatures(values):
+    """The requested temperatures, refused unless every one is positive."""
+    if not all(t > 0.0 for t in values):
+        raise InfeasibleRequest("temperatures must be positive")
+    return values
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -225,7 +232,7 @@ def cmd_tc_map(p: ModelParams, args, config) -> None:
 
 
 def cmd_thermo(p: ModelParams, args, config) -> None:
-    t_values = _grid(args.t_min, args.t_max, args.t_steps)
+    t_values = _temperatures(_grid(args.t_min, args.t_max, args.t_steps))
     if args.nv_count is not None:
         r = rescale(p, p.Omega1, args.nv_count, 0.0)
         p = p.with_(E=r.Er, g=r.gr, Omega=args.nv_count / 2.0)
@@ -261,7 +268,7 @@ def cmd_thermo(p: ModelParams, args, config) -> None:
 
 
 def cmd_spinodal(p: ModelParams, args, config) -> None:
-    t_values = _values_arg(args.t_values)
+    t_values = _temperatures(_values_arg(args.t_values))
     alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_steps)
 
     def one(t):
@@ -300,7 +307,7 @@ def cmd_spinodal(p: ModelParams, args, config) -> None:
 
 
 def cmd_cycle(p: ModelParams, args, config) -> None:
-    t_values = _values_arg(args.t_values)
+    t_values = _temperatures(_values_arg(args.t_values))
     x_values = _values_arg(args.x_values)
     grid = efficiency_grid(
         p,

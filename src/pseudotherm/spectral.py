@@ -25,6 +25,10 @@ uses on the whole block, and solves each (size, symmetric) group with one
 batched eigenvalue call; one lexsort then orders every shape's eigenvalues.
 Each matrix of a batch is solved on its own, so the result equals a
 per-sector solve bit for bit.
+
+Blocks of one shape are folded only by thermo's fold plan, whose tables
+ground_state_info reads; block_eigen_data keeps one entry per block for the
+spectrum table, the Fock-oracle multiset and EP block keys.
 """
 
 from __future__ import annotations
@@ -95,10 +99,6 @@ class BlockSpectrum:
     left_vectors: np.ndarray | None = None
     nqb: np.ndarray | None = None
     near_defective: np.ndarray | None = None
-
-    @property
-    def mult(self) -> int:
-        return self.label.mult
 
 
 def _sorted_order(w: np.ndarray) -> np.ndarray:
@@ -334,55 +334,16 @@ class GroundStateInfo:
     eps0: float
 
 
-def _fold_shared(spectra, split_n: bool = False) -> list:
-    """(first spectrum, summed multiplicity) per distinct eigenvalue array,
-    or per (eigenvalue array, N) with split_n.
-
-    Blocks of one shape share one eigenvalue array (see block_spectra), so
-    they fold into one entry; with split_n the first spectrum's label
-    carries the entry's N.
-    """
-    folded = {}
-    for s in spectra:
-        key = (id(s.eigenvalues), s.label.nv.N if split_n else None)
-        first, m = folded.get(key, (s, 0))
-        folded[key] = (first, m + s.mult)
-    return list(folded.values())
-
-
-def _entry_arrays(spectra):
-    """(eps, gam>=0, mult) rows, one per eigenvalue with Im >= 0, blocks
-    that share one eigenvalue array folded (see _fold_shared)."""
-    if hasattr(spectra, "eps"):  # thermal table
-        return spectra.eps, spectra.gam, spectra.mult
-    eps, gam, mult = [], [], []
-    for s, m in _fold_shared(spectra):
-        w = s.eigenvalues
-        keep = w.imag >= 0.0
-        eps.append(w.real[keep])
-        gam.append(w.imag[keep])
-        mult.append(np.full(int(np.sum(keep)), float(m)))
-    return np.concatenate(eps), np.concatenate(gam), np.concatenate(mult)
-
-
-def ground_state_info(
-    spectra, tie_tol: float = TIE_TOL, im_tol: float = IM_TOL
-) -> GroundStateInfo:
-    """Lowest-Re(E) level across all blocks with its degeneracy.
-
-    Degeneracy g0 aggregates multiplicities over levels tying in both Re
-    and Im within tie_tol; a conjugate pair counts once (its +i gamma
-    member).
-    """
-    eps, gam, mult = _entry_arrays(spectra)
-    if len(eps) == 0:
-        raise ValueError("empty spectra")
-    gam = np.where(gam <= im_tol * np.maximum(1.0, np.abs(eps)), 0.0, gam)
+def ground_state_info(table) -> GroundStateInfo:
+    """Lowest-Re(E) level of a spectrum table (thermo.thermal_table) with its
+    degeneracy g0: the summed multiplicity of the rows (levels, and pairs by
+    their +i gamma member) that tie in both Re and Im within TIE_TOL."""
+    eps, gam = table.eps, table.gam
     e_min = float(np.min(eps))
-    ties = np.abs(eps - e_min) <= tie_tol
+    ties = np.abs(eps - e_min) <= TIE_TOL
     gamma0 = float(np.max(gam[ties]))
-    members = ties & (np.abs(gam - gamma0) <= tie_tol)
-    g0 = float(np.sum(mult[members]))
+    members = ties & (np.abs(gam - gamma0) <= TIE_TOL)
+    g0 = float(np.sum(table.mult[members]))
     return GroundStateInfo(
         E0=complex(e_min, gamma0),
         is_complex=gamma0 > 0.0,
@@ -567,8 +528,10 @@ def _march_to_ep(
     part drops below the lowest real level.  The pair itself was born at an
     exceptional point further from alpha = 1.
     """
+    from .thermo import thermal_table
+
     def broken(x: float) -> bool:
-        return ground_state_info(block_spectra(p.with_(alpha=x))).is_complex
+        return ground_state_info(thermal_table(p.with_(alpha=x))).is_complex
 
     ln_span = math.log(span)
     inner = 1.0

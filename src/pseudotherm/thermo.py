@@ -1,5 +1,10 @@
 """Exact grand partition function over blocks and everything derived from it.
 
+Every sum over blocks follows one fold plan (_fold_plan): one solved block
+per (s1, s2, S) shape, and one row set per shape, or per (shape, N) when
+muS != 0, with the exact summed multiplicity of its blocks.  Both the
+spectrum table and the vector table of thermal averages are laid out by it.
+
 Conjugate eigenvalue pairs eps +- i*gamma are folded into real Boltzmann
 terms 2*exp(-beta*eps)*cos(beta*gamma), so Z is real by construction but
 may vanish in the broken-symmetry phase.
@@ -94,7 +99,7 @@ class SpectrumTable:
         return len(self.eps)
 
 
-def table_from_spectra(rows, im_tol: float = spectral.IM_TOL) -> SpectrumTable:
+def table_from_spectra(rows) -> SpectrumTable:
     """Fold spectra into a table in one vectorized pass.
 
     Each row is (mult, N, eigenvalues, nqb): the exact integer multiplicity
@@ -110,7 +115,7 @@ def table_from_spectra(rows, im_tol: float = spectral.IM_TOL) -> SpectrumTable:
         [np.full(k, np.nan) if q is None else q for k, q in zip(sizes, nqbs)]
     )
     row = np.repeat(np.arange(len(sizes)), sizes)
-    thresh = im_tol * np.maximum(1.0, np.abs(w))
+    thresh = spectral.IM_TOL * np.maximum(1.0, np.abs(w))
     is_real = np.abs(w.imag) <= thresh
     n_pos = np.bincount(row[~is_real & (w.imag > 0)], minlength=len(sizes))
     n_neg = np.bincount(row[~is_real & (w.imag < 0)], minlength=len(sizes))
@@ -129,17 +134,6 @@ def table_from_spectra(rows, im_tol: float = spectral.IM_TOL) -> SpectrumTable:
         pair=~is_real[keep],
         dim_total=sum(m * k for m, k in zip(mults, sizes)),
     )
-
-
-def _block_rows(spectra):
-    """Fold rows of per-block spectra: BlockSpectrum objects or
-    (label, eigenvalues, nqb) triples as block_eigen_data gives them."""
-    for item in spectra:
-        if isinstance(item, spectral.BlockSpectrum):
-            label, w, nqb = item.label, item.eigenvalues, item.nqb
-        else:
-            label, w, nqb = item
-        yield label.mult, label.nv.N, w, nqb
 
 
 @lru_cache(maxsize=32)
@@ -166,27 +160,26 @@ _fold_plan = serialized(_build_fold_plan)
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def thermal_table(p: ModelParams, im_tol: float = spectral.IM_TOL) -> SpectrumTable:
+def thermal_table(p: ModelParams) -> SpectrumTable:
     """Cached spectrum table for a parameter point.
 
-    Built from one eigensolve per (s1, s2, S) shape, with one fold row per
-    shape, or per (shape, N) when p.muS != 0 so the muS shift stays exact.
+    Built from one eigensolve per (s1, s2, S) shape and laid out by the
+    fold plan: one row set per shape, or per (shape, N) when p.muS != 0.
     A table folded over N has NaN nS and refuses muS != 0.
     """
     reps, groups = _fold_plan(p.Omega, p.Omega1, p.Omega2, p.muS != 0.0)
     spectra = spectral.block_spectra(p, blocks=reps)
     return table_from_spectra(
-        ((m, n, spectra[i].eigenvalues, spectra[i].nqb) for i, n, m in groups),
-        im_tol=im_tol,
+        (m, n, spectra[i].eigenvalues, spectra[i].nqb) for i, n, m in groups
     )
 
 
-def _as_table(spectra) -> SpectrumTable:
-    if isinstance(spectra, SpectrumTable):
-        return spectra
-    if isinstance(spectra, ModelParams):
-        return thermal_table(spectra)
-    return table_from_spectra(_block_rows(spectra))
+def _as_table(source) -> SpectrumTable:
+    if isinstance(source, ModelParams):
+        return thermal_table(source)
+    if not isinstance(source, SpectrumTable):
+        raise TypeError(f"expected ModelParams or SpectrumTable, got {type(source).__name__}")
+    return source
 
 
 class SignedLog(NamedTuple):
@@ -306,21 +299,21 @@ def _eps_eff(table: SpectrumTable, muS: float, muQb: float) -> np.ndarray:
 
 
 def log_partition(
-    spectra, beta: float, muS: float = 0.0, muQb: float = 0.0
+    table, beta: float, muS: float = 0.0, muQb: float = 0.0
 ) -> SignedLog:
     """Grand partition function in signed-log form (never overflows)."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    table = _as_table(spectra)
+    table = _as_table(table)
     mom = _moments(table, beta, _eps_eff(table, muS, muQb))
     return _signed_log(mom.z, mom.shift, mom.abs_sum)
 
 
 def partition_function(
-    spectra, beta: float, muS: float = 0.0, muQb: float = 0.0
+    table, beta: float, muS: float = 0.0, muQb: float = 0.0
 ) -> float:
     """Z as a plain float; raises OverflowError when not representable."""
-    z = log_partition(spectra, beta, muS, muQb)
+    z = log_partition(table, beta, muS, muQb)
     if z.sign != 0 and z.log_abs > 709.0:
         raise OverflowError(
             f"|ln Z| = {z.log_abs:.1f} exceeds float range; use log_partition"
@@ -328,10 +321,10 @@ def partition_function(
     return z.value()
 
 
-def dominant_split(spectra, beta: float) -> tuple[float, float]:
+def dominant_split(table, beta: float) -> tuple[float, float]:
     """(Z0, Z') with Z0 the ground-level term: g0*exp(-beta*E0) for a real
     ground state, 2*g0*exp(-beta*eps)*cos(beta*gamma) for a complex one."""
-    table = _as_table(spectra)
+    table = _as_table(table)
     gs = spectral.ground_state_info(table)
     mom = _moments(table, beta, table.eps)
     if gs.is_complex:
@@ -687,39 +680,37 @@ class ExpectationResult(NamedTuple):
     defective_blocks: tuple
 
 
-def _vector_table(spectra, op, split_n: bool) -> tuple[SpectrumTable, np.ndarray]:
-    """Per-eigenvalue table of vector spectra and the coefficients <L_n|O|R_n>.
+def _vector_table(p: ModelParams, op) -> tuple[SpectrumTable, np.ndarray, set]:
+    """Per-eigenvalue table of the vector spectra of p, the coefficients
+    <L_n|O|R_n>, and the shapes with a near-defective level.
 
-    Blocks that share one eigenvalue array (one shape) fold into one set of
-    rows with their summed multiplicity (spectral._fold_shared), one set
-    per (shape, N) with split_n, so op, which maps a BlockLabel to its
-    operator matrix, must depend on the block shape alone.  Every
-    eigenvalue has its own row (pair False, signed gam) and carries its
-    pair-number label; nS is the row set's N with split_n, NaN without.
+    Laid out by the fold plan, as thermal_table is, so op, which maps a
+    BlockLabel to its operator matrix, must depend on the block shape alone.
+    Every eigenvalue has its own row (pair False, signed gam) and carries
+    its pair-number label; nS is the group's N when p.muS != 0, NaN otherwise.
     """
-    folded = spectral._fold_shared(spectra, split_n)
-    coef_of = {}
-    for s, _ in folded:
-        if id(s.eigenvalues) not in coef_of:
-            coef_of[id(s.eigenvalues)] = np.einsum(
-                "in,ij,jn->n", s.left_vectors, op(s.label), s.right_vectors
-            )
-    w = np.concatenate([s.eigenvalues for s, _ in folded])
-    sizes = [len(s.eigenvalues) for s, _ in folded]
-    n_s = [float(s.label.nv.N) if split_n else np.nan for s, _ in folded]
+    reps, groups = _fold_plan(p.Omega, p.Omega1, p.Omega2, p.muS != 0.0)
+    spectra = spectral.block_spectra(p, blocks=reps, want_vectors=True)
+    index, ns, mults = zip(*groups)
+    rows = [spectra[i] for i in index]
+    sizes = [len(s.eigenvalues) for s in rows]
+    w = np.concatenate([s.eigenvalues for s in rows])
     table = SpectrumTable(
         eps=w.real,
         gam=w.imag,
-        mult=np.repeat(np.array([float(m) for _, m in folded]), sizes),
-        nS=np.repeat(np.array(n_s), sizes),
-        npair=np.concatenate(
-            [np.full(k, np.nan) if s.nqb is None else s.nqb for (s, _), k in zip(folded, sizes)]
-        ),
+        mult=np.repeat(np.array(mults, dtype=float), sizes),
+        nS=np.repeat(np.array([np.nan if n is None else n for n in ns], dtype=float), sizes),
+        npair=np.concatenate([s.nqb for s in rows]),
         pair=np.zeros(len(w), dtype=bool),
-        dim_total=sum(m * k for (_, m), k in zip(folded, sizes)),
+        dim_total=sum(m * k for m, k in zip(mults, sizes)),
     )
-    coef = np.concatenate([coef_of[id(s.eigenvalues)] for s, _ in folded])
-    return table, coef
+    coefs = [
+        np.einsum("in,ij,jn->n", s.left_vectors, op(s.label), s.right_vectors)
+        for s in spectra
+    ]
+    coef = np.concatenate([coefs[i] for i in index])
+    defective = {_shape_of(s.label) for s in spectra if np.any(s.near_defective)}
+    return table, coef, defective
 
 
 def _biorthogonal_mean(table: SpectrumTable, coef: np.ndarray, beta: float, eps_eff):
@@ -733,12 +724,7 @@ def _biorthogonal_mean(table: SpectrumTable, coef: np.ndarray, beta: float, eps_
     return complex(mom.sums[0] / mom.z, mom.sums[1] / mom.z)
 
 
-def thermal_expectation(
-    op,
-    p: ModelParams,
-    t: float,
-    spectra: list | None = None,
-) -> ExpectationResult:
+def thermal_expectation(op, p: ModelParams, t: float) -> ExpectationResult:
     """Thermal mean of a blockwise operator via biorthogonal weights.
 
     op maps a BlockLabel to the operator matrix on that block and must
@@ -746,41 +732,34 @@ def thermal_expectation(
     The value is the real part of (1/Z) sum mult_n e^{-beta E_n}
     <L_n|O|R_n>, with the modulus of its imaginary part as a quality
     metric.  The weights are grand-canonical: E_n is shifted by
-    -muS*N - muQb*N_qb, as in Z.  Near-defective blocks are reported, not
-    fatal.
+    -muS*N - muQb*N_qb, as in Z.  Near-defective levels are not fatal:
+    defective_blocks lists the keys, in block order, of every block whose
+    shape has one.
     """
     if t <= 0:
         raise ValueError("temperature must be positive")
-    if spectra is None:
-        spectra = spectral.block_spectra(p, want_vectors=True)
-    table, coef = _vector_table(spectra, op, p.muS != 0.0)
+    table, coef, defective = _vector_table(p, op)
     mean = _biorthogonal_mean(table, coef, 1.0 / t, _eps_eff(table, p.muS, p.muQb))
     if mean is None:
         raise ZeroPartitionError(
             f"partition function vanishes at T={t:.6g}; expectation undefined"
         )
-    defective = tuple(
-        s.label.key()
-        for s in spectra
-        if s.near_defective is not None and np.any(s.near_defective)
-    )
-    return ExpectationResult(mean.real, abs(mean.imag), defective)
+    keys = tuple(b.key() for b in p.blocks() if _shape_of(b) in defective)
+    return ExpectationResult(mean.real, abs(mean.imag), keys)
 
 
 def gap_curve(p: ModelParams, t_values, operator: str = "collective") -> np.ndarray:
-    """Pairing gap Delta(T) = (G/2) sqrt(<pair correlator>) on a T grid.
+    """Pairing gap Delta(T) = (G/2) sqrt(<pair correlator>) on a grid of T > 0.
 
     The eigenbasis and operator coefficients are computed once and reused
     across temperatures; the weights are grand-canonical, as in
     thermal_expectation.  Delta is NaN where Z vanishes.
     """
-    table, coef = _vector_table(
-        spectral.block_spectra(p, want_vectors=True),
-        lambda b: gap_operator(b, operator=operator),
-        p.muS != 0.0,
-    )
-    eps_eff = _eps_eff(table, p.muS, p.muQb)
     tv = np.asarray(list(t_values), dtype=float)
+    if not np.all(tv > 0.0):
+        raise ValueError("temperatures must be positive")
+    table, coef, _ = _vector_table(p, lambda b: gap_operator(b, operator=operator))
+    eps_eff = _eps_eff(table, p.muS, p.muQb)
     out = np.empty(len(tv))
     for i, t in enumerate(tv):
         mean = _biorthogonal_mean(table, coef, 1.0 / t, eps_eff)

@@ -134,6 +134,21 @@ def test_tc_map_t_max_below_scan_exits_two(tmp_path, monkeypatch, t_max):
     assert not (tmp_path / "tc_map.tsv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["thermo", "--t-min", "0", "--t-steps", "5", "--gap"], "thermo.tsv"),
+        (["spinodal", "--t-values=-0.1"], "spinodal_loci.tsv"),
+        (["cycle", "--kind", "carnot", "--t-values=-0.1,0.5", "--x-values", "0.5"],
+         "cycle_carnot.tsv"),
+    ],
+)
+def test_non_positive_temperature_exits_two(tmp_path, tiny_cfg, argv, table):
+    rc = main(["--config", tiny_cfg, "--out", str(tmp_path), *argv])
+    assert rc == 2
+    assert not (tmp_path / table).exists()
+
+
 def test_tc_map_desk_critical_temperatures(tmp_path, monkeypatch):
     # desk size at g 1.73: only alpha 0.246 has a zero of Z below T = 2, and
     # two worker threads write the same bytes as one
@@ -261,3 +276,29 @@ def test_parallel_map_matches_serial(tmp_path, tiny_cfg):
                      "tc-map", "--alpha-min", "0.2", "--alpha-max", "0.8",
                      "--alpha-steps", "5", "--t-max", "1.0"]) == 0
     assert (out1 / "tc_map.tsv").read_bytes() == (out2 / "tc_map.tsv").read_bytes()
+
+
+def test_layer_trace_sees_every_layer(tmp_path):
+    # the benchmark's traced child process, run unchanged: its spans wrap the
+    # layers by module attribute, so a layer that stopped going through one
+    # would drop out of the trace
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudotherm.__file__)))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = tmp_path / "omega1.json"
+    cfg.write_text(json.dumps({"system.Omega": 1, "system.Omega1": 1, "system.Omega2": 1}))
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "child.py"), str(result), "1", src,
+         "--", "--config", str(cfg), "--out", str(tmp_path / "out"),
+         "thermo", "--t-min", "0.05", "--t-max", "15", "--t-steps", "12", "--gap"],
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(result.read_text())
+    assert out["rc"] == 0
+    assert out["trace_problems"] == []
+    spans = out["layer_totals"]["spans"]
+    for name in ("thermo.fold", "spectral.block_spectra", "spectral.diagonalize",
+                 "thermo.gap_curve", "thermo.potentials"):
+        assert spans.get(name, [0])[0] > 0, name

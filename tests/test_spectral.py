@@ -262,8 +262,7 @@ def test_classify_stable_under_tolerance_halving(desk_broken):
 
 def test_ground_state_single_level():
     p = ModelParams(Omega=0.5, Omega1=1, Omega2=1, g=0.0)
-    spectra = block_spectra(p)
-    gs = ground_state_info(spectra)
+    gs = ground_state_info(thermal_table(p))
     assert not gs.is_complex
     assert gs.g0 >= 1
 

@@ -102,12 +102,13 @@ def test_toy_critical_temperature_closed_form():
 
 
 def test_partition_blockwise_equals_merged(desk_broken):
-    spectra = block_spectra(desk_broken)
+    blocks = [
+        table_from_spectra([(s.label.mult, s.label.nv.N, s.eigenvalues, s.nqb)])
+        for s in block_spectra(desk_broken)
+    ]
     table = thermal_table(desk_broken)
     for beta in (0.2, 1.0, 3.0):
-        z_blocks = math.fsum(
-            partition_function([s], beta) for s in spectra
-        )
+        z_blocks = math.fsum(partition_function(b, beta) for b in blocks)
         z_merged = partition_function(table, beta)
         assert z_blocks == pytest.approx(z_merged, rel=1e-12)
 
@@ -197,11 +198,11 @@ def test_threads_missing_together_enumerate_blocks_once(monkeypatch):
 
 
 def test_vectorized_fold_equals_row_by_row_fold(desk_broken):
-    from pseudotherm.thermo import _block_rows
-
-    spectra = block_spectra(desk_broken)
-    table = table_from_spectra(_block_rows(spectra))
-    rows = [table_from_spectra([row]) for row in _block_rows(spectra)]
+    block_rows = [
+        (label.mult, label.nv.N, w, nqb) for label, w, nqb in block_eigen_data(desk_broken)
+    ]
+    table = table_from_spectra(block_rows)
+    rows = [table_from_spectra([row]) for row in block_rows]
     assert table.dim_total == sum(r.dim_total for r in rows) == 2**24
     for field in ("eps", "gam", "mult", "nS", "npair", "pair"):
         want = np.concatenate([getattr(r, field) for r in rows])
@@ -418,9 +419,7 @@ def test_biorthogonal_mean_vanishes_where_reference_does(desk_broken):
     # |Z| drops below CANCEL_FLOOR times the modulus sum
     from pseudotherm.thermo import _biorthogonal_mean, _vector_table
 
-    table, coef = _vector_table(
-        block_spectra(desk_broken, want_vectors=True), gap_operator, False
-    )
+    table, coef, _ = _vector_table(desk_broken, gap_operator)
     zeros = find_zeros(desk_broken, np.geomspace(0.02, 0.5, 200), rtol=1e-15)
     vanished = 0
     for t in [t for z in zeros for t in (z.T_zero, *z.bracket)]:
@@ -755,8 +754,7 @@ def test_identity_expectation_is_one(desk_broken):
 
 
 def test_hermitian_expectation_matches_direct(desk):
-    spectra = block_spectra(desk, want_vectors=True)
-    out = thermal_expectation(lambda b: gap_operator(b), desk, 1.1, spectra=spectra)
+    out = thermal_expectation(lambda b: gap_operator(b), desk, 1.1)
     decomp = [
         (b, *np.linalg.eigh(build_block_hamiltonian(desk, b))) for b in desk.blocks()
     ]
@@ -771,29 +769,113 @@ def test_hermitian_expectation_matches_direct(desk):
     assert out.value == pytest.approx(num / den, rel=1e-10)
 
 
-def test_expectation_raises_at_partition_zero():
-    # one conjugate pair: Z vanishes at beta*gamma = pi/2 exactly
-    from pseudotherm.blocks import BlockLabel, NvBlockLabel, QubitBlockLabel
-    from pseudotherm.spectral import BlockSpectrum
+def test_expectation_raises_at_partition_zero(desk_broken):
+    # zeros bisected to 1e-15 put T within a few ulps of a zero of Z, where
+    # the biorthogonal mean is undefined
+    from pseudotherm.thermo import _biorthogonal_mean, _vector_table
 
-    label = BlockLabel(
-        NvBlockLabel(N=1, tau=0.5, k=0, S=0.5, mult=1),
-        QubitBlockLabel(s1=0.0, s2=0.0, mult=1),
+    table, coef, _ = _vector_table(desk_broken, gap_operator)
+    zeros = find_zeros(desk_broken, np.geomspace(0.02, 0.5, 200), rtol=1e-15)
+    t_zero = next(
+        t
+        for z in zeros
+        for t in (z.T_zero, *z.bracket)
+        if _biorthogonal_mean(table, coef, 1.0 / t, table.eps) is None
     )
-    gamma = 0.5
-    spec = BlockSpectrum(
-        label=label,
-        eigenvalues=np.array([-1.0 - 1j * gamma, -1.0 + 1j * gamma]),
-        right_vectors=np.eye(2, dtype=complex),
-        left_vectors=np.eye(2, dtype=complex),
-        near_defective=np.zeros(2, dtype=bool),
-    )
-    t_zero = 2.0 * gamma / math.pi
     with pytest.raises(ZeroPartitionError):
-        thermal_expectation(lambda b: np.eye(2), ModelParams(), t_zero, spectra=[spec])
+        thermal_expectation(gap_operator, desk_broken, t_zero)
+
+
+def per_block_vector_table(p, op):
+    """Every block of block_spectra(p, want_vectors=True) as its own row set,
+    one row per eigenvalue with the block's multiplicity and N, and the
+    coefficients <L_n|O|R_n> of each block: the fold-free reference."""
+    spectra = block_spectra(p, want_vectors=True)
+    sizes = [len(s.eigenvalues) for s in spectra]
+    w = np.concatenate([s.eigenvalues for s in spectra])
+    table = SpectrumTable(
+        eps=w.real,
+        gam=w.imag,
+        mult=np.repeat([float(s.label.mult) for s in spectra], sizes),
+        nS=np.repeat([float(s.label.nv.N) for s in spectra], sizes),
+        npair=np.concatenate([s.nqb for s in spectra]),
+        pair=np.zeros(len(w), dtype=bool),
+        dim_total=sum(s.label.mult * k for s, k in zip(spectra, sizes)),
+    )
+    coef = np.concatenate([
+        np.einsum("in,ij,jn->n", s.left_vectors, op(s.label), s.right_vectors)
+        for s in spectra
+    ])
+    return table, coef
+
+
+FOLD_POINTS = {
+    "mu0": ModelParams(alpha=0.36, g=1.73),
+    "muS-muQb": ModelParams(alpha=0.36, g=1.73, muS=0.2, muQb=0.1),
+}
+
+
+@pytest.mark.parametrize("operator", ["collective", "diagonal"])
+@pytest.mark.parametrize("key", sorted(FOLD_POINTS))
+def test_vector_averages_match_per_block_reference(key, operator):
+    # gap_curve and thermal_expectation fold blocks by the fold plan; the
+    # per-block row sets summed by the per-moment reference must agree
+    # within 1e-12 relative, times 10^(digits Z loses to cancellation)
+    from pseudotherm.thermo import _eps_eff
+
+    p = FOLD_POINTS[key]
+
+    def op(b):
+        return gap_operator(b, operator=operator)
+
+    table, coef = per_block_vector_table(p, op)
+    assert table.dim_total == 2**24
+    eps_eff = _eps_eff(table, p.muS, p.muQb)
+    folded = thermal_table(p)
+
+    def reference(t):
+        want = reference_biorthogonal_mean(table, coef, 1.0 / t, eps_eff)
+        digits = 10.0 ** log_partition(folded, 1.0 / t, p.muS, p.muQb).cancellation
+        return want, 1e-12 * abs(want) * digits
+
+    t_gap = np.geomspace(0.2, 15.0, 30)
+    for t, gap in zip(t_gap, gap_curve(p, t_gap, operator=operator)):
+        want, tol = reference(t)
+        assert abs((2.0 * gap / p.G) ** 2 - want.real) <= tol
+    for t in (0.2, 0.7, 3.0):
+        out = thermal_expectation(op, p, t)
+        want, tol = reference(t)
+        assert abs(out.value - want.real) <= tol
+        assert abs(out.imag_residue - abs(want.imag)) <= tol
+
+
+@pytest.mark.parametrize("alpha, count", [(0.36, 560), (1.0, 0)])
+def test_defective_blocks_are_the_per_block_keys(monkeypatch, alpha, count):
+    # with the tolerance at 1, every level of phase rigidity below 1 counts;
+    # the keys reported through the fold plan are those of every flagged block
+    from pseudotherm import spectral
+
+    monkeypatch.setattr(spectral, "DEFECT_TOL", 1.0)
+    p = ModelParams(alpha=alpha, g=1.73)
+    want = tuple(
+        s.label.key()
+        for s in block_spectra(p, want_vectors=True)
+        if np.any(s.near_defective)
+    )
+    got = thermal_expectation(gap_operator, p, 1.0).defective_blocks
+    assert got == want
+    assert len(got) == count
 
 
 # ------------------------------------------------------------------------ gap
+
+
+@pytest.mark.parametrize("t_values", [[-0.5, 1.0], [0.0], [-1.0], [math.nan, 1.0]])
+def test_gap_refuses_non_positive_temperatures(desk_broken, t_values):
+    with pytest.raises(ValueError, match="positive"):
+        gap_curve(desk_broken, t_values)
+    with pytest.raises(ValueError, match="positive"):
+        pairing_gap(desk_broken, t_values[0])
 
 
 def test_gap_zero_for_zero_pair_coupling():
