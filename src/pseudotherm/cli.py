@@ -24,7 +24,7 @@ import numpy as np
 from . import spectral, stability, thermo
 from .cycles import efficiency_grid
 from .errors import InfeasibleRequest
-from .model import G0_REFERENCE, ModelParams, fit_rescaling, rescale
+from .model import G0_REFERENCE, ModelParams, fit_rescaling, fold_plan, rescale
 
 CONFIG_ENV_VAR = "PSEUDOTHERM_CONFIG"
 
@@ -173,10 +173,12 @@ def cmd_blocks_dump(p: ModelParams, args, config) -> None:
 
 
 def cmd_spectrum(p: ModelParams, args, config) -> None:
+    spectra = spectral.block_eigen_data(p)
+    plan = fold_plan(p)
     rows = []
-    for i, (label, w, _) in enumerate(spectral.block_eigen_data(p)):
-        for e in w:
-            rows.append((i, label.mult, e.real, e.imag))
+    for i, (b, si) in enumerate(zip(plan.blocks, plan.shape_index)):
+        for e in spectra[si][1]:
+            rows.append((i, b.mult, e.real, e.imag))
     write_table(
         os.path.join(args.out, "spectrum.tsv"),
         ["block-id", "mult", "ReE", "ImE"],

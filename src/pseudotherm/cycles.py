@@ -60,7 +60,6 @@ class CycleSpec:
     alpha1: float | None = None
     alpha2: float | None = None
     bracket: tuple = DEFAULT_BRACKET
-    direction: str = "engine"
 
     def __post_init__(self):
         if self.kind not in ("carnot", "stirling"):
@@ -73,8 +72,6 @@ class CycleSpec:
         else:
             if self.alpha1 is None or self.alpha2 is None or not self.alpha1 < self.alpha2:
                 raise ValueError("stirling needs alpha1 < alpha2")
-        if self.direction not in ("engine", "refrigerator"):
-            raise ValueError("direction must be engine or refrigerator")
         if not self.bracket[0] < self.bracket[1]:
             raise ValueError("empty alpha bracket")
 
@@ -108,7 +105,6 @@ class SolveResult:
 @dataclass(frozen=True)
 class CycleResult:
     kind: str
-    direction: str
     corners: tuple
     legs: tuple
     W_T: float
@@ -218,7 +214,7 @@ def _solve_alpha_impl(p, t, s_target, bracket, tol, coarse) -> SolveResult:
     )
 
 
-def _close_cycle(kind, direction, corners, legs, eta_classical, r_alpha):
+def _close_cycle(kind, corners, legs, eta_classical, r_alpha):
     """Assemble the cycle bookkeeping, oriented so the engine direction is
     the traversal with net work done BY the system (W_T < 0).
 
@@ -257,7 +253,6 @@ def _close_cycle(kind, direction, corners, legs, eta_classical, r_alpha):
 
     return CycleResult(
         kind=kind,
-        direction=direction,
         corners=tuple(corners),
         legs=tuple(legs),
         W_T=w_t,
@@ -314,7 +309,7 @@ def carnot_cycle(p: ModelParams, spec: CycleSpec) -> CycleResult:
 
     r_alpha = (b.alpha / c.alpha) / (a.alpha / d.alpha)
     eta_classical = 1.0 - spec.T1 / spec.T2
-    res = _close_cycle("carnot", spec.direction, (a, b, c, d), legs, eta_classical, r_alpha)
+    res = _close_cycle("carnot", (a, b, c, d), legs, eta_classical, r_alpha)
     if spec.S1 == spec.S2:
         res = CycleResult(**{**res.__dict__, "eta": 0.0, "degenerate": True})
     return res
@@ -367,7 +362,7 @@ def stirling_cycle(p: ModelParams, spec: CycleSpec) -> CycleResult:
     eta_classical = stirling_classical_efficiency(
         spec.T1, spec.T2, spec.alpha1, spec.alpha2
     )
-    res = _close_cycle("stirling", spec.direction, (a, b, c, d), legs, eta_classical, None)
+    res = _close_cycle("stirling", (a, b, c, d), legs, eta_classical, None)
     if spec.T1 == spec.T2:
         res = CycleResult(**{**res.__dict__, "eta": 0.0, "degenerate": True})
     return res

@@ -1,4 +1,4 @@
-"""Model parameters, per-block Hamiltonian assembly, and rescaling.
+"""Model parameters, the block -> shape fold plan, Hamiltonian assembly, rescaling.
 
 The Hamiltonian has three contributions: a two-level pairing register
 (level energies eps1, eps2 and pair scattering strength G), a collective
@@ -26,17 +26,18 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebra
-from .blocks import BlockLabel, enumerate_blocks
+from .blocks import BlockLabel, enumerate_blocks, serialized
 from .errors import SolverFailure
 
 __all__ = [
     "ModelParams",
     "RescaledParams",
+    "FoldPlan",
+    "fold_plan",
     "build_block_hamiltonian",
     "assemble_hamiltonian",
     "assembly_operators",
     "qubit_sz_diagonal",
-    "pair_number_diagonal",
     "gap_operator",
     "rescale",
     "rescaled_params",
@@ -112,10 +113,6 @@ class ModelParams:
     def pair_count(self) -> int:
         """Nominal pair number N_p = Omega1."""
         return self.Omega1
-
-    @property
-    def total_log2_dim(self) -> int:
-        return round(4 * self.Omega) + 2 * (self.Omega1 + self.Omega2)
 
 
 @dataclass(frozen=True)
@@ -267,6 +264,62 @@ def _shape_of(b: BlockLabel) -> tuple:
     return (round(2 * b.qb.s1), round(2 * b.qb.s2), round(2 * b.nv.S))
 
 
+class FoldPlan(NamedTuple):
+    """The block -> shape map of one system size, and the fold groups.
+
+    Shapes are numbered in order of first appearance among the blocks; the
+    first block of a shape is its representative, which labels its
+    spectrum.  A fold group is (shape index, N or None, exact summed
+    multiplicity of its blocks): by_shape holds one per shape, by_n one per
+    (shape, N), in order of first appearance, for sums whose terms depend
+    on N (muS != 0).
+    """
+
+    blocks: tuple             # every block, in enumeration order
+    shape_index: np.ndarray   # shape index of each block
+    shapes: tuple             # (2 s1, 2 s2, 2 S) of each shape
+    first: tuple              # block index of each shape's representative
+    by_shape: tuple
+    by_n: tuple
+
+    def groups(self, split_n: bool) -> tuple:
+        return self.by_n if split_n else self.by_shape
+
+
+@lru_cache(maxsize=32)
+def _build_fold_plan(omega: float, omega1: int, omega2: int) -> FoldPlan:
+    """The fold plan of one system size (see FoldPlan); the only place
+    that maps blocks to shapes.  Blocks of one shape share their spectrum."""
+    blocks = enumerate_blocks(omega, omega1, omega2)
+    index, first, by_shape, by_n = {}, {}, {}, {}
+    shape_index = np.empty(len(blocks), dtype=int)
+    for i, b in enumerate(blocks):
+        si = shape_index[i] = index.setdefault(_shape_of(b), len(index))
+        first.setdefault(si, i)
+        by_shape[si] = by_shape.get(si, 0) + b.mult
+        by_n[si, b.nv.N] = by_n.get((si, b.nv.N), 0) + b.mult
+    shape_index.setflags(write=False)
+    return FoldPlan(
+        blocks=blocks,
+        shape_index=shape_index,
+        shapes=tuple(index),
+        first=tuple(first.values()),
+        by_shape=tuple((si, None, m) for si, m in by_shape.items()),
+        by_n=tuple((si, n, m) for (si, n), m in by_n.items()),
+    )
+
+
+# the cached plan of a system size; the workers of a parallel sweep, missing
+# it together on their first points, build it once.  It calls
+# enumerate_blocks through this module, the name perfbench/spans.py wraps.
+_fold_plan = serialized(_build_fold_plan)
+
+
+def fold_plan(p: ModelParams) -> FoldPlan:
+    """The fold plan of p's system size."""
+    return _fold_plan(p.Omega, p.Omega1, p.Omega2)
+
+
 def assembly_operators(coupling_z: str) -> tuple:
     """Names of the shape operators that assemble_hamiltonian combines."""
     return (
@@ -317,11 +370,6 @@ def build_block_hamiltonian(p: ModelParams, b: BlockLabel) -> np.ndarray:
 def qubit_sz_diagonal(b: BlockLabel) -> np.ndarray:
     """Diagonal of Sz1 + Sz2 in the product basis (conserved by every term)."""
     return _shape_operators(*_shape_of(b)).ztot_diag
-
-
-def pair_number_diagonal(p: ModelParams, b: BlockLabel) -> np.ndarray:
-    """Pair-count diagonal N_qb = Sz1 + Sz2 + (Omega1 + Omega2)/2."""
-    return qubit_sz_diagonal(b) + 0.5 * (p.Omega1 + p.Omega2)
 
 
 def gap_operator(b: BlockLabel, operator: str = "collective") -> np.ndarray:

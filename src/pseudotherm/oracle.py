@@ -196,11 +196,13 @@ def block_union_spectrum(p: ModelParams) -> np.ndarray:
 
     This is the quantity fock_spectrum must reproduce as a multiset.
     """
+    from .model import fold_plan
     from .spectral import block_eigen_data
 
+    spectra = block_eigen_data(p)
     chunks = [
-        np.repeat(w - p.muS * label.nv.N - p.muQb * nqb, label.mult)
-        for label, w, nqb in block_eigen_data(p)
+        np.repeat(spectra[si][1] - p.muS * n - p.muQb * spectra[si][2], mult)
+        for si, n, mult in fold_plan(p).by_n
     ]
     w = np.concatenate(chunks)
     return w[np.lexsort((w.imag, w.real))]

@@ -26,9 +26,12 @@ batched eigenvalue call; one lexsort then orders every shape's eigenvalues.
 Each matrix of a batch is solved on its own, so the result equals a
 per-sector solve bit for bit.
 
-Blocks of one shape are folded only by thermo's fold plan, whose tables
-ground_state_info reads; block_eigen_data keeps one entry per block for the
-spectrum table, the Fock-oracle multiset and EP block keys.
+The spectral layer is per shape: block_spectra and block_eigen_data hold
+one spectrum per shape of model.fold_plan, labelled by the shape's first
+block, and the EP sweep counts and matches pairs per shape.  Blocks appear
+only at the output edge, through the plan's one block -> shape map: the
+spectrum table's rows, the Fock-oracle multiset, EP block keys and the
+defective-block keys of thermal averages.
 """
 
 from __future__ import annotations
@@ -48,24 +51,21 @@ from .errors import SolverFailure
 from .model import (
     ModelParams,
     _sector_stacks,
-    _shape_of,
     _shape_operators,
     assemble_hamiltonian,
     assembly_operators,
     build_block_hamiltonian,
+    fold_plan,
 )
 
 __all__ = [
     "BlockSpectrum",
     "EpLocation",
     "diagonalize",
-    "classify",
-    "Classification",
     "block_spectra",
     "block_eigen_data",
     "ground_state_info",
     "GroundStateInfo",
-    "max_imag_eigenvalue",
     "find_eps",
     "first_eps_about_unity",
     "EpUnityTable",
@@ -85,7 +85,7 @@ PLAN_CACHE_SIZE = 32
 
 @dataclass
 class BlockSpectrum:
-    """Eigendecomposition of one block.
+    """Eigendecomposition of one block, or of every block of one shape.
 
     eigenvalues are sorted by (Re, Im) so conjugate partners sit adjacent;
     nqb holds the exact pair-number label of each eigenvector's sector.
@@ -210,30 +210,21 @@ def _build_sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
 _sector_plan = serialized(_build_sector_plan)
 
 
-def block_spectra(
-    p: ModelParams,
-    blocks=None,
-    want_vectors: bool = False,
-) -> list[BlockSpectrum]:
-    """Diagonalize every block of the model, once per (s1, s2, S) shape.
+def block_spectra(p: ModelParams, want_vectors: bool = False) -> list[BlockSpectrum]:
+    """Diagonalize the model once per (s1, s2, S) shape of its fold plan.
 
-    The Hamiltonian reads only the shape of a block, so one representative
-    per distinct shape among `blocks` is solved and every block of that
-    shape gets the same read-only arrays.  The sectors of all shapes are
-    assembled as one stack per sector size and solved with one eigenvalue
-    call per (size, symmetric) group; each shape's eigenvalues are merged
-    across sectors and sorted by (Re, Im) in one sort.  Eigenvectors, when
-    requested, come from one diagonalize call per sector and are embedded
-    back into the full block basis.
+    The Hamiltonian reads only the shape of a block, so the result holds
+    one spectrum per shape, in the plan's shape order, labelled by the
+    shape's first block; model.fold_plan maps every block to its shape.
+    The sectors of all shapes are assembled as one stack per sector size
+    and solved with one eigenvalue call per (size, symmetric) group; each
+    shape's eigenvalues are merged across sectors and sorted by (Re, Im) in
+    one sort.  Eigenvectors, when requested, come from one diagonalize call
+    per sector and are embedded back into the full block basis.
     """
-    if blocks is None:
-        blocks = p.blocks()
-    shapes = [_shape_of(b) for b in blocks]
-    reps = {}
-    for shape, b in zip(shapes, blocks):
-        reps.setdefault(shape, b)
-    plan = _sector_plan(tuple(reps), p.coupling_z)
-    labels = list(reps.values())
+    folds = fold_plan(p)
+    plan = _sector_plan(folds.shapes, p.coupling_z)
+    labels = [folds.blocks[i] for i in folds.first]
     w = np.empty(len(plan.slot_m), dtype=complex)
     if want_vectors:  # per shape: right, left, near_defective; columns by slot
         vectors = [
@@ -265,8 +256,8 @@ def block_spectra(
     order = np.lexsort((w.imag, w.real, plan.slot_shape))
     w = w[order]
     nqb = plan.slot_m[order] + 0.5 * (p.Omega1 + p.Omega2)
-    solved = {}
-    for si, (shape, (lo, hi)) in enumerate(zip(reps, plan.bounds)):
+    out = []
+    for si, (label, (lo, hi)) in enumerate(zip(labels, plan.bounds)):
         fields = {"eigenvalues": w[lo:hi], "nqb": nqb[lo:hi]}
         if want_vectors:
             local = order[lo:hi] - lo
@@ -277,52 +268,22 @@ def block_spectra(
             )
         for a in fields.values():
             a.setflags(write=False)
-        solved[shape] = fields
-    return [BlockSpectrum(label=b, **solved[shape]) for shape, b in zip(shapes, blocks)]
+        out.append(BlockSpectrum(label=label, **fields))
+    return out
 
 
 @lru_cache(maxsize=EIGEN_CACHE_SIZE)
 def block_eigen_data(p: ModelParams) -> tuple:
-    """Cached eigenvalue-only spectra (label, eigenvalues, nqb) per block.
+    """Cached eigenvalue-only spectra (label, eigenvalues, nqb), one per
+    shape as block_spectra returns them.
 
-    The per-block view behind the spectrum table, the block union spectrum
-    and exceptional-point sweeps; blocks of one shape share read-only
-    arrays.  Sweeps that revisit the same point (bisections) hit the cache.
+    Behind the spectrum table, the block union spectrum and
+    exceptional-point sweeps; sweeps that revisit the same point
+    (bisections) hit the cache.
     """
     return tuple(
         (s.label, s.eigenvalues, s.nqb) for s in block_spectra(p, want_vectors=False)
     )
-
-
-@dataclass(frozen=True)
-class Classification:
-    real_levels: np.ndarray
-    complex_pairs: np.ndarray  # rows (eps, gamma > 0)
-
-
-def classify(spec: BlockSpectrum | np.ndarray, im_tol: float = IM_TOL) -> Classification:
-    """Split a spectrum into real levels and conjugate pairs (eps, gamma).
-
-    An eigenvalue counts as real iff |Im E| <= im_tol * max(1, |E|).  The
-    remaining values must pair up under conjugation (the matrix is real);
-    an unpairable leftover raises.
-    """
-    w = spec.eigenvalues if isinstance(spec, BlockSpectrum) else np.asarray(spec)
-    w = np.atleast_1d(w.astype(complex))
-    thresh = im_tol * np.maximum(1.0, np.abs(w))
-    real_mask = np.abs(w.imag) <= thresh
-    real_levels = np.sort(w[real_mask].real)
-
-    cplx = w[~real_mask]
-    pos = np.sort_complex(cplx[cplx.imag > 0])
-    neg = np.sort_complex(cplx[cplx.imag < 0].conj())
-    if len(pos) != len(neg):
-        raise AssertionError("conjugation symmetry violated: unpaired complex value")
-    pair_tol = np.maximum(1e-8, 1e-8 * np.abs(pos)) if len(pos) else 0.0
-    if len(pos) and np.any(np.abs(pos - neg) > pair_tol):
-        raise AssertionError("conjugation symmetry violated beyond tolerance")
-    pairs = np.column_stack([pos.real, pos.imag]) if len(pos) else np.empty((0, 2))
-    return Classification(real_levels=real_levels, complex_pairs=pairs)
 
 
 @dataclass(frozen=True)
@@ -353,17 +314,9 @@ def ground_state_info(table) -> GroundStateInfo:
     )
 
 
-def max_imag_eigenvalue(p: ModelParams) -> float:
-    """Broken-phase indicator: max |Im E| over every block eigenvalue."""
-    return max(
-        (float(np.max(np.abs(w.imag))) if len(w) else 0.0)
-        for _, w, _ in block_eigen_data(p)
-    )
-
-
 def complex_pair_counts(p: ModelParams, im_floor: float = EP_IM_FLOOR) -> tuple:
-    """Per-block conjugate-pair counts; a change in any component marks an
-    EP even when births and deaths in different blocks coincide."""
+    """Conjugate-pair count of each shape; a change in any component marks
+    an EP even when births and deaths in different shapes coincide."""
     return tuple(
         int(np.sum(w.imag > im_floor)) for _, w, _ in block_eigen_data(p)
     )
@@ -371,7 +324,12 @@ def complex_pair_counts(p: ModelParams, im_floor: float = EP_IM_FLOOR) -> tuple:
 
 @dataclass(frozen=True)
 class EpLocation:
-    """One exceptional point refined to the requested bracketing precision."""
+    """One exceptional point refined to the requested bracketing precision.
+
+    block_key and level_indices[0] name the first block of the pair's shape
+    and its index among the blocks; level_indices[1] is the pair's index in
+    the shape's spectrum.
+    """
 
     param: str
     value: float
@@ -388,39 +346,42 @@ def _with_param(p: ModelParams, param: str, x: float) -> ModelParams:
     return p.with_(**{param: float(x)})
 
 
-def _newborn_pair(p: ModelParams, im_floor: float):
-    """Smallest-gamma complex pair at a broken-phase point."""
-    best = None
-    for i, (label, w, _) in enumerate(block_eigen_data(p)):
-        mask = w.imag > im_floor
-        if not np.any(mask):
-            continue
-        j = int(np.argmin(w.imag[mask]))
-        cand = w[mask][j]
-        if best is None or cand.imag < best[2]:
-            idx = np.nonzero(mask)[0][j]
-            best = (label, float(cand.real), float(cand.imag), i, int(idx))
-    return best
+def _pairs(p: ModelParams, im_floor: float):
+    """Every eigenvalue with Im E > im_floor, with its shape and its index
+    in the shape's spectrum, shapes in plan order."""
+    spectra = [w for _, w, _ in block_eigen_data(p)]
+    sizes = [len(w) for w in spectra]
+    w = np.concatenate(spectra)
+    at = np.flatnonzero(w.imag > im_floor)
+    shape = np.repeat(np.arange(len(sizes)), sizes)[at]
+    return w[at], shape, at - (np.cumsum(sizes) - sizes)[shape]
+
+
+def _near(points: np.ndarray, others: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the points with some q of others at |point - q| < radius;
+    a binary search on sorted real parts finds the q worth comparing."""
+    q = others[np.argsort(others.real, kind="stable")]
+    start = np.searchsorted(q.real, points.real - 2 * radius, side="left")
+    count = np.searchsorted(q.real, points.real + 2 * radius, side="right") - start
+    owner = np.repeat(np.arange(len(points)), count)
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count - start, count)
+    near = np.zeros(len(points), dtype=bool)
+    near[owner[np.abs(points[owner] - q[k]) < radius]] = True
+    return near
 
 
 def _newborn_at(p_hi_count, p_lo_count, im_floor):
-    """Pair present on the higher-count side with the smallest gamma and no
-    close counterpart on the lower-count side."""
-    lo_pairs = []
-    for _, w, _ in block_eigen_data(p_lo_count):
-        lo_pairs.extend(w[w.imag > im_floor])
-    best = None
-    for i, (label, w, _) in enumerate(block_eigen_data(p_hi_count)):
-        mask = w.imag > im_floor
-        for idx in np.nonzero(mask)[0]:
-            cand = w[idx]
-            if any(abs(cand - q) < 10 * im_floor for q in lo_pairs):
-                continue
-            if best is None or cand.imag < best[2]:
-                best = (label, float(cand.real), float(cand.imag), i, int(idx))
-    if best is None:
-        return _newborn_pair(p_hi_count, im_floor)
-    return best
+    """(shape index, eigenvalue, index in the shape's spectrum) of the
+    smallest-gamma pair of the higher-count side with no counterpart within
+    10 im_floor on the lower-count side, or failing that of its
+    smallest-gamma pair; None where that side has no pair."""
+    pairs, shape, level = _pairs(p_hi_count, im_floor)
+    if not len(pairs):
+        return None
+    fresh = ~_near(pairs, _pairs(p_lo_count, im_floor)[0], 10 * im_floor)
+    pool = np.flatnonzero(fresh) if fresh.any() else np.arange(len(pairs))
+    j = pool[np.argmin(pairs.imag[pool])]
+    return shape[j], pairs[j], int(level[j])
 
 
 def find_eps(
@@ -446,8 +407,14 @@ def find_eps(
     if steps < 2:
         raise ValueError("coarse_steps must be at least 2")
 
+    plan = fold_plan(p)
+    blocks = np.bincount(plan.shape_index)
+
+    def counts_at(x):
+        return complex_pair_counts(_with_param(p, param, x), im_floor)
+
     grid = np.linspace(lo, hi, steps)
-    counts = [complex_pair_counts(_with_param(p, param, x), im_floor) for x in grid]
+    counts = [counts_at(x) for x in grid]
 
     eps_found = []
     for a, b, ca, cb in zip(grid[:-1], grid[1:], counts[:-1], counts[1:]):
@@ -456,31 +423,32 @@ def find_eps(
         x_lo, x_hi, c_lo = a, b, ca
         while x_hi - x_lo > precision:
             mid = 0.5 * (x_lo + x_hi)
-            if complex_pair_counts(_with_param(p, param, mid), im_floor) == c_lo:
+            if counts_at(mid) == c_lo:
                 x_lo = mid
             else:
                 x_hi = mid
-        born = sum(complex_pair_counts(_with_param(p, param, x_hi), im_floor)) >= sum(
-            complex_pair_counts(_with_param(p, param, x_lo), im_floor)
-        )
+        # born if the pairs over all blocks did not fall: each shape's
+        # count weighted by its number of blocks
+        born = np.dot(blocks, counts_at(x_hi)) >= np.dot(blocks, counts_at(x_lo))
         if born:
             p_hi, p_lo = _with_param(p, param, x_hi), _with_param(p, param, x_lo)
         else:
             p_hi, p_lo = _with_param(p, param, x_lo), _with_param(p, param, x_hi)
-        pair = _newborn_at(p_hi, p_lo, im_floor)
-        if pair is None:
+        newborn = _newborn_at(p_hi, p_lo, im_floor)
+        if newborn is None:
             warnings.warn(f"EP near {param}={x_lo:.6g} has no resolvable pair")
             continue
-        label, re_c, gam, bi, idx = pair
+        si, pair, level = newborn
+        first = plan.first[si]
         eps_found.append(
             EpLocation(
                 param=param,
                 value=0.5 * (x_lo + x_hi),
                 bracket=(x_lo, x_hi),
-                re_coalesce=re_c,
-                gamma=gam,
-                block_key=label.key(),
-                level_indices=(bi, idx),
+                re_coalesce=float(pair.real),
+                gamma=float(pair.imag),
+                block_key=plan.blocks[first].key(),
+                level_indices=(first, level),
             )
         )
     eps_found.sort(key=lambda e: e.value)

@@ -158,6 +158,19 @@ def _find_features(alphas, f):
     return minima, inflections
 
 
+def _features(alphas, f, valid):
+    """Sorted minima and inflections over the valid runs of at least five
+    points of one isotherm."""
+    minima, inflections = [], []
+    for lo, hi in _valid_runs(valid):
+        if hi - lo < 5:
+            continue
+        m, infl = _find_features(alphas[lo:hi], f[lo:hi])
+        minima.extend(m)
+        inflections.extend(infl)
+    return sorted(minima), sorted(inflections)
+
+
 def spinodal_analysis(iso: Isotherm, check_stability: bool = True) -> SpinodalResult:
     """Classify one isotherm into binodal / metastable / spinodal intervals.
 
@@ -168,15 +181,7 @@ def spinodal_analysis(iso: Isotherm, check_stability: bool = True) -> SpinodalRe
     if int(np.sum(iso.valid)) < 5:
         raise ValueError("need at least 5 valid grid points")
 
-    minima, inflections = [], []
-    for lo, hi in _valid_runs(iso.valid):
-        if hi - lo < 5:
-            continue
-        m, infl = _find_features(iso.alphas[lo:hi], iso.F[lo:hi])
-        minima.extend(m)
-        inflections.extend(infl)
-    minima.sort()
-    inflections.sort()
+    minima, inflections = _features(iso.alphas, iso.F, iso.valid)
 
     binodal, metastable, spinodal, indeterminate, p_eq = [], [], [], [], []
     invalid_alphas = iso.alphas[~iso.valid]
@@ -197,18 +202,7 @@ def spinodal_analysis(iso: Isotherm, check_stability: bool = True) -> SpinodalRe
 
     stable = True
     if check_stability and len(iso.alphas) >= 9:
-        half = Isotherm(
-            T=iso.T,
-            alphas=iso.alphas[::2],
-            F=iso.F[::2],
-            valid=iso.valid[::2],
-        )
-        half_minima = []
-        for lo, hi in _valid_runs(half.valid):
-            if hi - lo < 5:
-                continue
-            m, _ = _find_features(half.alphas[lo:hi], half.F[lo:hi])
-            half_minima.extend(m)
+        half_minima, _ = _features(iso.alphas[::2], iso.F[::2], iso.valid[::2])
         stable = len(half_minima) == len(minima)
 
     return SpinodalResult(

@@ -1,9 +1,10 @@
 """Exact grand partition function over blocks and everything derived from it.
 
-Every sum over blocks follows one fold plan (_fold_plan): one solved block
-per (s1, s2, S) shape, and one row set per shape, or per (shape, N) when
-muS != 0, with the exact summed multiplicity of its blocks.  Both the
-spectrum table and the vector table of thermal averages are laid out by it.
+Every sum over blocks follows model.fold_plan, the one block -> shape map:
+the per-shape spectra of spectral.block_spectra, one row set per shape, or
+per (shape, N) when muS != 0, with the exact summed multiplicity of its
+blocks.  Both the spectrum table and the vector table of thermal averages
+are laid out by it; blocks appear only in the keys of defective_blocks.
 
 Conjugate eigenvalue pairs eps +- i*gamma are folded into real Boltzmann
 terms 2*exp(-beta*eps)*cos(beta*gamma), so Z is real by construction but
@@ -16,9 +17,11 @@ w = exp(lw - m), w*cos(beta*gamma) and w*sin(beta*gamma) once.  Z e^{-m}
 is the exactly rounded sum (math.fsum) of w*cos, and each moment, the
 numerator of U, <E Etilde>, <N> or a biorthogonal mean, is one more exact
 sum of a coefficient column against w*cos and w*sin, so a ratio of two
-moments needs no exponential.  The shift survives beta up to 1e3/GHz, and
-the exact sums resolve the cancellations that produce zeros; the sum of
-|terms| is kept to detect where they do.
+moments needs no exponential.  potentials measures the energies of its
+moments from the ground row, so S and C_V keep their digits far below the
+gap.  The shift survives beta up to 1e3/GHz, and the exact sums resolve
+the cancellations that produce zeros; the sum of |terms| is kept to detect
+where they do.
 
 Zeros of Z(T) are bracketed by z_signs_on_grid, a float64 sign scan over a
 whole temperature grid, and bisected with the exact sums.  The scan first
@@ -43,10 +46,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import model, spectral
-from .blocks import serialized
+from . import spectral
 from .errors import ZeroPartitionError
-from .model import ModelParams, _shape_of, gap_operator
+from .model import ModelParams, fold_plan, gap_operator
 
 __all__ = [
     "SpectrumTable",
@@ -136,29 +138,6 @@ def table_from_spectra(rows) -> SpectrumTable:
     )
 
 
-@lru_cache(maxsize=32)
-def _build_fold_plan(omega: float, omega1: int, omega2: int, split_n: bool) -> tuple:
-    """One representative block per (s1, s2, S) shape, and the fold groups.
-
-    Blocks of one shape share their spectrum, so they fold into one group
-    (one per (shape, N) with split_n).  Groups are (representative index,
-    N or None, exact summed multiplicity), in block order.
-    """
-    reps, groups = {}, {}
-    for b in model.enumerate_blocks(omega, omega1, omega2):
-        shape = _shape_of(b)
-        reps.setdefault(shape, b)
-        key = (shape, b.nv.N if split_n else None)
-        groups[key] = groups.get(key, 0) + b.mult
-    index = {shape: i for i, shape in enumerate(reps)}
-    return tuple(reps.values()), tuple(
-        (index[shape], n, m) for (shape, n), m in groups.items()
-    )
-
-
-_fold_plan = serialized(_build_fold_plan)
-
-
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def thermal_table(p: ModelParams) -> SpectrumTable:
     """Cached spectrum table for a parameter point.
@@ -167,10 +146,10 @@ def thermal_table(p: ModelParams) -> SpectrumTable:
     fold plan: one row set per shape, or per (shape, N) when p.muS != 0.
     A table folded over N has NaN nS and refuses muS != 0.
     """
-    reps, groups = _fold_plan(p.Omega, p.Omega1, p.Omega2, p.muS != 0.0)
-    spectra = spectral.block_spectra(p, blocks=reps)
+    spectra = spectral.block_spectra(p)
     return table_from_spectra(
-        (m, n, spectra[i].eigenvalues, spectra[i].nqb) for i, n, m in groups
+        (m, n, spectra[i].eigenvalues, spectra[i].nqb)
+        for i, n, m in fold_plan(p).groups(p.muS != 0.0)
     )
 
 
@@ -235,6 +214,7 @@ class _Moments(NamedTuple):
     """
 
     shift: float
+    top: int        # the row whose log-weight is the shift
     z: float
     abs_sum: float
     w_sum: float
@@ -256,7 +236,8 @@ def _moments(
     nothing to cancellation, so abs_sum and w_sum take a plain float64 sum.
     """
     lw = np.log(np.where(table.pair, 2.0 * table.mult, table.mult)) - beta * eps_eff
-    shift = float(np.max(lw))
+    top = int(np.argmax(lw))
+    shift = float(lw[top])
     w = np.exp(lw - shift)
     x = beta * table.gam
     wc = w * np.cos(x)
@@ -265,7 +246,7 @@ def _moments(
     if columns:
         ws = w * np.sin(x)
         sums = tuple(math.fsum((re * wc + im * ws).tolist()) for re, im in columns)
-    return _Moments(shift, z, float(np.sum(np.abs(wc))), float(np.sum(w)), sums)
+    return _Moments(shift, top, z, float(np.sum(np.abs(wc))), float(np.sum(w)), sums)
 
 
 def _signed_log(x: float, shift: float, abs_sum: float = 0.0) -> SignedLog:
@@ -572,7 +553,9 @@ def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> 
 
     U is the analytic weighted sum; F = -T ln Z (plus chemical-potential
     terms); S = (U - F)/T; C_V from the analytic covariance form
-    beta^2 (<E Etilde> - <E><Etilde>), which equals dU/dT.  Where Z <= 0
+    beta^2 (<E Etilde> - <E><Etilde>), which equals dU/dT.  Energies in the
+    means are measured from the ground row (lowest Etilde), so the ground
+    energy's digits cannot swamp S and C_V far below the gap.  Where Z <= 0
     the potentials are continued through ln|Z| and flagged z_nonpositive;
     where |Z| sinks below the floor (or is pure cancellation noise) the
     point is flagged invalid and carries NaN potentials.
@@ -587,13 +570,16 @@ def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> 
     # coincide at mu = 0.  A chemical-potential mean is taken only at a
     # nonzero potential: a table folded over N has no N labels.
     mu = p.muS != 0.0 or p.muQb != 0.0
-    e_re = table.eps if mu else eps_eff
+    ground = int(np.argmin(eps_eff))
+    e0 = float(eps_eff[ground])
+    de_eff = eps_eff - e0
+    de = table.eps - table.eps[ground] if mu else de_eff
     columns = {
-        "u": (eps_eff, table.gam),
-        "ee": (e_re * eps_eff - table.gam * table.gam, table.gam * (e_re + eps_eff)),
+        "u": (de_eff, table.gam),
+        "ee": (de * de_eff - table.gam * table.gam, table.gam * (de + de_eff)),
     }
     if mu:
-        columns["e"] = (e_re, table.gam)
+        columns["e"] = (de, table.gam)
     if p.muS != 0.0:
         columns["n_s"] = (table.nS, 0.0)
     if p.muQb != 0.0:
@@ -619,14 +605,18 @@ def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> 
         )
 
     mean = dict(zip(columns, (s / mom.z for s in mom.sums)))
-    u_eff = mean["u"]
+    du = mean["u"]
     mu_term = p.muS * mean.get("n_s", 0.0) + p.muQb * mean.get("n_qb", 0.0)
 
-    u = u_eff + mu_term
+    u = e0 + du + mu_term
     f = -t * m0.log_abs + mu_term
-    s = (u - f) / t
-    # covariance form <E Etilde> - <E><Etilde>
-    cv = beta * beta * (mean["ee"] - mean.get("e", u_eff) * u_eff)
+    # (U - F)/T = beta <Etilde> + ln|Z|; the weights' shift, measured from
+    # the ground row, is the top row's log-weight with its energy so measured
+    k = mom.top
+    lead = math.log(table.mult[k] * (2.0 if table.pair[k] else 1.0)) - beta * float(de_eff[k])
+    s = beta * du + lead + math.log(abs(mom.z))
+    # covariance form <E Etilde> - <E><Etilde>, shift-invariant
+    cv = beta * beta * (mean["ee"] - mean.get("e", du) * du)
 
     return ThermoPoint(
         T=t,
@@ -680,18 +670,17 @@ class ExpectationResult(NamedTuple):
     defective_blocks: tuple
 
 
-def _vector_table(p: ModelParams, op) -> tuple[SpectrumTable, np.ndarray, set]:
+def _vector_table(p: ModelParams, op) -> tuple[SpectrumTable, np.ndarray, np.ndarray]:
     """Per-eigenvalue table of the vector spectra of p, the coefficients
-    <L_n|O|R_n>, and the shapes with a near-defective level.
+    <L_n|O|R_n>, and a mask of the shapes with a near-defective level.
 
     Laid out by the fold plan, as thermal_table is, so op, which maps a
     BlockLabel to its operator matrix, must depend on the block shape alone.
     Every eigenvalue has its own row (pair False, signed gam) and carries
     its pair-number label; nS is the group's N when p.muS != 0, NaN otherwise.
     """
-    reps, groups = _fold_plan(p.Omega, p.Omega1, p.Omega2, p.muS != 0.0)
-    spectra = spectral.block_spectra(p, blocks=reps, want_vectors=True)
-    index, ns, mults = zip(*groups)
+    spectra = spectral.block_spectra(p, want_vectors=True)
+    index, ns, mults = zip(*fold_plan(p).groups(p.muS != 0.0))
     rows = [spectra[i] for i in index]
     sizes = [len(s.eigenvalues) for s in rows]
     w = np.concatenate([s.eigenvalues for s in rows])
@@ -709,7 +698,7 @@ def _vector_table(p: ModelParams, op) -> tuple[SpectrumTable, np.ndarray, set]:
         for s in spectra
     ]
     coef = np.concatenate([coefs[i] for i in index])
-    defective = {_shape_of(s.label) for s in spectra if np.any(s.near_defective)}
+    defective = np.array([np.any(s.near_defective) for s in spectra])
     return table, coef, defective
 
 
@@ -744,7 +733,8 @@ def thermal_expectation(op, p: ModelParams, t: float) -> ExpectationResult:
         raise ZeroPartitionError(
             f"partition function vanishes at T={t:.6g}; expectation undefined"
         )
-    keys = tuple(b.key() for b in p.blocks() if _shape_of(b) in defective)
+    plan = fold_plan(p)
+    keys = tuple(plan.blocks[i].key() for i in np.flatnonzero(defective[plan.shape_index]))
     return ExpectationResult(mean.real, abs(mean.imag), keys)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pseudotherm import ModelParams
+from pseudotherm import ModelParams, model
 from pseudotherm.algebra import embed3, identity, spin_operators
 from pseudotherm.blocks import enumerate_nv_labels, enumerate_qubit_labels
 
@@ -67,3 +67,40 @@ def kron_shape_operators(two_s1: int, two_s2: int, two_S: int, coupling_z: str) 
         f"couple_minus_{coupling_z}": s_z @ m_nv,
         "ztot_diag": np.diag(z1 + z2).copy(),
     }
+
+
+def per_block_spectra(p, want_vectors: bool = False) -> list:
+    """(block, spectrum) for every block of p, in block order.
+
+    block_spectra holds one spectrum per (s1, s2, S) shape; each block gets
+    the one whose label has its own quasispins and ensemble spin.
+    """
+    from pseudotherm.spectral import block_spectra
+
+    def spins(b):
+        return (b.qb.s1, b.qb.s2, b.nv.S)
+
+    by_spins = {spins(s.label): s for s in block_spectra(p, want_vectors=want_vectors)}
+    return [(b, by_spins[spins(b)]) for b in p.blocks()]
+
+
+def sector_indices(p, b):
+    """(pair-number label, basis indices) of each pair-projection sector."""
+    keys = np.round(2 * model.qubit_sz_diagonal(b)).astype(int)
+    shift = 0.5 * (p.Omega1 + p.Omega2)
+    return [(key / 2.0 + shift, np.nonzero(keys == key)[0]) for key in np.unique(keys)]
+
+
+def per_sector_eigenvalues(p, b):
+    """Eigenvalues of block b, one solve per sector, sorted by (Re, Im),
+    with their pair-number labels."""
+    h = model.build_block_hamiltonian(p, b)
+    vals, nqbs = [], []
+    for n_qb, idx in sector_indices(p, b):
+        sub = h[np.ix_(idx, idx)]
+        solve = np.linalg.eigvalsh if np.array_equal(sub, sub.T) else np.linalg.eigvals
+        vals.append(solve(sub).astype(complex))
+        nqbs.append(np.full(len(idx), n_qb))
+    w = np.concatenate(vals)
+    order = np.lexsort((w.imag, w.real))
+    return w[order], np.concatenate(nqbs)[order]

@@ -302,3 +302,56 @@ def test_layer_trace_sees_every_layer(tmp_path):
     for name in ("thermo.fold", "spectral.block_spectra", "spectral.diagonalize",
                  "thermo.gap_curve", "thermo.potentials"):
         assert spans.get(name, [0])[0] > 0, name
+
+
+# -------------------------------------------------------------- pinned tables
+# Tables written by an earlier version of the program, kept in tests/data;
+# a rerun must reproduce them byte for byte.
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+OMEGA1_POINT = {
+    "system.Omega": 1,
+    "system.Omega1": 1,
+    "system.Omega2": 1,
+    "model.alpha": 0.5,
+    "model.g": 1.2,
+    "model.muQb": 0.3,
+}
+EPS_ARGS = ["--g", "1.73", "eps", "--lo", "0.39", "--hi", "0.5", "--steps", "24"]
+PINNED = {
+    "eps.tsv": (None, EPS_ARGS),
+    "spectrum.tsv": (OMEGA1_POINT, ["spectrum"]),
+    "oracle_check.tsv": (OMEGA1_POINT, ["oracle-check"]),
+}
+
+
+def write_ep_levels(path) -> None:
+    """The block key and level indices of each EP of the pinned eps sweep."""
+    from pseudotherm.spectral import find_eps
+
+    p = params_from_mapping({"model.g": 1.73})
+    eps = find_eps(p, {"param": "alpha", "lo": 0.39, "hi": 0.5, "coarse_steps": 24})
+    write_table(
+        path,
+        ["value", "block_key", "level_indices"],
+        [(e.value, e.block_key, e.level_indices) for e in eps],
+        {"model.g": p.g},
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_tables_are_byte_identical(tmp_path, name):
+    config, argv = PINNED[name]
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), *argv]
+    assert main(["--out", str(tmp_path), *argv]) == 0
+    with open(os.path.join(DATA, name), "rb") as fh:
+        assert (tmp_path / name).read_bytes() == fh.read()
+
+
+def test_pinned_ep_levels_are_byte_identical(tmp_path):
+    write_ep_levels(str(tmp_path / "eps_levels.tsv"))
+    with open(os.path.join(DATA, "eps_levels.tsv"), "rb") as fh:
+        assert (tmp_path / "eps_levels.tsv").read_bytes() == fh.read()

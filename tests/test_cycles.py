@@ -76,12 +76,7 @@ def test_carnot_degenerate_zero_area(p):
 
 
 def test_carnot_refrigerator_cop(p):
-    res = carnot_cycle(
-        p,
-        CycleSpec(
-            kind="carnot", T1=0.5, T2=1.0, S1=4.0, S2=8.0, direction="refrigerator"
-        ),
-    )
+    res = carnot_cycle(p, CycleSpec(kind="carnot", T1=0.5, T2=1.0, S1=4.0, S2=8.0))
     # reversible cycle: cop matches T1/(T2-T1) built from its own heats
     assert res.cop == pytest.approx(0.5 / 0.5, rel=1e-4)
 

@@ -5,20 +5,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import per_block_spectra, per_sector_eigenvalues, sector_indices
 from pseudotherm import ModelParams
-from pseudotherm.model import _shape_of, build_block_hamiltonian, qubit_sz_diagonal
+from pseudotherm.model import _shape_of, build_block_hamiltonian
 from pseudotherm.spectral import (
     block_eigen_data,
     block_spectra,
-    classify,
     complex_pair_counts,
     diagonalize,
     find_eps,
     first_eps_about_unity,
     ground_state_info,
-    max_imag_eigenvalue,
 )
-from pseudotherm.thermo import thermal_table
+from pseudotherm.thermo import table_from_spectra, thermal_table
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +66,10 @@ def test_conjugation_closure_per_block(desk_broken):
 
 
 def test_biorthogonal_completeness(desk_broken):
-    blocks = desk_broken.blocks()
-    big = max(blocks, key=lambda b: b.dim)
-    spec = [
-        s
-        for s in block_spectra(desk_broken, blocks=[big], want_vectors=True)
-    ][0]
+    big = max(desk_broken.blocks(), key=lambda b: b.dim)
+    spec = next(
+        s for b, s in per_block_spectra(desk_broken, want_vectors=True) if b == big
+    )
     dim = big.dim
     ident = np.zeros((dim, dim), dtype=complex)
     for n in range(len(spec.eigenvalues)):
@@ -94,37 +91,13 @@ def test_left_right_offdiagonal_orthogonality(desk_broken):
 
 
 def test_eigendata_matches_full_matrix_eig(tiny):
-    for label, w, _ in block_eigen_data(tiny):
-        h = build_block_hamiltonian(tiny, label)
-        w_full = np.linalg.eigvals(h)
+    # every block's own matrix against the spectrum of its shape
+    for b, s in per_block_spectra(tiny):
+        w = s.eigenvalues
+        w_full = np.linalg.eigvals(build_block_hamiltonian(tiny, b))
         assert np.max(
             np.abs(np.sort_complex(w) - np.sort_complex(w_full))
         ) < 1e-8
-
-
-def test_blocks_of_one_shape_share_read_only_spectra(desk_broken):
-    spectra = block_spectra(desk_broken)
-    by_shape = {}
-    for s in spectra:
-        by_shape.setdefault(_shape_of(s.label), []).append(s)
-    assert len(spectra) == 855 and len(by_shape) == 81
-    for group in by_shape.values():
-        first = group[0]
-        assert not first.eigenvalues.flags.writeable and not first.nqb.flags.writeable
-        for s in group[1:]:
-            assert s.eigenvalues is first.eigenvalues and s.nqb is first.nqb
-    # the shared spectrum equals a solve of any one block of the shape
-    for group in list(by_shape.values())[::9]:
-        (alone,) = block_spectra(desk_broken, blocks=[group[-1].label])
-        assert np.array_equal(alone.eigenvalues, group[0].eigenvalues)
-        assert np.array_equal(alone.nqb, group[0].nqb)
-
-
-def _sector_indices(p, b):
-    """(pair-number label, basis indices) of each pair-projection sector."""
-    keys = np.round(2 * qubit_sz_diagonal(b)).astype(int)
-    shift = 0.5 * (p.Omega1 + p.Omega2)
-    return [(key / 2.0 + shift, np.nonzero(keys == key)[0]) for key in np.unique(keys)]
 
 
 def _one_block_per_shape(p):
@@ -134,35 +107,44 @@ def _one_block_per_shape(p):
     return list(reps.values())
 
 
+def test_blocks_of_one_shape_share_read_only_spectra(desk_broken):
+    # one read-only spectrum per (s1, s2, S) shape, labelled by its first block
+    spectra = block_spectra(desk_broken)
+    assert len(desk_broken.blocks()) == 855 and len(spectra) == 81
+    assert [s.label for s in spectra] == _one_block_per_shape(desk_broken)
+    for s in spectra:
+        assert not s.eigenvalues.flags.writeable and not s.nqb.flags.writeable
+    # the shared spectrum equals a per-sector solve of any block of the shape
+    last = {_shape_of(b): b for b in desk_broken.blocks()}
+    for s in spectra[::9]:
+        w, nqb = per_sector_eigenvalues(desk_broken, last[_shape_of(s.label)])
+        assert np.array_equal(s.eigenvalues, w)
+        assert np.array_equal(s.nqb, nqb)
+
+
 @pytest.mark.parametrize("coupling_z", ["difference", "total"])
 @pytest.mark.parametrize("alpha, g", [(0.36, 1.73), (1.0, 1.73), (0.36, 0.0)])
 def test_stacked_solve_equals_per_sector_solves(coupling_z, alpha, g):
     # alpha = 1 and g = 0 make every sector symmetric (eigvalsh branch)
     p = ModelParams(alpha=alpha, g=g, coupling_z=coupling_z)
     reps = _one_block_per_shape(p)
-    stacked = block_spectra(p, blocks=reps)
+    stacked = block_spectra(p)
+    assert [s.label for s in stacked] == reps
     for b, s in zip(reps, stacked):
-        h = build_block_hamiltonian(p, b)
-        vals, nqbs = [], []
-        for n_qb, idx in _sector_indices(p, b):
-            sub = h[np.ix_(idx, idx)]
-            solve = np.linalg.eigvalsh if np.array_equal(sub, sub.T) else np.linalg.eigvals
-            vals.append(solve(sub).astype(complex))
-            nqbs.append(np.full(len(idx), n_qb))
-        w = np.concatenate(vals)
-        order = np.lexsort((w.imag, w.real))
-        assert np.array_equal(s.eigenvalues, w[order])
-        assert np.array_equal(s.nqb, np.concatenate(nqbs)[order])
+        w, nqb = per_sector_eigenvalues(p, b)
+        assert np.array_equal(s.eigenvalues, w)
+        assert np.array_equal(s.nqb, nqb)
     has_pairs = any(np.any(s.eigenvalues.imag != 0) for s in stacked)
     assert has_pairs == (alpha != 1.0 and g != 0.0)
 
 
 def test_stacked_vectors_equal_per_sector_diagonalize(desk_broken):
     reps = _one_block_per_shape(desk_broken)[::10]
-    for b, s in zip(reps, block_spectra(desk_broken, blocks=reps, want_vectors=True)):
+    for b, s in zip(reps, block_spectra(desk_broken, want_vectors=True)[::10]):
+        assert s.label == b
         h = build_block_hamiltonian(desk_broken, b)
         vals, rights, lefts, flags = [], [], [], []
-        for _, idx in _sector_indices(desk_broken, b):
+        for _, idx in sector_indices(desk_broken, b):
             dec = diagonalize(h[np.ix_(idx, idx)])
             right = np.zeros((b.dim, len(idx)), dtype=complex)
             left = np.zeros_like(right)
@@ -235,29 +217,42 @@ def test_threads_missing_together_build_one_plan():
             assert np.array_equal(s.eigenvalues, alone.eigenvalues)
 
 
+# The split of a spectrum into real levels and conjugate pairs (eps, gamma)
+# is the one table_from_spectra makes.
+
+
+def _split(w):
+    table = table_from_spectra([(1, None, np.asarray(w, dtype=complex), None)])
+    return table.eps[~table.pair], np.column_stack([table.eps, table.gam])[table.pair]
+
+
 def test_classify_all_real():
-    cls = classify(np.array([1.0 + 0j, 2.0, 3.0]))
-    assert len(cls.complex_pairs) == 0
-    assert np.allclose(cls.real_levels, [1.0, 2.0, 3.0])
+    real, pairs = _split([1.0 + 0j, 2.0, 3.0])
+    assert len(pairs) == 0
+    assert np.allclose(real, [1.0, 2.0, 3.0])
 
 
 def test_classify_single_pair():
-    cls = classify(np.array([1.0 + 0j, 2.0 + 0.3j, 2.0 - 0.3j]))
-    assert np.allclose(cls.real_levels, [1.0])
-    assert cls.complex_pairs.shape == (1, 2)
-    assert cls.complex_pairs[0] == pytest.approx((2.0, 0.3))
+    real, pairs = _split([1.0 + 0j, 2.0 + 0.3j, 2.0 - 0.3j])
+    assert np.allclose(real, [1.0])
+    assert pairs.shape == (1, 2)
+    assert pairs[0] == pytest.approx((2.0, 0.3))
 
 
 def test_classify_unpaired_raises():
     with pytest.raises(AssertionError):
-        classify(np.array([1.0 + 0.5j, 2.0]))
+        _split([1.0 + 0.5j, 2.0])
 
 
-def test_classify_stable_under_tolerance_halving(desk_broken):
-    for _, w, _ in block_eigen_data(desk_broken)[:50]:
-        a = classify(w, im_tol=1e-9)
-        b = classify(w, im_tol=5e-10)
-        assert len(a.complex_pairs) == len(b.complex_pairs)
+def test_classify_stable_under_tolerance_halving(desk_broken, monkeypatch):
+    from pseudotherm import spectral
+
+    spectra = [w for _, w, _ in block_eigen_data(desk_broken)[:50]]
+    counts = []
+    for im_tol in (1e-9, 5e-10):
+        monkeypatch.setattr(spectral, "IM_TOL", im_tol)
+        counts.append([len(_split(w)[1]) for w in spectra])
+    assert counts[0] == counts[1]
 
 
 def test_ground_state_single_level():
@@ -282,7 +277,7 @@ def test_ground_state_complex_at_strong_coupling(desk_broken):
 
 def test_hermitian_point_never_breaks():
     p = ModelParams(alpha=1.0, g=1.73)
-    assert max_imag_eigenvalue(p) == 0.0
+    assert all(np.all(w.imag == 0.0) for _, w, _ in block_eigen_data(p))
 
 
 def test_find_eps_none_in_decoupled_window():
@@ -317,6 +312,35 @@ def test_find_eps_finds_low_energy_ep():
         p, {"param": "alpha", "lo": 0.39, "hi": 0.5, "coarse_steps": 60}
     )
     assert min(e.re_coalesce for e in eps) < -10.0
+
+
+def test_find_eps_weighs_shape_counts_by_blocks(monkeypatch):
+    # a pair dies in the shape with the most blocks where another is born in
+    # the shape with the fewest: over all blocks the pairs fell, so the EP is
+    # the death, located in the shape that held the pair
+    from pseudotherm import spectral
+    from pseudotherm.model import fold_plan
+
+    p = ModelParams(g=1.73)
+    plan = fold_plan(p)
+    blocks = np.bincount(plan.shape_index)
+    many, few = int(np.argmax(blocks)), int(np.argmin(blocks))
+    assert blocks[many] > blocks[few]
+
+    def fake_eigen_data(q):
+        w = [np.zeros(1, dtype=complex) for _ in blocks]
+        if q.alpha < 0.5:
+            w[many] = np.array([1.0 - 0.5j, 1.0 + 0.5j])
+        else:
+            w[few] = np.array([2.0 - 0.5j, 2.0 + 0.5j])
+        return tuple((plan.blocks[i], x, None) for i, x in zip(plan.first, w))
+
+    monkeypatch.setattr(spectral, "block_eigen_data", fake_eigen_data)
+    (ep,) = find_eps(p, {"param": "alpha", "lo": 0.4, "hi": 0.6, "coarse_steps": 3})
+    assert ep.bracket[0] < 0.5 <= ep.bracket[1]
+    assert ep.block_key == plan.blocks[plan.first[many]].key()
+    assert ep.level_indices == (plan.first[many], 1)
+    assert (ep.re_coalesce, ep.gamma) == (1.0, 0.5)
 
 
 def test_find_eps_validates_sweep():

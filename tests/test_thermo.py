@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import per_block_spectra, per_sector_eigenvalues
 from pseudotherm import ModelParams
 from pseudotherm.algebra import spin_operators
 from pseudotherm.blocks import enumerate_nv_labels, enumerate_qubit_labels
 from pseudotherm.errors import ZeroPartitionError
-from pseudotherm.model import build_block_hamiltonian, gap_operator
-from pseudotherm.spectral import block_eigen_data, block_spectra
+from pseudotherm.model import build_block_hamiltonian, fold_plan, gap_operator
 from pseudotherm.thermo import (
     SignedLog,
     SpectrumTable,
@@ -103,8 +103,8 @@ def test_toy_critical_temperature_closed_form():
 
 def test_partition_blockwise_equals_merged(desk_broken):
     blocks = [
-        table_from_spectra([(s.label.mult, s.label.nv.N, s.eigenvalues, s.nqb)])
-        for s in block_spectra(desk_broken)
+        table_from_spectra([(b.mult, b.nv.N, s.eigenvalues, s.nqb)])
+        for b, s in per_block_spectra(desk_broken)
     ]
     table = thermal_table(desk_broken)
     for beta in (0.2, 1.0, 3.0):
@@ -120,7 +120,7 @@ def test_shape_fold_matches_per_block_fold(alpha):
     p = ModelParams(alpha=alpha, g=1.73)
     table = thermal_table(p)
     per_block = table_from_spectra(
-        (label.mult, label.nv.N, w, nqb) for label, w, nqb in block_eigen_data(p)
+        (b.mult, b.nv.N, s.eigenvalues, s.nqb) for b, s in per_block_spectra(p)
     )
     assert table.dim_total == per_block.dim_total == 2**24
     assert len(table) < len(per_block)
@@ -138,15 +138,13 @@ def test_shape_fold_matches_per_block_fold(alpha):
 
 @pytest.mark.parametrize("muS", [0.0, 0.2])
 def test_thermal_table_equals_fold_of_blocks_solved_alone(muS):
-    # thermal_table solves all shapes in one stacked pass; solving each
-    # representative block alone stacks it with nothing else
-    from pseudotherm.thermo import _fold_plan
-
+    # thermal_table solves all shapes in one stacked pass; the reference
+    # solves each sector of each representative block on its own
     p = ModelParams(alpha=0.36, g=1.73, muS=muS)
-    reps, groups = _fold_plan(p.Omega, p.Omega1, p.Omega2, muS != 0.0)
-    alone = [block_spectra(p, blocks=[b])[0] for b in reps]
+    plan = fold_plan(p)
+    alone = [per_sector_eigenvalues(p, plan.blocks[i]) for i in plan.first]
     want = table_from_spectra(
-        (m, n, alone[i].eigenvalues, alone[i].nqb) for i, n, m in groups
+        (m, n, *alone[i]) for i, n, m in plan.groups(muS != 0.0)
     )
     got = thermal_table(p)
     assert got.dim_total == want.dim_total == 2**24
@@ -171,7 +169,7 @@ def test_threads_missing_together_enumerate_blocks_once(monkeypatch):
     monkeypatch.setattr(model, "enumerate_blocks", counted)
     points = [ModelParams(alpha=0.3 + 0.02 * i, g=1.73) for i in range(4)]
     blocks._enumerate_blocks.cache_clear()
-    thermo._build_fold_plan.cache_clear()
+    model._build_fold_plan.cache_clear()
     results = [None] * len(points)
 
     def solve(i):
@@ -191,7 +189,7 @@ def test_threads_missing_together_enumerate_blocks_once(monkeypatch):
     # one lookup per thread, one more for the one fold plan
     assert calls == [(4.0, 2, 2)] * (len(points) + 1)
     assert blocks._enumerate_blocks.cache_info().misses == 1
-    assert thermo._build_fold_plan.cache_info().misses == 1
+    assert model._build_fold_plan.cache_info().misses == 1
     for p, (labels, table) in zip(points, results):
         assert labels is results[0][0]
         assert np.array_equal(table.eps, thermal_table(p).eps)
@@ -199,7 +197,7 @@ def test_threads_missing_together_enumerate_blocks_once(monkeypatch):
 
 def test_vectorized_fold_equals_row_by_row_fold(desk_broken):
     block_rows = [
-        (label.mult, label.nv.N, w, nqb) for label, w, nqb in block_eigen_data(desk_broken)
+        (b.mult, b.nv.N, s.eigenvalues, s.nqb) for b, s in per_block_spectra(desk_broken)
     ]
     table = table_from_spectra(block_rows)
     rows = [table_from_spectra([row]) for row in block_rows]
@@ -787,24 +785,24 @@ def test_expectation_raises_at_partition_zero(desk_broken):
 
 
 def per_block_vector_table(p, op):
-    """Every block of block_spectra(p, want_vectors=True) as its own row set,
-    one row per eigenvalue with the block's multiplicity and N, and the
+    """Every block, with the vector spectrum of its shape, as its own row
+    set: one row per eigenvalue with the block's multiplicity and N, and the
     coefficients <L_n|O|R_n> of each block: the fold-free reference."""
-    spectra = block_spectra(p, want_vectors=True)
+    blocks, spectra = zip(*per_block_spectra(p, want_vectors=True))
     sizes = [len(s.eigenvalues) for s in spectra]
     w = np.concatenate([s.eigenvalues for s in spectra])
     table = SpectrumTable(
         eps=w.real,
         gam=w.imag,
-        mult=np.repeat([float(s.label.mult) for s in spectra], sizes),
-        nS=np.repeat([float(s.label.nv.N) for s in spectra], sizes),
+        mult=np.repeat([float(b.mult) for b in blocks], sizes),
+        nS=np.repeat([float(b.nv.N) for b in blocks], sizes),
         npair=np.concatenate([s.nqb for s in spectra]),
         pair=np.zeros(len(w), dtype=bool),
-        dim_total=sum(s.label.mult * k for s, k in zip(spectra, sizes)),
+        dim_total=sum(b.mult * k for b, k in zip(blocks, sizes)),
     )
     coef = np.concatenate([
-        np.einsum("in,ij,jn->n", s.left_vectors, op(s.label), s.right_vectors)
-        for s in spectra
+        np.einsum("in,ij,jn->n", s.left_vectors, op(b), s.right_vectors)
+        for b, s in zip(blocks, spectra)
     ])
     return table, coef
 
@@ -858,8 +856,8 @@ def test_defective_blocks_are_the_per_block_keys(monkeypatch, alpha, count):
     monkeypatch.setattr(spectral, "DEFECT_TOL", 1.0)
     p = ModelParams(alpha=alpha, g=1.73)
     want = tuple(
-        s.label.key()
-        for s in block_spectra(p, want_vectors=True)
+        b.key()
+        for b, s in per_block_spectra(p, want_vectors=True)
         if np.any(s.near_defective)
     )
     got = thermal_expectation(gap_operator, p, 1.0).defective_blocks
@@ -930,3 +928,34 @@ def test_gap_collapse_at_low_temperature():
         values.append(pairing_gap(p, 0.05))
     spread = (max(values) - min(values)) / min(values)
     assert spread < 0.05
+
+
+@pytest.mark.parametrize("mu_qb", [0.0, 0.3])
+def test_entropy_and_heat_capacity_far_below_the_gap(mu_qb):
+    # at T = 0.05, S ~ 4e-15 and C_V ~ 1e-13 sit far below the rounding of
+    # the ground energy (~ -15 GHz, beta*E0 ~ -300); the reference sums the
+    # same table with 60 digits
+    mp = pytest.importorskip("mpmath")
+    p = ModelParams(alpha=0.8, g=1.73, muQb=mu_qb)
+    t = 0.05
+    table = thermal_table(p)
+    with mp.workdps(60):
+        beta = 1 / mp.mpf(t)
+        z = u = e = ee = mp.mpf(0)
+        for eps, gam, mult, npair, pair in zip(
+            table.eps, table.gam, table.mult, table.npair, table.pair
+        ):
+            eps, gam = mp.mpf(eps), mp.mpf(gam)
+            eps_eff = eps - mp.mpf(mu_qb) * mp.mpf(npair)
+            amp = mp.mpf(mult) * (2 if pair else 1) * mp.exp(-beta * eps_eff)
+            c, s = mp.cos(beta * gam), mp.sin(beta * gam)
+            z += amp * c
+            u += amp * (eps_eff * c + gam * s)
+            e += amp * (eps * c + gam * s)
+            ee += amp * ((eps * eps_eff - gam * gam) * c + gam * (eps + eps_eff) * s)
+        s_ref = float(mp.log(abs(z)) + beta * u / z)
+        cv_ref = float(beta**2 * (ee / z - (e / z) * (u / z)))
+    pt = potentials(p, t, table=table)
+    assert pt.valid and 1e-15 < s_ref < 1e-14 and 1e-14 < cv_ref < 1e-12
+    assert abs(pt.S - s_ref) <= 1e-15
+    assert abs(pt.Cv - cv_ref) <= 1e-15
