@@ -372,19 +372,10 @@ def qubit_sz_diagonal(b: BlockLabel) -> np.ndarray:
     return _shape_operators(*_shape_of(b)).ztot_diag
 
 
-def gap_operator(b: BlockLabel, operator: str = "collective") -> np.ndarray:
-    """Blockwise pair-correlation operator entering the gap estimate.
-
-    "collective": S+ S- with S+- summed over the two levels (default; the
-    BCS-like reading).  "diagonal": the pair-number form
-    Sz1 + Sz2 + (s1 + s2), i.e. pairs counted from the quasispin floor of
-    the block.
-    """
-    if operator == "collective":
-        return _block_operators(("pair_scatter",), _shape_of(b))[0]
-    if operator == "diagonal":
-        return np.diag(qubit_sz_diagonal(b) + (b.qb.s1 + b.qb.s2))
-    raise ValueError(f"unknown gap operator {operator!r} (use collective|diagonal)")
+def gap_operator(b: BlockLabel) -> np.ndarray:
+    """Blockwise pair-correlation operator entering the gap estimate:
+    S+ S- with S+- summed over the two levels (the BCS-like reading)."""
+    return _block_operators(("pair_scatter",), _shape_of(b))[0]
 
 
 def pair_coupling_factor(np_pairs: int) -> float:
@@ -478,7 +469,6 @@ def fit_rescaling(
     g0: float = G0_REFERENCE,
     target: float | None = None,
     t_low: float = 0.02,
-    gap_kind: str = "collective",
 ) -> RescaleFit:
     """Fit the pair-register size factor f(Np) = a / (2 Np + b).
 
@@ -502,7 +492,7 @@ def fit_rescaling(
         p = ModelParams(
             G=g_pair, g=0.0, alpha=1.0, Omega=0.5, Omega1=n_pairs, Omega2=n_pairs
         )
-        return pairing_gap(p, t_low, operator=gap_kind)
+        return pairing_gap(p, t_low)
 
     if target is None:
         target = gap_at(g0 * pair_coupling_factor(np_values[0]), np_values[0])

@@ -21,10 +21,13 @@ straight from the small register and ensemble factors of model: one gather
 from each at the sectors' basis indices and one product, so no full-block
 operator is ever built.  A parameter point assembles every stack with
 model.assemble_hamiltonian, the linear combination build_block_hamiltonian
-uses on the whole block, and solves each (size, symmetric) group with one
-batched eigenvalue call; one lexsort then orders every shape's eigenvalues.
-Each matrix of a batch is solved on its own, so the result equals a
-per-sector solve bit for bit.
+uses on the whole block.  block_spectra solves each (size, symmetric) group
+with one batched eigenvalue call and one lexsort orders every shape's
+eigenvalues; vector_spectra, behind thermal averages, makes one batched
+diagonalize call per size and contracts each level's <L_n|O|R_n> within
+its sector, so no eigenvector is ever laid out in a block basis.  Each
+matrix of a batch is solved on its own, so the result equals a per-sector
+solve bit for bit.
 
 The spectral layer is per shape: block_spectra and block_eigen_data hold
 one spectrum per shape of model.fold_plan, labelled by the shape's first
@@ -61,8 +64,10 @@ from .model import (
 __all__ = [
     "BlockSpectrum",
     "EpLocation",
+    "VectorSpectrum",
     "diagonalize",
     "block_spectra",
+    "vector_spectra",
     "block_eigen_data",
     "ground_state_info",
     "GroundStateInfo",
@@ -85,66 +90,45 @@ PLAN_CACHE_SIZE = 32
 
 @dataclass
 class BlockSpectrum:
-    """Eigendecomposition of one block, or of every block of one shape.
+    """Eigenvalues of every block of one shape, labelled by its first block.
 
     eigenvalues are sorted by (Re, Im) so conjugate partners sit adjacent;
-    nqb holds the exact pair-number label of each eigenvector's sector.
-    Left and right vectors are biorthonormal columns, left.T @ right = I.
-    Vector fields are None when only eigenvalues were requested.
+    nqb holds the exact pair-number label of each eigenvalue's sector.
     """
 
     label: BlockLabel
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray | None = None
-    left_vectors: np.ndarray | None = None
-    nqb: np.ndarray | None = None
-    near_defective: np.ndarray | None = None
+    nqb: np.ndarray
 
 
-def _sorted_order(w: np.ndarray) -> np.ndarray:
-    return np.lexsort((w.imag, w.real))
+def diagonalize(h: np.ndarray) -> tuple:
+    """Eigenvalues w (k, n), biorthonormal left and right columns (k, n, n)
+    and near-defective flags (k, n) of each matrix of a real (k, n, n) stack.
 
-
-def diagonalize(h: np.ndarray, label: BlockLabel | None = None) -> BlockSpectrum:
-    """Full eigendecomposition of a real square matrix.
-
-    Exactly symmetric input takes the symmetric solver (real spectrum,
-    orthonormal vectors, left = right).  Otherwise the left vectors are the
-    rows of inv(R), biorthonormal to the unit right vectors; a level whose
-    phase rigidity 1/|L_n| falls below DEFECT_TOL is flagged near-defective.
+    The exactly symmetric matrices take one symmetric solve (real spectrum,
+    orthonormal vectors, left = right, never near-defective).  The others
+    take one eig and one inv: the left vectors are the rows of inv(R), so
+    left[i].T @ right[i] = I with unit right vectors, and a level whose
+    phase rigidity 1/|L_n| falls below DEFECT_TOL is flagged.  Each matrix
+    is solved on its own, in the eigensolver's order; nothing is sorted.
     """
     h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("matrix must be square")
-
-    if np.array_equal(h, h.T):
-        w, v = np.linalg.eigh(h)
-        order = np.argsort(w)
-        w = w[order].astype(complex)
-        v = v[:, order].astype(complex)
-        return BlockSpectrum(
-            label=label,
-            eigenvalues=w,
-            right_vectors=v,
-            left_vectors=v.copy(),
-            near_defective=np.zeros(len(w), dtype=bool),
-        )
-
-    try:
-        w, vr = np.linalg.eig(h)
-        left = np.linalg.inv(vr).T
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"eigensolver failed for block {label!r}") from exc
-
-    order = _sorted_order(w)
-    w, vr, left = w[order], vr[:, order], left[:, order]
-    return BlockSpectrum(
-        label=label,
-        eigenvalues=w,
-        right_vectors=vr,
-        left_vectors=left,
-        near_defective=1.0 / np.linalg.norm(left, axis=0) < DEFECT_TOL,
-    )
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise ValueError("expected a (k, n, n) stack of square matrices")
+    sym = (h == h.transpose(0, 2, 1)).all(axis=(1, 2))
+    w = np.empty(h.shape[:2], dtype=complex)
+    right, inv = np.empty(h.shape, dtype=complex), np.empty(h.shape, dtype=complex)
+    if sym.any():
+        w[sym], right[sym] = np.linalg.eigh(h[sym])
+        inv[sym] = right[sym].transpose(0, 2, 1)
+    if not sym.all():
+        try:
+            w[~sym], right[~sym] = np.linalg.eig(h[~sym])
+            inv[~sym] = np.linalg.inv(right[~sym])
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure("eigensolver failed on a sector stack") from exc
+    flags = ~sym[:, None] & (1.0 / np.linalg.norm(inv, axis=2) < DEFECT_TOL)
+    return w, inv.transpose(0, 2, 1), right, flags
 
 
 class _SizeGroup(NamedTuple):
@@ -166,7 +150,6 @@ class _SectorPlan(NamedTuple):
     slot_shape: np.ndarray  # shape index of each slot
     slot_m: np.ndarray   # pair projection of each slot
     bounds: tuple        # (first, last + 1) slot of each shape
-    dims: tuple          # block dimension of each shape
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -176,7 +159,7 @@ def _build_sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
     the spin factors (model._sector_stacks)."""
     names = assembly_operators(coupling_z)
     by_size: dict = {}
-    slot_shape, slot_m, bounds, dims = [], [], [], []
+    slot_shape, slot_m, bounds = [], [], []
     for si, shape in enumerate(shapes):
         basis = _shape_operators(*shape)
         first = len(slot_m)
@@ -186,7 +169,6 @@ def _build_sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
             slot_shape.extend([si] * len(idx))
             slot_m.extend([key / 2.0] * len(idx))
         bounds.append((first, len(slot_m)))
-        dims.append(len(basis.reg))
     sectors = [tuple(sector for sector, _ in members) for members in by_size.values()]
     groups = []
     for group, every, members in zip(
@@ -201,7 +183,6 @@ def _build_sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
         slot_shape=np.array(slot_shape),
         slot_m=np.array(slot_m),
         bounds=tuple(bounds),
-        dims=tuple(dims),
     )
 
 
@@ -210,8 +191,8 @@ def _build_sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
 _sector_plan = serialized(_build_sector_plan)
 
 
-def block_spectra(p: ModelParams, want_vectors: bool = False) -> list[BlockSpectrum]:
-    """Diagonalize the model once per (s1, s2, S) shape of its fold plan.
+def block_spectra(p: ModelParams) -> list[BlockSpectrum]:
+    """Eigenvalues of the model once per (s1, s2, S) shape of its fold plan.
 
     The Hamiltonian reads only the shape of a block, so the result holds
     one spectrum per shape, in the plan's shape order, labelled by the
@@ -219,34 +200,13 @@ def block_spectra(p: ModelParams, want_vectors: bool = False) -> list[BlockSpect
     The sectors of all shapes are assembled as one stack per sector size
     and solved with one eigenvalue call per (size, symmetric) group; each
     shape's eigenvalues are merged across sectors and sorted by (Re, Im) in
-    one sort.  Eigenvectors, when requested, come from one diagonalize call
-    per sector and are embedded back into the full block basis.
+    one sort.
     """
     folds = fold_plan(p)
     plan = _sector_plan(folds.shapes, p.coupling_z)
-    labels = [folds.blocks[i] for i in folds.first]
     w = np.empty(len(plan.slot_m), dtype=complex)
-    if want_vectors:  # per shape: right, left, near_defective; columns by slot
-        vectors = [
-            (
-                np.zeros((dim, hi - lo), dtype=complex),
-                np.zeros((dim, hi - lo), dtype=complex),
-                np.zeros(hi - lo, dtype=bool),
-            )
-            for (lo, hi), dim in zip(plan.bounds, plan.dims)
-        ]
     for group in plan.groups:
         h = assemble_hamiltonian(p, group.ops)
-        if want_vectors:
-            for slots, (si, idx), hk in zip(group.slots, group.sectors, h):
-                dec = diagonalize(hk, label=labels[si])
-                w[slots] = dec.eigenvalues
-                cols = slots - plan.bounds[si][0]
-                right, left, flags = vectors[si]
-                right[idx[:, None], cols] = dec.right_vectors
-                left[idx[:, None], cols] = dec.left_vectors
-                flags[cols] = dec.near_defective
-            continue
         sym = (h == h.transpose(0, 2, 1)).all(axis=(1, 2))
         if sym.any():
             w[group.slots[sym]] = np.linalg.eigvalsh(h[sym])
@@ -256,20 +216,55 @@ def block_spectra(p: ModelParams, want_vectors: bool = False) -> list[BlockSpect
     order = np.lexsort((w.imag, w.real, plan.slot_shape))
     w = w[order]
     nqb = plan.slot_m[order] + 0.5 * (p.Omega1 + p.Omega2)
-    out = []
-    for si, (label, (lo, hi)) in enumerate(zip(labels, plan.bounds)):
-        fields = {"eigenvalues": w[lo:hi], "nqb": nqb[lo:hi]}
-        if want_vectors:
-            local = order[lo:hi] - lo
-            for a in vectors[si]:
-                a[...] = a[..., local]  # in place: one shape's copy at a time
-            fields["right_vectors"], fields["left_vectors"], fields["near_defective"] = (
-                vectors[si]
-            )
-        for a in fields.values():
-            a.setflags(write=False)
-        out.append(BlockSpectrum(label=label, **fields))
-    return out
+    for a in (w, nqb):
+        a.setflags(write=False)
+    return [
+        BlockSpectrum(folds.blocks[first], w[lo:hi], nqb[lo:hi])
+        for first, (lo, hi) in zip(folds.first, plan.bounds)
+    ]
+
+
+class VectorSpectrum(NamedTuple):
+    """The levels of one shape with the biorthogonal coefficients of an
+    operator: eigenvalues, their pair-number labels nqb, coef[n] =
+    <L_n|O|R_n>, and the near-defective flag of each level."""
+
+    eigenvalues: np.ndarray
+    nqb: np.ndarray
+    coef: np.ndarray
+    near_defective: np.ndarray
+
+
+def vector_spectra(p: ModelParams, op) -> list[VectorSpectrum]:
+    """Levels and coefficients <L_n|O|R_n> of op, once per shape of the
+    fold plan, in the plan's shape order.
+
+    op maps a BlockLabel to its operator matrix on the whole block and is
+    called once per shape, on the shape's first block, so it must depend
+    on the shape alone.  Each sector-size group of the sector plan is
+    assembled and decomposed with one diagonalize call.  Every eigenvector
+    lies in one pair-projection sector (H conserves the projection), so
+    <L_n|O|R_n> reads only the sector's rows and columns of O: the
+    contraction against op(b)[np.ix_(idx, idx)] is exact for any op, also
+    one that mixes sectors.  Within a shape, levels run sector by sector in
+    increasing pair projection, each sector in the eigensolver's order.
+    """
+    folds = fold_plan(p)
+    plan = _sector_plan(folds.shapes, p.coupling_z)
+    ops = [op(folds.blocks[first]) for first in folds.first]
+    w = np.empty(len(plan.slot_m), dtype=complex)
+    coef = np.empty(len(plan.slot_m), dtype=complex)
+    flags = np.empty(len(plan.slot_m), dtype=bool)
+    for group in plan.groups:
+        vals, left, right, bad = diagonalize(assemble_hamiltonian(p, group.ops))
+        o = np.stack([ops[si][np.ix_(idx, idx)] for si, idx in group.sectors])
+        w[group.slots], flags[group.slots] = vals, bad
+        coef[group.slots] = np.einsum("kin,kij,kjn->kn", left, o, right)
+    nqb = plan.slot_m + 0.5 * (p.Omega1 + p.Omega2)
+    return [
+        VectorSpectrum(w[lo:hi], nqb[lo:hi], coef[lo:hi], flags[lo:hi])
+        for lo, hi in plan.bounds
+    ]
 
 
 @lru_cache(maxsize=EIGEN_CACHE_SIZE)
@@ -281,9 +276,7 @@ def block_eigen_data(p: ModelParams) -> tuple:
     exceptional-point sweeps; sweeps that revisit the same point
     (bisections) hit the cache.
     """
-    return tuple(
-        (s.label, s.eigenvalues, s.nqb) for s in block_spectra(p, want_vectors=False)
-    )
+    return tuple((s.label, s.eigenvalues, s.nqb) for s in block_spectra(p))
 
 
 @dataclass(frozen=True)

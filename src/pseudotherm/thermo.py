@@ -18,9 +18,10 @@ is the exactly rounded sum (math.fsum) of w*cos, and each moment, the
 numerator of U, <E Etilde>, <N> or a biorthogonal mean, is one more exact
 sum of a coefficient column against w*cos and w*sin, so a ratio of two
 moments needs no exponential.  potentials measures the energies of its
-moments from the ground row, so S and C_V keep their digits far below the
-gap.  The shift survives beta up to 1e3/GHz, and the exact sums resolve
-the cancellations that produce zeros; the sum of |terms| is kept to detect
+moments from the ground row and takes ln Z near 1 as log1p of the exact
+sum Z - 1, so S and C_V keep their relative digits far below the gap.  The
+shift survives beta up to 1e3/GHz, and the exact sums resolve the
+cancellations that produce zeros; the sum of |terms| is kept to detect
 where they do.
 
 Zeros of Z(T) are bracketed by z_signs_on_grid, a float64 sign scan over a
@@ -33,7 +34,9 @@ zero, is the one the full scan gives.
 
 Thermal averages use the biorthogonal resolution sum_n |R_n><L_n| with
 <L_m|R_n> = delta_mn: <O> = (1/Z) sum_n mult_n e^{-beta E_n} <L_n|O|R_n> goes
-through the same kernel as Z, one row per eigenvalue with signed gamma.
+through the same kernel as Z, one row per eigenvalue with signed gamma.  The
+coefficients come from spectral.vector_spectra, one stacked solve per sector
+size, each contracted within its pair-projection sector.
 """
 
 from __future__ import annotations
@@ -215,6 +218,7 @@ class _Moments(NamedTuple):
 
     shift: float
     top: int        # the row whose log-weight is the shift
+    terms: list     # the terms w cos of Z, as floats
     z: float
     abs_sum: float
     w_sum: float
@@ -241,12 +245,13 @@ def _moments(
     w = np.exp(lw - shift)
     x = beta * table.gam
     wc = w * np.cos(x)
-    z = math.fsum(wc.tolist())
+    terms = wc.tolist()
+    z = math.fsum(terms)
     sums = ()
     if columns:
         ws = w * np.sin(x)
         sums = tuple(math.fsum((re * wc + im * ws).tolist()) for re, im in columns)
-    return _Moments(shift, top, z, float(np.sum(np.abs(wc))), float(np.sum(w)), sums)
+    return _Moments(shift, top, terms, z, float(np.sum(np.abs(wc))), float(np.sum(w)), sums)
 
 
 def _signed_log(x: float, shift: float, abs_sum: float = 0.0) -> SignedLog:
@@ -614,7 +619,13 @@ def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> 
     # the ground row, is the top row's log-weight with its energy so measured
     k = mom.top
     lead = math.log(table.mult[k] * (2.0 if table.pair[k] else 1.0)) - beta * float(de_eff[k])
-    s = beta * du + lead + math.log(abs(mom.z))
+    # far below the gap Z = 1 + x with x exponentially small, and log(Z)
+    # would round x away; log1p of the exactly rounded Z - 1 keeps it.  Away
+    # from 1, log(Z) is already exact to an ulp and Z - 1 may round Z away
+    ln_z = math.log(abs(mom.z))
+    if 0.5 < mom.z < 2.0:
+        ln_z = math.log1p(math.fsum(mom.terms + [-1.0]))
+    s = beta * du + lead + ln_z
     # covariance form <E Etilde> - <E><Etilde>, shift-invariant
     cv = beta * beta * (mean["ee"] - mean.get("e", du) * du)
 
@@ -679,7 +690,7 @@ def _vector_table(p: ModelParams, op) -> tuple[SpectrumTable, np.ndarray, np.nda
     Every eigenvalue has its own row (pair False, signed gam) and carries
     its pair-number label; nS is the group's N when p.muS != 0, NaN otherwise.
     """
-    spectra = spectral.block_spectra(p, want_vectors=True)
+    spectra = spectral.vector_spectra(p, op)
     index, ns, mults = zip(*fold_plan(p).groups(p.muS != 0.0))
     rows = [spectra[i] for i in index]
     sizes = [len(s.eigenvalues) for s in rows]
@@ -693,12 +704,8 @@ def _vector_table(p: ModelParams, op) -> tuple[SpectrumTable, np.ndarray, np.nda
         pair=np.zeros(len(w), dtype=bool),
         dim_total=sum(m * k for m, k in zip(mults, sizes)),
     )
-    coefs = [
-        np.einsum("in,ij,jn->n", s.left_vectors, op(s.label), s.right_vectors)
-        for s in spectra
-    ]
-    coef = np.concatenate([coefs[i] for i in index])
-    defective = np.array([np.any(s.near_defective) for s in spectra])
+    coef = np.concatenate([s.coef for s in rows])
+    defective = np.array([s.near_defective.any() for s in spectra])
     return table, coef, defective
 
 
@@ -738,33 +745,38 @@ def thermal_expectation(op, p: ModelParams, t: float) -> ExpectationResult:
     return ExpectationResult(mean.real, abs(mean.imag), keys)
 
 
-def gap_curve(p: ModelParams, t_values, operator: str = "collective") -> np.ndarray:
+def gap_curve(p: ModelParams, t_values) -> np.ndarray:
     """Pairing gap Delta(T) = (G/2) sqrt(<pair correlator>) on a grid of T > 0.
 
-    The eigenbasis and operator coefficients are computed once and reused
-    across temperatures; the weights are grand-canonical, as in
-    thermal_expectation.  Delta is NaN where Z vanishes.
+    The correlator is the thermal mean of gap_operator, from coefficients
+    computed once for all temperatures; the weights are grand-canonical, as
+    in thermal_expectation.  Delta is NaN where Z vanishes and where the
+    correlator is negative beyond 1e-8 (a biorthogonal mean need not be
+    positive in the broken phase); one warning per curve counts the latter.
     """
     tv = np.asarray(list(t_values), dtype=float)
     if not np.all(tv > 0.0):
         raise ValueError("temperatures must be positive")
-    table, coef, _ = _vector_table(p, lambda b: gap_operator(b, operator=operator))
+    table, coef, _ = _vector_table(p, gap_operator)
     eps_eff = _eps_eff(table, p.muS, p.muQb)
-    out = np.empty(len(tv))
+    out = np.full(len(tv), math.nan)
+    negative = []
     for i, t in enumerate(tv):
         mean = _biorthogonal_mean(table, coef, 1.0 / t, eps_eff)
         if mean is None:
-            out[i] = math.nan
             continue
         if mean.real < -1e-8:
-            raise ArithmeticError(
-                f"pair correlator {mean.real:.3e} is negative beyond tolerance "
-                f"at T={t:.6g}"
-            )
+            negative.append(t)
+            continue
         out[i] = 0.5 * p.G * math.sqrt(max(0.0, mean.real))
+    if negative:
+        warnings.warn(
+            f"pair correlator negative beyond 1e-8 at {len(negative)} of {len(tv)} "
+            f"temperatures, first at T={negative[0]:.6g}; Delta is NaN there"
+        )
     return out
 
 
-def pairing_gap(p: ModelParams, t: float, operator: str = "collective") -> float:
+def pairing_gap(p: ModelParams, t: float) -> float:
     """Gap estimate at a single temperature (see gap_curve)."""
-    return float(gap_curve(p, [t], operator=operator)[0])
+    return float(gap_curve(p, [t])[0])

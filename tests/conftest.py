@@ -69,7 +69,7 @@ def kron_shape_operators(two_s1: int, two_s2: int, two_S: int, coupling_z: str) 
     }
 
 
-def per_block_spectra(p, want_vectors: bool = False) -> list:
+def per_block_spectra(p) -> list:
     """(block, spectrum) for every block of p, in block order.
 
     block_spectra holds one spectrum per (s1, s2, S) shape; each block gets
@@ -80,7 +80,7 @@ def per_block_spectra(p, want_vectors: bool = False) -> list:
     def spins(b):
         return (b.qb.s1, b.qb.s2, b.nv.S)
 
-    by_spins = {spins(s.label): s for s in block_spectra(p, want_vectors=want_vectors)}
+    by_spins = {spins(s.label): s for s in block_spectra(p)}
     return [(b, by_spins[spins(b)]) for b in p.blocks()]
 
 
@@ -104,3 +104,56 @@ def per_sector_eigenvalues(p, b):
     w = np.concatenate(vals)
     order = np.lexsort((w.imag, w.real))
     return w[order], np.concatenate(nqbs)[order]
+
+
+def per_sector_eigensystems(p, b) -> list:
+    """(pair-number label, basis indices, eigenvalues, left, right,
+    near-defective flags) of each pair-projection sector of block b.
+
+    Independent reference for the stacked vector solve: one np.linalg.eig
+    and one inv per sector of build_block_hamiltonian, the left vectors
+    being the rows of inv(R), flagged where 1/|L_n| < spectral.DEFECT_TOL;
+    an exactly symmetric sector takes eigh and is never near-defective.
+    """
+    from pseudotherm import spectral
+
+    h = model.build_block_hamiltonian(p, b)
+    out = []
+    for n_qb, idx in sector_indices(p, b):
+        sub = h[np.ix_(idx, idx)]
+        if np.array_equal(sub, sub.T):
+            w, right = np.linalg.eigh(sub)
+            left, flags = right, np.zeros(len(w), dtype=bool)
+        else:
+            w, right = np.linalg.eig(sub)
+            left = np.linalg.inv(right).T
+            flags = 1.0 / np.linalg.norm(left, axis=0) < spectral.DEFECT_TOL
+        out.append((n_qb, idx, w.astype(complex), left, right, flags))
+    return out
+
+
+def per_sector_vector_spectrum(p, b, op) -> tuple:
+    """(eigenvalues, pair-number labels, <L_n|O|R_n>, near-defective flags)
+    of block b, sector by sector in increasing pair projection.
+
+    The vectors of per_sector_eigensystems are embedded in the whole block
+    and contracted there against the whole block operator op(b).
+    """
+    o = op(b)
+    vals, nqbs, coefs, flags = [], [], [], []
+    for n_qb, idx, w, left, right, bad in per_sector_eigensystems(p, b):
+        embedded_left = np.zeros((b.dim, len(idx)), dtype=complex)
+        embedded_right = np.zeros_like(embedded_left)
+        embedded_left[idx], embedded_right[idx] = left, right
+        coefs.append(np.einsum("in,ij,jn->n", embedded_left, o, embedded_right))
+        vals.append(w)
+        nqbs.append(np.full(len(idx), n_qb))
+        flags.append(bad)
+    return tuple(np.concatenate(a) for a in (vals, nqbs, coefs, flags))
+
+
+def dense_operator(b) -> np.ndarray:
+    """A real operator on the whole block that couples every pair of basis
+    states, across pair-projection sectors too, and depends on the shape."""
+    i = np.arange(b.dim)
+    return np.cos(np.add.outer(i, 2 * i) + 0.1 * b.dim)

@@ -100,6 +100,24 @@ def test_thermo_columns_and_validity(tmp_path, tiny_cfg):
     assert all(float(r[8]) >= 0.0 for r in rows)
 
 
+def test_gap_table_survives_negative_correlators(tmp_path):
+    # a negative pair correlator leaves Delta NaN at its temperature; the
+    # run finishes, and every other column is that of a run without --gap
+    argv = ["--alpha", "0.24", "--g", "1.73", "thermo",
+            "--t-min", "0.05", "--t-max", "0.3", "--t-steps", "200"]
+    assert main(["--out", str(tmp_path / "plain"), *argv]) == 0
+    with pytest.warns(UserWarning, match="at 7 of 200"):
+        assert main(["--out", str(tmp_path / "gap"), *argv, "--gap"]) == 0
+    _, cols, plain = read_table(str(tmp_path / "plain" / "thermo.tsv"))
+    _, _, gap = read_table(str(tmp_path / "gap" / "thermo.tsv"))
+    assert len(gap) == 200
+    delta = cols.index("Delta")
+    assert sum(r[delta] == "nan" for r in gap) == 7
+    assert all(float(r[delta]) > 0.0 for r in gap if r[delta] != "nan")
+    for with_gap, without in zip(gap, plain):
+        assert with_gap[:delta] + with_gap[delta + 1:] == without[:delta] + without[delta + 1:]
+
+
 def test_flag_overrides_config(tmp_path, tiny_cfg):
     rc = main(["--config", tiny_cfg, "--alpha", "1.0", "--out", str(tmp_path),
                "spectrum"])
@@ -318,10 +336,17 @@ OMEGA1_POINT = {
     "model.muQb": 0.3,
 }
 EPS_ARGS = ["--g", "1.73", "eps", "--lo", "0.39", "--hi", "0.5", "--steps", "24"]
+GAP_ARGS = ["thermo", "--t-min", "0.05", "--t-max", "15", "--gap"]
+BROKEN_MU_POINT = {"model.alpha": 0.36, "model.g": 1.73, "model.muS": 0.2, "model.muQb": 0.1}
+# pinned file -> (config, argv, the file the command writes)
 PINNED = {
-    "eps.tsv": (None, EPS_ARGS),
-    "spectrum.tsv": (OMEGA1_POINT, ["spectrum"]),
-    "oracle_check.tsv": (OMEGA1_POINT, ["oracle-check"]),
+    "eps.tsv": (None, EPS_ARGS, "eps.tsv"),
+    "spectrum.tsv": (OMEGA1_POINT, ["spectrum"], "spectrum.tsv"),
+    "oracle_check.tsv": (OMEGA1_POINT, ["oracle-check"], "oracle_check.tsv"),
+    "thermo_gap.tsv": (
+        None, ["--alpha", "0.36", "--g", "1.73", *GAP_ARGS, "--t-steps", "120"], "thermo.tsv"
+    ),
+    "thermo_gap_mu.tsv": (BROKEN_MU_POINT, [*GAP_ARGS, "--t-steps", "40"], "thermo.tsv"),
 }
 
 
@@ -341,14 +366,14 @@ def write_ep_levels(path) -> None:
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_tables_are_byte_identical(tmp_path, name):
-    config, argv = PINNED[name]
+    config, argv, written = PINNED[name]
     if config is not None:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
         argv = ["--config", str(cfg), *argv]
     assert main(["--out", str(tmp_path), *argv]) == 0
     with open(os.path.join(DATA, name), "rb") as fh:
-        assert (tmp_path / name).read_bytes() == fh.read()
+        assert (tmp_path / written).read_bytes() == fh.read()
 
 
 def test_pinned_ep_levels_are_byte_identical(tmp_path):

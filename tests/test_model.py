@@ -81,7 +81,7 @@ def test_pair_scatter_commutes_with_total_sz(desk):
     for b in desk.blocks():
         if b.dim > 40:
             ztot = np.diag(qubit_sz_diagonal(b))
-            pair_scatter = gap_operator(b, "collective")
+            pair_scatter = gap_operator(b)
             comm = ztot @ pair_scatter - pair_scatter @ ztot
             assert np.max(np.abs(comm)) < 1e-12
             break
@@ -152,22 +152,8 @@ def test_sector_stacks_match_kron_reference(size, coupling_z):
 def test_gap_operators_match_kron_reference(size):
     for shape, b in _shapes(size).items():
         ref = kron_shape_operators(*shape, size.coupling_z)
-        assert _identical(gap_operator(b, "collective"), ref["pair_scatter"])
-        assert _identical(
-            gap_operator(b, "diagonal"), np.diag(ref["ztot_diag"] + (b.qb.s1 + b.qb.s2))
-        )
+        assert _identical(gap_operator(b), ref["pair_scatter"])
         assert _identical(qubit_sz_diagonal(b), ref["ztot_diag"])
-
-
-def test_gap_operator_variants(desk):
-    b = max(desk.blocks(), key=lambda x: x.dim)
-    coll = gap_operator(b, "collective")
-    diag = gap_operator(b, "diagonal")
-    assert np.array_equal(coll, coll.T)
-    assert np.array_equal(diag, np.diag(np.diag(diag)))
-    assert np.min(np.diag(diag)) >= 0.0
-    with pytest.raises(ValueError):
-        gap_operator(b, "other")
 
 
 def test_rescale_scheme(desk):
@@ -212,7 +198,7 @@ def test_fit_rescaling_roundtrip_synthetic(monkeypatch):
     # synthetic gap law Delta = G * sqrt(Np(Np+1))/2 has exact form a/(2Np+b)
     a_true, b_true = 2.9, 0.8
 
-    def fake_gap(p, t, operator="collective"):
+    def fake_gap(p, t):
         return p.G * 0.5 * (2.0 * p.Omega1 + b_true) / a_true
 
     import pseudotherm.thermo as thermo_mod
@@ -226,7 +212,7 @@ def test_fit_rescaling_roundtrip_synthetic(monkeypatch):
 
 
 def test_fit_rescaling_single_point_interpolates(monkeypatch):
-    def fake_gap(p, t, operator="collective"):
+    def fake_gap(p, t):
         return p.G
 
     import pseudotherm.thermo as thermo_mod

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import per_block_spectra, per_sector_eigenvalues, sector_indices
+from conftest import (
+    dense_operator,
+    per_block_spectra,
+    per_sector_eigenvalues,
+    per_sector_vector_spectrum,
+    sector_indices,
+)
 from pseudotherm import ModelParams
-from pseudotherm.model import _shape_of, build_block_hamiltonian
+from pseudotherm.model import _shape_of, build_block_hamiltonian, fold_plan, gap_operator
 from pseudotherm.spectral import (
     block_eigen_data,
     block_spectra,
@@ -16,6 +22,7 @@ from pseudotherm.spectral import (
     find_eps,
     first_eps_about_unity,
     ground_state_info,
+    vector_spectra,
 )
 from pseudotherm.thermo import table_from_spectra, thermal_table
 
@@ -31,32 +38,45 @@ def desk_broken():
 
 
 def test_rotation_generator_pure_imaginary_pair():
-    spec = diagonalize(np.array([[0.0, 2.0], [-2.0, 0.0]]))
-    w = np.sort_complex(spec.eigenvalues)
+    w = np.sort_complex(diagonalize(np.array([[[0.0, 2.0], [-2.0, 0.0]]]))[0][0])
     assert np.allclose(w, [-2.0j, 2.0j], atol=1e-12)
 
 
 def test_symmetric_input_takes_exact_real_path():
+    # a stack mixing symmetric and non-symmetric matrices: each matrix is
+    # solved on its own, bit for bit as the one-matrix LAPACK call
     rng = np.random.default_rng(7)
-    a = rng.standard_normal((12, 12))
-    h = a + a.T
-    spec = diagonalize(h)
-    assert np.max(np.abs(spec.eigenvalues.imag)) == 0.0
-    assert np.allclose(spec.left_vectors.T @ spec.right_vectors, np.eye(12))
+    a = rng.standard_normal((4, 12, 12))
+    h = np.stack([a[0] + a[0].T, a[1], a[2] + a[2].T, a[3]])
+    vals, left, right, flags = diagonalize(h)
+    for i in (0, 2):
+        w, v = np.linalg.eigh(h[i])
+        assert np.array_equal(vals[i], w) and np.array_equal(right[i], v)
+        assert np.array_equal(left[i], right[i])
+        assert np.allclose(left[i].T @ right[i], np.eye(12))
+        assert not np.any(flags[i])
+    for i in (1, 3):
+        w, v = np.linalg.eig(h[i])
+        assert np.array_equal(vals[i], w) and np.array_equal(right[i], v)
+        assert np.array_equal(left[i], np.linalg.inv(v).T)
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
 def test_nonsymmetric_left_vectors_are_biorthonormal(n, seed):
-    h = np.random.default_rng(seed).standard_normal((n, n))
-    spec = diagonalize(h)
-    w, left, right = spec.eigenvalues, spec.left_vectors, spec.right_vectors
-    # well-separated levels only: near a coalescence inv(R) loses cond(R) digits
-    assume(np.linalg.cond(right) < 1e6)
-    assert np.allclose(left.T @ right, np.eye(n), atol=1e-8)
-    scale = max(1.0, np.abs(w).max())
-    assert np.allclose(left.T @ h @ right, np.diag(w), atol=1e-8 * scale)
-    assert np.allclose(np.sort_complex(w.conj()), np.sort_complex(w), atol=1e-12)
+    h = np.random.default_rng(seed).standard_normal((3, n, n))
+    for hk, w, left, right, _ in zip(h, *diagonalize(h)):
+        # well-separated levels only: near a coalescence inv(R) loses cond(R) digits
+        assume(np.linalg.cond(right) < 1e6)
+        assert np.allclose(left.T @ right, np.eye(n), atol=1e-8)
+        scale = max(1.0, np.abs(w).max())
+        assert np.allclose(left.T @ hk @ right, np.diag(w), atol=1e-8 * scale)
+        assert np.allclose(np.sort_complex(w.conj()), np.sort_complex(w), atol=1e-12)
+
+
+def test_diagonalize_refuses_a_single_matrix():
+    with pytest.raises(ValueError, match="stack"):
+        diagonalize(np.eye(3))
 
 
 def test_conjugation_closure_per_block(desk_broken):
@@ -66,25 +86,32 @@ def test_conjugation_closure_per_block(desk_broken):
 
 
 def test_biorthogonal_completeness(desk_broken):
+    # the sectors of the largest block, one diagonalize call per sector
+    # size: sum_n |R_n><L_n| over every sector is the identity on the block
     big = max(desk_broken.blocks(), key=lambda b: b.dim)
-    spec = next(
-        s for b, s in per_block_spectra(desk_broken, want_vectors=True) if b == big
-    )
-    dim = big.dim
-    ident = np.zeros((dim, dim), dtype=complex)
-    for n in range(len(spec.eigenvalues)):
-        if spec.near_defective[n]:
-            continue
-        ident += np.outer(spec.right_vectors[:, n], spec.left_vectors[:, n])
-    assert not np.any(spec.near_defective)
-    assert np.max(np.abs(ident - np.eye(dim))) < 1e-8
+    h = build_block_hamiltonian(desk_broken, big)
+    ident = np.zeros((big.dim, big.dim), dtype=complex)
+    by_size: dict = {}
+    for _, idx in sector_indices(desk_broken, big):
+        by_size.setdefault(len(idx), []).append(idx)
+    for sectors in by_size.values():
+        _, lefts, rights, flags = diagonalize(np.stack([h[np.ix_(idx, idx)] for idx in sectors]))
+        assert not np.any(flags)
+        for idx, left, right in zip(sectors, lefts, rights):
+            ident[np.ix_(idx, idx)] += right @ left.T
+    assert np.max(np.abs(ident - np.eye(big.dim))) < 1e-8
+    # so the coefficients of any operator sum to its trace, shape by shape,
+    # also for one that couples the sectors
+    for s, first in zip(vector_spectra(desk_broken, dense_operator), fold_plan(desk_broken).first):
+        trace = np.trace(dense_operator(desk_broken.blocks()[first]))
+        assert abs(np.sum(s.coef) - trace) < 1e-8 * max(1.0, abs(trace))
 
 
 def test_left_right_offdiagonal_orthogonality(desk_broken):
     big = max(desk_broken.blocks(), key=lambda b: b.dim)
     h = build_block_hamiltonian(desk_broken, big)
-    spec = diagonalize(h)
-    overlaps = spec.left_vectors.T @ spec.right_vectors
+    _, left, right, _ = diagonalize(h[None])
+    overlaps = left[0].T @ right[0]
     off = overlaps - np.diag(np.diag(overlaps))
     # away from EPs the biorthogonal basis is clean
     assert np.max(np.abs(off)) < 1e-7
@@ -138,28 +165,40 @@ def test_stacked_solve_equals_per_sector_solves(coupling_z, alpha, g):
     assert has_pairs == (alpha != 1.0 and g != 0.0)
 
 
-def test_stacked_vectors_equal_per_sector_diagonalize(desk_broken):
-    reps = _one_block_per_shape(desk_broken)[::10]
-    for b, s in zip(reps, block_spectra(desk_broken, want_vectors=True)[::10]):
-        assert s.label == b
-        h = build_block_hamiltonian(desk_broken, b)
-        vals, rights, lefts, flags = [], [], [], []
-        for _, idx in sector_indices(desk_broken, b):
-            dec = diagonalize(h[np.ix_(idx, idx)])
-            right = np.zeros((b.dim, len(idx)), dtype=complex)
-            left = np.zeros_like(right)
-            right[idx], left[idx] = dec.right_vectors, dec.left_vectors
-            vals.append(dec.eigenvalues)
-            rights.append(right)
-            lefts.append(left)
-            flags.append(dec.near_defective)
-        w = np.concatenate(vals)
-        order = np.lexsort((w.imag, w.real))
-        assert np.array_equal(s.eigenvalues, w[order])
-        assert np.array_equal(s.right_vectors, np.concatenate(rights, axis=1)[:, order])
-        assert np.array_equal(s.left_vectors, np.concatenate(lefts, axis=1)[:, order])
-        assert np.array_equal(s.near_defective, np.concatenate(flags)[order])
-        assert not s.right_vectors.flags.writeable
+def test_stacked_vectors_equal_per_sector_solves(desk_broken):
+    # the stacked solve against one eig and inv per sector of each shape's
+    # first block, the vectors embedded in the block and contracted with
+    # the whole block operator there; the dense operator couples sectors
+    plan = fold_plan(desk_broken)
+    for op in (gap_operator, dense_operator):
+        spectra = vector_spectra(desk_broken, op)
+        assert len(spectra) == len(plan.shapes) == 81
+        for first, s in list(zip(plan.first, spectra))[::5]:
+            w, nqb, coef, flags = per_sector_vector_spectrum(
+                desk_broken, desk_broken.blocks()[first], op
+            )
+            assert np.array_equal(s.eigenvalues, w)
+            assert np.array_equal(s.nqb, nqb)
+            assert np.array_equal(s.near_defective, flags)
+            assert np.max(np.abs(s.coef - coef)) <= 1e-13 * max(1.0, np.max(np.abs(coef)))
+
+
+def test_vector_spectra_make_one_diagonalize_call_per_sector_size(monkeypatch, desk_broken):
+    from pseudotherm import spectral
+
+    calls = []
+
+    def counted(h):
+        calls.append(h.shape)
+        return diagonalize(h)
+
+    monkeypatch.setattr(spectral, "diagonalize", counted)
+    vector_spectra(desk_broken, gap_operator)
+    sizes = {
+        len(idx) for b in desk_broken.blocks() for _, idx in sector_indices(desk_broken, b)
+    }
+    assert len(calls) == len(sizes) == 18
+    assert sorted(n for _, n, _ in calls) == sorted(sizes)
 
 
 def test_thermal_table_leaves_numpy_ma_unimported():

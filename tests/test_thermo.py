@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import per_block_spectra, per_sector_eigenvalues
+from conftest import (
+    dense_operator,
+    per_block_spectra,
+    per_sector_eigenvalues,
+    per_sector_vector_spectrum,
+)
 from pseudotherm import ModelParams
 from pseudotherm.algebra import spin_operators
 from pseudotherm.blocks import enumerate_nv_labels, enumerate_qubit_labels
@@ -784,48 +789,57 @@ def test_expectation_raises_at_partition_zero(desk_broken):
         thermal_expectation(gap_operator, desk_broken, t_zero)
 
 
+def per_block_spectra_with_vectors(p, op) -> list:
+    """(block, per_sector_vector_spectrum of the block) for every block of
+    p, in block order; blocks with equal spins share one solve."""
+    solved = {}
+    out = []
+    for b in p.blocks():
+        spins = (b.qb.s1, b.qb.s2, b.nv.S)
+        if spins not in solved:
+            solved[spins] = per_sector_vector_spectrum(p, b, op)
+        out.append((b, solved[spins]))
+    return out
+
+
 def per_block_vector_table(p, op):
-    """Every block, with the vector spectrum of its shape, as its own row
-    set: one row per eigenvalue with the block's multiplicity and N, and the
-    coefficients <L_n|O|R_n> of each block: the fold-free reference."""
-    blocks, spectra = zip(*per_block_spectra(p, want_vectors=True))
-    sizes = [len(s.eigenvalues) for s in spectra]
-    w = np.concatenate([s.eigenvalues for s in spectra])
+    """Every block as its own row set: one row per eigenvalue with the
+    block's multiplicity and N, and the coefficients <L_n|O|R_n> of the
+    block from per-sector solves: the fold-free reference."""
+    blocks, spectra = zip(*per_block_spectra_with_vectors(p, op))
+    sizes = [len(w) for w, _, _, _ in spectra]
+    w = np.concatenate([w for w, _, _, _ in spectra])
     table = SpectrumTable(
         eps=w.real,
         gam=w.imag,
         mult=np.repeat([float(b.mult) for b in blocks], sizes),
         nS=np.repeat([float(b.nv.N) for b in blocks], sizes),
-        npair=np.concatenate([s.nqb for s in spectra]),
+        npair=np.concatenate([nqb for _, nqb, _, _ in spectra]),
         pair=np.zeros(len(w), dtype=bool),
         dim_total=sum(b.mult * k for b, k in zip(blocks, sizes)),
     )
-    coef = np.concatenate([
-        np.einsum("in,ij,jn->n", s.left_vectors, op(b), s.right_vectors)
-        for b, s in zip(blocks, spectra)
-    ])
-    return table, coef
+    return table, np.concatenate([coef for _, _, coef, _ in spectra])
 
 
 FOLD_POINTS = {
     "mu0": ModelParams(alpha=0.36, g=1.73),
     "muS-muQb": ModelParams(alpha=0.36, g=1.73, muS=0.2, muQb=0.1),
 }
+OPERATORS = {"collective": gap_operator, "dense": dense_operator}
 
 
-@pytest.mark.parametrize("operator", ["collective", "diagonal"])
+@pytest.mark.parametrize("operator", sorted(OPERATORS))
 @pytest.mark.parametrize("key", sorted(FOLD_POINTS))
 def test_vector_averages_match_per_block_reference(key, operator):
     # gap_curve and thermal_expectation fold blocks by the fold plan; the
     # per-block row sets summed by the per-moment reference must agree
-    # within 1e-12 relative, times 10^(digits Z loses to cancellation)
+    # within 1e-12 relative, times 10^(digits Z loses to cancellation).
+    # The dense operator couples the sectors, which the stacked solve
+    # never reads: its coefficients need only the sector blocks of O.
     from pseudotherm.thermo import _eps_eff
 
     p = FOLD_POINTS[key]
-
-    def op(b):
-        return gap_operator(b, operator=operator)
-
+    op = OPERATORS[operator]
     table, coef = per_block_vector_table(p, op)
     assert table.dim_total == 2**24
     eps_eff = _eps_eff(table, p.muS, p.muQb)
@@ -836,10 +850,11 @@ def test_vector_averages_match_per_block_reference(key, operator):
         digits = 10.0 ** log_partition(folded, 1.0 / t, p.muS, p.muQb).cancellation
         return want, 1e-12 * abs(want) * digits
 
-    t_gap = np.geomspace(0.2, 15.0, 30)
-    for t, gap in zip(t_gap, gap_curve(p, t_gap, operator=operator)):
-        want, tol = reference(t)
-        assert abs((2.0 * gap / p.G) ** 2 - want.real) <= tol
+    if op is gap_operator:
+        t_gap = np.geomspace(0.2, 15.0, 30)
+        for t, gap in zip(t_gap, gap_curve(p, t_gap)):
+            want, tol = reference(t)
+            assert abs((2.0 * gap / p.G) ** 2 - want.real) <= tol
     for t in (0.2, 0.7, 3.0):
         out = thermal_expectation(op, p, t)
         want, tol = reference(t)
@@ -850,15 +865,16 @@ def test_vector_averages_match_per_block_reference(key, operator):
 @pytest.mark.parametrize("alpha, count", [(0.36, 560), (1.0, 0)])
 def test_defective_blocks_are_the_per_block_keys(monkeypatch, alpha, count):
     # with the tolerance at 1, every level of phase rigidity below 1 counts;
-    # the keys reported through the fold plan are those of every flagged block
+    # the keys reported through the fold plan are those of every block that
+    # per-sector solves flag
     from pseudotherm import spectral
 
     monkeypatch.setattr(spectral, "DEFECT_TOL", 1.0)
     p = ModelParams(alpha=alpha, g=1.73)
     want = tuple(
         b.key()
-        for b, s in per_block_spectra(p, want_vectors=True)
-        if np.any(s.near_defective)
+        for b, (_, _, _, flags) in per_block_spectra_with_vectors(p, gap_operator)
+        if np.any(flags)
     )
     got = thermal_expectation(gap_operator, p, 1.0).defective_blocks
     assert got == want
@@ -918,6 +934,27 @@ def test_gap_is_grand_canonical():
         assert out.value == pytest.approx(corr, rel=1e-10)
 
 
+def test_gap_is_nan_where_the_correlator_is_negative():
+    # at alpha 0.24 the biorthogonal pair correlator dips far below zero at a
+    # few low temperatures, where |Z| is still 4-19% of the sum of moduli:
+    # Delta is NaN exactly there, and one warning counts them
+    from pseudotherm.thermo import _biorthogonal_mean, _vector_table
+
+    p = ModelParams(alpha=0.24, g=1.73)
+    t_values = np.linspace(0.05, 0.3, 200)
+    table, coef, _ = _vector_table(p, gap_operator)
+    means = [_biorthogonal_mean(table, coef, 1.0 / t, table.eps) for t in t_values]
+    negative = [m is not None and m.real < -1e-8 for m in means]
+    assert sum(negative) == 7 and min(m.real for m in means if m is not None) < -0.4
+    first = t_values[negative.index(True)]
+    with pytest.warns(UserWarning, match=f"at 7 of 200 .* first at T={first:.6g}"):
+        gaps = gap_curve(p, t_values)
+    for gap, mean, neg in zip(gaps, means, negative):
+        assert math.isnan(gap) == (mean is None or neg)
+        if not math.isnan(gap):
+            assert gap == 0.5 * p.G * math.sqrt(max(0.0, mean.real))
+
+
 def test_gap_collapse_at_low_temperature():
     from pseudotherm.model import G0_REFERENCE, pair_coupling_factor
 
@@ -930,15 +967,8 @@ def test_gap_collapse_at_low_temperature():
     assert spread < 0.05
 
 
-@pytest.mark.parametrize("mu_qb", [0.0, 0.3])
-def test_entropy_and_heat_capacity_far_below_the_gap(mu_qb):
-    # at T = 0.05, S ~ 4e-15 and C_V ~ 1e-13 sit far below the rounding of
-    # the ground energy (~ -15 GHz, beta*E0 ~ -300); the reference sums the
-    # same table with 60 digits
-    mp = pytest.importorskip("mpmath")
-    p = ModelParams(alpha=0.8, g=1.73, muQb=mu_qb)
-    t = 0.05
-    table = thermal_table(p)
+def mp_reference(mp, table, t, mu_qb):
+    """(S, C_V) of a table at temperature t, summed with 60 digits."""
     with mp.workdps(60):
         beta = 1 / mp.mpf(t)
         z = u = e = ee = mp.mpf(0)
@@ -955,7 +985,34 @@ def test_entropy_and_heat_capacity_far_below_the_gap(mu_qb):
             ee += amp * ((eps * eps_eff - gam * gam) * c + gam * (eps + eps_eff) * s)
         s_ref = float(mp.log(abs(z)) + beta * u / z)
         cv_ref = float(beta**2 * (ee / z - (e / z) * (u / z)))
+    return s_ref, cv_ref
+
+
+@pytest.mark.parametrize("mu_qb", [0.0, 0.3])
+def test_entropy_and_heat_capacity_far_below_the_gap(mu_qb):
+    # at T = 0.05, S ~ 4e-15 and C_V ~ 1e-13 sit far below the rounding of
+    # the ground energy (~ -15 GHz, beta*E0 ~ -300); the reference sums the
+    # same table with 60 digits
+    mp = pytest.importorskip("mpmath")
+    p = ModelParams(alpha=0.8, g=1.73, muQb=mu_qb)
+    t = 0.05
+    table = thermal_table(p)
+    s_ref, cv_ref = mp_reference(mp, table, t, mu_qb)
     pt = potentials(p, t, table=table)
     assert pt.valid and 1e-15 < s_ref < 1e-14 and 1e-14 < cv_ref < 1e-12
     assert abs(pt.S - s_ref) <= 1e-15
     assert abs(pt.Cv - cv_ref) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [0.03, 0.05, 0.1])
+@pytest.mark.parametrize("mu_qb", [0.0, 0.3])
+def test_entropy_keeps_its_relative_digits_far_below_the_gap(mu_qb, t):
+    # Z scaled by its top term is 1 + x with x down to ~1e-40 here; ln Z
+    # must come from x itself, not from the rounded 1 + x
+    mp = pytest.importorskip("mpmath")
+    p = ModelParams(alpha=0.8, g=1.73, muQb=mu_qb)
+    table = thermal_table(p)
+    s_ref, _ = mp_reference(mp, table, t, mu_qb)
+    pt = potentials(p, t, table=table)
+    assert pt.valid and s_ref > 0.0
+    assert abs(pt.S - s_ref) <= 1e-13 * s_ref
