@@ -219,15 +219,17 @@ def cmd_tc_map(p: ModelParams, args, config) -> None:
     alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_steps)
     g_values = _values_arg(args.g_values) if args.g_values else [p.g]
 
-    def one(task):
-        g, a = task
-        tc = thermo.critical_temperature(
-            p.with_(alpha=float(a), g=float(g)), t_max=args.t_max
-        )
+    tasks = [(g, a) for g in g_values for a in alphas]
+    points = [p.with_(alpha=float(a), g=float(g)) for g, a in tasks]
+    # one stacked solve for every point; the workers scan and bisect Z(T)
+    tables = thermo.thermal_tables(points)
+
+    def one(i):
+        g, a = tasks[i]
+        tc = thermo.critical_temperature(points[i], t_max=args.t_max, table=tables[i])
         return (a, g, tc)
 
-    tasks = [(g, a) for g in g_values for a in alphas]
-    rows = _parallel_map(one, tasks, args.workers)
+    rows = _parallel_map(one, range(len(tasks)), args.workers)
     write_table(
         os.path.join(args.out, "tc_map.tsv"), ["alpha", "g", "T_c"], rows, config
     )
@@ -272,9 +274,17 @@ def cmd_thermo(p: ModelParams, args, config) -> None:
 def cmd_spinodal(p: ModelParams, args, config) -> None:
     t_values = _temperatures(_values_arg(args.t_values))
     alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_steps)
+    if len(alphas) < stability.MIN_POINTS or not np.all(np.diff(alphas) > 0):
+        raise InfeasibleRequest(
+            f"spinodal needs a strictly increasing alpha grid of at least "
+            f"{stability.MIN_POINTS} points, got [{args.alpha_min}, {args.alpha_max}] "
+            f"x {args.alpha_steps}"
+        )
+    # the tables do not depend on T: one stacked solve serves every isotherm
+    tables = thermo.thermal_tables(p.with_(alpha=float(a)) for a in alphas)
 
     def one(t):
-        iso = stability.compute_isotherm(p, float(t), alphas)
+        iso = stability.compute_isotherm(p, float(t), alphas, tables)
         return iso, stability.spinodal_analysis(iso)
 
     results = _parallel_map(one, t_values, args.workers)

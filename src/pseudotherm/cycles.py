@@ -8,6 +8,10 @@ the genuinely physical questions: whether the requested corners exist at
 all, and what happens when a leg touches the region where the partition
 function vanishes.
 
+Corner alphas are solved on S(T, alpha): a coarse scan of the bracket,
+whose points are solved as one batch (thermo.thermal_tables) and whose S
+values are memoized per temperature, then a bisection of single points.
+
 Sign convention: work done ON the system and heat ABSORBED by the system
 are positive.
 """
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import CycleInfeasible, NoSolutionError
 from .model import ModelParams
-from .thermo import potentials
+from .thermo import potentials, thermal_tables
 
 __all__ = [
     "CycleSpec",
@@ -40,6 +44,7 @@ __all__ = [
 
 DEFAULT_BRACKET = (0.02, 1.6)
 ALPHA_TOL = 1e-8
+COARSE_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,19 @@ def _state(p: ModelParams, t: float, alpha: float) -> CornerState | None:
     )
 
 
-def _entropy(p: ModelParams, t: float, alpha: float) -> float:
-    pt = potentials(p.with_(alpha=float(alpha)), t)
+def _entropy(p: ModelParams, t: float, alpha: float, table=None) -> float:
+    pt = potentials(p.with_(alpha=float(alpha)), t, table=table)
     return pt.S if pt.valid else math.nan
+
+
+@lru_cache(maxsize=COARSE_CACHE_SIZE)
+def _coarse_entropy(p, t, bracket, coarse) -> tuple:
+    """S(T, alpha), NaN at invalid points, on the coarse grid of the
+    bracket.  The grid is solved as one thermal_tables batch; only the
+    floats are kept, and every target entropy at (p, T) shares them."""
+    grid = np.linspace(bracket[0], bracket[1], coarse)
+    tables = thermal_tables(p.with_(alpha=float(a)) for a in grid)
+    return tuple(_entropy(p, t, a, table) for a, table in zip(grid, tables))
 
 
 @lru_cache(maxsize=4096)
@@ -153,14 +168,16 @@ def solve_alpha(
     it); each sign change of S - s_target marks one root.  The smallest-
     alpha root is bisected to |dalpha| <= tol and returned along with the
     total root count.  Results are memoized: cycle grids revisit the same
-    corner many times.
+    corner many times.  The coarse S(alpha) curve is solved in one batch
+    and memoized per (p, T, bracket, coarse), so the targets of one
+    temperature share it; the bisection takes cached single-point tables.
     """
     return _solve_alpha_cached(p, t, s_target, tuple(bracket), tol, coarse)
 
 
 def _solve_alpha_impl(p, t, s_target, bracket, tol, coarse) -> SolveResult:
     grid = np.linspace(bracket[0], bracket[1], coarse)
-    s_vals = np.array([_entropy(p, t, a) for a in grid])
+    s_vals = np.array(_coarse_entropy(p, t, bracket, coarse))
     ok = np.isfinite(s_vals)
     diff = s_vals - s_target
 

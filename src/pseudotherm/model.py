@@ -221,9 +221,10 @@ def _flat_index(factors, ids, idx) -> np.ndarray:
     return (ids * d * d)[:, None, None] + idx[:, :, None] * d + idx[:, None, :]
 
 
-def _sector_stacks(names, shapes, groups) -> list:
-    """(len(names), k, n, n) stacks of the named operators, one per group
-    of k sectors of n basis states each.
+def _sector_stacks(names, shapes, groups) -> np.ndarray:
+    """(len(names), elements): the named operators on every group of k
+    sectors of n basis states each, each group's (k, n, n) stack raveled,
+    the groups laid end to end in order.
 
     A sector is (index into shapes, basis indices of that shape).  The
     register factors of each distinct (s1, s2) among shapes, and the
@@ -238,18 +239,20 @@ def _sector_stacks(names, shapes, groups) -> list:
     reg_id = np.array([reg_keys.index(shape[:2]) for shape in shapes])
     nv_id = np.array([nv_keys.index(shape[2]) for shape in shapes])
     bases = [_shape_operators(*shape) for shape in shapes]
-    out = []
+    out = np.empty((len(names), sum(len(g) * len(g[0][1]) ** 2 for g in groups)))
+    start = 0
     for sectors in groups:
         si = np.array([i for i, _ in sectors])
         ra = np.stack([bases[i].reg[idx] for i, idx in sectors])
         na = np.stack([bases[i].nv[idx] for i, idx in sectors])
         at_reg, at_nv = _flat_index(reg, reg_id[si], ra), _flat_index(nv, nv_id[si], na)
-        stack = np.empty((len(names), *at_reg.shape))
-        for a, name in zip(stack, names):
+        stop = start + at_reg.size
+        for row, name in zip(out, names):
             r, v = _TERMS[name]
+            a = row[start:stop].reshape(at_reg.shape)
             reg[r].take(at_reg, out=a)
             a *= nv[v].take(at_nv)
-        out.append(stack)
+        start = stop
     return out
 
 
@@ -257,7 +260,7 @@ def _block_operators(names, shape: tuple) -> np.ndarray:
     """(len(names), dim, dim): the named operators on the whole block of a
     shape, the one sector that holds every basis state."""
     every = np.arange(len(_shape_operators(*shape).reg))
-    return _sector_stacks(names, (shape,), [[(0, every)]])[0][:, 0]
+    return _sector_stacks(names, (shape,), [[(0, every)]]).reshape(len(names), len(every), -1)
 
 
 def _shape_of(b: BlockLabel) -> tuple:
@@ -333,22 +336,38 @@ def assembly_operators(coupling_z: str) -> tuple:
     )
 
 
-def assemble_hamiltonian(p: ModelParams, ops) -> np.ndarray:
-    """H as the linear combination of the shape operators in `ops`.
+def assemble_hamiltonian(points, ops) -> np.ndarray:
+    """H of each point of a sequence as the linear combination of the shape
+    operators in `ops`, one result per point along a new leading axis.
 
-    ops maps each name of assembly_operators(p.coupling_z) to an array: one
-    shape's matrices, or stacks of sector-restricted matrices of equal size.
-    Every term is elementwise, so a restriction of the result equals the
-    result on restricted operators to the last bit.
+    ops maps each name of assembly_operators(coupling_z) to an array: one
+    shape's matrices, or the sector stacks of a sector plan, laid end to
+    end.  The points share one coupling_z.  Every term is elementwise and
+    each point's constants enter in the same order whatever the batch, so a
+    restriction of the result equals the result on restricted operators,
+    and a point's matrices equal those of a batch of that point alone, to
+    the last bit.
     """
-    h = p.eps1 * ops["z1"] + p.eps2 * ops["z2"]
-    h -= p.G * ops["pair_scatter"]
-    h += p.D * ops["zz_nv"]
-    h += 0.5 * p.E * ops["strain"]
-    h += p.g * (
-        p.alpha * ops[f"couple_plus_{p.coupling_z}"]
-        + ops[f"couple_minus_{p.coupling_z}"]
+    points = tuple(points)
+    modes = {q.coupling_z for q in points}
+    if len(modes) != 1:
+        raise ValueError(f"a batch needs one coupling_z, got {sorted(modes)}")
+    (mode,) = modes
+    eps1, eps2, G, D, E, g, alpha = (
+        np.array([(q.eps1, q.eps2, q.G, q.D, q.E, q.g, q.alpha) for q in points])
+        .T.reshape(7, len(points), *(1,) * np.ndim(ops["z1"]))
     )
+    # h = eps1 z1 + eps2 z2 - G P + D Sz^2 + (E/2) strain + g (alpha c+ + c-),
+    # summed in place so that at most one temporary lives beside h
+    h = eps1 * ops["z1"]
+    h += eps2 * ops["z2"]
+    h -= G * ops["pair_scatter"]
+    h += D * ops["zz_nv"]
+    h += 0.5 * E * ops["strain"]
+    coupling = alpha * ops[f"couple_plus_{mode}"]
+    coupling += ops[f"couple_minus_{mode}"]
+    coupling *= g
+    h += coupling
     return h
 
 
@@ -364,7 +383,7 @@ def build_block_hamiltonian(p: ModelParams, b: BlockLabel) -> np.ndarray:
     is symmetric exactly at alpha = 1.
     """
     names = assembly_operators(p.coupling_z)
-    return assemble_hamiltonian(p, dict(zip(names, _block_operators(names, _shape_of(b)))))
+    return assemble_hamiltonian([p], dict(zip(names, _block_operators(names, _shape_of(b)))))[0]
 
 
 def qubit_sz_diagonal(b: BlockLabel) -> np.ndarray:

@@ -19,15 +19,19 @@ of all shapes in use are grouped by size, and their restricted operators
 are stacked once per size and cached (_sector_plan).  Each stack is written
 straight from the small register and ensemble factors of model: one gather
 from each at the sectors' basis indices and one product, so no full-block
-operator is ever built.  A parameter point assembles every stack with
+operator is ever built.  The stacks of all sizes lie end to end, so
 model.assemble_hamiltonian, the linear combination build_block_hamiltonian
-uses on the whole block.  block_spectra solves each (size, symmetric) group
-with one batched eigenvalue call and one lexsort orders every shape's
-eigenvalues; vector_spectra, behind thermal averages, makes one batched
+uses on the whole block, assembles all of them for a batch of parameter
+points in one call, one leading axis per point.  block_spectra takes a
+sweep's points together (one system size, one coupling mode): each (size,
+symmetric) group of all points is solved with one batched eigenvalue call,
+in chunks of points of at most STACK_ELEMENTS elements per operator, and one
+lexsort orders every point's and shape's eigenvalues; a single point is a
+batch of one.  vector_spectra, behind thermal averages, makes one batched
 diagonalize call per size and contracts each level's <L_n|O|R_n> within
 its sector, so no eigenvector is ever laid out in a block basis.  Each
-matrix of a batch is solved on its own, so the result equals a per-sector
-solve bit for bit.
+matrix of a batch is solved on its own, so the result equals a per-sector,
+per-point solve bit for bit.
 
 The spectral layer is per shape: block_spectra and block_eigen_data hold
 one spectrum per shape of model.fold_plan, labelled by the shape's first
@@ -86,6 +90,13 @@ IM_TOL = 1e-9              # GHz-relative floor for treating Im E as zero
 EP_IM_FLOOR = 1e-4
 EIGEN_CACHE_SIZE = 768
 PLAN_CACHE_SIZE = 32
+# Matrix elements assembled per operator for one chunk of a batch of
+# points; a larger batch is solved chunk by chunk.  One point's stacks hold
+# 16k elements at Omega = 4 and 1.7M at Omega = 10 (13 MiB), so a chunk
+# holds up to 16 desk-size points, 2 MiB of float64 per array, and a point
+# at Omega = 10 is a chunk of its own.  Batch speed does not depend on the
+# chunk size; peak memory does.
+STACK_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -134,9 +145,13 @@ def diagonalize(h: np.ndarray) -> tuple:
 class _SizeGroup(NamedTuple):
     """Every pair-projection sector of one size n among a plan's shapes."""
 
-    ops: dict           # operator name -> read-only (k, n, n) sector stack
+    span: slice         # the group's (k, n, n) stack in the plan's operators
     slots: np.ndarray   # (k, n) eigenvalue slots of each stacked sector
     sectors: tuple      # (shape index, basis indices) of each stacked sector
+
+    def matrices(self, h: np.ndarray) -> np.ndarray:
+        """The group's (..., k, n, n) matrices out of an assembled plan."""
+        return h[..., self.span].reshape(*h.shape[:-1], *self.slots.shape, -1)
 
 
 class _SectorPlan(NamedTuple):
@@ -146,6 +161,7 @@ class _SectorPlan(NamedTuple):
     sector in increasing pair projection m.
     """
 
+    ops: dict            # operator name -> read-only stacks of every group
     groups: tuple        # _SizeGroup per sector size
     slot_shape: np.ndarray  # shape index of each slot
     slot_m: np.ndarray   # pair projection of each slot
@@ -156,7 +172,8 @@ class _SectorPlan(NamedTuple):
 def _build_sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
     """Stacks of the sector-restricted shape operators, built once per
     shape tuple and coupling mode, grouped by sector size, straight from
-    the spin factors (model._sector_stacks)."""
+    the spin factors (model._sector_stacks), the groups laid end to end so
+    that one assemble_hamiltonian call assembles them all."""
     names = assembly_operators(coupling_z)
     by_size: dict = {}
     slot_shape, slot_m, bounds = [], [], []
@@ -170,15 +187,16 @@ def _build_sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
             slot_m.extend([key / 2.0] * len(idx))
         bounds.append((first, len(slot_m)))
     sectors = [tuple(sector for sector, _ in members) for members in by_size.values()]
-    groups = []
-    for group, every, members in zip(
-        sectors, _sector_stacks(names, shapes, sectors), by_size.values()
-    ):
+    ops = _sector_stacks(names, shapes, sectors)
+    ops.setflags(write=False)
+    groups, stop = [], 0
+    for group, members in zip(sectors, by_size.values()):
         slots = np.stack([sl for _, sl in members])
-        for a in (every, slots):
-            a.setflags(write=False)
-        groups.append(_SizeGroup(dict(zip(names, every)), slots, group))
+        slots.setflags(write=False)
+        start, stop = stop, stop + slots.size * slots.shape[1]
+        groups.append(_SizeGroup(slice(start, stop), slots, group))
     return _SectorPlan(
+        ops=dict(zip(names, ops)),
         groups=tuple(groups),
         slot_shape=np.array(slot_shape),
         slot_m=np.array(slot_m),
@@ -191,36 +209,55 @@ def _build_sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
 _sector_plan = serialized(_build_sector_plan)
 
 
-def block_spectra(p: ModelParams) -> list[BlockSpectrum]:
-    """Eigenvalues of the model once per (s1, s2, S) shape of its fold plan.
+def block_spectra(points) -> list[list[BlockSpectrum]]:
+    """Eigenvalues of each point of a batch once per (s1, s2, S) shape of
+    the fold plan.
 
-    The Hamiltonian reads only the shape of a block, so the result holds
-    one spectrum per shape, in the plan's shape order, labelled by the
-    shape's first block; model.fold_plan maps every block to its shape.
-    The sectors of all shapes are assembled as one stack per sector size
-    and solved with one eigenvalue call per (size, symmetric) group; each
-    shape's eigenvalues are merged across sectors and sorted by (Re, Im) in
-    one sort.
+    The points share one system size and one coupling_z (ValueError
+    otherwise).  The Hamiltonian reads only the shape of a block, so each
+    point's result holds one spectrum per shape, in the plan's shape order,
+    labelled by the shape's first block; model.fold_plan maps every block to
+    its shape.  The sector stacks of every size are assembled for all points
+    in one call, in chunks of points of at most STACK_ELEMENTS elements per
+    operator, and each (size, symmetric) group of a chunk is solved with one
+    eigenvalue call; each shape's eigenvalues are merged across sectors and
+    sorted by (Re, Im) in one sort.  Every matrix is solved on its own, so a
+    point's spectra equal those of a batch of that point alone bit for bit.
     """
+    points = tuple(points)
+    if not points:
+        return []
+    p = points[0]
+    for q in points:
+        if (q.Omega, q.Omega1, q.Omega2, q.coupling_z) != (
+            p.Omega, p.Omega1, p.Omega2, p.coupling_z
+        ):
+            raise ValueError("a batch needs one system size and one coupling_z")
     folds = fold_plan(p)
     plan = _sector_plan(folds.shapes, p.coupling_z)
-    w = np.empty(len(plan.slot_m), dtype=complex)
-    for group in plan.groups:
-        h = assemble_hamiltonian(p, group.ops)
-        sym = (h == h.transpose(0, 2, 1)).all(axis=(1, 2))
-        if sym.any():
-            w[group.slots[sym]] = np.linalg.eigvalsh(h[sym])
-        if not sym.all():
-            w[group.slots[~sym]] = np.linalg.eigvals(h[~sym])
+    w = np.empty((len(points), len(plan.slot_m)), dtype=complex)
+    chunk = max(1, STACK_ELEMENTS // plan.ops["z1"].size)
+    for lo in range(0, len(points), chunk):
+        h = assemble_hamiltonian(points[lo : lo + chunk], plan.ops)
+        for group in plan.groups:
+            hg = group.matrices(h)
+            sym = (hg == hg.swapaxes(2, 3)).all(axis=(2, 3))
+            vals = np.empty(hg.shape[:-1], dtype=complex)
+            if sym.any():
+                vals[sym] = np.linalg.eigvalsh(hg[sym])
+            if not sym.all():
+                vals[~sym] = np.linalg.eigvals(hg[~sym])
+            w[lo : lo + chunk, group.slots] = vals
 
-    order = np.lexsort((w.imag, w.real, plan.slot_shape))
-    w = w[order]
+    order = np.lexsort((w.imag, w.real, np.broadcast_to(plan.slot_shape, w.shape)))
+    w = np.take_along_axis(w, order, axis=1)
     nqb = plan.slot_m[order] + 0.5 * (p.Omega1 + p.Omega2)
     for a in (w, nqb):
         a.setflags(write=False)
+    labels = [folds.blocks[first] for first in folds.first]
     return [
-        BlockSpectrum(folds.blocks[first], w[lo:hi], nqb[lo:hi])
-        for first, (lo, hi) in zip(folds.first, plan.bounds)
+        [BlockSpectrum(label, wi[lo:hi], qi[lo:hi]) for label, (lo, hi) in zip(labels, plan.bounds)]
+        for wi, qi in zip(w, nqb)
     ]
 
 
@@ -255,8 +292,9 @@ def vector_spectra(p: ModelParams, op) -> list[VectorSpectrum]:
     w = np.empty(len(plan.slot_m), dtype=complex)
     coef = np.empty(len(plan.slot_m), dtype=complex)
     flags = np.empty(len(plan.slot_m), dtype=bool)
+    h = assemble_hamiltonian([p], plan.ops)[0]
     for group in plan.groups:
-        vals, left, right, bad = diagonalize(assemble_hamiltonian(p, group.ops))
+        vals, left, right, bad = diagonalize(group.matrices(h))
         o = np.stack([ops[si][np.ix_(idx, idx)] for si, idx in group.sectors])
         w[group.slots], flags[group.slots] = vals, bad
         coef[group.slots] = np.einsum("kin,kij,kjn->kn", left, o, right)
@@ -276,7 +314,7 @@ def block_eigen_data(p: ModelParams) -> tuple:
     exceptional-point sweeps; sweeps that revisit the same point
     (bisections) hit the cache.
     """
-    return tuple((s.label, s.eigenvalues, s.nqb) for s in block_spectra(p))
+    return tuple((s.label, s.eigenvalues, s.nqb) for s in block_spectra([p])[0])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ClassificationError, InvalidPointError
 from .model import ModelParams
-from .thermo import potentials
+from .thermo import potentials, thermal_tables
 
 __all__ = [
     "Isotherm",
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA_POINTS = 400
+MIN_POINTS = 5          # fewest valid grid points an isotherm is classified on
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,20 @@ class SpinodalResult:
     minima_stable: bool      # minima count unchanged under grid halving
 
 
-def compute_isotherm(p: ModelParams, t: float, alphas) -> Isotherm:
+def compute_isotherm(p: ModelParams, t: float, alphas, tables=None) -> Isotherm:
+    """F along the alpha grid at temperature t.
+
+    The tables of the grid's points come from one thermo.thermal_tables
+    batch, one stacked solve per sector size.  tables, when given, stands
+    for that batch, so isotherms at several temperatures can share it.
+    """
     alphas = np.asarray(list(alphas), dtype=float)
+    if tables is None:
+        tables = thermal_tables(p.with_(alpha=float(a)) for a in alphas)
     f = np.empty_like(alphas)
     ok = np.empty(len(alphas), dtype=bool)
-    for i, a in enumerate(alphas):
-        pt = potentials(p.with_(alpha=float(a)), t)
+    for i, (a, table) in enumerate(zip(alphas, tables)):
+        pt = potentials(p.with_(alpha=float(a)), t, table=table)
         f[i] = pt.F
         ok[i] = pt.valid
     return Isotherm(T=t, alphas=alphas, F=f, valid=ok)
@@ -159,11 +168,11 @@ def _find_features(alphas, f):
 
 
 def _features(alphas, f, valid):
-    """Sorted minima and inflections over the valid runs of at least five
-    points of one isotherm."""
+    """Sorted minima and inflections over the valid runs of at least
+    MIN_POINTS points of one isotherm."""
     minima, inflections = [], []
     for lo, hi in _valid_runs(valid):
-        if hi - lo < 5:
+        if hi - lo < MIN_POINTS:
             continue
         m, infl = _find_features(alphas[lo:hi], f[lo:hi])
         minima.extend(m)
@@ -178,8 +187,8 @@ def spinodal_analysis(iso: Isotherm, check_stability: bool = True) -> SpinodalRe
     (- to +), inflections from sign changes of the second; both are
     refined locally.  No minima means a homogeneous phase (empty result).
     """
-    if int(np.sum(iso.valid)) < 5:
-        raise ValueError("need at least 5 valid grid points")
+    if int(np.sum(iso.valid)) < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} valid grid points")
 
     minima, inflections = _features(iso.alphas, iso.F, iso.valid)
 

@@ -6,6 +6,13 @@ per (shape, N) when muS != 0, with the exact summed multiplicity of its
 blocks.  Both the spectrum table and the vector table of thermal averages
 are laid out by it; blocks appear only in the keys of defective_blocks.
 
+A sweep over parameter points (an isotherm, a T_c map, the coarse S(alpha)
+scan of a cycle corner) takes its tables from thermal_tables, one stacked
+eigensolve per sector size for all its points, uncached; thermal_table
+caches the tables of points visited one at a time (bisections, single
+commands).  potentials, critical_temperature and find_zeros take such a
+table beside the point, whose chemical potentials they always use.
+
 Conjugate eigenvalue pairs eps +- i*gamma are folded into real Boltzmann
 terms 2*exp(-beta*eps)*cos(beta*gamma), so Z is real by construction but
 may vanish in the broken-symmetry phase.
@@ -58,6 +65,7 @@ __all__ = [
     "SignedLog",
     "signed_logsumexp",
     "thermal_table",
+    "thermal_tables",
     "table_from_spectra",
     "partition_function",
     "log_partition",
@@ -141,19 +149,31 @@ def table_from_spectra(rows) -> SpectrumTable:
     )
 
 
+def thermal_tables(points) -> list[SpectrumTable]:
+    """Spectrum tables of a batch of points of one system size and coupling
+    mode, uncached.
+
+    The spectra of all points come from one spectral.block_spectra call, one
+    stacked solve per sector size, and each point's table is laid out by the
+    fold plan: one row set per shape, or per (shape, N) when its muS != 0.
+    A table folded over N has NaN nS and refuses muS != 0.  Sweeps (an
+    isotherm, a T_c map, a coarse S(alpha) scan) take their tables here.
+    """
+    points = tuple(points)
+    return [
+        table_from_spectra(
+            (m, n, spectra[i].eigenvalues, spectra[i].nqb)
+            for i, n, m in fold_plan(p).groups(p.muS != 0.0)
+        )
+        for p, spectra in zip(points, spectral.block_spectra(points))
+    ]
+
+
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def thermal_table(p: ModelParams) -> SpectrumTable:
-    """Cached spectrum table for a parameter point.
-
-    Built from one eigensolve per (s1, s2, S) shape and laid out by the
-    fold plan: one row set per shape, or per (shape, N) when p.muS != 0.
-    A table folded over N has NaN nS and refuses muS != 0.
-    """
-    spectra = spectral.block_spectra(p)
-    return table_from_spectra(
-        (m, n, spectra[i].eigenvalues, spectra[i].nqb)
-        for i, n, m in fold_plan(p).groups(p.muS != 0.0)
-    )
+    """Cached spectrum table of one point (see thermal_tables); points that
+    are revisited one at a time, such as bisections, take it here."""
+    return thermal_tables([p])[0]
 
 
 def _as_table(source) -> SpectrumTable:
@@ -451,15 +471,18 @@ def find_zeros(
     t_grid,
     rtol: float = 1e-8,
     max_doublings: int = 4,
+    table: SpectrumTable | None = None,
 ) -> list[ZeroRecord]:
     """All sign changes of Z(T) over the grid, bisected to relative rtol.
 
     The grid is midpoint-doubled until the zero count stabilizes, then each
     bracket is refined; a warning recommends refinement if the count never
-    settles.  An empty list means Z > 0 throughout.
+    settles.  An empty list means Z > 0 throughout.  table, when given,
+    stands for thermal_table(p); the chemical potentials are always p's.
     """
-    table = _as_table(p)
-    muS, muQb = (p.muS, p.muQb) if isinstance(p, ModelParams) else (0.0, 0.0)
+    if table is None:
+        table = thermal_table(p)
+    muS, muQb = p.muS, p.muQb
     grid = np.asarray(sorted(t_grid), dtype=float)
     if len(grid) < 2 or grid[0] <= 0:
         raise ValueError("t_grid must hold at least two positive temperatures")
@@ -493,6 +516,7 @@ def critical_temperature(
     steps: int = 200,
     rtol: float = 1e-8,
     max_doublings: int = 4,
+    table: SpectrumTable | None = None,
 ) -> float:
     """Largest zero of Z(T); 0 when Z > 0 on the whole range.
 
@@ -500,14 +524,17 @@ def critical_temperature(
     location of the topmost bracket under grid doubling instead of the
     full zero count (zeros pile up towards T = 0 when the ground state is
     complex).  The range must satisfy 0 < t_min < t_max < inf, with
-    steps >= 2.
+    steps >= 2.  table, when given, stands for thermal_table(p) (a T_c map
+    takes its tables from one thermal_tables batch); the chemical
+    potentials are always p's.
     """
     if not 0.0 < t_min < t_max < math.inf or steps < 2:
         raise ValueError(
             f"need 0 < t_min < t_max < inf and steps >= 2, got [{t_min}, {t_max}] x {steps}"
         )
-    table = _as_table(p)
-    muS, muQb = (p.muS, p.muQb) if isinstance(p, ModelParams) else (0.0, 0.0)
+    if table is None:
+        table = thermal_table(p)
+    muS, muQb = p.muS, p.muQb
     grid = np.geomspace(t_min, t_max, steps)
     signs = z_signs_on_grid(table, grid, muS, muQb)
 

@@ -80,7 +80,7 @@ def per_block_spectra(p) -> list:
     def spins(b):
         return (b.qb.s1, b.qb.s2, b.nv.S)
 
-    by_spins = {spins(s.label): s for s in block_spectra(p)}
+    by_spins = {spins(s.label): s for s in block_spectra([p])[0]}
     return [(b, by_spins[spins(b)]) for b in p.blocks()]
 
 

@@ -167,6 +167,47 @@ def test_non_positive_temperature_exits_two(tmp_path, tiny_cfg, argv, table):
     assert not (tmp_path / table).exists()
 
 
+@pytest.mark.parametrize("lo, hi, steps", [("0.3", "0.3", "5"), ("0.2", "0.4", "2")],
+                         ids=["flat", "two-points"])
+def test_spinodal_refuses_grid_before_solving(tmp_path, monkeypatch, lo, hi, steps):
+    # a grid that is not strictly increasing, or has under 5 points, cannot
+    # be classified: exit 2 before any eigensolve
+    from pseudotherm import spectral
+
+    def refuse(points):
+        raise AssertionError("eigensolve before the grid check")
+
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    monkeypatch.setattr(spectral, "block_spectra", refuse)
+    rc = main(["--g", "1.73", "--out", str(tmp_path), "spinodal", "--t-values", "0.144",
+               "--alpha-min", lo, "--alpha-max", hi, "--alpha-steps", steps])
+    assert rc == 2
+    assert not (tmp_path / "spinodal_loci.tsv").exists()
+
+
+def test_sweeps_solve_their_tables_in_one_batch(tmp_path, monkeypatch, tiny_cfg):
+    from pseudotherm import spectral
+
+    batches = []
+    solve = spectral.block_spectra
+
+    def counted(points):
+        points = list(points)
+        batches.append(len(points))
+        return solve(points)
+
+    monkeypatch.setattr(spectral, "block_spectra", counted)
+    assert main(["--config", tiny_cfg, "--workers", "2", "--out", str(tmp_path), "tc-map",
+                 "--alpha-min", "0.2", "--alpha-max", "0.8", "--alpha-steps", "5",
+                 "--g-values", "1.0,1.73", "--t-max", "1.0"]) == 0
+    assert batches == [10]
+    del batches[:]
+    assert main(["--config", tiny_cfg, "--out", str(tmp_path), "spinodal",
+                 "--t-values", "0.3,0.4", "--alpha-min", "0.2", "--alpha-max", "0.9",
+                 "--alpha-steps", "21"]) == 0
+    assert batches == [21]
+
+
 def test_tc_map_desk_critical_temperatures(tmp_path, monkeypatch):
     # desk size at g 1.73: only alpha 0.246 has a zero of Z below T = 2, and
     # two worker threads write the same bytes as one
@@ -338,7 +379,17 @@ OMEGA1_POINT = {
 EPS_ARGS = ["--g", "1.73", "eps", "--lo", "0.39", "--hi", "0.5", "--steps", "24"]
 GAP_ARGS = ["thermo", "--t-min", "0.05", "--t-max", "15", "--gap"]
 BROKEN_MU_POINT = {"model.alpha": 0.36, "model.g": 1.73, "model.muS": 0.2, "model.muQb": 0.1}
-# pinned file -> (config, argv, the file the command writes)
+ISOTHERM_ARGS = ["--g", "1.73", "spinodal", "--t-values", "0.144",
+                 "--alpha-min", "0.2", "--alpha-max", "0.4", "--alpha-steps", "15"]
+TC_MAP_ARGS = ["--workers", "2", "tc-map", "--alpha-min", "0", "--alpha-max", "1.2",
+               "--alpha-steps", "6"]
+CARNOT_SYSTEM = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "carnot_system.json"
+)
+CARNOT_ARGS = ["--g", "1.73", "cycle", "--kind", "carnot",
+               "--t-values", "0.4,0.7", "--x-values", "3.5,4.5,5.5"]
+# pinned file -> (config: a mapping, or a path read in place; argv; the file
+# the command writes)
 PINNED = {
     "eps.tsv": (None, EPS_ARGS, "eps.tsv"),
     "spectrum.tsv": (OMEGA1_POINT, ["spectrum"], "spectrum.tsv"),
@@ -347,6 +398,13 @@ PINNED = {
         None, ["--alpha", "0.36", "--g", "1.73", *GAP_ARGS, "--t-steps", "120"], "thermo.tsv"
     ),
     "thermo_gap_mu.tsv": (BROKEN_MU_POINT, [*GAP_ARGS, "--t-steps", "40"], "thermo.tsv"),
+    "spinodal_loci.tsv": (None, ISOTHERM_ARGS, "spinodal_loci.tsv"),
+    "spinodal_intervals.tsv": (None, ISOTHERM_ARGS, "spinodal_intervals.tsv"),
+    "tc_map.tsv": (None, [*TC_MAP_ARGS, "--g-values", "1.0,1.73"], "tc_map.tsv"),
+    "tc_map_mu.tsv": (BROKEN_MU_POINT, TC_MAP_ARGS, "tc_map.tsv"),
+    "cycle_carnot.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot.tsv"),
+    "cycle_carnot_max_by_x.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot_max_by_x.tsv"),
+    "cycle_carnot_max_by_t.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot_max_by_t.tsv"),
 }
 
 
@@ -367,10 +425,12 @@ def write_ep_levels(path) -> None:
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_tables_are_byte_identical(tmp_path, name):
     config, argv, written = PINNED[name]
-    if config is not None:
+    if isinstance(config, dict):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
-        argv = ["--config", str(cfg), *argv]
+        config = str(cfg)
+    if config is not None:
+        argv = ["--config", config, *argv]
     assert main(["--out", str(tmp_path), *argv]) == 0
     with open(os.path.join(DATA, name), "rb") as fh:
         assert (tmp_path / written).read_bytes() == fh.read()

@@ -32,6 +32,30 @@ def test_solve_alpha_root_stable_under_refinement(p):
     assert a.alpha == pytest.approx(b.alpha, abs=1e-6)
 
 
+def test_targets_of_one_temperature_share_one_coarse_batch(monkeypatch):
+    from pseudotherm import cycles, spectral
+
+    p = ModelParams(g=1.73, Omega=2.0, Omega1=1, Omega2=1)
+    batches = []
+    solve = spectral.block_spectra
+
+    def counted(points):
+        points = list(points)
+        batches.append(len(points))
+        return solve(points)
+
+    monkeypatch.setattr(spectral, "block_spectra", counted)
+    cycles._coarse_entropy.cache_clear()
+    first = solve_alpha(p, 0.5, 4.0, bracket=(0.05, 1.4), coarse=32)
+    assert batches[0] == 32
+    del batches[:]
+    second = solve_alpha(p, 0.5, 4.5, bracket=(0.05, 1.4), coarse=32)
+    # the second target bisects on single points only
+    assert set(batches) <= {1}
+    assert first.alpha != second.alpha
+    assert cycles._coarse_entropy.cache_info().hits == 1
+
+
 def test_solve_alpha_no_solution_reports_range(p):
     with pytest.raises(NoSolutionError) as err:
         solve_alpha(p, 3.0, 1.0, bracket=(0.05, 1.4))

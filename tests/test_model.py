@@ -115,7 +115,7 @@ def test_block_operators_match_kron_reference(size, coupling_z):
     for shape, b in _shapes(p).items():
         ref = kron_shape_operators(*shape, coupling_z)
         assert _identical(
-            build_block_hamiltonian(p, b), model.assemble_hamiltonian(p, ref)
+            build_block_hamiltonian(p, b), model.assemble_hamiltonian([p], ref)[0]
         )
         for name, op in zip(names, model._block_operators(names, shape)):
             assert _identical(op, ref[name]), (shape, name)
@@ -138,7 +138,8 @@ def test_sector_stacks_match_kron_reference(size, coupling_z):
             assert np.array_equal(idx, np.flatnonzero(ztot == ztot[idx[0]]))
             assert np.all(plan.slot_m[group.slots[j]] == ztot[idx[0]])
             seen[si].append(idx)
-            for name, stack in group.ops.items():
+            for name, ops in plan.ops.items():
+                stack = group.matrices(ops)
                 assert _identical(stack[j], refs[si][name][np.ix_(idx, idx)]), (si, name)
     for ref, idxs in zip(refs, seen):
         assert np.array_equal(np.sort(np.concatenate(idxs)), np.arange(len(ref["ztot_diag"])))

@@ -136,7 +136,7 @@ def _one_block_per_shape(p):
 
 def test_blocks_of_one_shape_share_read_only_spectra(desk_broken):
     # one read-only spectrum per (s1, s2, S) shape, labelled by its first block
-    spectra = block_spectra(desk_broken)
+    spectra = block_spectra([desk_broken])[0]
     assert len(desk_broken.blocks()) == 855 and len(spectra) == 81
     assert [s.label for s in spectra] == _one_block_per_shape(desk_broken)
     for s in spectra:
@@ -155,7 +155,7 @@ def test_stacked_solve_equals_per_sector_solves(coupling_z, alpha, g):
     # alpha = 1 and g = 0 make every sector symmetric (eigvalsh branch)
     p = ModelParams(alpha=alpha, g=g, coupling_z=coupling_z)
     reps = _one_block_per_shape(p)
-    stacked = block_spectra(p)
+    stacked = block_spectra([p])[0]
     assert [s.label for s in stacked] == reps
     for b, s in zip(reps, stacked):
         w, nqb = per_sector_eigenvalues(p, b)
@@ -163,6 +163,85 @@ def test_stacked_solve_equals_per_sector_solves(coupling_z, alpha, g):
         assert np.array_equal(s.nqb, nqb)
     has_pairs = any(np.any(s.eigenvalues.imag != 0) for s in stacked)
     assert has_pairs == (alpha != 1.0 and g != 0.0)
+
+
+# A batch point: alpha exactly 1 (every sector symmetric), or not; g = 0
+# (no coupling), or not; chemical potentials zero or not.
+BATCH_POINT = st.builds(
+    lambda alpha, g, mu_s, mu_qb: ModelParams(alpha=alpha, g=g, muS=mu_s, muQb=mu_qb),
+    st.one_of(st.just(1.0), st.floats(0.05, 1.6)),
+    st.one_of(st.just(0.0), st.floats(0.1, 2.5)),
+    st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+    st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+)
+MIXED_POINTS = [
+    ModelParams(alpha=1.0, g=1.73),
+    ModelParams(alpha=0.36, g=0.0),
+    ModelParams(alpha=0.36, g=1.73, muS=0.2, muQb=0.1),
+]
+
+
+def _assert_bitwise_equal_spectra(got, want):
+    assert [s.label for s in got] == [s.label for s in want]
+    for s, w in zip(got, want):
+        assert s.eigenvalues.tobytes() == w.eigenvalues.tobytes()
+        assert s.nqb.tobytes() == w.nqb.tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), coupling_z=st.sampled_from(["difference", "total"]))
+def test_batched_spectra_equal_per_point_spectra(data, coupling_z):
+    drawn = data.draw(st.lists(BATCH_POINT, max_size=3))
+    points = data.draw(st.permutations(MIXED_POINTS + drawn))
+    points = [q.with_(coupling_z=coupling_z) for q in points]
+    batch = block_spectra(points)
+    assert len(batch) == len(points)
+    for q, spectra in zip(points, batch):
+        _assert_bitwise_equal_spectra(spectra, block_spectra([q])[0])
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        ModelParams(Omega=1.0, Omega1=1, Omega2=1),
+        ModelParams(Omega1=1),
+        ModelParams(coupling_z="total"),
+    ],
+    ids=["Omega", "Omega1", "coupling_z"],
+)
+def test_batch_refuses_mixed_sizes_and_couplings(other):
+    with pytest.raises(ValueError, match="one system size and one coupling_z"):
+        block_spectra([ModelParams(alpha=0.36), other])
+    assert block_spectra([]) == []
+
+
+def test_batch_split_by_the_stack_budget_is_bit_identical(monkeypatch):
+    from pseudotherm import spectral
+
+    points = [ModelParams(alpha=a, g=1.73, muQb=0.1) for a in (0.2, 0.36, 1.0, 1.3, 0.7)]
+    calls = []
+
+    def counted(fn):
+        def call(h):
+            calls.append(h.shape[-1])
+            return fn(h)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    whole = block_spectra(points)
+    whole_calls, calls[:] = list(calls), []
+    # two points' stacks fit the budget, so the five points are solved in
+    # three chunks
+    plan = spectral._sector_plan(fold_plan(points[0]).shapes, "difference")
+    monkeypatch.setattr(spectral, "STACK_ELEMENTS", 2 * plan.ops["z1"].size)
+    split = block_spectra(points)
+    for group in plan.groups:
+        n = group.slots.shape[1]
+        assert whole_calls.count(n) <= 2 and 3 <= calls.count(n) <= 6
+    for got, want in zip(split, whole):
+        _assert_bitwise_equal_spectra(got, want)
 
 
 def test_stacked_vectors_equal_per_sector_solves(desk_broken):
@@ -237,7 +316,7 @@ def test_threads_missing_together_build_one_plan():
     results = [None] * len(points)
 
     def solve(i):
-        results[i] = block_spectra(points[i])
+        results[i] = block_spectra([points[i]])[0]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -252,7 +331,7 @@ def test_threads_missing_together_build_one_plan():
     assert not any(t.is_alive() for t in threads)
     assert _build_sector_plan.cache_info().misses == 1
     for p, spectra in zip(points, results):
-        for s, alone in zip(spectra, block_spectra(p)):
+        for s, alone in zip(spectra, block_spectra([p])[0]):
             assert np.array_equal(s.eigenvalues, alone.eigenvalues)
 
 

@@ -14,6 +14,7 @@ from pseudotherm.stability import (
     pressure_from_f,
     spinodal_analysis,
 )
+from pseudotherm.thermo import thermal_table
 
 
 def synthetic_isotherm(f, lo=-2.0, hi=2.0, n=401, t=1.0):
@@ -197,3 +198,39 @@ def test_maxwell_residual_small_hermitian_limit():
     p = ModelParams(g=1.73, alpha=1.0)
     out = maxwell_check(p, 1.0, 1.0)
     assert out["residual"] <= 1e-3
+
+
+def test_isotherm_makes_at_most_two_lapack_calls_per_sector_size(monkeypatch):
+    # the 15 points of an isotherm are solved as one batch: one eigvalsh and
+    # one eigvals call per sector size, not per point
+    from pseudotherm.model import fold_plan
+    from pseudotherm.spectral import _sector_plan
+
+    p = ModelParams(g=1.73)
+    calls = []
+
+    def counted(fn):
+        def call(h):
+            calls.append(h.shape[-1])
+            return fn(h)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted(np.linalg.eigvals))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    iso = compute_isotherm(p, 0.144, np.linspace(0.2, 0.4, 15))
+    assert np.all(iso.valid)
+    sizes = {g.slots.shape[1] for g in _sector_plan(fold_plan(p).shapes, p.coupling_z).groups}
+    assert len(sizes) == 18 and set(calls) == sizes
+    assert max(calls.count(n) for n in sizes) <= 2
+
+
+def test_shared_tables_give_the_same_isotherm():
+    p = ModelParams(g=1.73)
+    alphas = np.linspace(0.2, 0.4, 7)
+    tables = [thermal_table(p.with_(alpha=float(a))) for a in alphas]
+    for t in (0.1, 0.144):
+        alone, shared = compute_isotherm(p, t, alphas), compute_isotherm(p, t, alphas, tables)
+        assert alone.F.tobytes() == shared.F.tobytes()
+        assert np.array_equal(alone.valid, shared.valid)
+

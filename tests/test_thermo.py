@@ -30,6 +30,7 @@ from pseudotherm.thermo import (
     table_from_spectra,
     thermal_expectation,
     thermal_table,
+    thermal_tables,
 )
 
 
@@ -101,7 +102,7 @@ def test_single_pair_zero_location():
 def test_toy_critical_temperature_closed_form():
     gamma = 0.9
     table = toy_table([(0.0, gamma, 1)])
-    zeros = find_zeros(table, np.linspace(0.05, 2.0, 100))
+    zeros = find_zeros(ModelParams(), np.linspace(0.05, 2.0, 100), table=table)
     t_c = max(z.T_zero for z in zeros)
     assert t_c == pytest.approx(2.0 * gamma / math.pi, rel=1e-7)
 
@@ -155,6 +156,21 @@ def test_thermal_table_equals_fold_of_blocks_solved_alone(muS):
     assert got.dim_total == want.dim_total == 2**24
     for field in ("eps", "gam", "mult", "nS", "npair", "pair"):
         assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+
+
+def test_batched_tables_equal_single_point_tables():
+    # one thermal_tables batch folds each point by its own muS: per shape,
+    # or per (shape, N)
+    points = [
+        ModelParams(alpha=0.36, g=1.73),
+        ModelParams(alpha=1.0, g=1.73, muS=0.2),
+        ModelParams(alpha=0.24, g=1.73, muQb=0.1),
+    ]
+    for q, got in zip(points, thermal_tables(points)):
+        want = thermal_table(q)
+        assert got.dim_total == want.dim_total
+        for field in ("eps", "gam", "mult", "nS", "npair", "pair"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 def test_threads_missing_together_enumerate_blocks_once(monkeypatch):
@@ -506,6 +522,21 @@ def test_fast_z_signs_equal_exact_signs_away_from_zeros(p):
         assert s == _z_sign(table, t, p.muS, p.muQb)
         checked += 1
     assert checked >= 390
+
+
+def test_zero_finders_read_chemical_potentials_from_the_point():
+    # a table given beside the point stands for thermal_table(p): muS and
+    # muQb still come from p, so T_c and the zeros are those of p alone
+    p = ModelParams(alpha=0.24, g=1.73, muS=0.2, muQb=0.1)
+    table = thermal_table(p)
+    t_c = critical_temperature(p, table=table)
+    assert t_c == critical_temperature(p) > 0.0
+    assert t_c != critical_temperature(p.with_(muS=0.0, muQb=0.0))
+    grid = np.geomspace(0.02, 0.5, 60)
+    assert find_zeros(p, grid, table=table) == find_zeros(p, grid)
+    assert max(z.T_zero for z in find_zeros(p, grid, table=table)) == pytest.approx(
+        t_c, rel=1e-7
+    )
 
 
 def test_find_zeros_validates_grid(desk):
