@@ -188,6 +188,13 @@ def cmd_spectrum(p: ModelParams, args, config) -> None:
 
 
 def cmd_eps(p: ModelParams, args, config) -> None:
+    if args.steps < 2 or not -math.inf < args.lo < args.hi < math.inf:
+        raise InfeasibleRequest(
+            f"eps needs a finite sweep lo < hi of at least 2 steps, got "
+            f"[{args.lo}, {args.hi}] x {args.steps}"
+        )
+    if not args.precision > 0.0:
+        raise InfeasibleRequest(f"--precision {args.precision} must be positive")
     pts = spectral.find_eps(
         p,
         {
@@ -321,6 +328,10 @@ def cmd_spinodal(p: ModelParams, args, config) -> None:
 def cmd_cycle(p: ModelParams, args, config) -> None:
     t_values = _temperatures(_values_arg(args.t_values))
     x_values = _values_arg(args.x_values)
+    if args.kind == "carnot" and not args.bracket_lo < args.bracket_hi:
+        raise InfeasibleRequest(
+            f"empty alpha bracket [{args.bracket_lo}, {args.bracket_hi}]"
+        )
     grid = efficiency_grid(
         p,
         args.kind,

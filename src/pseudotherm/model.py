@@ -1,4 +1,4 @@
-"""Model parameters, the block -> shape fold plan, Hamiltonian assembly, rescaling.
+"""Model parameters, the layout plan, Hamiltonian assembly, rescaling.
 
 The Hamiltonian has three contributions: a two-level pairing register
 (level energies eps1, eps2 and pair scattering strength G), a collective
@@ -12,6 +12,9 @@ factor on the M space, so an operator on any set of basis states (one
 pair-projection sector, or the whole block) is a gather from two small
 factor matrices and one elementwise product; no operator is ever formed on
 the full product space and then cut down.
+
+fold_plan, cached per system size and coupling mode, is the one layout:
+blocks -> (s1, s2, S) shapes -> sectors -> operator stacks by sector size.
 
 Energies are in GHz with k_B = 1, so temperatures are in GHz too.
 """
@@ -267,8 +270,21 @@ def _shape_of(b: BlockLabel) -> tuple:
     return (round(2 * b.qb.s1), round(2 * b.qb.s2), round(2 * b.nv.S))
 
 
+class _SizeGroup(NamedTuple):
+    """Every pair-projection sector of one size n among a plan's shapes."""
+
+    span: slice         # the group's (k, n, n) stack in the plan's operators
+    slots: np.ndarray   # (k, n) eigenvalue slots of each stacked sector
+    sectors: tuple      # (shape index, basis indices) of each stacked sector
+
+    def matrices(self, h: np.ndarray) -> np.ndarray:
+        """The group's (..., k, n, n) matrices out of an assembled plan."""
+        return h[..., self.span].reshape(*h.shape[:-1], *self.slots.shape, -1)
+
+
 class FoldPlan(NamedTuple):
-    """The block -> shape map of one system size, and the fold groups.
+    """The layout of one system size and coupling mode: blocks -> (s1, s2, S)
+    shapes -> pair-projection sectors -> sector stacks by size.
 
     Shapes are numbered in order of first appearance among the blocks; the
     first block of a shape is its representative, which labels its
@@ -276,6 +292,12 @@ class FoldPlan(NamedTuple):
     multiplicity of its blocks): by_shape holds one per shape, by_n one per
     (shape, N), in order of first appearance, for sums whose terms depend
     on N (muS != 0).
+
+    Eigenvalue slots run shape by shape and, within a shape, sector by
+    sector in increasing pair projection.  ops holds the sector-restricted
+    assembly operators of every size group, the groups laid end to end, so
+    that one assemble_hamiltonian call assembles them all; only these
+    stacks depend on the coupling mode.
     """
 
     blocks: tuple             # every block, in enumeration order
@@ -284,15 +306,22 @@ class FoldPlan(NamedTuple):
     first: tuple              # block index of each shape's representative
     by_shape: tuple
     by_n: tuple
+    ops: dict                 # operator name -> read-only stacks of every size group
+    sizes: tuple              # _SizeGroup per sector size
+    slot_shape: np.ndarray    # shape index of each eigenvalue slot
+    slot_nqb: np.ndarray      # pair number N_qb of each slot
+    bounds: tuple             # (first, last + 1) slot of each shape
 
     def groups(self, split_n: bool) -> tuple:
         return self.by_n if split_n else self.by_shape
 
 
 @lru_cache(maxsize=32)
-def _build_fold_plan(omega: float, omega1: int, omega2: int) -> FoldPlan:
-    """The fold plan of one system size (see FoldPlan); the only place
-    that maps blocks to shapes.  Blocks of one shape share their spectrum."""
+def _build_fold_plan(omega: float, omega1: int, omega2: int, coupling_z: str) -> FoldPlan:
+    """The layout of one system size and coupling mode (see FoldPlan); the
+    only place that maps blocks to shapes and shapes to sectors.  Blocks of
+    one shape share their spectrum; the sector stacks are written straight
+    from the spin factors (_sector_stacks)."""
     blocks = enumerate_blocks(omega, omega1, omega2)
     index, first, by_shape, by_n = {}, {}, {}, {}
     shape_index = np.empty(len(blocks), dtype=int)
@@ -301,26 +330,54 @@ def _build_fold_plan(omega: float, omega1: int, omega2: int) -> FoldPlan:
         first.setdefault(si, i)
         by_shape[si] = by_shape.get(si, 0) + b.mult
         by_n[si, b.nv.N] = by_n.get((si, b.nv.N), 0) + b.mult
-    shape_index.setflags(write=False)
+    shapes = tuple(index)
+
+    by_size: dict = {}
+    slot_m, bounds = [], []
+    for si, shape in enumerate(shapes):
+        start = len(slot_m)
+        for key, idx in _shape_operators(*shape).sectors:
+            slots = np.arange(len(slot_m), len(slot_m) + len(idx))
+            by_size.setdefault(len(idx), []).append(((si, idx), slots))
+            slot_m.extend([key / 2.0] * len(idx))
+        bounds.append((start, len(slot_m)))
+    names = assembly_operators(coupling_z)
+    sectors = [tuple(sector for sector, _ in members) for members in by_size.values()]
+    ops = _sector_stacks(names, shapes, sectors)
+    sizes, stop = [], 0
+    for group, members in zip(sectors, by_size.values()):
+        slots = np.stack([sl for _, sl in members])
+        slots.setflags(write=False)
+        start, stop = stop, stop + slots.size * slots.shape[1]
+        sizes.append(_SizeGroup(slice(start, stop), slots, group))
+    slot_shape = np.repeat(np.arange(len(shapes)), [hi - lo for lo, hi in bounds])
+    slot_nqb = np.array(slot_m) + 0.5 * (omega1 + omega2)
+    for a in (shape_index, ops, slot_shape, slot_nqb):
+        a.setflags(write=False)
     return FoldPlan(
         blocks=blocks,
         shape_index=shape_index,
-        shapes=tuple(index),
+        shapes=shapes,
         first=tuple(first.values()),
         by_shape=tuple((si, None, m) for si, m in by_shape.items()),
         by_n=tuple((si, n, m) for (si, n), m in by_n.items()),
+        ops=dict(zip(names, ops)),
+        sizes=tuple(sizes),
+        slot_shape=slot_shape,
+        slot_nqb=slot_nqb,
+        bounds=tuple(bounds),
     )
 
 
-# the cached plan of a system size; the workers of a parallel sweep, missing
-# it together on their first points, build it once.  It calls
-# enumerate_blocks through this module, the name perfbench/spans.py wraps.
+# the cached plan; the workers of a parallel sweep, missing it together on
+# their first points, build it once.  It calls enumerate_blocks through this
+# module, the name perfbench/spans.py wraps.
 _fold_plan = serialized(_build_fold_plan)
 
 
 def fold_plan(p: ModelParams) -> FoldPlan:
-    """The fold plan of p's system size."""
-    return _fold_plan(p.Omega, p.Omega1, p.Omega2)
+    """The fold plan of p's system size and coupling mode."""
+    return _fold_plan(p.Omega, p.Omega1, p.Omega2, p.coupling_z)
 
 
 def assembly_operators(coupling_z: str) -> tuple:
@@ -341,7 +398,7 @@ def assemble_hamiltonian(points, ops) -> np.ndarray:
     operators in `ops`, one result per point along a new leading axis.
 
     ops maps each name of assembly_operators(coupling_z) to an array: one
-    shape's matrices, or the sector stacks of a sector plan, laid end to
+    shape's matrices, or the sector stacks of a fold plan, laid end to
     end.  The points share one coupling_z.  Every term is elementwise and
     each point's constants enter in the same order whatever the batch, so a
     restriction of the result equals the result on restricted operators,

@@ -14,27 +14,23 @@ that projection.  This keeps the eigenproblem small, tags every eigenvalue
 with its exact pair-number label, and keeps accidental cross-sector
 degeneracies out of the eigensolver.
 
-The Hamiltonian reads only the (s1, s2, S) shape of a block.  The sectors
-of all shapes in use are grouped by size, and their restricted operators
-are stacked once per size and cached (_sector_plan).  Each stack is written
-straight from the small register and ensemble factors of model: one gather
-from each at the sectors' basis indices and one product, so no full-block
-operator is ever built.  The stacks of all sizes lie end to end, so
-model.assemble_hamiltonian, the linear combination build_block_hamiltonian
-uses on the whole block, assembles all of them for a batch of parameter
-points in one call, one leading axis per point.  block_spectra takes a
-sweep's points together (one system size, one coupling mode): each (size,
-symmetric) group of all points is solved with one batched eigenvalue call,
-in chunks of points of at most STACK_ELEMENTS elements per operator, and one
-lexsort orders every point's and shape's eigenvalues; a single point is a
-batch of one.  vector_spectra, behind thermal averages, makes one batched
+This module only assembles and solves; the layout is model.fold_plan's:
+the sectors of all shapes grouped by size, with their restricted operators
+stacked once per size and laid end to end, so model.assemble_hamiltonian,
+the linear combination build_block_hamiltonian uses on the whole block,
+assembles all of them for a batch of parameter points in one call, one
+leading axis per point.  block_spectra takes a sweep's points together
+(one system size, one coupling mode): each (size, symmetric) group of all
+points is solved with one batched eigenvalue call, in chunks of points of
+at most STACK_ELEMENTS elements per operator, and one lexsort orders every
+point's and shape's eigenvalues; a single point is a batch of one.  vector_spectra, behind thermal averages, makes one batched
 diagonalize call per size and contracts each level's <L_n|O|R_n> within
 its sector, so no eigenvector is ever laid out in a block basis.  Each
 matrix of a batch is solved on its own, so the result equals a per-sector,
 per-point solve bit for bit.
 
 The spectral layer is per shape: block_spectra and block_eigen_data hold
-one spectrum per shape of model.fold_plan, labelled by the shape's first
+one spectrum per shape of the fold plan, labelled by the shape's first
 block, and the EP sweep counts and matches pairs per shape.  Blocks appear
 only at the output edge, through the plan's one block -> shape map: the
 spectrum table's rows, the Fock-oracle multiset, EP block keys and the
@@ -51,19 +47,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import BlockLabel, serialized
+from .blocks import BlockLabel
 from .errors import SolverFailure
 # build_block_hamiltonian is not called in this module; perfbench/spans.py wraps
 # it under this module's name.
-from .model import (
-    ModelParams,
-    _sector_stacks,
-    _shape_operators,
-    assemble_hamiltonian,
-    assembly_operators,
-    build_block_hamiltonian,
-    fold_plan,
-)
+from .model import ModelParams, assemble_hamiltonian, build_block_hamiltonian, fold_plan
 
 __all__ = [
     "BlockSpectrum",
@@ -89,7 +77,6 @@ IM_TOL = 1e-9              # GHz-relative floor for treating Im E as zero
 # resolvable parameter step).
 EP_IM_FLOOR = 1e-4
 EIGEN_CACHE_SIZE = 768
-PLAN_CACHE_SIZE = 32
 # Matrix elements assembled per operator for one chunk of a batch of
 # points; a larger batch is solved chunk by chunk.  One point's stacks hold
 # 16k elements at Omega = 4 and 1.7M at Omega = 10 (13 MiB), so a chunk
@@ -142,73 +129,6 @@ def diagonalize(h: np.ndarray) -> tuple:
     return w, inv.transpose(0, 2, 1), right, flags
 
 
-class _SizeGroup(NamedTuple):
-    """Every pair-projection sector of one size n among a plan's shapes."""
-
-    span: slice         # the group's (k, n, n) stack in the plan's operators
-    slots: np.ndarray   # (k, n) eigenvalue slots of each stacked sector
-    sectors: tuple      # (shape index, basis indices) of each stacked sector
-
-    def matrices(self, h: np.ndarray) -> np.ndarray:
-        """The group's (..., k, n, n) matrices out of an assembled plan."""
-        return h[..., self.span].reshape(*h.shape[:-1], *self.slots.shape, -1)
-
-
-class _SectorPlan(NamedTuple):
-    """Sector stacks of a tuple of (s1, s2, S) shapes.
-
-    Eigenvalue slots run shape by shape and, within a shape, sector by
-    sector in increasing pair projection m.
-    """
-
-    ops: dict            # operator name -> read-only stacks of every group
-    groups: tuple        # _SizeGroup per sector size
-    slot_shape: np.ndarray  # shape index of each slot
-    slot_m: np.ndarray   # pair projection of each slot
-    bounds: tuple        # (first, last + 1) slot of each shape
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _build_sector_plan(shapes: tuple, coupling_z: str) -> _SectorPlan:
-    """Stacks of the sector-restricted shape operators, built once per
-    shape tuple and coupling mode, grouped by sector size, straight from
-    the spin factors (model._sector_stacks), the groups laid end to end so
-    that one assemble_hamiltonian call assembles them all."""
-    names = assembly_operators(coupling_z)
-    by_size: dict = {}
-    slot_shape, slot_m, bounds = [], [], []
-    for si, shape in enumerate(shapes):
-        basis = _shape_operators(*shape)
-        first = len(slot_m)
-        for key, idx in basis.sectors:
-            slots = np.arange(len(slot_m), len(slot_m) + len(idx))
-            by_size.setdefault(len(idx), []).append(((si, idx), slots))
-            slot_shape.extend([si] * len(idx))
-            slot_m.extend([key / 2.0] * len(idx))
-        bounds.append((first, len(slot_m)))
-    sectors = [tuple(sector for sector, _ in members) for members in by_size.values()]
-    ops = _sector_stacks(names, shapes, sectors)
-    ops.setflags(write=False)
-    groups, stop = [], 0
-    for group, members in zip(sectors, by_size.values()):
-        slots = np.stack([sl for _, sl in members])
-        slots.setflags(write=False)
-        start, stop = stop, stop + slots.size * slots.shape[1]
-        groups.append(_SizeGroup(slice(start, stop), slots, group))
-    return _SectorPlan(
-        ops=dict(zip(names, ops)),
-        groups=tuple(groups),
-        slot_shape=np.array(slot_shape),
-        slot_m=np.array(slot_m),
-        bounds=tuple(bounds),
-    )
-
-
-# the cached plan of a shape tuple and coupling mode; the workers of a
-# parallel sweep, missing it together on their first points, build it once
-_sector_plan = serialized(_build_sector_plan)
-
-
 def block_spectra(points) -> list[list[BlockSpectrum]]:
     """Eigenvalues of each point of a batch once per (s1, s2, S) shape of
     the fold plan.
@@ -233,13 +153,12 @@ def block_spectra(points) -> list[list[BlockSpectrum]]:
             p.Omega, p.Omega1, p.Omega2, p.coupling_z
         ):
             raise ValueError("a batch needs one system size and one coupling_z")
-    folds = fold_plan(p)
-    plan = _sector_plan(folds.shapes, p.coupling_z)
-    w = np.empty((len(points), len(plan.slot_m)), dtype=complex)
+    plan = fold_plan(p)
+    w = np.empty((len(points), len(plan.slot_nqb)), dtype=complex)
     chunk = max(1, STACK_ELEMENTS // plan.ops["z1"].size)
     for lo in range(0, len(points), chunk):
         h = assemble_hamiltonian(points[lo : lo + chunk], plan.ops)
-        for group in plan.groups:
+        for group in plan.sizes:
             hg = group.matrices(h)
             sym = (hg == hg.swapaxes(2, 3)).all(axis=(2, 3))
             vals = np.empty(hg.shape[:-1], dtype=complex)
@@ -251,10 +170,10 @@ def block_spectra(points) -> list[list[BlockSpectrum]]:
 
     order = np.lexsort((w.imag, w.real, np.broadcast_to(plan.slot_shape, w.shape)))
     w = np.take_along_axis(w, order, axis=1)
-    nqb = plan.slot_m[order] + 0.5 * (p.Omega1 + p.Omega2)
+    nqb = plan.slot_nqb[order]
     for a in (w, nqb):
         a.setflags(write=False)
-    labels = [folds.blocks[first] for first in folds.first]
+    labels = [plan.blocks[first] for first in plan.first]
     return [
         [BlockSpectrum(label, wi[lo:hi], qi[lo:hi]) for label, (lo, hi) in zip(labels, plan.bounds)]
         for wi, qi in zip(w, nqb)
@@ -278,7 +197,7 @@ def vector_spectra(p: ModelParams, op) -> list[VectorSpectrum]:
 
     op maps a BlockLabel to its operator matrix on the whole block and is
     called once per shape, on the shape's first block, so it must depend
-    on the shape alone.  Each sector-size group of the sector plan is
+    on the shape alone.  Each sector-size group of the fold plan is
     assembled and decomposed with one diagonalize call.  Every eigenvector
     lies in one pair-projection sector (H conserves the projection), so
     <L_n|O|R_n> reads only the sector's rows and columns of O: the
@@ -286,21 +205,19 @@ def vector_spectra(p: ModelParams, op) -> list[VectorSpectrum]:
     one that mixes sectors.  Within a shape, levels run sector by sector in
     increasing pair projection, each sector in the eigensolver's order.
     """
-    folds = fold_plan(p)
-    plan = _sector_plan(folds.shapes, p.coupling_z)
-    ops = [op(folds.blocks[first]) for first in folds.first]
-    w = np.empty(len(plan.slot_m), dtype=complex)
-    coef = np.empty(len(plan.slot_m), dtype=complex)
-    flags = np.empty(len(plan.slot_m), dtype=bool)
+    plan = fold_plan(p)
+    ops = [op(plan.blocks[first]) for first in plan.first]
+    w = np.empty(len(plan.slot_nqb), dtype=complex)
+    coef = np.empty(len(plan.slot_nqb), dtype=complex)
+    flags = np.empty(len(plan.slot_nqb), dtype=bool)
     h = assemble_hamiltonian([p], plan.ops)[0]
-    for group in plan.groups:
+    for group in plan.sizes:
         vals, left, right, bad = diagonalize(group.matrices(h))
         o = np.stack([ops[si][np.ix_(idx, idx)] for si, idx in group.sectors])
         w[group.slots], flags[group.slots] = vals, bad
         coef[group.slots] = np.einsum("kin,kij,kjn->kn", left, o, right)
-    nqb = plan.slot_m + 0.5 * (p.Omega1 + p.Omega2)
     return [
-        VectorSpectrum(w[lo:hi], nqb[lo:hi], coef[lo:hi], flags[lo:hi])
+        VectorSpectrum(w[lo:hi], plan.slot_nqb[lo:hi], coef[lo:hi], flags[lo:hi])
         for lo, hi in plan.bounds
     ]
 
@@ -426,9 +343,10 @@ def find_eps(
     sweep is a mapping with keys param ("alpha"|"g"), lo, hi, coarse_steps.
     The number of complex pairs is scanned on the coarse grid; every count
     change (a pair being born or dying, which is exactly a coalescence for
-    a real matrix) is bisected to a bracket no wider than `precision` and
-    the newborn pair's Re(E) is recorded.  An empty result just means no
-    EP in range; windows narrower than the coarse step are invisible.
+    a real matrix) is bisected to a bracket no wider than `precision`, or
+    until its midpoint rounds onto an end, and the newborn pair's Re(E) is
+    recorded.  An empty result just means no EP in range; windows narrower
+    than the coarse step are invisible.
     """
     param = sweep["param"]
     lo, hi = float(sweep["lo"]), float(sweep["hi"])
@@ -437,6 +355,8 @@ def find_eps(
         raise ValueError("sweep requires lo < hi")
     if steps < 2:
         raise ValueError("coarse_steps must be at least 2")
+    if not precision > 0:
+        raise ValueError(f"precision must be positive, got {precision!r}")
 
     plan = fold_plan(p)
     blocks = np.bincount(plan.shape_index)
@@ -454,6 +374,8 @@ def find_eps(
         x_lo, x_hi, c_lo = a, b, ca
         while x_hi - x_lo > precision:
             mid = 0.5 * (x_lo + x_hi)
+            if not x_lo < mid < x_hi:
+                break
             if counts_at(mid) == c_lo:
                 x_lo = mid
             else:
@@ -519,9 +441,10 @@ def _march_to_ep(
     steps of ln(alpha) up to alpha = span**direction, stopping at the first
     alpha where the ground level is a complex pair, as ground_state_info
     marks it; the last step is then bisected until the bracket is no wider
-    than `precision`, and its midpoint is returned.  The ground level is
-    real just inside the result and complex just outside it.  Returns NaN
-    when the ground level stays real over the whole range.
+    than `precision`, or its midpoint rounds onto an end, and its midpoint
+    is returned.  The ground level is real just inside the result and
+    complex just outside it.  Returns NaN when the ground level stays real
+    over the whole range.
 
     At this boundary the pair is already complex: it is where a pair's real
     part drops below the lowest real level.  The pair itself was born at an
@@ -539,6 +462,8 @@ def _march_to_ep(
         if broken(outer):
             while abs(outer - inner) > precision:
                 mid = 0.5 * (inner + outer)
+                if mid in (inner, outer):
+                    break
                 if broken(mid):
                     outer = mid
                 else:

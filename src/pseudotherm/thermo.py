@@ -433,6 +433,8 @@ def _refine_bracket(table, t_lo, t_hi, s_lo, muS, muQb, rtol):
     lo, hi = t_lo, t_hi
     while hi - lo > rtol * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         s_mid = _z_sign(table, mid, muS, muQb)
         if s_mid == 0:
             return ZeroRecord(mid, (lo, hi), (s_lo, -s_lo))
@@ -473,7 +475,8 @@ def find_zeros(
     max_doublings: int = 4,
     table: SpectrumTable | None = None,
 ) -> list[ZeroRecord]:
-    """All sign changes of Z(T) over the grid, bisected to relative rtol.
+    """All sign changes of Z(T) over the grid, bisected to relative rtol,
+    or until the midpoint rounds onto an end of its bracket.
 
     The grid is midpoint-doubled until the zero count stabilizes, then each
     bracket is refined; a warning recommends refinement if the count never

@@ -185,6 +185,36 @@ def test_spinodal_refuses_grid_before_solving(tmp_path, monkeypatch, lo, hi, ste
     assert not (tmp_path / "spinodal_loci.tsv").exists()
 
 
+CARNOT_CORNERS = ["--t-values", "0.4,0.7", "--x-values", "3.5,4.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["eps", "--steps", "1"], "eps.tsv"),
+        (["eps", "--lo", "0.5", "--hi", "0.4"], "eps.tsv"),
+        (["eps", "--hi", "inf"], "eps.tsv"),
+        (["eps", "--precision", "0"], "eps.tsv"),
+        (["eps", "--precision=-1"], "eps.tsv"),
+        (["cycle", "--kind", "carnot", *CARNOT_CORNERS, "--bracket-lo", "0.5",
+          "--bracket-hi", "0.5"], "cycle_carnot.tsv"),
+    ],
+    ids=["one-step", "reversed", "infinite", "zero-precision", "negative-precision",
+         "flat-bracket"],
+)
+def test_infeasible_sweep_exits_two_before_solving(tmp_path, monkeypatch, argv, table):
+    from pseudotherm import spectral
+
+    def refuse(points):
+        raise AssertionError("eigensolve before the request check")
+
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    monkeypatch.setattr(spectral, "block_spectra", refuse)
+    spectral.block_eigen_data.cache_clear()
+    assert main(["--g", "1.73", "--out", str(tmp_path), *argv]) == 2
+    assert not (tmp_path / table).exists()
+
+
 def test_sweeps_solve_their_tables_in_one_batch(tmp_path, monkeypatch, tiny_cfg):
     from pseudotherm import spectral
 
@@ -337,6 +367,25 @@ def test_parallel_map_matches_serial(tmp_path, tiny_cfg):
     assert (out1 / "tc_map.tsv").read_bytes() == (out2 / "tc_map.tsv").read_bytes()
 
 
+def test_benchmark_hooks_find_their_names():
+    # perfbench/spans.py wraps and reads layer functions and caches by module
+    # attribute; install() fails on any name the program no longer has.  In a
+    # subprocess, because install() patches numpy.linalg in place
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudotherm.__file__)))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, os.path.join(root, "perfbench")])
+    code = (
+        "import spans\n"
+        "t = spans.install()\n"
+        "assert set(spans.layer_metrics([spans.layer_totals(t)])) == set(spans.LAYER_METRICS)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_layer_trace_sees_every_layer(tmp_path):
     # the benchmark's traced child process, run unchanged: its spans wrap the
     # layers by module attribute, so a layer that stopped going through one
@@ -388,16 +437,25 @@ CARNOT_SYSTEM = os.path.join(
 )
 CARNOT_ARGS = ["--g", "1.73", "cycle", "--kind", "carnot",
                "--t-values", "0.4,0.7", "--x-values", "3.5,4.5,5.5"]
+STIRLING_ARGS = ["--g", "1.73", "cycle", "--kind", "stirling",
+                 "--t-values", "0.4,0.7", "--x-values", "0.5,0.9"]
 # pinned file -> (config: a mapping, or a path read in place; argv; the file
 # the command writes)
 PINNED = {
     "eps.tsv": (None, EPS_ARGS, "eps.tsv"),
     "spectrum.tsv": (OMEGA1_POINT, ["spectrum"], "spectrum.tsv"),
+    "spectrum_total.tsv": (
+        {**OMEGA1_POINT, "model.coupling_z": "total"}, ["spectrum"], "spectrum.tsv"
+    ),
     "oracle_check.tsv": (OMEGA1_POINT, ["oracle-check"], "oracle_check.tsv"),
     "thermo_gap.tsv": (
         None, ["--alpha", "0.36", "--g", "1.73", *GAP_ARGS, "--t-steps", "120"], "thermo.tsv"
     ),
     "thermo_gap_mu.tsv": (BROKEN_MU_POINT, [*GAP_ARGS, "--t-steps", "40"], "thermo.tsv"),
+    "thermo_nv6.tsv": (
+        None, ["--alpha", "0.36", "--g", "1.73", "thermo", "--t-steps", "20", "--nv-count", "6"],
+        "thermo.tsv",
+    ),
     "spinodal_loci.tsv": (None, ISOTHERM_ARGS, "spinodal_loci.tsv"),
     "spinodal_intervals.tsv": (None, ISOTHERM_ARGS, "spinodal_intervals.tsv"),
     "tc_map.tsv": (None, [*TC_MAP_ARGS, "--g-values", "1.0,1.73"], "tc_map.tsv"),
@@ -405,6 +463,7 @@ PINNED = {
     "cycle_carnot.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot.tsv"),
     "cycle_carnot_max_by_x.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot_max_by_x.tsv"),
     "cycle_carnot_max_by_t.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot_max_by_t.tsv"),
+    "cycle_stirling.tsv": (CARNOT_SYSTEM, STIRLING_ARGS, "cycle_stirling.tsv"),
 }
 
 

@@ -9,6 +9,7 @@ from pseudotherm.model import (
     ModelParams,
     build_block_hamiltonian,
     fit_rescaling,
+    fold_plan,
     gap_operator,
     pair_coupling_factor,
     qubit_sz_diagonal,
@@ -124,19 +125,20 @@ def test_block_operators_match_kron_reference(size, coupling_z):
 @pytest.mark.parametrize("coupling_z", ["difference", "total"])
 @pytest.mark.parametrize("size", SIZES, ids=["desk", "omega1"])
 def test_sector_stacks_match_kron_reference(size, coupling_z):
-    from pseudotherm.spectral import _build_sector_plan
-
+    plan = fold_plan(size.with_(coupling_z=coupling_z))
     shapes = tuple(_shapes(size))
-    plan = _build_sector_plan(shapes, coupling_z)
+    assert plan.shapes == shapes
+    # the pair projection m of each slot; N_qb = m + (Omega1 + Omega2) / 2
+    slot_m = plan.slot_nqb - 0.5 * (size.Omega1 + size.Omega2)
     refs = [kron_shape_operators(*shape, coupling_z) for shape in shapes]
     seen = [[] for _ in shapes]
-    for group in plan.groups:
+    for group in plan.sizes:
         for j, (si, idx) in enumerate(group.sectors):
             ztot = refs[si]["ztot_diag"]
             # one sector: a single pair projection, complete, ascending
             assert np.all(ztot[idx] == ztot[idx[0]]) and np.all(np.diff(idx) > 0)
             assert np.array_equal(idx, np.flatnonzero(ztot == ztot[idx[0]]))
-            assert np.all(plan.slot_m[group.slots[j]] == ztot[idx[0]])
+            assert np.all(slot_m[group.slots[j]] == ztot[idx[0]])
             seen[si].append(idx)
             for name, ops in plan.ops.items():
                 stack = group.matrices(ops)
@@ -146,7 +148,36 @@ def test_sector_stacks_match_kron_reference(size, coupling_z):
     # slots run shape by shape, sector by sector in increasing projection
     for si, (lo, hi) in enumerate(plan.bounds):
         assert np.all(plan.slot_shape[lo:hi] == si)
-        assert np.all(np.diff(plan.slot_m[lo:hi]) >= 0)
+        assert np.all(np.diff(slot_m[lo:hi]) >= 0)
+
+
+@pytest.mark.parametrize("size", SIZES, ids=["desk", "omega1"])
+def test_coupling_modes_share_the_layout_of_a_size(size):
+    # one plan per (size, coupling mode): the two modes share every field
+    # bit for bit, and the blocks by identity; only the coupling stacks differ
+    diff = fold_plan(size.with_(coupling_z="difference"))
+    total = fold_plan(size.with_(coupling_z="total"))
+    assert diff is not total
+    assert diff.blocks is total.blocks
+    for field in ("shapes", "first", "by_shape", "by_n", "bounds"):
+        assert getattr(diff, field) == getattr(total, field), field
+    for field in ("shape_index", "slot_shape", "slot_nqb"):
+        a, b = getattr(diff, field), getattr(total, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert len(diff.sizes) == len(total.sizes)
+    for g, h in zip(diff.sizes, total.sizes):
+        assert g.span == h.span and g.slots.tobytes() == h.slots.tobytes()
+        assert [si for si, _ in g.sectors] == [si for si, _ in h.sectors]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(g.sectors, h.sectors))
+    shared = set(model.assembly_operators("difference")) & set(model.assembly_operators("total"))
+    assert shared == {"z1", "z2", "pair_scatter", "zz_nv", "strain"}
+    for name in shared:
+        assert diff.ops[name].tobytes() == total.ops[name].tobytes(), name
+    assert set(diff.ops) - shared == {"couple_plus_difference", "couple_minus_difference"}
+    assert set(total.ops) - shared == {"couple_plus_total", "couple_minus_total"}
+    for sign in ("plus", "minus"):
+        a, b = diff.ops[f"couple_{sign}_difference"], total.ops[f"couple_{sign}_total"]
+        assert a.shape == b.shape and not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("size", SIZES, ids=["desk", "omega1"])

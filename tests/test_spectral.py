@@ -234,10 +234,10 @@ def test_batch_split_by_the_stack_budget_is_bit_identical(monkeypatch):
     whole_calls, calls[:] = list(calls), []
     # two points' stacks fit the budget, so the five points are solved in
     # three chunks
-    plan = spectral._sector_plan(fold_plan(points[0]).shapes, "difference")
+    plan = fold_plan(points[0])
     monkeypatch.setattr(spectral, "STACK_ELEMENTS", 2 * plan.ops["z1"].size)
     split = block_spectra(points)
-    for group in plan.groups:
+    for group in plan.sizes:
         n = group.slots.shape[1]
         assert whole_calls.count(n) <= 2 and 3 <= calls.count(n) <= 6
     for got, want in zip(split, whole):
@@ -309,10 +309,10 @@ def test_threads_missing_together_build_one_plan():
     import sys
     import threading
 
-    from pseudotherm.spectral import _build_sector_plan
+    from pseudotherm import model
 
     points = [ModelParams(alpha=0.3 + 0.02 * i, g=1.73) for i in range(4)]
-    _build_sector_plan.cache_clear()
+    model._build_fold_plan.cache_clear()
     results = [None] * len(points)
 
     def solve(i):
@@ -329,7 +329,7 @@ def test_threads_missing_together_build_one_plan():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert _build_sector_plan.cache_info().misses == 1
+    assert model._build_fold_plan.cache_info().misses == 1
     for p, spectra in zip(points, results):
         for s, alone in zip(spectra, block_spectra([p])[0]):
             assert np.array_equal(s.eigenvalues, alone.eigenvalues)
@@ -467,6 +467,29 @@ def test_find_eps_validates_sweep():
         find_eps(p, {"param": "beta", "lo": 0, "hi": 1, "coarse_steps": 4})
     with pytest.raises(ValueError):
         find_eps(p, {"param": "alpha", "lo": 1, "hi": 0, "coarse_steps": 4})
+    for precision in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="precision"):
+            find_eps(p, {"param": "alpha", "lo": 0, "hi": 1, "coarse_steps": 4}, precision)
+
+
+def test_sub_ulp_precision_bisects_until_the_midpoint_meets_an_end():
+    # a precision below float spacing once spun forever: the midpoint of two
+    # adjacent floats is one of them
+    p = ModelParams(g=1.73)
+    sweep = {"param": "alpha", "lo": 0.39, "hi": 0.5, "coarse_steps": 6}
+    fine = find_eps(p, sweep, precision=1e-12)
+    finest = find_eps(p, sweep, precision=1e-20)
+    assert fine and len(finest) == len(fine)
+    for e, f in zip(finest, fine):
+        lo, hi = e.bracket
+        assert hi - lo <= 2 * np.spacing(hi)
+        assert f.bracket[0] <= lo < hi <= f.bracket[1]
+    below = [
+        first_eps_about_unity(ModelParams(), [1.5], step=0.04, span=2.4, precision=precision)
+        .alpha_below[0]
+        for precision in (1e-4, 1e-20)
+    ]
+    assert abs(below[1] - below[0]) <= 1e-4
 
 
 def test_unity_boundary_is_ground_level_onset_and_step_converged():

@@ -204,7 +204,6 @@ def test_isotherm_makes_at_most_two_lapack_calls_per_sector_size(monkeypatch):
     # the 15 points of an isotherm are solved as one batch: one eigvalsh and
     # one eigvals call per sector size, not per point
     from pseudotherm.model import fold_plan
-    from pseudotherm.spectral import _sector_plan
 
     p = ModelParams(g=1.73)
     calls = []
@@ -220,7 +219,7 @@ def test_isotherm_makes_at_most_two_lapack_calls_per_sector_size(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
     iso = compute_isotherm(p, 0.144, np.linspace(0.2, 0.4, 15))
     assert np.all(iso.valid)
-    sizes = {g.slots.shape[1] for g in _sector_plan(fold_plan(p).shapes, p.coupling_z).groups}
+    sizes = {g.slots.shape[1] for g in fold_plan(p).sizes}
     assert len(sizes) == 18 and set(calls) == sizes
     assert max(calls.count(n) for n in sizes) <= 2
 

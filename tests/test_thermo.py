@@ -539,6 +539,17 @@ def test_zero_finders_read_chemical_potentials_from_the_point():
     )
 
 
+def test_zero_bisection_stops_where_the_midpoint_meets_an_end(desk_broken):
+    # rtol = 0 once spun forever on a bracket of two adjacent floats
+    grid = np.geomspace(0.02, 0.5, 200)
+    coarse = find_zeros(desk_broken, grid)
+    exact = find_zeros(desk_broken, grid, rtol=0.0)
+    assert len(exact) == len(coarse) >= 10
+    for z, c in zip(exact, coarse):
+        assert z.bracket[0] <= z.T_zero <= z.bracket[1]
+        assert abs(z.T_zero - c.T_zero) <= 1e-8 * c.T_zero
+
+
 def test_find_zeros_validates_grid(desk):
     with pytest.raises(ValueError):
         find_zeros(desk, [0.5])
