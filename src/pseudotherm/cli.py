@@ -193,6 +193,8 @@ def cmd_eps(p: ModelParams, args, config) -> None:
             f"eps needs a finite sweep lo < hi of at least 2 steps, got "
             f"[{args.lo}, {args.hi}] x {args.steps}"
         )
+    if args.param == "alpha" and args.lo < 0.0:
+        raise InfeasibleRequest(f"an alpha sweep must be non-negative, got --lo {args.lo}")
     if not args.precision > 0.0:
         raise InfeasibleRequest(f"--precision {args.precision} must be positive")
     pts = spectral.find_eps(
@@ -247,6 +249,15 @@ def cmd_thermo(p: ModelParams, args, config) -> None:
     if args.nv_count is not None:
         r = rescale(p, p.Omega1, args.nv_count, 0.0)
         p = p.with_(E=r.Er, g=r.gr, Omega=args.nv_count / 2.0)
+        # record the point computed, E and g to every digit, so that the
+        # header reproduces the table without --nv-count
+        config = {
+            **config,
+            "model.E": repr(p.E),
+            "model.g": repr(p.g),
+            "system.Omega": p.Omega,
+            "run.nv_count": args.nv_count,
+        }
     table = thermo.thermal_table(p)
     gaps = (
         thermo.gap_curve(p, t_values)

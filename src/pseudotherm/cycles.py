@@ -8,9 +8,11 @@ the genuinely physical questions: whether the requested corners exist at
 all, and what happens when a leg touches the region where the partition
 function vanishes.
 
-Corner alphas are solved on S(T, alpha): a coarse scan of the bracket,
-whose points are solved as one batch (thermo.thermal_tables) and whose S
-values are memoized per temperature, then a bisection of single points.
+Corner alphas are solved on S(T, alpha), every corner of a cycle or a
+grid together (solve_alphas): one coarse scan of the bracket, solved as
+one batch (thermo.thermal_tables) that gives the S curve of every
+temperature, then a lockstep bisection that solves the midpoints of all
+open corners as one batch per step.
 
 Sign convention: work done ON the system and heat ABSORBED by the system
 are positive.
@@ -19,7 +21,7 @@ are positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +37,7 @@ __all__ = [
     "CycleResult",
     "SolveResult",
     "solve_alpha",
+    "solve_alphas",
     "carnot_cycle",
     "stirling_cycle",
     "stirling_classical_efficiency",
@@ -44,7 +47,6 @@ __all__ = [
 
 DEFAULT_BRACKET = (0.02, 1.6)
 ALPHA_TOL = 1e-8
-COARSE_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,7 @@ class SolveResult:
     alpha: float
     root_count: int
     residual: float
+    state: CornerState | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -124,8 +127,8 @@ class CycleResult:
     degenerate: bool
 
 
-def _state(p: ModelParams, t: float, alpha: float) -> CornerState | None:
-    pt = potentials(p.with_(alpha=float(alpha)), t)
+def _state(p: ModelParams, t: float, alpha: float, table=None) -> CornerState | None:
+    pt = potentials(p.with_(alpha=float(alpha)), t, table=table)
     if not pt.valid:
         return None
     return CornerState(
@@ -139,45 +142,15 @@ def _entropy(p: ModelParams, t: float, alpha: float, table=None) -> float:
     return pt.S if pt.valid else math.nan
 
 
-@lru_cache(maxsize=COARSE_CACHE_SIZE)
-def _coarse_entropy(p, t, bracket, coarse) -> tuple:
-    """S(T, alpha), NaN at invalid points, on the coarse grid of the
-    bracket.  The grid is solved as one thermal_tables batch; only the
-    floats are kept, and every target entropy at (p, T) shares them."""
-    grid = np.linspace(bracket[0], bracket[1], coarse)
-    tables = thermal_tables(p.with_(alpha=float(a)) for a in grid)
-    return tuple(_entropy(p, t, a, table) for a, table in zip(grid, tables))
+def _tables(p: ModelParams, alphas) -> list:
+    """Spectrum tables of p at each alpha, solved as one batch."""
+    alphas = list(alphas)
+    return thermal_tables(p.with_(alpha=float(a)) for a in alphas) if alphas else []
 
 
-@lru_cache(maxsize=4096)
-def _solve_alpha_cached(p, t, s_target, bracket, tol, coarse):
-    return _solve_alpha_impl(p, t, s_target, bracket, tol, coarse)
-
-
-def solve_alpha(
-    p: ModelParams,
-    t: float,
-    s_target: float,
-    bracket: tuple = DEFAULT_BRACKET,
-    tol: float = ALPHA_TOL,
-    coarse: int = 64,
-) -> SolveResult:
-    """Solve S(T, alpha) = s_target for alpha inside the bracket.
-
-    The bracket is scanned on a coarse grid (invalid state points fragment
-    it); each sign change of S - s_target marks one root.  The smallest-
-    alpha root is bisected to |dalpha| <= tol and returned along with the
-    total root count.  Results are memoized: cycle grids revisit the same
-    corner many times.  The coarse S(alpha) curve is solved in one batch
-    and memoized per (p, T, bracket, coarse), so the targets of one
-    temperature share it; the bisection takes cached single-point tables.
-    """
-    return _solve_alpha_cached(p, t, s_target, tuple(bracket), tol, coarse)
-
-
-def _solve_alpha_impl(p, t, s_target, bracket, tol, coarse) -> SolveResult:
-    grid = np.linspace(bracket[0], bracket[1], coarse)
-    s_vals = np.array(_coarse_entropy(p, t, bracket, coarse))
+def _first_root(grid, s_vals, t, s_target, bracket) -> tuple:
+    """(lo, hi, d_lo, root count) of the smallest-alpha sign change of
+    S - s_target on the coarse grid; lo == hi where a grid point hits it."""
     ok = np.isfinite(s_vals)
     diff = s_vals - s_target
 
@@ -200,35 +173,141 @@ def _solve_alpha_impl(p, t, s_target, bracket, tol, coarse) -> SolveResult:
             attained_min=float(np.min(attained)) if len(attained) else None,
             attained_max=float(np.max(attained)) if len(attained) else None,
         )
+    return (*intervals[0], len(intervals))
 
-    lo, hi, d_lo = intervals[0]
-    if lo == hi:
-        return SolveResult(alpha=float(lo), root_count=len(intervals), residual=0.0)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        d_mid = _entropy(p, t, mid) - s_target
-        if math.isnan(d_mid):
-            # invalid sliver inside the interval: fall back to the valid side
-            mid_lo = lo + 0.25 * (hi - lo)
-            d_mid = _entropy(p, t, mid_lo) - s_target
-            if math.isnan(d_mid):
-                raise NoSolutionError(
-                    f"bracket around alpha={mid:.6g} fragmented by invalid points"
-                )
-            mid = mid_lo
-        if d_mid == 0.0:
-            lo = hi = mid
-            break
-        if (d_mid > 0) == (d_lo > 0):
-            lo, d_lo = mid, d_mid
+
+def _entropy_gaps(p: ModelParams, targets, points: dict) -> dict:
+    """S - s_target at each target's alpha (target index -> alpha)."""
+    return {
+        k: _entropy(p, targets[k][0], a, table) - targets[k][1]
+        for (k, a), table in zip(points.items(), _tables(p, points.values()))
+    }
+
+
+def solve_alphas(
+    p: ModelParams,
+    targets,
+    bracket: tuple = DEFAULT_BRACKET,
+    tol: float = ALPHA_TOL,
+    coarse: int = 64,
+) -> list:
+    """Solve S(T, alpha) = S for alpha inside the bracket, for every (T, S)
+    target together.
+
+    The bracket is scanned on a coarse grid (invalid state points fragment
+    it); each sign change of S - S_target marks one root.  The grid is
+    solved once, as one thermal_tables batch, and every temperature takes
+    its S curve from those tables.  The smallest-alpha root of each target
+    is bisected in lockstep: each step solves the midpoints of every target
+    whose bracket is still open as one batch, and the fallback points of
+    the targets whose midpoint is invalid as a second.  A bracket closes at
+    width <= tol, or when its point rounds onto an end.  One last batch at
+    the roots gives each residual and corner state.  Each point of a batch
+    is solved on its own, so a target gets the alpha, root count and
+    residual that it gets when solved alone, bit for bit.
+
+    Returns one entry per target: a SolveResult, whose `state` is None where
+    the root lies on an invalid point, or the NoSolutionError of a target
+    that has no root.
+    """
+    targets = list(targets)
+    if not targets:
+        return []
+    grid = np.linspace(bracket[0], bracket[1], coarse)
+    tables = _tables(p, grid)
+    curves = {
+        t: np.array([_entropy(p, t, a, table) for a, table in zip(grid, tables)])
+        for t in dict.fromkeys(t for t, _ in targets)
+    }
+    del tables
+
+    out = [None] * len(targets)
+    counts = {}
+    alphas = {}  # target index -> root, once its bracket has closed
+    brackets = {}  # target index -> [lo, hi, d_lo] while it is open
+    for k, (t, s_target) in enumerate(targets):
+        try:
+            lo, hi, d_lo, counts[k] = _first_root(grid, curves[t], t, s_target, bracket)
+        except NoSolutionError as exc:
+            out[k] = exc
+            continue
+        if lo == hi:
+            alphas[k] = lo
         else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
-    return SolveResult(
-        alpha=float(alpha),
-        root_count=len(intervals),
-        residual=abs(_entropy(p, t, alpha) - s_target),
-    )
+            brackets[k] = [lo, hi, d_lo]
+
+    while brackets:
+        for k, (lo, hi, _) in list(brackets.items()):
+            if not hi - lo > tol:
+                alphas[k] = 0.5 * (lo + hi)
+                del brackets[k]
+        mids = {k: 0.5 * (lo + hi) for k, (lo, hi, _) in brackets.items()}
+        gaps = _entropy_gaps(p, targets, mids)
+        # invalid sliver inside the interval: fall back to the valid side
+        fallback = {
+            k: lo + 0.25 * (hi - lo)
+            for k, (lo, hi, _) in brackets.items()
+            if math.isnan(gaps[k])
+        }
+        gaps.update(_entropy_gaps(p, targets, fallback))
+        for k, mid in {**mids, **fallback}.items():
+            lo, hi, d_lo = brackets[k]
+            d_mid = gaps[k]
+            if not lo < mid < hi:
+                # the point rounds onto an end: the bracket cannot shrink
+                alphas[k] = 0.5 * (lo + hi)
+            elif math.isnan(d_mid):
+                out[k] = NoSolutionError(
+                    f"bracket around alpha={mids[k]:.6g} fragmented by invalid points"
+                )
+            elif d_mid == 0.0:
+                alphas[k] = mid
+            elif (d_mid > 0) == (d_lo > 0):
+                brackets[k] = [mid, hi, d_mid]
+                continue
+            else:
+                brackets[k] = [lo, mid, d_lo]
+                continue
+            del brackets[k]
+
+    for (k, alpha), table in zip(alphas.items(), _tables(p, alphas.values())):
+        t, s_target = targets[k]
+        state = _state(p, t, alpha, table)
+        residual = abs((state.S if state is not None else math.nan) - s_target)
+        out[k] = SolveResult(
+            alpha=float(alpha), root_count=counts[k], residual=residual, state=state
+        )
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _solve_alpha_cached(p, t, s_target, bracket, tol, coarse):
+    (res,) = solve_alphas(p, [(t, s_target)], bracket, tol, coarse)
+    if isinstance(res, NoSolutionError):
+        raise res
+    return res
+
+
+def solve_alpha(
+    p: ModelParams,
+    t: float,
+    s_target: float,
+    bracket: tuple = DEFAULT_BRACKET,
+    tol: float = ALPHA_TOL,
+    coarse: int = 64,
+) -> SolveResult:
+    """Solve S(T, alpha) = s_target for alpha inside the bracket.
+
+    The one-target call of solve_alphas: the smallest-alpha root found on
+    the coarse grid is bisected to |dalpha| <= tol (or until its midpoint
+    rounds onto an end) and returned along with the total root count and
+    the corner state at the root; NoSolutionError when S never reaches
+    s_target.  Results are memoized per (p, T, S, bracket, tol, coarse).
+    A caller with several targets should pass them to solve_alphas
+    together, which solves the coarse grid once and bisects them in
+    lockstep.
+    """
+    return _solve_alpha_cached(p, t, s_target, tuple(bracket), tol, coarse)
 
 
 def _close_cycle(kind, corners, legs, eta_classical, r_alpha):
@@ -285,31 +364,47 @@ def _close_cycle(kind, corners, legs, eta_classical, r_alpha):
     )
 
 
-def carnot_cycle(p: ModelParams, spec: CycleSpec) -> CycleResult:
-    """Two isotherms (T2 hot, T1 cold) joined by two constant-entropy legs.
-
-    Corner order: A=(T2,S1) -> B=(T2,S2) -> C=(T1,S2) -> D=(T1,S1).
-    Isothermal legs carry Q = T dS; adiabats carry W = dU.
-    """
-    if spec.kind != "carnot":
-        raise ValueError("spec.kind must be carnot")
-    corners = {}
-    for name, (t, s) in {
+def _carnot_corners(spec: CycleSpec) -> dict:
+    return {
         "A": (spec.T2, spec.S1),
         "B": (spec.T2, spec.S2),
         "C": (spec.T1, spec.S2),
         "D": (spec.T1, spec.S1),
-    }.items():
-        try:
-            sol = solve_alpha(p, t, s, bracket=spec.bracket)
-        except NoSolutionError as exc:
+    }
+
+
+def carnot_cycle(p: ModelParams, spec: CycleSpec) -> CycleResult:
+    """Two isotherms (T2 hot, T1 cold) joined by two constant-entropy legs.
+
+    Corner order: A=(T2,S1) -> B=(T2,S2) -> C=(T1,S2) -> D=(T1,S1).
+    Isothermal legs carry Q = T dS; adiabats carry W = dU.  The four
+    corners are solved together by one solve_alphas call.
+    """
+    if spec.kind != "carnot":
+        raise ValueError("spec.kind must be carnot")
+    return _carnot_from(spec, _solve_corners(p, [spec], spec.bracket))
+
+
+def _solve_corners(p: ModelParams, specs, bracket) -> dict:
+    """(T, S) -> solve_alphas entry for the distinct corners of the Carnot
+    specs, all solved in one call."""
+    targets = list(dict.fromkeys(c for spec in specs for c in _carnot_corners(spec).values()))
+    return dict(zip(targets, solve_alphas(p, targets, bracket=bracket)))
+
+
+def _carnot_from(spec: CycleSpec, solved: dict) -> CycleResult:
+    """The Carnot cycle of spec from its solved corners ((T, S) -> the
+    solve_alphas entry); the corners are checked in the order A-D."""
+    corners = {}
+    for name, (t, s) in _carnot_corners(spec).items():
+        sol = solved[t, s]
+        if isinstance(sol, NoSolutionError):
             raise CycleInfeasible(
-                f"corner {name} (T={t:.6g}, S={s:.6g}) unsolvable: {exc}", leg=name
-            ) from exc
-        state = _state(p, t, sol.alpha)
-        if state is None:
+                f"corner {name} (T={t:.6g}, S={s:.6g}) unsolvable: {sol}", leg=name
+            ) from sol
+        if sol.state is None:
             raise CycleInfeasible(f"corner {name} lies on an invalid point", leg=name)
-        corners[name] = state
+        corners[name] = sol.state
 
     a, b, c, d = corners["A"], corners["B"], corners["C"], corners["D"]
     legs = []
@@ -436,46 +531,53 @@ def efficiency_grid(
     """Run every ordered (T1 < T2) x (x1 < x2) cell of the grid.
 
     x is entropy for Carnot and alpha for Stirling.  Infeasible cells are
-    recorded with their reason, never dropped.
+    recorded with their reason, never dropped.  The distinct corners of all
+    Carnot cells are solved together by one solve_alphas call.
     """
     t_values = sorted(float(t) for t in t_values)
     x_values = sorted(float(x) for x in x_values)
     if kind not in ("carnot", "stirling"):
         raise ValueError("kind must be carnot or stirling")
+    cells_x = [
+        (t1, t2, x1, x2)
+        for i1, t1 in enumerate(t_values)
+        for t2 in t_values[i1 + 1 :]
+        for j1, x1 in enumerate(x_values)
+        for x2 in x_values[j1 + 1 :]
+    ]
+    specs = [
+        CycleSpec(kind="carnot", T1=t1, T2=t2, S1=x1, S2=x2, bracket=bracket)
+        if kind == "carnot"
+        else CycleSpec(kind="stirling", T1=t1, T2=t2, alpha1=x1, alpha2=x2)
+        for t1, t2, x1, x2 in cells_x
+    ]
+    if kind == "carnot":
+        solved = _solve_corners(p, specs, bracket)
     cells = []
-    for i1, t1 in enumerate(t_values):
-        for t2 in t_values[i1 + 1 :]:
-            for j1, x1 in enumerate(x_values):
-                for x2 in x_values[j1 + 1 :]:
-                    try:
-                        if kind == "carnot":
-                            spec = CycleSpec(
-                                kind="carnot", T1=t1, T2=t2, S1=x1, S2=x2, bracket=bracket
-                            )
-                            res = carnot_cycle(p, spec)
-                        else:
-                            spec = CycleSpec(
-                                kind="stirling", T1=t1, T2=t2, alpha1=x1, alpha2=x2
-                            )
-                            res = stirling_cycle(p, spec)
-                        cells.append(
-                            GridCell(
-                                T1=t1, T2=t2, x1=x1, x2=x2,
-                                eta=res.eta,
-                                eta_classical=res.eta_classical,
-                                feasible=True,
-                                degenerate=res.degenerate,
-                            )
-                        )
-                    except CycleInfeasible as exc:
-                        cells.append(
-                            GridCell(
-                                T1=t1, T2=t2, x1=x1, x2=x2,
-                                eta=math.nan,
-                                eta_classical=math.nan,
-                                feasible=False,
-                                degenerate=False,
-                                reason=str(exc).splitlines()[0][:120],
-                            )
-                        )
+    for (t1, t2, x1, x2), spec in zip(cells_x, specs):
+        try:
+            if kind == "carnot":
+                res = _carnot_from(spec, solved)
+            else:
+                res = stirling_cycle(p, spec)
+            cells.append(
+                GridCell(
+                    T1=t1, T2=t2, x1=x1, x2=x2,
+                    eta=res.eta,
+                    eta_classical=res.eta_classical,
+                    feasible=True,
+                    degenerate=res.degenerate,
+                )
+            )
+        except CycleInfeasible as exc:
+            cells.append(
+                GridCell(
+                    T1=t1, T2=t2, x1=x1, x2=x2,
+                    eta=math.nan,
+                    eta_classical=math.nan,
+                    feasible=False,
+                    degenerate=False,
+                    reason=str(exc).splitlines()[0][:120],
+                )
+            )
     return GridResult(kind=kind, cells=tuple(cells))

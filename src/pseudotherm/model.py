@@ -496,8 +496,9 @@ def solve_gap_t0(g_const: float, levels, rtol: float = 1e-10) -> float:
     """Zero-temperature mean-field gap from 1 = G sum_k 1/(2 E_k),
     E_k = sqrt(Delta^2 + eps_k^2).
 
-    Bracketing plus bisection to relative tolerance rtol; returns 0 when the
-    coupling is below critical (no positive solution).
+    Bracketing plus bisection to relative tolerance rtol, or until the
+    midpoint rounds onto an end; returns 0 when the coupling is below
+    critical (no positive solution).
     """
     if g_const <= 0:
         raise ValueError("G must be positive")
@@ -519,6 +520,8 @@ def solve_gap_t0(g_const: float, levels, rtol: float = 1e-10) -> float:
     lo = 0.0
     while hi - lo > rtol * max(hi, 1e-30):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if f(mid) > 0.0:
             lo = mid
         else:

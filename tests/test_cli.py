@@ -194,13 +194,14 @@ CARNOT_CORNERS = ["--t-values", "0.4,0.7", "--x-values", "3.5,4.5"]
         (["eps", "--steps", "1"], "eps.tsv"),
         (["eps", "--lo", "0.5", "--hi", "0.4"], "eps.tsv"),
         (["eps", "--hi", "inf"], "eps.tsv"),
+        (["eps", "--lo=-0.1", "--hi", "0.5", "--steps", "4"], "eps.tsv"),
         (["eps", "--precision", "0"], "eps.tsv"),
         (["eps", "--precision=-1"], "eps.tsv"),
         (["cycle", "--kind", "carnot", *CARNOT_CORNERS, "--bracket-lo", "0.5",
           "--bracket-hi", "0.5"], "cycle_carnot.tsv"),
     ],
-    ids=["one-step", "reversed", "infinite", "zero-precision", "negative-precision",
-         "flat-bracket"],
+    ids=["one-step", "reversed", "infinite", "negative-alpha", "zero-precision",
+         "negative-precision", "flat-bracket"],
 )
 def test_infeasible_sweep_exits_two_before_solving(tmp_path, monkeypatch, argv, table):
     from pseudotherm import spectral
@@ -347,6 +348,26 @@ def test_eps_subcommand(tmp_path, tiny_cfg):
     assert rc == 0
     _, cols, _ = read_table(os.path.join(str(tmp_path), "eps.tsv"))
     assert cols[:2] == ["param", "value"]
+
+
+def test_eps_g_sweep_may_go_negative(tmp_path, tiny_cfg):
+    rc = main(["--config", tiny_cfg, "--out", str(tmp_path), "eps", "--param", "g",
+               "--lo=-0.1", "--hi", "0.5", "--steps", "4"])
+    assert rc == 0
+
+
+def test_nv_count_header_reproduces_its_table(tmp_path):
+    argv = ["--alpha", "0.36", "--g", "1.73", "thermo", "--t-steps", "20"]
+    assert main(["--out", str(tmp_path), *argv, "--nv-count", "6"]) == 0
+    meta, _, rows = read_table(str(tmp_path / "thermo.tsv"))
+    assert (meta["run.nv_count"], meta["system.Omega"]) == ("6", "3")
+    cfg = tmp_path / "config.json"
+    keys = {k: v for k, v in meta.items() if k.startswith(("model.", "system."))}
+    cfg.write_text(json.dumps(keys))
+    again = tmp_path / "again"
+    again.mkdir()
+    assert main(["--config", str(cfg), "--out", str(again), "thermo", "--t-steps", "20"]) == 0
+    assert read_table(str(again / "thermo.tsv"))[2] == rows
 
 
 def test_rescale_fit_subcommand(tmp_path, tiny_cfg):

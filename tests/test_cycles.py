@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pseudotherm import ModelParams
@@ -32,10 +33,32 @@ def test_solve_alpha_root_stable_under_refinement(p):
     assert a.alpha == pytest.approx(b.alpha, abs=1e-6)
 
 
-def test_targets_of_one_temperature_share_one_coarse_batch(monkeypatch):
+SMALL = ModelParams(g=1.73, Omega=2.0, Omega1=1, Omega2=1)
+# two temperatures, and one entropy no alpha of the bracket reaches
+GRID_TARGETS = [(t, s) for t in (0.4, 0.7) for s in (3.5, 4.5, 9.0)]
+
+
+def _one_target(p, t, s, **kw):
+    """solve_alpha's result, or the NoSolutionError it raises."""
+    try:
+        return solve_alpha(p, t, s, **kw)
+    except NoSolutionError as exc:
+        return exc
+
+
+def _same(a, b):
+    if isinstance(a, NoSolutionError):
+        assert isinstance(b, NoSolutionError)
+        assert (str(a), a.attained_min, a.attained_max) == (
+            str(b), b.attained_min, b.attained_max
+        )
+    else:
+        assert (a.alpha, a.root_count, a.residual) == (b.alpha, b.root_count, b.residual)
+
+
+def test_targets_of_two_temperatures_share_one_coarse_batch(monkeypatch):
     from pseudotherm import cycles, spectral
 
-    p = ModelParams(g=1.73, Omega=2.0, Omega1=1, Omega2=1)
     batches = []
     solve = spectral.block_spectra
 
@@ -45,15 +68,105 @@ def test_targets_of_one_temperature_share_one_coarse_batch(monkeypatch):
         return solve(points)
 
     monkeypatch.setattr(spectral, "block_spectra", counted)
-    cycles._coarse_entropy.cache_clear()
-    first = solve_alpha(p, 0.5, 4.0, bracket=(0.05, 1.4), coarse=32)
+    targets = [(0.5, 4.0), (0.5, 4.5), (0.9, 5.0)]
+    first, second, third = cycles.solve_alphas(SMALL, targets, bracket=(0.05, 1.4), coarse=32)
     assert batches[0] == 32
-    del batches[:]
-    second = solve_alpha(p, 0.5, 4.5, bracket=(0.05, 1.4), coarse=32)
-    # the second target bisects on single points only
-    assert set(batches) <= {1}
-    assert first.alpha != second.alpha
-    assert cycles._coarse_entropy.cache_info().hits == 1
+    # every later batch holds the midpoints (or the roots) of open targets only
+    assert all(n <= len(targets) for n in batches[1:])
+    assert batches[-1] == len(targets)
+    assert first.alpha != second.alpha != third.alpha
+
+
+def test_lockstep_corners_equal_one_target_solves():
+    from pseudotherm import cycles
+
+    cycles._solve_alpha_cached.cache_clear()
+    together = cycles.solve_alphas(SMALL, GRID_TARGETS)
+    assert sum(isinstance(r, NoSolutionError) for r in together) == 2
+    for (t, s), res in zip(GRID_TARGETS, together):
+        _same(res, _one_target(SMALL, t, s))
+        if not isinstance(res, NoSolutionError):
+            assert res.state.alpha == res.alpha and res.state.T == t
+
+
+def test_root_on_a_coarse_point_is_exact():
+    from pseudotherm import cycles
+
+    grid = np.linspace(0.02, 1.6, 16)
+    s = cycles._entropy(SMALL, 0.5, grid[5])
+    (res,) = cycles.solve_alphas(SMALL, [(0.5, s)], coarse=16)
+    assert (res.alpha, res.root_count, res.residual) == (grid[5], 1, 0.0)
+    assert res.state.S == s
+
+
+def test_grid_cells_equal_their_own_carnot_cycles():
+    grid = efficiency_grid(SMALL, "carnot", [0.2, 0.4, 0.7], [1.0, 3.5, 5.5])
+    assert any(c.feasible for c in grid.cells) and not all(c.feasible for c in grid.cells)
+    for cell in grid.cells:
+        spec = CycleSpec(kind="carnot", T1=cell.T1, T2=cell.T2, S1=cell.x1, S2=cell.x2)
+        try:
+            res = carnot_cycle(SMALL, spec)
+        except CycleInfeasible as exc:
+            assert not cell.feasible
+            assert cell.reason == str(exc).splitlines()[0][:120]
+        else:
+            assert cell.feasible
+            assert (cell.eta, cell.degenerate) == (res.eta, res.degenerate)
+
+
+def _invalid_where(monkeypatch, is_invalid):
+    """Make cycles.potentials report an invalid point at every alpha for
+    which is_invalid(alpha) holds; returns the list of alphas it was asked."""
+    import dataclasses
+
+    from pseudotherm import cycles
+
+    asked = []
+    potentials = cycles.potentials
+
+    def patched(p, t, table=None):
+        asked.append(p.alpha)
+        pt = potentials(p, t, table=table)
+        if is_invalid(p.alpha):
+            return dataclasses.replace(pt, valid=False, S=math.nan)
+        return pt
+
+    monkeypatch.setattr(cycles, "potentials", patched)
+    cycles._solve_alpha_cached.cache_clear()
+    return asked
+
+
+def test_invalid_midpoint_falls_back_in_lockstep(monkeypatch):
+    from pseudotherm import cycles
+
+    t, s = 0.5, 4.0
+    asked = _invalid_where(monkeypatch, lambda a: False)
+    clean = solve_alpha(SMALL, t, s, coarse=32)
+    mid = asked[32]  # the first midpoint, after the 32 coarse points
+    grid = np.linspace(0.02, 1.6, 32)
+    lo, hi = grid[grid < mid].max(), grid[grid > mid].min()
+    assert mid == 0.5 * (lo + hi)
+
+    asked = _invalid_where(monkeypatch, lambda a: a == mid)
+    alone = solve_alpha(SMALL, t, s, coarse=32)
+    assert lo + 0.25 * (hi - lo) in asked
+    together = cycles.solve_alphas(SMALL, [(0.9, 5.0), (t, s), (0.5, 4.5)], coarse=32)
+    _same(together[1], alone)
+    assert alone.alpha == pytest.approx(clean.alpha, abs=1e-8)
+
+    # the fallback point is invalid too: the bracket is fragmented
+    _invalid_where(monkeypatch, lambda a: lo < a < hi)
+    with pytest.raises(NoSolutionError) as err:
+        solve_alpha(SMALL, t, s, coarse=32)
+    assert "fragmented by invalid points" in str(err.value)
+    together = cycles.solve_alphas(SMALL, [(0.9, 5.0), (t, s)], coarse=32)
+    _same(together[1], err.value)
+    assert not isinstance(together[0], NoSolutionError)
+
+
+def test_sub_ulp_tolerance_returns(p):
+    exact = solve_alpha(p, 0.7, 5.0, tol=0.0)
+    assert exact.alpha == pytest.approx(solve_alpha(p, 0.7, 5.0, tol=1e-8).alpha, abs=1e-8)
 
 
 def test_solve_alpha_no_solution_reports_range(p):

@@ -215,6 +215,14 @@ def test_gap_t0_symmetric_two_level():
     assert solve_gap_t0(g, [1.0, -1.0]) == pytest.approx(want, rel=1e-9)
 
 
+def test_gap_t0_sub_ulp_tolerance_returns():
+    # the bisection stops once its midpoint rounds onto an end
+    g = 1.73
+    assert solve_gap_t0(g, [-1.0, 1.0], rtol=0.0) == pytest.approx(
+        math.sqrt(g * g - 1.0), rel=1e-15
+    )
+
+
 def test_gap_t0_weak_coupling_collapse():
     assert solve_gap_t0(1e-6, [1.0, -1.0, 2.0]) == 0.0
 
