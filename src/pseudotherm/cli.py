@@ -156,6 +156,16 @@ def _temperatures(values):
     return values
 
 
+def _alpha_grid(args) -> np.ndarray:
+    """The --alpha-min/--alpha-max/--alpha-steps grid, refused unless every
+    alpha is non-negative."""
+    if args.alpha_min < 0.0:
+        raise InfeasibleRequest(
+            f"an alpha sweep must be non-negative, got --alpha-min {args.alpha_min}"
+        )
+    return _grid(args.alpha_min, args.alpha_max, args.alpha_steps)
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -225,7 +235,7 @@ def cmd_tc_map(p: ModelParams, args, config) -> None:
             f"--t-max {args.t_max} must be finite and exceed the scan's lowest "
             f"temperature {thermo.TC_T_MIN}"
         )
-    alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_steps)
+    alphas = _alpha_grid(args)
     g_values = _values_arg(args.g_values) if args.g_values else [p.g]
 
     tasks = [(g, a) for g in g_values for a in alphas]
@@ -247,6 +257,8 @@ def cmd_tc_map(p: ModelParams, args, config) -> None:
 def cmd_thermo(p: ModelParams, args, config) -> None:
     t_values = _temperatures(_grid(args.t_min, args.t_max, args.t_steps))
     if args.nv_count is not None:
+        if args.nv_count < 1:
+            raise InfeasibleRequest(f"--nv-count {args.nv_count} must be at least 1")
         r = rescale(p, p.Omega1, args.nv_count, 0.0)
         p = p.with_(E=r.Er, g=r.gr, Omega=args.nv_count / 2.0)
         # record the point computed, E and g to every digit, so that the
@@ -291,7 +303,7 @@ def cmd_thermo(p: ModelParams, args, config) -> None:
 
 def cmd_spinodal(p: ModelParams, args, config) -> None:
     t_values = _temperatures(_values_arg(args.t_values))
-    alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_steps)
+    alphas = _alpha_grid(args)
     if len(alphas) < stability.MIN_POINTS or not np.all(np.diff(alphas) > 0):
         raise InfeasibleRequest(
             f"spinodal needs a strictly increasing alpha grid of at least "
@@ -339,9 +351,17 @@ def cmd_spinodal(p: ModelParams, args, config) -> None:
 def cmd_cycle(p: ModelParams, args, config) -> None:
     t_values = _temperatures(_values_arg(args.t_values))
     x_values = _values_arg(args.x_values)
-    if args.kind == "carnot" and not args.bracket_lo < args.bracket_hi:
+    if not all(math.isfinite(x) for x in x_values):
+        raise InfeasibleRequest(f"--x-values {args.x_values} must be finite")
+    for flag, values in (("--t-values", t_values), ("--x-values", x_values)):
+        if len(set(values)) < len(values):
+            raise InfeasibleRequest(f"{flag} repeats a value")
+    if args.kind == "stirling" and not min(x_values) > 0.0:
+        raise InfeasibleRequest(f"stirling alphas must be positive, got {args.x_values}")
+    if args.kind == "carnot" and not 0.0 <= args.bracket_lo < args.bracket_hi < math.inf:
         raise InfeasibleRequest(
-            f"empty alpha bracket [{args.bracket_lo}, {args.bracket_hi}]"
+            f"the alpha bracket [{args.bracket_lo}, {args.bracket_hi}] must be a "
+            f"finite non-negative interval lo < hi"
         )
     grid = efficiency_grid(
         p,

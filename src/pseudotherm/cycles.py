@@ -8,9 +8,12 @@ the genuinely physical questions: whether the requested corners exist at
 all, and what happens when a leg touches the region where the partition
 function vanishes.
 
-Corner alphas are solved on S(T, alpha), every corner of a cycle or a
-grid together (solve_alphas): one coarse scan of the bracket, solved as
-one batch (thermo.thermal_tables) that gives the S curve of every
+Both kinds take one path: one corner step solves every distinct corner of
+a cycle or a grid, then one builder checks the corners and books the four
+legs of each cycle.  Stirling corners sit at given alphas, whose spectrum
+tables are solved as one batch (thermo.thermal_tables).  Carnot corner
+alphas are solved on S(T, alpha) together (solve_alphas): one coarse scan
+of the bracket, solved as one batch that gives the S curve of every
 temperature, then a lockstep bisection that solves the midpoints of all
 open corners as one batch per step.
 
@@ -79,6 +82,8 @@ class CycleSpec:
         else:
             if self.alpha1 is None or self.alpha2 is None or not self.alpha1 < self.alpha2:
                 raise ValueError("stirling needs alpha1 < alpha2")
+            if not self.alpha1 > 0.0:
+                raise ValueError("stirling needs alpha1 > 0")
         if not self.bracket[0] < self.bracket[1]:
             raise ValueError("empty alpha bracket")
 
@@ -138,12 +143,13 @@ def _state(p: ModelParams, t: float, alpha: float, table=None) -> CornerState | 
 
 
 def _entropy(p: ModelParams, t: float, alpha: float, table=None) -> float:
-    pt = potentials(p.with_(alpha=float(alpha)), t, table=table)
-    return pt.S if pt.valid else math.nan
+    state = _state(p, t, alpha, table)
+    return state.S if state is not None else math.nan
 
 
 def _tables(p: ModelParams, alphas) -> list:
-    """Spectrum tables of p at each alpha, solved as one batch."""
+    """Spectrum tables of p at each alpha, solved as one batch; no alphas
+    (a bisection step without fallback points) make no solve."""
     alphas = list(alphas)
     return thermal_tables(p.with_(alpha=float(a)) for a in alphas) if alphas else []
 
@@ -364,13 +370,73 @@ def _close_cycle(kind, corners, legs, eta_classical, r_alpha):
     )
 
 
-def _carnot_corners(spec: CycleSpec) -> dict:
-    return {
-        "A": (spec.T2, spec.S1),
-        "B": (spec.T2, spec.S2),
-        "C": (spec.T1, spec.S2),
-        "D": (spec.T1, spec.S1),
-    }
+def _corners(spec: CycleSpec) -> dict:
+    """Corner name -> (T, x) in the order A-D; x is S for Carnot and alpha
+    for Stirling."""
+    x1, x2 = (spec.S1, spec.S2) if spec.kind == "carnot" else (spec.alpha1, spec.alpha2)
+    return {"A": (spec.T2, x1), "B": (spec.T2, x2), "C": (spec.T1, x2), "D": (spec.T1, x1)}
+
+
+def _corner_states(p: ModelParams, specs) -> dict:
+    """(T, x) -> CornerState, None on an invalid point, or a Carnot corner's
+    NoSolutionError, for the distinct corners of specs of one kind and one
+    bracket.  Carnot corners are solved by one solve_alphas call; the
+    distinct alphas of Stirling corners are solved as one batch."""
+    specs = list(specs)
+    corners = list(dict.fromkeys(c for spec in specs for c in _corners(spec).values()))
+    if specs and specs[0].kind == "carnot":
+        solved = solve_alphas(p, corners, bracket=specs[0].bracket)
+        return {
+            c: sol if isinstance(sol, NoSolutionError) else sol.state
+            for c, sol in zip(corners, solved)
+        }
+    alphas = list(dict.fromkeys(a for _, a in corners))
+    tables = dict(zip(alphas, _tables(p, alphas)))
+    return {(t, a): _state(p, t, a, tables[a]) for t, a in corners}
+
+
+def _cycle(spec: CycleSpec, states: dict) -> CycleResult:
+    """The cycle of spec from its corner states (see _corner_states); the
+    corners are checked in the order A-D.
+
+    Isotherms carry Q = T dS, Carnot adiabats Q = 0 and Stirling isochores
+    Q = dU; every leg has W = dU - Q.
+    """
+    corners = []
+    for name, (t, x) in _corners(spec).items():
+        state = states[t, x]
+        if isinstance(state, NoSolutionError):
+            raise CycleInfeasible(
+                f"corner {name} (T={t:.6g}, S={x:.6g}) unsolvable: {state}", leg=name
+            ) from state
+        if state is None:
+            raise CycleInfeasible(f"corner {name} lies on an invalid point", leg=name)
+        corners.append(state)
+
+    carnot = spec.kind == "carnot"
+    a, b, c, d = corners
+    legs = []
+    for name, s0, s1, iso_t in (
+        ("isothermal@T2", a, b, spec.T2),
+        ("adiabat S2" if carnot else "isochoric@a2", b, c, None),
+        ("isothermal@T1", c, d, spec.T1),
+        ("adiabat S1" if carnot else "isochoric@a1", d, a, None),
+    ):
+        du = s1.U - s0.U
+        ds = s1.S - s0.S
+        q = iso_t * ds if iso_t is not None else 0.0 if carnot else du
+        legs.append(Leg(name=name, Q=q, W=du - q, dU=du, dS=ds))
+
+    if carnot:
+        eta_classical = 1.0 - spec.T1 / spec.T2
+        r_alpha = (b.alpha / c.alpha) / (a.alpha / d.alpha)
+    else:
+        eta_classical = stirling_classical_efficiency(spec.T1, spec.T2, spec.alpha1, spec.alpha2)
+        r_alpha = None
+    res = _close_cycle(spec.kind, corners, legs, eta_classical, r_alpha)
+    if carnot and spec.S1 == spec.S2:
+        res = CycleResult(**{**res.__dict__, "eta": 0.0, "degenerate": True})
+    return res
 
 
 def carnot_cycle(p: ModelParams, spec: CycleSpec) -> CycleResult:
@@ -382,49 +448,7 @@ def carnot_cycle(p: ModelParams, spec: CycleSpec) -> CycleResult:
     """
     if spec.kind != "carnot":
         raise ValueError("spec.kind must be carnot")
-    return _carnot_from(spec, _solve_corners(p, [spec], spec.bracket))
-
-
-def _solve_corners(p: ModelParams, specs, bracket) -> dict:
-    """(T, S) -> solve_alphas entry for the distinct corners of the Carnot
-    specs, all solved in one call."""
-    targets = list(dict.fromkeys(c for spec in specs for c in _carnot_corners(spec).values()))
-    return dict(zip(targets, solve_alphas(p, targets, bracket=bracket)))
-
-
-def _carnot_from(spec: CycleSpec, solved: dict) -> CycleResult:
-    """The Carnot cycle of spec from its solved corners ((T, S) -> the
-    solve_alphas entry); the corners are checked in the order A-D."""
-    corners = {}
-    for name, (t, s) in _carnot_corners(spec).items():
-        sol = solved[t, s]
-        if isinstance(sol, NoSolutionError):
-            raise CycleInfeasible(
-                f"corner {name} (T={t:.6g}, S={s:.6g}) unsolvable: {sol}", leg=name
-            ) from sol
-        if sol.state is None:
-            raise CycleInfeasible(f"corner {name} lies on an invalid point", leg=name)
-        corners[name] = sol.state
-
-    a, b, c, d = corners["A"], corners["B"], corners["C"], corners["D"]
-    legs = []
-    for name, s0, s1, iso_t in (
-        ("isothermal@T2", a, b, spec.T2),
-        ("adiabat S2", b, c, None),
-        ("isothermal@T1", c, d, spec.T1),
-        ("adiabat S1", d, a, None),
-    ):
-        du = s1.U - s0.U
-        ds = s1.S - s0.S
-        q = iso_t * ds if iso_t is not None else 0.0
-        legs.append(Leg(name=name, Q=q, W=du - q, dU=du, dS=ds))
-
-    r_alpha = (b.alpha / c.alpha) / (a.alpha / d.alpha)
-    eta_classical = 1.0 - spec.T1 / spec.T2
-    res = _close_cycle("carnot", (a, b, c, d), legs, eta_classical, r_alpha)
-    if spec.S1 == spec.S2:
-        res = CycleResult(**{**res.__dict__, "eta": 0.0, "degenerate": True})
-    return res
+    return _cycle(spec, _corner_states(p, [spec]))
 
 
 def stirling_classical_efficiency(t1, t2, alpha1, alpha2) -> float:
@@ -439,45 +463,12 @@ def stirling_cycle(p: ModelParams, spec: CycleSpec) -> CycleResult:
     """Two isotherms joined by two constant-alpha legs.
 
     Corner order: A=(T2,a1) -> B=(T2,a2) -> C=(T1,a2) -> D=(T1,a1);
-    constant-alpha legs carry W = 0, Q = dU.
+    constant-alpha legs carry W = 0, Q = dU.  The two alphas are solved as
+    one batch.
     """
     if spec.kind != "stirling":
         raise ValueError("spec.kind must be stirling")
-    states = {}
-    for name, (t, alpha) in {
-        "A": (spec.T2, spec.alpha1),
-        "B": (spec.T2, spec.alpha2),
-        "C": (spec.T1, spec.alpha2),
-        "D": (spec.T1, spec.alpha1),
-    }.items():
-        st = _state(p, t, alpha)
-        if st is None:
-            raise CycleInfeasible(f"corner {name} lies on an invalid point", leg=name)
-        states[name] = st
-
-    a, b, c, d = states["A"], states["B"], states["C"], states["D"]
-    legs = []
-    for name, s0, s1, iso_t in (
-        ("isothermal@T2", a, b, spec.T2),
-        ("isochoric@a2", b, c, None),
-        ("isothermal@T1", c, d, spec.T1),
-        ("isochoric@a1", d, a, None),
-    ):
-        du = s1.U - s0.U
-        ds = s1.S - s0.S
-        if iso_t is None:
-            legs.append(Leg(name=name, Q=du, W=0.0, dU=du, dS=ds))
-        else:
-            q = iso_t * ds
-            legs.append(Leg(name=name, Q=q, W=du - q, dU=du, dS=ds))
-
-    eta_classical = stirling_classical_efficiency(
-        spec.T1, spec.T2, spec.alpha1, spec.alpha2
-    )
-    res = _close_cycle("stirling", (a, b, c, d), legs, eta_classical, None)
-    if spec.T1 == spec.T2:
-        res = CycleResult(**{**res.__dict__, "eta": 0.0, "degenerate": True})
-    return res
+    return _cycle(spec, _corner_states(p, [spec]))
 
 
 @dataclass(frozen=True)
@@ -532,7 +523,7 @@ def efficiency_grid(
 
     x is entropy for Carnot and alpha for Stirling.  Infeasible cells are
     recorded with their reason, never dropped.  The distinct corners of all
-    Carnot cells are solved together by one solve_alphas call.
+    cells are solved together by one corner step (_corner_states).
     """
     t_values = sorted(float(t) for t in t_values)
     x_values = sorted(float(x) for x in x_values)
@@ -551,33 +542,16 @@ def efficiency_grid(
         else CycleSpec(kind="stirling", T1=t1, T2=t2, alpha1=x1, alpha2=x2)
         for t1, t2, x1, x2 in cells_x
     ]
-    if kind == "carnot":
-        solved = _solve_corners(p, specs, bracket)
+    states = _corner_states(p, specs)
     cells = []
     for (t1, t2, x1, x2), spec in zip(cells_x, specs):
         try:
-            if kind == "carnot":
-                res = _carnot_from(spec, solved)
-            else:
-                res = stirling_cycle(p, spec)
-            cells.append(
-                GridCell(
-                    T1=t1, T2=t2, x1=x1, x2=x2,
-                    eta=res.eta,
-                    eta_classical=res.eta_classical,
-                    feasible=True,
-                    degenerate=res.degenerate,
-                )
-            )
+            res = _cycle(spec, states)
         except CycleInfeasible as exc:
-            cells.append(
-                GridCell(
-                    T1=t1, T2=t2, x1=x1, x2=x2,
-                    eta=math.nan,
-                    eta_classical=math.nan,
-                    feasible=False,
-                    degenerate=False,
-                    reason=str(exc).splitlines()[0][:120],
-                )
-            )
+            outcome = dict(eta=math.nan, eta_classical=math.nan, feasible=False,
+                           degenerate=False, reason=str(exc).splitlines()[0][:120])
+        else:
+            outcome = dict(eta=res.eta, eta_classical=res.eta_classical, feasible=True,
+                           degenerate=res.degenerate)
+        cells.append(GridCell(T1=t1, T2=t2, x1=x1, x2=x2, **outcome))
     return GridResult(kind=kind, cells=tuple(cells))

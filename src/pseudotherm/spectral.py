@@ -23,11 +23,13 @@ leading axis per point.  block_spectra takes a sweep's points together
 (one system size, one coupling mode): each (size, symmetric) group of all
 points is solved with one batched eigenvalue call, in chunks of points of
 at most STACK_ELEMENTS elements per operator, and one lexsort orders every
-point's and shape's eigenvalues; a single point is a batch of one.  vector_spectra, behind thermal averages, makes one batched
-diagonalize call per size and contracts each level's <L_n|O|R_n> within
-its sector, so no eigenvector is ever laid out in a block basis.  Each
-matrix of a batch is solved on its own, so the result equals a per-sector,
-per-point solve bit for bit.
+point's and shape's eigenvalues; a single point is a batch of one.
+
+vector_spectra, behind thermal averages, makes one batched diagonalize call
+per size and contracts each level's <L_n|O|R_n> within its sector, so no
+eigenvector is ever laid out in a block basis.  Each matrix of a batch is
+solved on its own, so the result equals a per-sector, per-point solve bit
+for bit.
 
 The spectral layer is per shape: block_spectra and block_eigen_data hold
 one spectrum per shape of the fold plan, labelled by the shape's first

@@ -199,9 +199,26 @@ CARNOT_CORNERS = ["--t-values", "0.4,0.7", "--x-values", "3.5,4.5"]
         (["eps", "--precision=-1"], "eps.tsv"),
         (["cycle", "--kind", "carnot", *CARNOT_CORNERS, "--bracket-lo", "0.5",
           "--bracket-hi", "0.5"], "cycle_carnot.tsv"),
+        (["cycle", "--kind", "carnot", *CARNOT_CORNERS, "--bracket-lo=-0.1"],
+         "cycle_carnot.tsv"),
+        (["cycle", "--kind", "carnot", "--t-values", "0.4,0.7,0.4", "--x-values", "3.5,4.5"],
+         "cycle_carnot.tsv"),
+        (["cycle", "--kind", "carnot", "--t-values", "0.4,0.7", "--x-values", "3.5,4.5,3.5"],
+         "cycle_carnot.tsv"),
+        (["cycle", "--kind", "stirling", "--t-values", "0.4,0.7", "--x-values", "0.5,0.9,0.5"],
+         "cycle_stirling.tsv"),
+        (["cycle", "--kind", "carnot", "--t-values", "0.4,0.7", "--x-values", "3.5,nan"],
+         "cycle_carnot.tsv"),
+        (["cycle", "--kind", "stirling", "--t-values", "0.4,0.7", "--x-values", "0,0.5"],
+         "cycle_stirling.tsv"),
+        (["spinodal", "--t-values", "0.144", "--alpha-min=-0.1"], "spinodal_loci.tsv"),
+        (["tc-map", "--alpha-min=-0.1"], "tc_map.tsv"),
+        (["thermo", "--nv-count", "0"], "thermo.tsv"),
     ],
     ids=["one-step", "reversed", "infinite", "negative-alpha", "zero-precision",
-         "negative-precision", "flat-bracket"],
+         "negative-precision", "flat-bracket", "negative-bracket", "repeated-temperature",
+         "repeated-entropy", "repeated-alpha", "nan-x", "zero-stirling-alpha",
+         "spinodal-negative-alpha", "tc-map-negative-alpha", "zero-nv-count"],
 )
 def test_infeasible_sweep_exits_two_before_solving(tmp_path, monkeypatch, argv, table):
     from pseudotherm import spectral
@@ -460,6 +477,11 @@ CARNOT_ARGS = ["--g", "1.73", "cycle", "--kind", "carnot",
                "--t-values", "0.4,0.7", "--x-values", "3.5,4.5,5.5"]
 STIRLING_ARGS = ["--g", "1.73", "cycle", "--kind", "stirling",
                  "--t-values", "0.4,0.7", "--x-values", "0.5,0.9"]
+# 15 infeasible cells, for 4 distinct reasons
+CARNOT_INFEASIBLE_ARGS = ["--g", "1.73", "cycle", "--kind", "carnot",
+                          "--t-values", "0.3,0.5,0.9", "--x-values", "3.0,4.0,5.0,9.0"]
+STIRLING_GRID_ARGS = ["--g", "1.73", "cycle", "--kind", "stirling",
+                      "--t-values", "0.3,0.5,0.9,1.4", "--x-values", "0.2,0.4,0.7,1.1,1.5"]
 # pinned file -> (config: a mapping, or a path read in place; argv; the file
 # the command writes)
 PINNED = {
@@ -485,6 +507,8 @@ PINNED = {
     "cycle_carnot_max_by_x.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot_max_by_x.tsv"),
     "cycle_carnot_max_by_t.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot_max_by_t.tsv"),
     "cycle_stirling.tsv": (CARNOT_SYSTEM, STIRLING_ARGS, "cycle_stirling.tsv"),
+    "cycle_carnot_infeasible.tsv": (CARNOT_SYSTEM, CARNOT_INFEASIBLE_ARGS, "cycle_carnot.tsv"),
+    "cycle_stirling_grid.tsv": (CARNOT_SYSTEM, STIRLING_GRID_ARGS, "cycle_stirling.tsv"),
 }
 
 

@@ -114,6 +114,35 @@ def test_grid_cells_equal_their_own_carnot_cycles():
             assert (cell.eta, cell.degenerate) == (res.eta, res.degenerate)
 
 
+def test_grid_cells_equal_their_own_stirling_cycles():
+    grid = efficiency_grid(SMALL, "stirling", [0.2, 0.4, 0.7], [0.3, 0.6, 1.1])
+    assert len(grid.cells) == 9
+    for cell in grid.cells:
+        spec = CycleSpec(kind="stirling", T1=cell.T1, T2=cell.T2, alpha1=cell.x1, alpha2=cell.x2)
+        res = stirling_cycle(SMALL, spec)
+        assert cell.feasible
+        assert (cell.eta, cell.eta_classical, cell.degenerate) == (
+            res.eta, res.eta_classical, res.degenerate
+        )
+
+
+def test_stirling_grid_solves_its_alphas_in_one_batch(monkeypatch):
+    from pseudotherm import spectral
+
+    batches = []
+    solve = spectral.block_spectra
+
+    def counted(points):
+        points = list(points)
+        batches.append(len(points))
+        return solve(points)
+
+    monkeypatch.setattr(spectral, "block_spectra", counted)
+    grid = efficiency_grid(SMALL, "stirling", [0.3, 0.5, 0.9], [0.2, 0.4, 0.7, 1.1, 1.5])
+    assert len(grid.cells) == 30
+    assert batches == [5]
+
+
 def _invalid_where(monkeypatch, is_invalid):
     """Make cycles.potentials report an invalid point at every alpha for
     which is_invalid(alpha) holds; returns the list of alphas it was asked."""
@@ -164,6 +193,19 @@ def test_invalid_midpoint_falls_back_in_lockstep(monkeypatch):
     assert not isinstance(together[0], NoSolutionError)
 
 
+def test_invalid_stirling_corner_is_recorded(monkeypatch):
+    _invalid_where(monkeypatch, lambda a: a == 0.5)
+    grid = efficiency_grid(SMALL, "stirling", [0.4, 0.7], [0.5, 0.7, 0.9])
+    reasons = {(c.x1, c.x2): c.reason for c in grid.cells}
+    assert reasons == {
+        (0.5, 0.7): "corner A lies on an invalid point",
+        (0.5, 0.9): "corner A lies on an invalid point",
+        (0.7, 0.9): "",
+    }
+    with pytest.raises(CycleInfeasible, match="corner A lies on an invalid point"):
+        stirling_cycle(SMALL, CycleSpec(kind="stirling", T1=0.4, T2=0.7, alpha1=0.5, alpha2=0.9))
+
+
 def test_sub_ulp_tolerance_returns(p):
     exact = solve_alpha(p, 0.7, 5.0, tol=0.0)
     assert exact.alpha == pytest.approx(solve_alpha(p, 0.7, 5.0, tol=1e-8).alpha, abs=1e-8)
@@ -183,6 +225,8 @@ def test_spec_validation():
         CycleSpec(kind="carnot", T1=1.0, T2=0.5, S1=1, S2=2)
     with pytest.raises(ValueError):
         CycleSpec(kind="stirling", T1=0.5, T2=1.0, alpha1=0.9, alpha2=0.3)
+    with pytest.raises(ValueError, match="alpha1 > 0"):
+        CycleSpec(kind="stirling", T1=0.5, T2=1.0, alpha1=0.0, alpha2=0.3)
 
 
 def test_carnot_recovers_classical_efficiency(p):
