@@ -135,6 +135,8 @@ def _parallel_map(fn, items, workers: int):
 
 
 def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InfeasibleRequest(f"grid bounds must be finite, got [{lo}, {hi}]")
     if steps < 1 or not lo <= hi:
         raise InfeasibleRequest(f"empty grid [{lo}, {hi}] x {steps}")
     if steps == 1:
@@ -150,9 +152,9 @@ def _values_arg(text: str) -> list[float]:
 
 
 def _temperatures(values):
-    """The requested temperatures, refused unless every one is positive."""
-    if not all(t > 0.0 for t in values):
-        raise InfeasibleRequest("temperatures must be positive")
+    """The requested temperatures, refused unless every one is positive and finite."""
+    if not all(0.0 < t < math.inf for t in values):
+        raise InfeasibleRequest("temperatures must be positive and finite")
     return values
 
 

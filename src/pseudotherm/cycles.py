@@ -14,8 +14,8 @@ legs of each cycle.  Stirling corners sit at given alphas, whose spectrum
 tables are solved as one batch (thermo.thermal_tables).  Carnot corner
 alphas are solved on S(T, alpha) together (solve_alphas): one coarse scan
 of the bracket, solved as one batch that gives the S curve of every
-temperature, then a lockstep bisection that solves the midpoints of all
-open corners as one batch per step.
+temperature, then a lockstep bisection (roots.bisect) that solves the
+midpoints of all open corners as one batch per step.
 
 Sign convention: work done ON the system and heat ABSORBED by the system
 are positive.
@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import CycleInfeasible, NoSolutionError
 from .model import ModelParams
+from .roots import bisect
 from .thermo import potentials, thermal_tables
 
 __all__ = [
@@ -149,7 +150,7 @@ def _entropy(p: ModelParams, t: float, alpha: float, table=None) -> float:
 
 def _tables(p: ModelParams, alphas) -> list:
     """Spectrum tables of p at each alpha, solved as one batch; no alphas
-    (a bisection step without fallback points) make no solve."""
+    (no Carnot corner with a root) make no solve."""
     alphas = list(alphas)
     return thermal_tables(p.with_(alpha=float(a)) for a in alphas) if alphas else []
 
@@ -182,14 +183,6 @@ def _first_root(grid, s_vals, t, s_target, bracket) -> tuple:
     return (*intervals[0], len(intervals))
 
 
-def _entropy_gaps(p: ModelParams, targets, points: dict) -> dict:
-    """S - s_target at each target's alpha (target index -> alpha)."""
-    return {
-        k: _entropy(p, targets[k][0], a, table) - targets[k][1]
-        for (k, a), table in zip(points.items(), _tables(p, points.values()))
-    }
-
-
 def solve_alphas(
     p: ModelParams,
     targets,
@@ -204,12 +197,11 @@ def solve_alphas(
     it); each sign change of S - S_target marks one root.  The grid is
     solved once, as one thermal_tables batch, and every temperature takes
     its S curve from those tables.  The smallest-alpha root of each target
-    is bisected in lockstep: each step solves the midpoints of every target
-    whose bracket is still open as one batch, and the fallback points of
-    the targets whose midpoint is invalid as a second.  A bracket closes at
-    width <= tol, or when its point rounds onto an end.  One last batch at
-    the roots gives each residual and corner state.  Each point of a batch
-    is solved on its own, so a target gets the alpha, root count and
+    is bisected to width <= tol in lockstep by roots.bisect: each step
+    solves the midpoints of every open bracket as one batch, and the
+    quarter points that retry invalid midpoints as a second.  One last
+    batch at the roots gives each residual and corner state.  Each point of
+    a batch is solved on its own, so a target gets the alpha, root count and
     residual that it gets when solved alone, bit for bit.
 
     Returns one entry per target: a SolveResult, whose `state` is None where
@@ -228,53 +220,30 @@ def solve_alphas(
     del tables
 
     out = [None] * len(targets)
-    counts = {}
-    alphas = {}  # target index -> root, once its bracket has closed
-    brackets = {}  # target index -> [lo, hi, d_lo] while it is open
+    counts, brackets, signs = {}, {}, {}
     for k, (t, s_target) in enumerate(targets):
         try:
             lo, hi, d_lo, counts[k] = _first_root(grid, curves[t], t, s_target, bracket)
         except NoSolutionError as exc:
             out[k] = exc
             continue
-        if lo == hi:
-            alphas[k] = lo
-        else:
-            brackets[k] = [lo, hi, d_lo]
+        brackets[k] = (lo, hi)
+        signs[k] = math.copysign(1.0, d_lo)
 
-    while brackets:
-        for k, (lo, hi, _) in list(brackets.items()):
-            if not hi - lo > tol:
-                alphas[k] = 0.5 * (lo + hi)
-                del brackets[k]
-        mids = {k: 0.5 * (lo + hi) for k, (lo, hi, _) in brackets.items()}
-        gaps = _entropy_gaps(p, targets, mids)
-        # invalid sliver inside the interval: fall back to the valid side
-        fallback = {
-            k: lo + 0.25 * (hi - lo)
-            for k, (lo, hi, _) in brackets.items()
-            if math.isnan(gaps[k])
+    def side(points):
+        return {
+            k: (_entropy(p, targets[k][0], a, table) - targets[k][1]) * signs[k]
+            for (k, a), table in zip(points.items(), _tables(p, points.values()))
         }
-        gaps.update(_entropy_gaps(p, targets, fallback))
-        for k, mid in {**mids, **fallback}.items():
-            lo, hi, d_lo = brackets[k]
-            d_mid = gaps[k]
-            if not lo < mid < hi:
-                # the point rounds onto an end: the bracket cannot shrink
-                alphas[k] = 0.5 * (lo + hi)
-            elif math.isnan(d_mid):
-                out[k] = NoSolutionError(
-                    f"bracket around alpha={mids[k]:.6g} fragmented by invalid points"
-                )
-            elif d_mid == 0.0:
-                alphas[k] = mid
-            elif (d_mid > 0) == (d_lo > 0):
-                brackets[k] = [mid, hi, d_mid]
-                continue
-            else:
-                brackets[k] = [lo, mid, d_lo]
-                continue
-            del brackets[k]
+
+    alphas = {}
+    for k, (alpha, lo, hi) in bisect(brackets, side, tol=tol).items():
+        if math.isnan(alpha):
+            out[k] = NoSolutionError(
+                f"bracket around alpha={(lo + hi) / 2:.6g} fragmented by invalid points"
+            )
+        else:
+            alphas[k] = alpha
 
     for (k, alpha), table in zip(alphas.items(), _tables(p, alphas.values())):
         t, s_target = targets[k]

@@ -31,6 +31,7 @@ import numpy as np
 from . import algebra
 from .blocks import BlockLabel, enumerate_blocks, serialized
 from .errors import SolverFailure
+from .roots import bisect
 
 __all__ = [
     "ModelParams",
@@ -496,9 +497,9 @@ def solve_gap_t0(g_const: float, levels, rtol: float = 1e-10) -> float:
     """Zero-temperature mean-field gap from 1 = G sum_k 1/(2 E_k),
     E_k = sqrt(Delta^2 + eps_k^2).
 
-    Bracketing plus bisection to relative tolerance rtol, or until the
-    midpoint rounds onto an end; returns 0 when the coupling is below
-    critical (no positive solution).
+    Bracketing plus bisection (roots.bisect) to relative tolerance rtol,
+    or until the midpoint rounds onto an end; returns 0 when the coupling
+    is below critical (no positive solution).
     """
     if g_const <= 0:
         raise ValueError("G must be positive")
@@ -517,16 +518,11 @@ def solve_gap_t0(g_const: float, levels, rtol: float = 1e-10) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise SolverFailure("gap equation bracket expansion failed")
-    lo = 0.0
-    while hi - lo > rtol * max(hi, 1e-30):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+    def side(points):
+        return {k: 1 if f(x) > 0.0 else -1 for k, x in points.items()}
+
+    return bisect({0: (0.0, hi)}, side, rtol=rtol)[0][0]
 
 
 @dataclass(frozen=True)
@@ -551,10 +547,11 @@ def fit_rescaling(
 ) -> RescaleFit:
     """Fit the pair-register size factor f(Np) = a / (2 Np + b).
 
-    For each Np the coupling G is solved (bisection) such that the model's
+    For each Np the coupling G is solved such that the model's
     low-temperature pairing gap, evaluated through the exact thermal
     machinery at temperature t_low with the ensemble decoupled (g = 0),
-    equals `target`.  G/g0 is then least-squares fitted against
+    equals `target`; every Np is bisected in lockstep (roots.bisect) to
+    relative 1e-10.  G/g0 is then least-squares fitted against
     1/(2 Np + b).  With target=None the gap attained at G = g0 * f(Np) for
     the smallest Np is used, which makes the fit a pure shape test.
     """
@@ -578,24 +575,19 @@ def fit_rescaling(
     if target <= 0:
         raise ValueError("target gap must be positive")
 
-    g_stars = []
+    brackets = {}
     for n_pairs in np_values:
-        lo, hi = 1e-6, 4.0 * target
+        hi = 4.0 * target
         while gap_at(hi, n_pairs) < target:
             hi *= 2.0
             if hi > 1e6:
                 raise SolverFailure(f"gap target unreachable for Np={n_pairs}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if gap_at(mid, n_pairs) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-10 * hi:
-                break
-        else:
-            raise SolverFailure(f"gap inversion did not converge for Np={n_pairs}")
-        g_stars.append(0.5 * (lo + hi))
+        brackets[n_pairs] = (1e-6, hi)
+
+    def side(points):
+        return {n: 1 if gap_at(g, n) < target else -1 for n, g in points.items()}
+
+    g_stars = [g for g, _, _ in bisect(brackets, side, rtol=1e-10).values()]
 
     f_data = np.array(g_stars) / g0
     nps = np.array(np_values, dtype=float)

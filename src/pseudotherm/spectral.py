@@ -54,6 +54,7 @@ from .errors import SolverFailure
 # build_block_hamiltonian is not called in this module; perfbench/spans.py wraps
 # it under this module's name.
 from .model import ModelParams, assemble_hamiltonian, build_block_hamiltonian, fold_plan
+from .roots import bisect
 
 __all__ = [
     "BlockSpectrum",
@@ -345,10 +346,11 @@ def find_eps(
     sweep is a mapping with keys param ("alpha"|"g"), lo, hi, coarse_steps.
     The number of complex pairs is scanned on the coarse grid; every count
     change (a pair being born or dying, which is exactly a coalescence for
-    a real matrix) is bisected to a bracket no wider than `precision`, or
-    until its midpoint rounds onto an end, and the newborn pair's Re(E) is
-    recorded.  An empty result just means no EP in range; windows narrower
-    than the coarse step are invisible.
+    a real matrix) is bisected in lockstep by roots.bisect, a point with
+    the counts of the low end lying on its side, to a bracket no wider than
+    `precision` or until its midpoint rounds onto an end, and the newborn
+    pair's Re(E) is recorded.  An empty result just means no EP in range;
+    windows narrower than the coarse step are invisible.
     """
     param = sweep["param"]
     lo, hi = float(sweep["lo"]), float(sweep["hi"])
@@ -368,20 +370,17 @@ def find_eps(
 
     grid = np.linspace(lo, hi, steps)
     counts = [counts_at(x) for x in grid]
+    changes = {
+        i: (a, b)
+        for i, (a, b, ca, cb) in enumerate(zip(grid[:-1], grid[1:], counts[:-1], counts[1:]))
+        if ca != cb
+    }
+
+    def side(points):
+        return {i: 1 if counts_at(x) == counts[i] else -1 for i, x in points.items()}
 
     eps_found = []
-    for a, b, ca, cb in zip(grid[:-1], grid[1:], counts[:-1], counts[1:]):
-        if ca == cb:
-            continue
-        x_lo, x_hi, c_lo = a, b, ca
-        while x_hi - x_lo > precision:
-            mid = 0.5 * (x_lo + x_hi)
-            if not x_lo < mid < x_hi:
-                break
-            if counts_at(mid) == c_lo:
-                x_lo = mid
-            else:
-                x_hi = mid
+    for value, x_lo, x_hi in bisect(changes, side, tol=precision).values():
         # born if the pairs over all blocks did not fall: each shape's
         # count weighted by its number of blocks
         born = np.dot(blocks, counts_at(x_hi)) >= np.dot(blocks, counts_at(x_lo))
@@ -398,7 +397,7 @@ def find_eps(
         eps_found.append(
             EpLocation(
                 param=param,
-                value=0.5 * (x_lo + x_hi),
+                value=value,
                 bracket=(x_lo, x_hi),
                 re_coalesce=float(pair.real),
                 gamma=float(pair.imag),
@@ -442,9 +441,10 @@ def _march_to_ep(
     Marches from alpha = 1 (direction +1 upward, -1 downward) in equal
     steps of ln(alpha) up to alpha = span**direction, stopping at the first
     alpha where the ground level is a complex pair, as ground_state_info
-    marks it; the last step is then bisected until the bracket is no wider
-    than `precision`, or its midpoint rounds onto an end, and its midpoint
-    is returned.  The ground level is real just inside the result and
+    marks it; the last step, from its inner to its outer end, is then
+    bisected by roots.bisect until the bracket is no wider than
+    `precision`, or its midpoint rounds onto an end, and its midpoint is
+    returned.  The ground level is real just inside the result and
     complex just outside it.  Returns NaN when the ground level stays real
     over the whole range.
 
@@ -457,20 +457,15 @@ def _march_to_ep(
     def broken(x: float) -> bool:
         return ground_state_info(thermal_table(p.with_(alpha=x))).is_complex
 
+    def side(points):
+        return {k: -1 if broken(x) else 1 for k, x in points.items()}
+
     ln_span = math.log(span)
     inner = 1.0
     for k in range(1, math.ceil(ln_span / step) + 1):
         outer = math.exp(direction * min(k * step, ln_span))
         if broken(outer):
-            while abs(outer - inner) > precision:
-                mid = 0.5 * (inner + outer)
-                if mid in (inner, outer):
-                    break
-                if broken(mid):
-                    outer = mid
-                else:
-                    inner = mid
-            return 0.5 * (inner + outer)
+            return bisect({0: (inner, outer)}, side, tol=precision)[0][0]
         inner = outer
     return math.nan
 

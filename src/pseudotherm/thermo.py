@@ -59,6 +59,7 @@ import numpy as np
 from . import spectral
 from .errors import ZeroPartitionError
 from .model import ModelParams, fold_plan, gap_operator
+from .roots import bisect
 
 __all__ = [
     "SpectrumTable",
@@ -430,19 +431,14 @@ def z_signs_on_grid(table: SpectrumTable, t_values, muS: float = 0.0, muQb: floa
 
 
 def _refine_bracket(table, t_lo, t_hi, s_lo, muS, muQb, rtol):
-    lo, hi = t_lo, t_hi
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        s_mid = _z_sign(table, mid, muS, muQb)
-        if s_mid == 0:
-            return ZeroRecord(mid, (lo, hi), (s_lo, -s_lo))
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return ZeroRecord(0.5 * (lo + hi), (lo, hi), (s_lo, -s_lo))
+    """The zero of Z in [t_lo, t_hi], Z having sign s_lo at t_lo, bisected
+    by roots.bisect to relative rtol (a T where Z is exactly 0 is the zero)."""
+
+    def side(points):
+        return {k: _z_sign(table, t, muS, muQb) * s_lo for k, t in points.items()}
+
+    t_zero, lo, hi = bisect({0: (t_lo, t_hi)}, side, rtol=rtol)[0]
+    return ZeroRecord(t_zero, (lo, hi), (s_lo, -s_lo))
 
 
 def _doubled(table, grid, signs, muS, muQb):

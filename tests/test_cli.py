@@ -159,6 +159,9 @@ def test_tc_map_t_max_below_scan_exits_two(tmp_path, monkeypatch, t_max):
         (["spinodal", "--t-values=-0.1"], "spinodal_loci.tsv"),
         (["cycle", "--kind", "carnot", "--t-values=-0.1,0.5", "--x-values", "0.5"],
          "cycle_carnot.tsv"),
+        (["cycle", "--kind", "stirling", "--t-values", "0.4,inf", "--x-values", "0.5,0.9"],
+         "cycle_stirling.tsv"),
+        (["spinodal", "--t-values", "inf"], "spinodal_loci.tsv"),
     ],
 )
 def test_non_positive_temperature_exits_two(tmp_path, tiny_cfg, argv, table):
@@ -214,11 +217,13 @@ CARNOT_CORNERS = ["--t-values", "0.4,0.7", "--x-values", "3.5,4.5"]
         (["spinodal", "--t-values", "0.144", "--alpha-min=-0.1"], "spinodal_loci.tsv"),
         (["tc-map", "--alpha-min=-0.1"], "tc_map.tsv"),
         (["thermo", "--nv-count", "0"], "thermo.tsv"),
+        (["tc-map", "--alpha-max", "inf", "--alpha-steps", "3"], "tc_map.tsv"),
     ],
     ids=["one-step", "reversed", "infinite", "negative-alpha", "zero-precision",
          "negative-precision", "flat-bracket", "negative-bracket", "repeated-temperature",
          "repeated-entropy", "repeated-alpha", "nan-x", "zero-stirling-alpha",
-         "spinodal-negative-alpha", "tc-map-negative-alpha", "zero-nv-count"],
+         "spinodal-negative-alpha", "tc-map-negative-alpha", "zero-nv-count",
+         "tc-map-infinite-alpha"],
 )
 def test_infeasible_sweep_exits_two_before_solving(tmp_path, monkeypatch, argv, table):
     from pseudotherm import spectral

@@ -193,6 +193,19 @@ def test_invalid_midpoint_falls_back_in_lockstep(monkeypatch):
     assert not isinstance(together[0], NoSolutionError)
 
 
+def test_rising_entropy_curve_gives_the_same_root(monkeypatch):
+    # S falls with alpha on every real bracket; mirrored to -S it rises, and
+    # the target -S must land on the same alpha, bit for bit
+    from pseudotherm import cycles
+
+    falling = cycles.solve_alphas(SMALL, [(0.4, 3.5), (0.7, 4.5)], tol=0.0)
+    entropy = cycles._entropy
+    monkeypatch.setattr(cycles, "_entropy", lambda *args: -entropy(*args))
+    rising = cycles.solve_alphas(SMALL, [(0.4, -3.5), (0.7, -4.5)], tol=0.0)
+    assert [r.alpha for r in rising] == [r.alpha for r in falling]
+    assert [r.root_count for r in rising] == [1, 1]
+
+
 def test_invalid_stirling_corner_is_recorded(monkeypatch):
     _invalid_where(monkeypatch, lambda a: a == 0.5)
     grid = efficiency_grid(SMALL, "stirling", [0.4, 0.7], [0.5, 0.7, 0.9])

@@ -407,6 +407,29 @@ def test_find_eps_none_in_decoupled_window():
     assert eps == []
 
 
+STRAIN_FREE_SWEEPS = [
+    ("g", g, "alpha", lo, hi) for g in (0.5, 1.0, 1.73, 2.5) for lo, hi in ((0.02, 1.6), (1.0, 3.0))
+] + [("alpha", 0.4, "g", 0.1, 3.0)]
+
+
+@pytest.mark.parametrize(
+    "fixed, value, param, lo, hi",
+    STRAIN_FREE_SWEEPS,
+    ids=["{}{}-{}-{}-{}".format(*sweep) for sweep in STRAIN_FREE_SWEEPS],
+)
+def test_find_eps_none_without_strain(fixed, value, param, lo, hi):
+    # at E = 0, diag(alpha^(-M/2)) makes H(alpha, g) similar to the Hermitian
+    # H(1, g sqrt(alpha)): every spectrum is real, so there is no EP to find
+    p = ModelParams(E=0.0, **{fixed: value})
+    assert find_eps(p, {"param": param, "lo": lo, "hi": hi, "coarse_steps": 40}) == []
+    # the same sweep at the default strain holds complex pairs
+    strained = p.with_(E=ModelParams().E)
+    assert any(
+        sum(complex_pair_counts(strained.with_(**{param: float(x)})))
+        for x in np.linspace(lo, hi, 40)
+    )
+
+
 def test_find_eps_brackets_and_determinism():
     p = ModelParams(g=1.73)
     sweep = {"param": "alpha", "lo": 0.39, "hi": 0.5, "coarse_steps": 24}
