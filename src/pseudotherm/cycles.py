@@ -15,7 +15,9 @@ tables are solved as one batch (thermo.thermal_tables).  Carnot corner
 alphas are solved on S(T, alpha) together (solve_alphas): one coarse scan
 of the bracket, solved as one batch that gives the S curve of every
 temperature, then a lockstep bisection (roots.bisect) that solves the
-midpoints of all open corners as one batch per step.
+midpoints of all open corners as one batch per step.  Each such batch, and
+the corner states, take their potentials from one thermo.potentials_batch
+call.
 
 Sign convention: work done ON the system and heat ABSORBED by the system
 are positive.
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import CycleInfeasible, NoSolutionError
 from .model import ModelParams
 from .roots import bisect
-from .thermo import potentials, thermal_tables
+from .thermo import potentials_batch, thermal_tables
 
 __all__ = [
     "CycleSpec",
@@ -133,19 +135,29 @@ class CycleResult:
     degenerate: bool
 
 
-def _state(p: ModelParams, t: float, alpha: float, table=None) -> CornerState | None:
-    pt = potentials(p.with_(alpha=float(alpha)), t, table=table)
-    if not pt.valid:
-        return None
-    return CornerState(
-        T=t, alpha=float(alpha), S=pt.S, U=pt.U, F=pt.F,
-        z_nonpositive=pt.z_nonpositive,
+def _states(p: ModelParams, items) -> list:
+    """The CornerState, or None on an invalid point, at each (T, alpha,
+    table) item, all from one potentials_batch call; a None table stands
+    for the point's thermal_table."""
+    items = list(items)
+    points = potentials_batch(
+        [p.with_(alpha=float(a)) for _, a, _ in items],
+        [t for t, _, _ in items],
+        [table for _, _, table in items],
     )
+    return [
+        CornerState(
+            T=t, alpha=float(a), S=pt.S, U=pt.U, F=pt.F, z_nonpositive=pt.z_nonpositive
+        )
+        if pt.valid
+        else None
+        for (t, a, _), pt in zip(items, points)
+    ]
 
 
-def _entropy(p: ModelParams, t: float, alpha: float, table=None) -> float:
-    state = _state(p, t, alpha, table)
-    return state.S if state is not None else math.nan
+def _entropies(p: ModelParams, items) -> list:
+    """S at each (T, alpha, table) item (see _states), NaN on an invalid point."""
+    return [math.nan if state is None else state.S for state in _states(p, items)]
 
 
 def _tables(p: ModelParams, alphas) -> list:
@@ -213,10 +225,9 @@ def solve_alphas(
         return []
     grid = np.linspace(bracket[0], bracket[1], coarse)
     tables = _tables(p, grid)
-    curves = {
-        t: np.array([_entropy(p, t, a, table) for a, table in zip(grid, tables)])
-        for t in dict.fromkeys(t for t, _ in targets)
-    }
+    temps = list(dict.fromkeys(t for t, _ in targets))
+    s_grid = _entropies(p, [(t, a, table) for t in temps for a, table in zip(grid, tables)])
+    curves = dict(zip(temps, np.reshape(s_grid, (len(temps), len(grid)))))
     del tables
 
     out = [None] * len(targets)
@@ -231,10 +242,9 @@ def solve_alphas(
         signs[k] = math.copysign(1.0, d_lo)
 
     def side(points):
-        return {
-            k: (_entropy(p, targets[k][0], a, table) - targets[k][1]) * signs[k]
-            for (k, a), table in zip(points.items(), _tables(p, points.values()))
-        }
+        tables = _tables(p, points.values())
+        s = _entropies(p, [(targets[k][0], a, tb) for (k, a), tb in zip(points.items(), tables)])
+        return {k: (s_k - targets[k][1]) * signs[k] for k, s_k in zip(points, s)}
 
     alphas = {}
     for k, (alpha, lo, hi) in bisect(brackets, side, tol=tol).items():
@@ -245,9 +255,12 @@ def solve_alphas(
         else:
             alphas[k] = alpha
 
-    for (k, alpha), table in zip(alphas.items(), _tables(p, alphas.values())):
-        t, s_target = targets[k]
-        state = _state(p, t, alpha, table)
+    roots = [
+        (targets[k][0], alpha, table)
+        for (k, alpha), table in zip(alphas.items(), _tables(p, alphas.values()))
+    ]
+    for (k, alpha), state in zip(alphas.items(), _states(p, roots)):
+        s_target = targets[k][1]
         residual = abs((state.S if state is not None else math.nan) - s_target)
         out[k] = SolveResult(
             alpha=float(alpha), root_count=counts[k], residual=residual, state=state
@@ -361,7 +374,7 @@ def _corner_states(p: ModelParams, specs) -> dict:
         }
     alphas = list(dict.fromkeys(a for _, a in corners))
     tables = dict(zip(alphas, _tables(p, alphas)))
-    return {(t, a): _state(p, t, a, tables[a]) for t, a in corners}
+    return dict(zip(corners, _states(p, [(t, a, tables[a]) for t, a in corners])))
 
 
 def _cycle(spec: CycleSpec, states: dict) -> CycleResult:

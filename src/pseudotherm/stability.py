@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ClassificationError, InvalidPointError
 from .model import ModelParams
-from .thermo import potentials, thermal_tables
+from .thermo import potentials, potentials_batch, thermal_tables
 
 __all__ = [
     "Isotherm",
@@ -80,18 +80,16 @@ def compute_isotherm(p: ModelParams, t: float, alphas, tables=None) -> Isotherm:
     """F along the alpha grid at temperature t.
 
     The tables of the grid's points come from one thermo.thermal_tables
-    batch, one stacked solve per sector size.  tables, when given, stands
-    for that batch, so isotherms at several temperatures can share it.
+    batch, one stacked solve per sector size, and their potentials from one
+    thermo.potentials_batch call.  tables, when given, stands for that
+    batch, so isotherms at several temperatures can share it.
     """
     alphas = np.asarray(list(alphas), dtype=float)
     if tables is None:
         tables = thermal_tables(p.with_(alpha=float(a)) for a in alphas)
-    f = np.empty_like(alphas)
-    ok = np.empty(len(alphas), dtype=bool)
-    for i, (a, table) in enumerate(zip(alphas, tables)):
-        pt = potentials(p.with_(alpha=float(a)), t, table=table)
-        f[i] = pt.F
-        ok[i] = pt.valid
+    points = potentials_batch([p.with_(alpha=float(a)) for a in alphas], [t] * len(alphas), tables)
+    f = np.array([pt.F for pt in points], dtype=float)
+    ok = np.array([pt.valid for pt in points], dtype=bool)
     return Isotherm(T=t, alphas=alphas, F=f, valid=ok)
 
 

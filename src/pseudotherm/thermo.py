@@ -17,16 +17,24 @@ Conjugate eigenvalue pairs eps +- i*gamma are folded into real Boltzmann
 terms 2*exp(-beta*eps)*cos(beta*gamma), so Z is real by construction but
 may vanish in the broken-symmetry phase.
 
-Every thermal sum at one temperature goes through one moments kernel
-(_moments).  It takes the log-weights lw = ln(mult * factor) - beta*eps,
-with factor 2 on pair rows, and their maximum m, and forms
-w = exp(lw - m), w*cos(beta*gamma) and w*sin(beta*gamma) once.  Z e^{-m}
-is the exactly rounded sum (math.fsum) of w*cos, and each moment, the
-numerator of U, <E Etilde>, <N> or a biorthogonal mean, is one more exact
-sum of a coefficient column against w*cos and w*sin, so a ratio of two
-moments needs no exponential.  potentials measures the energies of its
-moments from the ground row and takes ln Z near 1 as log1p of the exact
-sum Z - 1, so S and C_V keep their relative digits far below the gap.  The
+Every thermal sum goes through one moments kernel (_moments), which takes a
+batch of (table, beta) items: a temperature grid on one table, the coarse
+S(alpha) curves of a cycle on many tables, or one item.  Per item it takes
+the log-weights lw = ln(mult * factor) - beta*eps, with factor 2 on pair
+rows, and their maximum m, and forms w = exp(lw - m), w*cos(beta*gamma) and
+w*sin(beta*gamma) once.  Z e^{-m} is the exactly rounded sum of w*cos, and
+each moment, the numerator of U, <E Etilde>, <N> or a biorthogonal mean, is
+one more exactly rounded sum of a coefficient column against w*cos and
+w*sin, so a ratio of two moments needs no exponential.  The items are
+worked as 2-D arrays, tables of different lengths padded with zero-weight
+rows, in chunks of at most MOMENT_BUDGET summed elements, so memory stays
+flat however long the grid.  All the exactly rounded sums of a chunk come
+from _exact_sums: one error-free extraction of every row against a power of
+two, certified row by row, with math.fsum only for the rows the certificate
+does not settle, so each sum equals math.fsum of its row, bit for bit.
+potentials measures the energies of its moments from the ground row and
+takes ln Z near 1 as log1p of the exactly rounded Z - 1, one more row of
+the batch, so S and C_V keep their relative digits far below the gap.  The
 shift survives beta up to 1e3/GHz, and the exact sums resolve the
 cancellations that produce zeros; the sum of |terms| is kept to detect
 where they do.
@@ -76,6 +84,7 @@ __all__ = [
     "critical_temperature",
     "ThermoPoint",
     "potentials",
+    "potentials_batch",
     "potentials_fd",
     "thermal_expectation",
     "ExpectationResult",
@@ -88,6 +97,8 @@ CANCEL_FLOOR = 1e-14             # |sum| / sum|terms| below this: sign unreliabl
 TABLE_CACHE_SIZE = 128
 TC_T_MIN = 2e-3                  # lowest temperature critical_temperature scans
 CERT_ROWS = 16                   # lowest real rows in the Z > 0 certificate
+MOMENT_BUDGET = 1 << 14          # summed elements in one chunk of _moments
+_U = 2.0**-53                    # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -228,51 +239,181 @@ def signed_logsumexp(log_mag, sign) -> SignedLog:
     return SignedLog(m + math.log(abs(total)), 1 if total > 0 else -1, log_abs_sum)
 
 
-class _Moments(NamedTuple):
-    """Sums over a table at one beta, all scaled by exp(-shift).
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and a + b = s + e exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
-    z is Z; abs_sum is sum |w cos|, the sum of |terms| of Z, and w_sum is
+
+def _exact_sums(a: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of the 2-D array a, bit for bit.
+
+    One error-free extraction per row (Rump, Ogita & Oishi, SIAM J. Sci.
+    Comput. 31(1), 2008): against a power of two sigma >= 2^ceil(log2(n+2))
+    * max|a|, the high parts (a + sigma) - sigma are multiples of one ulp of
+    sigma/2^53 whose partial sums stay below sigma, so they sum exactly in
+    any order, and the low parts a - high are exact.  The float sum of the
+    low parts errs by at most gamma_n * sum|low|; a row's result r is the
+    rounded sum of the two, and it is certified when that bound plus the
+    TwoSum residual of r stays below half the gap from r to its nearer
+    neighbouring float, so that r is the exactly rounded sum.  Rows that
+    fail, being zero, non-finite, overflowing sigma or near a tie, go to
+    math.fsum.
+    """
+    n = a.shape[1]
+    big = np.maximum(np.max(a, axis=1), -np.min(a, axis=1))
+    e = np.frexp(big)[1] + (n + 1).bit_length()
+    ok = np.isfinite(big) & (e < 1024)
+    sigma = np.ldexp(1.0, np.minimum(e, 1023))[:, None]
+    # rows holding inf or NaN produce NaN here and go to math.fsum; one
+    # buffer holds the high parts, then the low parts, then their moduli
+    with np.errstate(invalid="ignore", over="ignore"):
+        part = a + sigma
+        part -= sigma
+        high_sum = np.sum(part, axis=1)
+        np.subtract(a, part, out=part)
+        r, residual = _two_sum(high_sum, np.sum(part, axis=1))
+        # a subnormal bound rounding to 0 is harmless: below the smallest
+        # subnormal the low sum's rounding errors, multiples of it, are 0
+        bound = (2.0 * n * _U / (1.0 - n * _U)) * np.sum(np.abs(part, out=part), axis=1)
+        gap = np.abs(np.spacing(r))
+        gap[np.abs(np.frexp(r)[0]) == 0.5] *= 0.5   # at a power of two the lower gap is half
+        ok &= (r != 0.0) & (2.0 * (np.abs(residual) + bound) < gap)
+    for i in np.flatnonzero(~ok):
+        r[i] = math.fsum(a[i].tolist())
+    return r
+
+
+class _Terms(NamedTuple):
+    """One table's terms, ready for _moments: log_base = ln(mult * factor)
+    with factor 2 on pair rows, the energies eps (grand-canonical or bare),
+    gam, and the coefficient columns (c_re, c_im) (either may be a scalar)."""
+
+    log_base: np.ndarray
+    eps: np.ndarray
+    gam: np.ndarray
+    columns: tuple = ()
+
+
+def _terms(table: SpectrumTable, eps: np.ndarray, columns=()) -> _Terms:
+    log_base = np.log(np.where(table.pair, 2.0 * table.mult, table.mult))
+    return _Terms(log_base, eps, table.gam, tuple(columns))
+
+
+class _Moments(NamedTuple):
+    """Sums over a batch of items, one entry per item, each scaled by
+    exp(-shift) of its item.
+
+    z is Z and z_minus_one the exactly rounded Z - 1 (NaN unless asked
+    for); abs_sum is sum |w cos|, the sum of |terms| of Z, and w_sum is
     sum w, the sum of the moduli of the complex terms of a per-eigenvalue
-    table; each is a cancellation reference for z.  sums[k] is the k-th
-    coefficient column's moment, so sums[k] / z is its thermal mean.
+    table; each is a cancellation reference for z.  sums[i, k] is item i's
+    k-th coefficient column's moment, so sums[i, k] / z[i] is its thermal
+    mean; an item with fewer columns than the batch has zeros beyond them.
     """
 
-    shift: float
-    top: int        # the row whose log-weight is the shift
-    terms: list     # the terms w cos of Z, as floats
-    z: float
-    abs_sum: float
-    w_sum: float
-    sums: tuple
+    shift: np.ndarray
+    top: np.ndarray     # the row whose log-weight is the shift
+    z: np.ndarray
+    z_minus_one: np.ndarray
+    abs_sum: np.ndarray
+    w_sum: np.ndarray
+    sums: np.ndarray
 
 
-def _moments(
-    table: SpectrumTable,
-    beta: float,
-    eps_eff: np.ndarray,
-    columns=(),
-) -> _Moments:
-    """One amplitude pass over the table, then one math.fsum per signed sum.
+def _padded(rows, width: int, fill: float) -> np.ndarray:
+    if len(rows) == 1 and len(rows[0]) == width:
+        return rows[0][None]
+    out = np.full((len(rows), width), fill)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def _moments(items, z_minus_one: bool = False) -> _Moments:
+    """One amplitude pass and one _exact_sums call per chunk of a batch of
+    (_Terms, beta) items.
 
     The term of row n is w_n = mult_n * factor_n * exp(-beta*eps_n) times
     cos(beta*gamma_n) for Z, and times c_re*cos(beta*gamma_n) +
-    c_im*sin(beta*gamma_n) for a column (c_re, c_im) (either may be a
-    scalar); factor_n is 2 on pair rows.  A sum of non-negative terms loses
-    nothing to cancellation, so abs_sum and w_sum take a plain float64 sum.
+    c_im*sin(beta*gamma_n) for a column (c_re, c_im).  A chunk holds at
+    most MOMENT_BUDGET elements of summed rows (at least one item); the
+    items of a chunk that share a _Terms object share its stacked arrays,
+    and shorter tables are padded with zero-weight rows (log-weight -inf),
+    whose zero terms leave every exact sum as it is.  Z - 1 is the row of Z
+    with its top term cos(beta*gamma_top) split exactly into fl(cos - 1)
+    and its TwoSum residual, so a Z near 1 keeps the digits of Z - 1.  A
+    sum of non-negative terms loses nothing to cancellation, so abs_sum and
+    w_sum take a plain float64 sum.
     """
-    lw = np.log(np.where(table.pair, 2.0 * table.mult, table.mult)) - beta * eps_eff
-    top = int(np.argmax(lw))
-    shift = float(lw[top])
-    w = np.exp(lw - shift)
-    x = beta * table.gam
-    wc = w * np.cos(x)
-    terms = wc.tolist()
-    z = math.fsum(terms)
-    sums = ()
-    if columns:
-        ws = w * np.sin(x)
-        sums = tuple(math.fsum((re * wc + im * ws).tolist()) for re, im in columns)
-    return _Moments(shift, top, terms, z, float(np.sum(np.abs(wc))), float(np.sum(w)), sums)
+    items = list(items)
+    width = max(len(terms.eps) for terms, _ in items)
+    ncol = max(len(terms.columns) for terms, _ in items)
+    per_item = ((2 if z_minus_one else 1) + ncol) * (width + 1)
+    size = max(1, MOMENT_BUDGET // per_item)
+    chunks = [
+        _chunk_moments(items[i : i + size], width, ncol, z_minus_one)
+        for i in range(0, len(items), size)
+    ]
+    if len(chunks) == 1:
+        return chunks[0]
+    return _Moments(*(np.concatenate(field) for field in zip(*chunks)))
+
+
+def _chunk_moments(items, width: int, ncol: int, z_minus_one: bool) -> _Moments:
+    """_moments of one chunk, every table padded to width and ncol columns."""
+    index, stack = {}, []
+    for terms, _ in items:
+        if id(terms) not in index:
+            index[id(terms)] = len(stack)
+            stack.append(terms)
+    # one shared table broadcasts instead of being gathered per item
+    sel = slice(0, 1) if len(stack) == 1 else [index[id(terms)] for terms, _ in items]
+    log_base = _padded([t.log_base for t in stack], width, -math.inf)[sel]
+    eps = _padded([t.eps for t in stack], width, 0.0)[sel]
+    gam = _padded([t.gam for t in stack], width, 0.0)[sel]
+    b = np.array([beta for _, beta in items], dtype=float)[:, None]
+
+    lw = b * eps
+    np.subtract(log_base, lw, out=lw)
+    top = np.argmax(lw, axis=1)
+    rows = np.arange(len(items))
+    shift = lw[rows, top]
+    lw -= shift[:, None]
+    w = np.exp(lw, out=lw)
+    x = b * gam
+    wc = np.cos(x)
+    wc *= w
+    first = 2 if z_minus_one else 1      # the summed row of the first column
+    a = np.zeros((len(items), first + ncol, width + 1))
+    a[:, 0, :width] = wc
+    if z_minus_one:
+        a[:, 1, :width] = wc
+        a[rows, 1, top], a[:, 1, width] = _two_sum(wc[rows, top], -1.0)
+    if ncol:
+        ws = np.sin(x, out=x)
+        ws *= w
+        cols = np.zeros((len(stack), ncol, 2, width))
+        for i, t in enumerate(stack):
+            for k, (re, im) in enumerate(t.columns):
+                cols[i, k, 0, : len(t.eps)] = re
+                cols[i, k, 1, : len(t.eps)] = im
+        cols = cols[sel]
+        for k in range(ncol):
+            dest = a[:, first + k, :width]
+            np.multiply(cols[:, k, 0], wc, out=dest)
+            dest += cols[:, k, 1] * ws
+    sums = _exact_sums(a.reshape(-1, width + 1)).reshape(len(items), -1)
+    return _Moments(
+        shift=shift,
+        top=top,
+        z=sums[:, 0],
+        z_minus_one=sums[:, 1] if z_minus_one else np.full(len(items), math.nan),
+        abs_sum=np.sum(np.abs(wc), axis=1),
+        w_sum=np.sum(w, axis=1),
+        sums=sums[:, first:],
+    )
 
 
 def _signed_log(x: float, shift: float, abs_sum: float = 0.0) -> SignedLog:
@@ -309,11 +450,11 @@ def log_partition(
     table, beta: float, muS: float = 0.0, muQb: float = 0.0
 ) -> SignedLog:
     """Grand partition function in signed-log form (never overflows)."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     table = _as_table(table)
-    mom = _moments(table, beta, _eps_eff(table, muS, muQb))
-    return _signed_log(mom.z, mom.shift, mom.abs_sum)
+    mom = _moments([(_terms(table, _eps_eff(table, muS, muQb)), beta)])
+    return _signed_log(float(mom.z[0]), float(mom.shift[0]), float(mom.abs_sum[0]))
 
 
 def partition_function(
@@ -333,15 +474,16 @@ def dominant_split(table, beta: float) -> tuple[float, float]:
     ground state, 2*g0*exp(-beta*eps)*cos(beta*gamma) for a complex one."""
     table = _as_table(table)
     gs = spectral.ground_state_info(table)
-    mom = _moments(table, beta, table.eps)
+    mom = _moments([(_terms(table, table.eps), beta)])
+    shift, z = float(mom.shift[0]), float(mom.z[0])
     if gs.is_complex:
         amp = 2.0 * gs.g0 * math.cos(beta * gs.gamma0)
     else:
         amp = gs.g0
     # the ground row's log-weight is at least -beta*eps0 and at most the
     # shift, so the scaled ground term cannot overflow
-    z0 = amp * math.exp(-beta * gs.eps0 - mom.shift)
-    return _signed_log(z0, mom.shift).value(), _signed_log(mom.z - z0, mom.shift).value()
+    z0 = amp * math.exp(-beta * gs.eps0 - shift)
+    return _signed_log(z0, shift).value(), _signed_log(z - z0, shift).value()
 
 
 @dataclass(frozen=True)
@@ -579,28 +721,24 @@ class ThermoPoint:
         return SignedLog(self.ln_abs_z, self.z_sign).value()
 
 
-def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> ThermoPoint:
-    """F, U, S, C_V from the exact partition function at temperature t.
+class _PotentialTerms(NamedTuple):
+    """The terms of one (table, muS, muQb) for potentials: the moment
+    columns by name, the ground row's grand-canonical energy e0 and the
+    energies de_eff measured from it."""
 
-    U is the analytic weighted sum; F = -T ln Z (plus chemical-potential
-    terms); S = (U - F)/T; C_V from the analytic covariance form
-    beta^2 (<E Etilde> - <E><Etilde>), which equals dU/dT.  Energies in the
-    means are measured from the ground row (lowest Etilde), so the ground
-    energy's digits cannot swamp S and C_V far below the gap.  Where Z <= 0
-    the potentials are continued through ln|Z| and flagged z_nonpositive;
-    where |Z| sinks below the floor (or is pure cancellation noise) the
-    point is flagged invalid and carries NaN potentials.
-    """
-    if t <= 0:
-        raise ValueError("temperature must be positive")
-    beta = 1.0 / t
-    if table is None:
-        table = thermal_table(p)
-    eps_eff = _eps_eff(table, p.muS, p.muQb)
+    table: SpectrumTable
+    terms: _Terms
+    names: tuple
+    e0: float
+    de_eff: np.ndarray
+
+
+def _potential_terms(table: SpectrumTable, muS: float, muQb: float) -> _PotentialTerms:
+    eps_eff = _eps_eff(table, muS, muQb)
     # E is the bare energy, Etilde = eps_eff the grand-canonical one; they
     # coincide at mu = 0.  A chemical-potential mean is taken only at a
     # nonzero potential: a table folded over N has no N labels.
-    mu = p.muS != 0.0 or p.muQb != 0.0
+    mu = muS != 0.0 or muQb != 0.0
     ground = int(np.argmin(eps_eff))
     e0 = float(eps_eff[ground])
     de_eff = eps_eff - e0
@@ -611,17 +749,62 @@ def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> 
     }
     if mu:
         columns["e"] = (de, table.gam)
-    if p.muS != 0.0:
+    if muS != 0.0:
         columns["n_s"] = (table.nS, 0.0)
-    if p.muQb != 0.0:
+    if muQb != 0.0:
         columns["n_qb"] = (table.npair, 0.0)
-    mom = _moments(table, beta, eps_eff, tuple(columns.values()))
-    m0 = _signed_log(mom.z, mom.shift)
-    invalid = (
-        mom.z == 0.0
-        or m0.log_abs < Z_FLOOR_LOG
-        or abs(mom.z) < CANCEL_FLOOR * mom.abs_sum
-    )
+    terms = _terms(table, eps_eff, columns.values())
+    return _PotentialTerms(table, terms, tuple(columns), e0, de_eff)
+
+
+def potentials_batch(points, t_values, tables=None) -> list[ThermoPoint]:
+    """potentials at every (point, temperature, table) item of a batch.
+
+    tables, or any entry of it, may be None for thermal_table(point).  All
+    items go through one _moments call; items that share a table object and
+    chemical potentials share its moment columns.  Each item gets the
+    ThermoPoint that potentials gives it alone, bit for bit: its sums are
+    exactly rounded, and only the plain float sum of |terms| behind the
+    validity threshold may move by an ulp where a shorter table is padded.
+    """
+    points, t_values = list(points), list(t_values)
+    tables = [None] * len(points) if tables is None else list(tables)
+    if not len(points) == len(t_values) == len(tables):
+        raise ValueError("points, temperatures and tables differ in length")
+    if not all(t > 0 for t in t_values):
+        raise ValueError("temperatures must be positive")
+    if not points:
+        return []
+    shared, preps = {}, []
+    for p, table in zip(points, tables):
+        table = thermal_table(p) if table is None else table
+        key = (id(table), p.muS, p.muQb)
+        if key not in shared:
+            shared[key] = _potential_terms(table, p.muS, p.muQb)
+        preps.append(shared[key])
+    betas = [1.0 / t for t in t_values]
+    mom = _moments([(prep.terms, beta) for prep, beta in zip(preps, betas)], z_minus_one=True)
+    return [
+        _thermo_point(p, t, beta, prep, *moments)
+        for p, t, beta, prep, *moments in zip(
+            points,
+            t_values,
+            betas,
+            preps,
+            mom.shift.tolist(),
+            mom.top.tolist(),
+            mom.z.tolist(),
+            mom.z_minus_one.tolist(),
+            mom.abs_sum.tolist(),
+            mom.sums.tolist(),
+        )
+    ]
+
+
+def _thermo_point(p, t, beta, prep, shift, top, z, z_minus_one, abs_sum, sums) -> ThermoPoint:
+    """The ThermoPoint of one item from its moments (see potentials)."""
+    m0 = _signed_log(z, shift)
+    invalid = z == 0.0 or m0.log_abs < Z_FLOOR_LOG or abs(z) < CANCEL_FLOOR * abs_sum
     if invalid:
         return ThermoPoint(
             T=t,
@@ -635,22 +818,22 @@ def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> 
             z_nonpositive=m0.sign <= 0,
         )
 
-    mean = dict(zip(columns, (s / mom.z for s in mom.sums)))
+    mean = dict(zip(prep.names, (s / z for s in sums)))
     du = mean["u"]
     mu_term = p.muS * mean.get("n_s", 0.0) + p.muQb * mean.get("n_qb", 0.0)
 
-    u = e0 + du + mu_term
+    u = prep.e0 + du + mu_term
     f = -t * m0.log_abs + mu_term
     # (U - F)/T = beta <Etilde> + ln|Z|; the weights' shift, measured from
     # the ground row, is the top row's log-weight with its energy so measured
-    k = mom.top
-    lead = math.log(table.mult[k] * (2.0 if table.pair[k] else 1.0)) - beta * float(de_eff[k])
+    factor = 2.0 if prep.table.pair[top] else 1.0
+    lead = math.log(prep.table.mult[top] * factor) - beta * float(prep.de_eff[top])
     # far below the gap Z = 1 + x with x exponentially small, and log(Z)
     # would round x away; log1p of the exactly rounded Z - 1 keeps it.  Away
     # from 1, log(Z) is already exact to an ulp and Z - 1 may round Z away
-    ln_z = math.log(abs(mom.z))
-    if 0.5 < mom.z < 2.0:
-        ln_z = math.log1p(math.fsum(mom.terms + [-1.0]))
+    ln_z = math.log(abs(z))
+    if 0.5 < z < 2.0:
+        ln_z = math.log1p(z_minus_one)
     s = beta * du + lead + ln_z
     # covariance form <E Etilde> - <E><Etilde>, shift-invariant
     cv = beta * beta * (mean["ee"] - mean.get("e", du) * du)
@@ -668,6 +851,22 @@ def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> 
     )
 
 
+def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> ThermoPoint:
+    """F, U, S, C_V from the exact partition function at temperature t; the
+    one-item call of potentials_batch.
+
+    U is the analytic weighted sum; F = -T ln Z (plus chemical-potential
+    terms); S = (U - F)/T; C_V from the analytic covariance form
+    beta^2 (<E Etilde> - <E><Etilde>), which equals dU/dT.  Energies in the
+    means are measured from the ground row (lowest Etilde), so the ground
+    energy's digits cannot swamp S and C_V far below the gap.  Where Z <= 0
+    the potentials are continued through ln|Z| and flagged z_nonpositive;
+    where |Z| sinks below the floor (or is pure cancellation noise) the
+    point is flagged invalid and carries NaN potentials.
+    """
+    return potentials_batch([p], [t], [table])[0]
+
+
 def potentials_fd(p: ModelParams, t: float, rel_step: float = 1e-3) -> dict:
     """Finite-difference cross-checks of the analytic potentials.
 
@@ -678,7 +877,7 @@ def potentials_fd(p: ModelParams, t: float, rel_step: float = 1e-3) -> dict:
     potential with the same step h.  Meaningful away from zeros of Z.
     """
     h = rel_step * t
-    lo, hi = potentials(p, t - h), potentials(p, t + h)
+    lo, hi = potentials_batch([p, p], [t - h, t + h])
     if not (lo.valid and hi.valid):
         raise ZeroPartitionError("finite-difference stencil crosses an invalid point")
     beta_lo, beta_hi = 1.0 / (t - h), 1.0 / (t + h)
@@ -735,15 +934,28 @@ def _vector_table(p: ModelParams, op) -> tuple[SpectrumTable, np.ndarray, np.nda
     return table, coef, defective
 
 
-def _biorthogonal_mean(table: SpectrumTable, coef: np.ndarray, beta: float, eps_eff):
-    """(1/Z) sum_n mult_n e^{-beta E_n} c_n over a per-eigenvalue table, as a
-    complex number, with Re E_n = eps_eff (the grand-canonical energies);
-    None where Z counts as zero, that is where
+def _biorthogonal_means(table: SpectrumTable, coef: np.ndarray, betas, eps_eff, imag: bool):
+    """(1/Z) sum_n mult_n e^{-beta E_n} c_n over a per-eigenvalue table at
+    each beta, with Re E_n = eps_eff (the grand-canonical energies), from
+    one _moments batch: one row (real part), or two (real, imaginary) when
+    imag.  A row is NaN where Z counts as zero, that is where
     |Z| <= CANCEL_FLOOR * sum_n mult_n |e^{-beta E_n}|."""
-    mom = _moments(table, beta, eps_eff, ((coef.real, coef.imag), (coef.imag, -coef.real)))
-    if mom.z == 0.0 or abs(mom.z) <= CANCEL_FLOOR * mom.w_sum:
-        return None
-    return complex(mom.sums[0] / mom.z, mom.sums[1] / mom.z)
+    columns = [(coef.real, coef.imag)]
+    if imag:
+        columns.append((coef.imag, -coef.real))
+    terms = _terms(table, eps_eff, columns)
+    mom = _moments([(terms, beta) for beta in betas])
+    zero = (mom.z == 0.0) | (np.abs(mom.z) <= CANCEL_FLOOR * mom.w_sum)
+    means = np.full(mom.sums.shape, math.nan)
+    means[~zero] = mom.sums[~zero] / mom.z[~zero, None]
+    return means
+
+
+def _biorthogonal_mean(table: SpectrumTable, coef: np.ndarray, beta: float, eps_eff):
+    """The one-item _biorthogonal_means as a complex number; None where Z
+    counts as zero."""
+    (re, im), = _biorthogonal_means(table, coef, [beta], eps_eff, imag=True).tolist()
+    return None if math.isnan(re) else complex(re, im)
 
 
 def thermal_expectation(op, p: ModelParams, t: float) -> ExpectationResult:
@@ -758,7 +970,7 @@ def thermal_expectation(op, p: ModelParams, t: float) -> ExpectationResult:
     defective_blocks lists the keys, in block order, of every block whose
     shape has one.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("temperature must be positive")
     table, coef, defective = _vector_table(p, op)
     mean = _biorthogonal_mean(table, coef, 1.0 / t, _eps_eff(table, p.muS, p.muQb))
@@ -775,8 +987,9 @@ def gap_curve(p: ModelParams, t_values) -> np.ndarray:
     """Pairing gap Delta(T) = (G/2) sqrt(<pair correlator>) on a grid of T > 0.
 
     The correlator is the thermal mean of gap_operator, from coefficients
-    computed once for all temperatures; the weights are grand-canonical, as
-    in thermal_expectation.  Delta is NaN where Z vanishes and where the
+    computed once for all temperatures and one _moments batch over the
+    grid; only its real part is formed.  The weights are grand-canonical,
+    as in thermal_expectation.  Delta is NaN where Z vanishes and where the
     correlator is negative beyond 1e-8 (a biorthogonal mean need not be
     positive in the broken phase); one warning per curve counts the latter.
     """
@@ -785,20 +998,13 @@ def gap_curve(p: ModelParams, t_values) -> np.ndarray:
         raise ValueError("temperatures must be positive")
     table, coef, _ = _vector_table(p, gap_operator)
     eps_eff = _eps_eff(table, p.muS, p.muQb)
-    out = np.full(len(tv), math.nan)
-    negative = []
-    for i, t in enumerate(tv):
-        mean = _biorthogonal_mean(table, coef, 1.0 / t, eps_eff)
-        if mean is None:
-            continue
-        if mean.real < -1e-8:
-            negative.append(t)
-            continue
-        out[i] = 0.5 * p.G * math.sqrt(max(0.0, mean.real))
-    if negative:
+    mean = _biorthogonal_means(table, coef, (1.0 / tv).tolist(), eps_eff, imag=False)[:, 0]
+    negative = mean < -1e-8
+    out = np.where(negative, math.nan, 0.5 * p.G * np.sqrt(np.maximum(0.0, mean)))
+    if np.any(negative):
         warnings.warn(
-            f"pair correlator negative beyond 1e-8 at {len(negative)} of {len(tv)} "
-            f"temperatures, first at T={negative[0]:.6g}; Delta is NaN there"
+            f"pair correlator negative beyond 1e-8 at {np.count_nonzero(negative)} of "
+            f"{len(tv)} temperatures, first at T={tv[negative][0]:.6g}; Delta is NaN there"
         )
     return out
 

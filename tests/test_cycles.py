@@ -93,7 +93,7 @@ def test_root_on_a_coarse_point_is_exact():
     from pseudotherm import cycles
 
     grid = np.linspace(0.02, 1.6, 16)
-    s = cycles._entropy(SMALL, 0.5, grid[5])
+    (s,) = cycles._entropies(SMALL, [(0.5, grid[5], None)])
     (res,) = cycles.solve_alphas(SMALL, [(0.5, s)], coarse=16)
     assert (res.alpha, res.root_count, res.residual) == (grid[5], 1, 0.0)
     assert res.state.S == s
@@ -144,23 +144,25 @@ def test_stirling_grid_solves_its_alphas_in_one_batch(monkeypatch):
 
 
 def _invalid_where(monkeypatch, is_invalid):
-    """Make cycles.potentials report an invalid point at every alpha for
-    which is_invalid(alpha) holds; returns the list of alphas it was asked."""
+    """Make cycles.potentials_batch report an invalid point at every alpha
+    for which is_invalid(alpha) holds; returns the list of alphas it was
+    asked, in order."""
     import dataclasses
 
     from pseudotherm import cycles
 
     asked = []
-    potentials = cycles.potentials
+    potentials_batch = cycles.potentials_batch
 
-    def patched(p, t, table=None):
-        asked.append(p.alpha)
-        pt = potentials(p, t, table=table)
-        if is_invalid(p.alpha):
-            return dataclasses.replace(pt, valid=False, S=math.nan)
-        return pt
+    def patched(points, t_values, tables=None):
+        points = list(points)
+        asked.extend(p.alpha for p in points)
+        return [
+            dataclasses.replace(pt, valid=False, S=math.nan) if is_invalid(p.alpha) else pt
+            for p, pt in zip(points, potentials_batch(points, t_values, tables))
+        ]
 
-    monkeypatch.setattr(cycles, "potentials", patched)
+    monkeypatch.setattr(cycles, "potentials_batch", patched)
     cycles._solve_alpha_cached.cache_clear()
     return asked
 
@@ -199,8 +201,8 @@ def test_rising_entropy_curve_gives_the_same_root(monkeypatch):
     from pseudotherm import cycles
 
     falling = cycles.solve_alphas(SMALL, [(0.4, 3.5), (0.7, 4.5)], tol=0.0)
-    entropy = cycles._entropy
-    monkeypatch.setattr(cycles, "_entropy", lambda *args: -entropy(*args))
+    entropies = cycles._entropies
+    monkeypatch.setattr(cycles, "_entropies", lambda *args: [-s for s in entropies(*args)])
     rising = cycles.solve_alphas(SMALL, [(0.4, -3.5), (0.7, -4.5)], tol=0.0)
     assert [r.alpha for r in rising] == [r.alpha for r in falling]
     assert [r.root_count for r in rising] == [1, 1]
