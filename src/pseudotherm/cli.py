@@ -59,7 +59,16 @@ def params_from_mapping(mapping: dict) -> ModelParams:
             raise ValueError(
                 f"unknown configuration key {key!r}; valid keys: {', '.join(VALID_KEYS)}"
             )
+    _finite((k, v) for k, v in kwargs.items() if k != "coupling_z")
     return ModelParams(**kwargs)
+
+
+def _finite(values) -> None:
+    """Refuse a non-finite model value among (name, value) pairs, before
+    ModelParams would fail on it."""
+    for name, v in values:
+        if not math.isfinite(v):
+            raise InfeasibleRequest(f"{name} must be finite, got {v!r}")
 
 
 def load_config(path: str | None) -> dict:
@@ -240,17 +249,19 @@ def cmd_tc_map(p: ModelParams, args, config) -> None:
     alphas = _alpha_grid(args)
     g_values = _values_arg(args.g_values) if args.g_values else [p.g]
 
+    _finite(("g", g) for g in g_values)
     tasks = [(g, a) for g in g_values for a in alphas]
     points = [p.with_(alpha=float(a), g=float(g)) for g, a in tasks]
-    # one stacked solve for every point; the workers scan and bisect Z(T)
-    tables = thermo.thermal_tables(points)
 
-    def one(i):
-        g, a = tasks[i]
-        tc = thermo.critical_temperature(points[i], t_max=args.t_max, table=tables[i])
-        return (a, g, tc)
+    # one stacked solve per batch of points; the workers scan and bisect Z(T)
+    def scan(batch, tables):
+        def one(i):
+            return thermo.critical_temperature(batch[i], t_max=args.t_max, table=tables[i])
 
-    rows = _parallel_map(one, range(len(tasks)), args.workers)
+        return _parallel_map(one, range(len(batch)), args.workers)
+
+    tcs = thermo.sweep_tables(points, scan)
+    rows = [(a, g, tc) for (g, a), tc in zip(tasks, tcs)]
     write_table(
         os.path.join(args.out, "tc_map.tsv"), ["alpha", "g", "T_c"], rows, config
     )
@@ -312,16 +323,10 @@ def cmd_spinodal(p: ModelParams, args, config) -> None:
             f"{stability.MIN_POINTS} points, got [{args.alpha_min}, {args.alpha_max}] "
             f"x {args.alpha_steps}"
         )
-    # the tables do not depend on T: one stacked solve serves every isotherm
-    tables = thermo.thermal_tables(p.with_(alpha=float(a)) for a in alphas)
-
-    def one(t):
-        iso = stability.compute_isotherm(p, float(t), alphas, tables)
-        return iso, stability.spinodal_analysis(iso)
-
-    results = _parallel_map(one, t_values, args.workers)
+    isotherms = stability.compute_isotherms(p, t_values, alphas)
+    results = _parallel_map(stability.spinodal_analysis, isotherms, args.workers)
     loci, intervals = [], []
-    for (iso, res) in results:
+    for iso, res in zip(isotherms, results):
         for a, f in res.minima:
             loci.append((res.T, "minimum", a, f))
         for a in res.inflections:
@@ -539,12 +544,14 @@ _DISPATCH = {
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.workers < 1:
+        raise InfeasibleRequest(f"--workers {args.workers} must be at least 1")
     mapping = load_config(args.config)
     p = params_from_mapping(mapping)
-    if args.alpha is not None:
-        p = p.with_(alpha=args.alpha)
-    if args.g is not None:
-        p = p.with_(g=args.g)
+    overrides = {name: getattr(args, name) for name in ("alpha", "g")}
+    overrides = {name: v for name, v in overrides.items() if v is not None}
+    _finite(overrides.items())
+    p = p.with_(**overrides)
     os.makedirs(args.out, exist_ok=True)
     config = _resolved_config(p, {"run.command": args.command})
     _DISPATCH[args.command](p, args, config)

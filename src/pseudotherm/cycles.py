@@ -13,7 +13,7 @@ a cycle or a grid, then one builder checks the corners and books the four
 legs of each cycle.  Stirling corners sit at given alphas, whose spectrum
 tables are solved as one batch (thermo.thermal_tables).  Carnot corner
 alphas are solved on S(T, alpha) together (solve_alphas): one coarse scan
-of the bracket, solved as one batch that gives the S curve of every
+of the bracket, solved in sweep batches that give the S curve of every
 temperature, then a lockstep bisection (roots.bisect) that solves the
 midpoints of all open corners as one batch per step.  Each such batch, and
 the corner states, take their potentials from one thermo.potentials_batch
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CycleInfeasible, NoSolutionError
 from .model import ModelParams
 from .roots import bisect
-from .thermo import potentials_batch, thermal_tables
+from .thermo import potentials_batch, sweep_tables, thermal_tables
 
 __all__ = [
     "CycleSpec",
@@ -207,14 +207,15 @@ def solve_alphas(
 
     The bracket is scanned on a coarse grid (invalid state points fragment
     it); each sign change of S - S_target marks one root.  The grid is
-    solved once, as one thermal_tables batch, and every temperature takes
-    its S curve from those tables.  The smallest-alpha root of each target
-    is bisected to width <= tol in lockstep by roots.bisect: each step
-    solves the midpoints of every open bracket as one batch, and the
-    quarter points that retry invalid midpoints as a second.  One last
-    batch at the roots gives each residual and corner state.  Each point of
-    a batch is solved on its own, so a target gets the alpha, root count and
-    residual that it gets when solved alone, bit for bit.
+    solved once, in thermo.sweep_tables batches, each reduced to the S
+    curve of every temperature before the next is solved.  The
+    smallest-alpha root of each target is bisected to width <= tol in
+    lockstep by roots.bisect: each step solves the midpoints of every open
+    bracket as one batch, and the quarter points that retry invalid
+    midpoints as a second.  One last batch at the roots gives each residual
+    and corner state.  Each point of a batch is solved on its own, so a
+    target gets the alpha, root count and residual that it gets when solved
+    alone, bit for bit.
 
     Returns one entry per target: a SolveResult, whose `state` is None where
     the root lies on an invalid point, or the NoSolutionError of a target
@@ -224,11 +225,15 @@ def solve_alphas(
     if not targets:
         return []
     grid = np.linspace(bracket[0], bracket[1], coarse)
-    tables = _tables(p, grid)
     temps = list(dict.fromkeys(t for t, _ in targets))
-    s_grid = _entropies(p, [(t, a, table) for t in temps for a, table in zip(grid, tables)])
-    curves = dict(zip(temps, np.reshape(s_grid, (len(temps), len(grid)))))
-    del tables
+
+    def entropies(batch, tables):
+        s = _entropies(p, [(t, q.alpha, table) for t in temps for q, table in zip(batch, tables)])
+        return np.reshape(s, (len(temps), len(batch))).T
+
+    # per grid alpha, S at each temperature
+    s_grid = sweep_tables([p.with_(alpha=float(a)) for a in grid], entropies)
+    curves = dict(zip(temps, np.transpose(s_grid)))
 
     out = [None] * len(targets)
     counts, brackets, signs = {}, {}, {}

@@ -43,6 +43,7 @@ __all__ = [
     "assembly_operators",
     "qubit_sz_diagonal",
     "gap_operator",
+    "GAP_OPERATOR",
     "rescale",
     "rescaled_params",
     "pair_coupling_factor",
@@ -62,6 +63,8 @@ FIT_B = 0.73029
 # index vectors of one block's length and factors of (2s1+1)(2s2+1) or 2S+1
 # rows; no full-block operator is cached.
 SHAPE_CACHE_SIZE = 1024
+# The assembly operator that gap_operator is on a whole block.
+GAP_OPERATOR = "pair_scatter"
 
 
 @dataclass(frozen=True)
@@ -278,9 +281,11 @@ class _SizeGroup(NamedTuple):
     slots: np.ndarray   # (k, n) eigenvalue slots of each stacked sector
     sectors: tuple      # (shape index, basis indices) of each stacked sector
 
-    def matrices(self, h: np.ndarray) -> np.ndarray:
-        """The group's (..., k, n, n) matrices out of an assembled plan."""
-        return h[..., self.span].reshape(*h.shape[:-1], *self.slots.shape, -1)
+    def matrices(self, h: np.ndarray, start: int = 0) -> np.ndarray:
+        """The group's (..., k, n, n) matrices out of an assembled plan, or
+        out of an assembled range of its stacks that begins at element start."""
+        at = slice(self.span.start - start, self.span.stop - start)
+        return h[..., at].reshape(*h.shape[:-1], *self.slots.shape, -1)
 
 
 class FoldPlan(NamedTuple):
@@ -451,8 +456,9 @@ def qubit_sz_diagonal(b: BlockLabel) -> np.ndarray:
 
 def gap_operator(b: BlockLabel) -> np.ndarray:
     """Blockwise pair-correlation operator entering the gap estimate:
-    S+ S- with S+- summed over the two levels (the BCS-like reading)."""
-    return _block_operators(("pair_scatter",), _shape_of(b))[0]
+    S+ S- with S+- summed over the two levels (the BCS-like reading); the
+    fold plan holds its sector stacks as GAP_OPERATOR."""
+    return _block_operators((GAP_OPERATOR,), _shape_of(b))[0]
 
 
 def pair_coupling_factor(np_pairs: int) -> float:

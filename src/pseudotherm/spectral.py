@@ -18,18 +18,22 @@ This module only assembles and solves; the layout is model.fold_plan's:
 the sectors of all shapes grouped by size, with their restricted operators
 stacked once per size and laid end to end, so model.assemble_hamiltonian,
 the linear combination build_block_hamiltonian uses on the whole block,
-assembles all of them for a batch of parameter points in one call, one
-leading axis per point.  block_spectra takes a sweep's points together
-(one system size, one coupling mode): each (size, symmetric) group of all
-points is solved with one batched eigenvalue call, in chunks of points of
-at most STACK_ELEMENTS elements per operator, and one lexsort orders every
-point's and shape's eigenvalues; a single point is a batch of one.
+assembles any contiguous range of them for a batch of parameter points in
+one call, one leading axis per point.  block_spectra takes a batch of
+points together (one system size, one coupling mode) and assembles it one
+range of size groups at a time, at most STACK_ELEMENTS elements per
+operator, so its working memory is bounded however many points it takes;
+each (size, symmetric) group of all points is solved with one batched
+eigenvalue call (a group too large for the budget alone is split over the
+points), and one lexsort orders every point's and shape's eigenvalues; a
+single point is a batch of one.
 
 vector_spectra, behind thermal averages, makes one batched diagonalize call
-per size and contracts each level's <L_n|O|R_n> within its sector, so no
-eigenvector is ever laid out in a block basis.  Each matrix of a batch is
-solved on its own, so the result equals a per-sector, per-point solve bit
-for bit.
+per size and contracts each level's <L_n|O|R_n> within its sector, against
+the operator's sector stack (read from the plan for a plan operator such as
+the gap operator), so no eigenvector is ever laid out in a block basis.
+Each matrix of a batch is solved on its own, so the result equals a
+per-sector, per-point solve bit for bit.
 
 The spectral layer is per shape: block_spectra and block_eigen_data hold
 one spectrum per shape of the fold plan, labelled by the shape's first
@@ -80,13 +84,18 @@ IM_TOL = 1e-9              # GHz-relative floor for treating Im E as zero
 # resolvable parameter step).
 EP_IM_FLOOR = 1e-4
 EIGEN_CACHE_SIZE = 768
-# Matrix elements assembled per operator for one chunk of a batch of
-# points; a larger batch is solved chunk by chunk.  One point's stacks hold
-# 16k elements at Omega = 4 and 1.7M at Omega = 10 (13 MiB), so a chunk
-# holds up to 16 desk-size points, 2 MiB of float64 per array, and a point
-# at Omega = 10 is a chunk of its own.  Batch speed does not depend on the
-# chunk size; peak memory does.
-STACK_ELEMENTS = 1 << 18
+# Matrix elements assembled per operator in one step of block_spectra: a
+# range of consecutive size groups for every point of a batch, or a slice of
+# the points for a group whose stacks alone exceed it.  One point's stacks
+# hold 16k elements at Omega = 4 and 1.7M at Omega = 10, the largest group
+# 2.6k and 99k; so a range holds 512 KiB of float64 per array, and a desk
+# batch of up to 25 points keeps one eigenvalue call per (size, symmetric)
+# group.  Speed depends on how a batch is cut: chunks of whole points
+# multiply the eigenvalue calls as the budget shrinks (a 15-point desk
+# batch took 68-70 ms at 2^18 and 81-83 ms at 2^15 elements per chunk),
+# while ranges of groups keep them (57-69 ms at 2^16; medians of 8, BLAS
+# on 1 thread, 2-core VM).
+STACK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -132,6 +141,31 @@ def diagonalize(h: np.ndarray) -> tuple:
     return w, inv.transpose(0, 2, 1), right, flags
 
 
+def _assembly_steps(sizes, n: int) -> list:
+    """(points, groups) steps that assemble the size groups of a batch of n
+    points at most STACK_ELEMENTS elements per operator at a time.
+
+    A step is a range of consecutive groups for every point, or one group
+    whose stacks alone exceed the budget for a slice of the points; only
+    such a group is solved in more than one eigenvalue call per symmetry.
+    """
+    steps, run, elements = [], [], 0
+    for group in sizes:
+        k = group.span.stop - group.span.start
+        if run and n * (elements + k) > STACK_ELEMENTS:
+            steps.append((slice(None), run))
+            run, elements = [], 0
+        if n * k > STACK_ELEMENTS:
+            per = max(1, STACK_ELEMENTS // k)
+            steps.extend((slice(lo, lo + per), [group]) for lo in range(0, n, per))
+        else:
+            run.append(group)
+            elements += k
+    if run:
+        steps.append((slice(None), run))
+    return steps
+
+
 def block_spectra(points) -> list[list[BlockSpectrum]]:
     """Eigenvalues of each point of a batch once per (s1, s2, S) shape of
     the fold plan.
@@ -140,12 +174,13 @@ def block_spectra(points) -> list[list[BlockSpectrum]]:
     otherwise).  The Hamiltonian reads only the shape of a block, so each
     point's result holds one spectrum per shape, in the plan's shape order,
     labelled by the shape's first block; model.fold_plan maps every block to
-    its shape.  The sector stacks of every size are assembled for all points
-    in one call, in chunks of points of at most STACK_ELEMENTS elements per
-    operator, and each (size, symmetric) group of a chunk is solved with one
-    eigenvalue call; each shape's eigenvalues are merged across sectors and
-    sorted by (Re, Im) in one sort.  Every matrix is solved on its own, so a
-    point's spectra equal those of a batch of that point alone bit for bit.
+    its shape.  The sector stacks are assembled for all points one range of
+    consecutive size groups at a time, at most STACK_ELEMENTS elements per
+    operator (see _assembly_steps), and each (size, symmetric) group is
+    solved with one eigenvalue call; each shape's eigenvalues are merged
+    across sectors and sorted by (Re, Im) in one sort.  Every matrix is
+    solved on its own, so a point's spectra equal those of a batch of that
+    point alone bit for bit.
     """
     points = tuple(points)
     if not points:
@@ -158,18 +193,21 @@ def block_spectra(points) -> list[list[BlockSpectrum]]:
             raise ValueError("a batch needs one system size and one coupling_z")
     plan = fold_plan(p)
     w = np.empty((len(points), len(plan.slot_nqb)), dtype=complex)
-    chunk = max(1, STACK_ELEMENTS // plan.ops["z1"].size)
-    for lo in range(0, len(points), chunk):
-        h = assemble_hamiltonian(points[lo : lo + chunk], plan.ops)
-        for group in plan.sizes:
-            hg = group.matrices(h)
+    for at, groups in _assembly_steps(plan.sizes, len(points)):
+        start, stop = groups[0].span.start, groups[-1].span.stop
+        h = assemble_hamiltonian(
+            points[at], {name: op[start:stop] for name, op in plan.ops.items()}
+        )
+        for group in groups:
+            hg = group.matrices(h, start)
             sym = (hg == hg.swapaxes(2, 3)).all(axis=(2, 3))
             vals = np.empty(hg.shape[:-1], dtype=complex)
             if sym.any():
                 vals[sym] = np.linalg.eigvalsh(hg[sym])
             if not sym.all():
                 vals[~sym] = np.linalg.eigvals(hg[~sym])
-            w[lo : lo + chunk, group.slots] = vals
+            w[at, group.slots] = vals
+        del h, hg   # the next range is assembled without this one alive
 
     order = np.lexsort((w.imag, w.real, np.broadcast_to(plan.slot_shape, w.shape)))
     w = np.take_along_axis(w, order, axis=1)
@@ -198,25 +236,32 @@ def vector_spectra(p: ModelParams, op) -> list[VectorSpectrum]:
     """Levels and coefficients <L_n|O|R_n> of op, once per shape of the
     fold plan, in the plan's shape order.
 
-    op maps a BlockLabel to its operator matrix on the whole block and is
-    called once per shape, on the shape's first block, so it must depend
-    on the shape alone.  Each sector-size group of the fold plan is
-    assembled and decomposed with one diagonalize call.  Every eigenvector
-    lies in one pair-projection sector (H conserves the projection), so
-    <L_n|O|R_n> reads only the sector's rows and columns of O: the
-    contraction against op(b)[np.ix_(idx, idx)] is exact for any op, also
-    one that mixes sectors.  Within a shape, levels run sector by sector in
+    op is the name of a fold-plan operator (model.assembly_operators), whose
+    sector stacks are read from the plan as they are, or a callable that
+    maps a BlockLabel to its operator matrix on the whole block; a callable
+    is called once per shape, on the shape's first block, so it must depend
+    on the shape alone, and its sectors are gathered from that matrix.
+    Each sector-size group of the fold plan is assembled and decomposed
+    with one diagonalize call and contracted against the group's (k, n, n)
+    operator stack.  Every eigenvector lies in one pair-projection sector
+    (H conserves the projection), so <L_n|O|R_n> reads only the sector's
+    rows and columns of O: the contraction is exact for any op, also one
+    that mixes sectors.  Within a shape, levels run sector by sector in
     increasing pair projection, each sector in the eigensolver's order.
     """
     plan = fold_plan(p)
-    ops = [op(plan.blocks[first]) for first in plan.first]
+    if callable(op):
+        ops = [op(plan.blocks[first]) for first in plan.first]
     w = np.empty(len(plan.slot_nqb), dtype=complex)
     coef = np.empty(len(plan.slot_nqb), dtype=complex)
     flags = np.empty(len(plan.slot_nqb), dtype=bool)
     h = assemble_hamiltonian([p], plan.ops)[0]
     for group in plan.sizes:
         vals, left, right, bad = diagonalize(group.matrices(h))
-        o = np.stack([ops[si][np.ix_(idx, idx)] for si, idx in group.sectors])
+        if callable(op):
+            o = np.stack([ops[si][np.ix_(idx, idx)] for si, idx in group.sectors])
+        else:
+            o = group.matrices(plan.ops[op])
         w[group.slots], flags[group.slots] = vals, bad
         coef[group.slots] = np.einsum("kin,kij,kjn->kn", left, o, right)
     return [

@@ -24,12 +24,13 @@ import numpy as np
 
 from .errors import ClassificationError, InvalidPointError
 from .model import ModelParams
-from .thermo import potentials, potentials_batch, thermal_tables
+from .thermo import potentials, potentials_batch, sweep_tables
 
 __all__ = [
     "Isotherm",
     "SpinodalResult",
     "compute_isotherm",
+    "compute_isotherms",
     "pressure_from_f",
     "pressure_alpha",
     "spinodal_analysis",
@@ -76,21 +77,41 @@ class SpinodalResult:
     minima_stable: bool      # minima count unchanged under grid halving
 
 
-def compute_isotherm(p: ModelParams, t: float, alphas, tables=None) -> Isotherm:
-    """F along the alpha grid at temperature t.
+def compute_isotherms(p: ModelParams, t_values, alphas) -> list[Isotherm]:
+    """F along the alpha grid at each temperature of t_values.
 
-    The tables of the grid's points come from one thermo.thermal_tables
-    batch, one stacked solve per sector size, and their potentials from one
-    thermo.potentials_batch call.  tables, when given, stands for that
-    batch, so isotherms at several temperatures can share it.
+    The grid's tables come from thermo.sweep_tables batches, and each batch
+    is reduced to F and validity at every temperature, from one
+    thermo.potentials_batch call, before the next is solved; the tables do
+    not depend on T, so one solve serves every isotherm.
     """
     alphas = np.asarray(list(alphas), dtype=float)
-    if tables is None:
-        tables = thermal_tables(p.with_(alpha=float(a)) for a in alphas)
-    points = potentials_batch([p.with_(alpha=float(a)) for a in alphas], [t] * len(alphas), tables)
-    f = np.array([pt.F for pt in points], dtype=float)
-    ok = np.array([pt.valid for pt in points], dtype=bool)
-    return Isotherm(T=t, alphas=alphas, F=f, valid=ok)
+    t_values = [float(t) for t in t_values]
+
+    def reduce(batch, tables):
+        pts = potentials_batch(
+            [q for _ in t_values for q in batch],
+            [t for t in t_values for _ in batch],
+            [table for _ in t_values for table in tables],
+        )
+        return [[(pt.F, pt.valid) for pt in pts[i :: len(batch)]] for i in range(len(batch))]
+
+    # per alpha, (F, valid) at each temperature
+    states = sweep_tables([p.with_(alpha=float(a)) for a in alphas], reduce)
+    return [
+        Isotherm(
+            T=t,
+            alphas=alphas,
+            F=np.array([s[j][0] for s in states], dtype=float),
+            valid=np.array([s[j][1] for s in states], dtype=bool),
+        )
+        for j, t in enumerate(t_values)
+    ]
+
+
+def compute_isotherm(p: ModelParams, t: float, alphas) -> Isotherm:
+    """F along the alpha grid at temperature t (see compute_isotherms)."""
+    return compute_isotherms(p, [t], alphas)[0]
 
 
 def pressure_from_f(f_of_alpha, alpha: float, rel_step: float = 1e-3) -> float:

@@ -7,11 +7,14 @@ blocks.  Both the spectrum table and the vector table of thermal averages
 are laid out by it; blocks appear only in the keys of defective_blocks.
 
 A sweep over parameter points (an isotherm, a T_c map, the coarse S(alpha)
-scan of a cycle corner) takes its tables from thermal_tables, one stacked
-eigensolve per sector size for all its points, uncached; thermal_table
-caches the tables of points visited one at a time (bisections, single
-commands).  potentials, critical_temperature and find_zeros take such a
-table beside the point, whose chemical potentials they always use.
+scan of a cycle corner) takes its tables from sweep_tables: batches of at
+most SWEEP_SLOTS eigenvalue slots, each from one thermal_tables call (one
+stacked eigensolve per sector size for all its points, uncached) and each
+reduced to what the sweep keeps before the next is solved, so a sweep
+holds one batch's tables however long it is.  thermal_table caches the
+tables of points visited one at a time (bisections, single commands).
+potentials, critical_temperature and find_zeros take such a table beside
+the point, whose chemical potentials they always use.
 
 Conjugate eigenvalue pairs eps +- i*gamma are folded into real Boltzmann
 terms 2*exp(-beta*eps)*cos(beta*gamma), so Z is real by construction but
@@ -40,12 +43,17 @@ cancellations that produce zeros; the sum of |terms| is kept to detect
 where they do.
 
 Zeros of Z(T) are bracketed by z_signs_on_grid, a float64 sign scan over a
-whole temperature grid, and bisected with the exact sums.  The scan first
-asks a ground-level certificate: where the real levels below every complex
-row outweigh, twice over, the moduli of the complex terms whose cosine can
-be negative, Z > 0 is proven and the temperature gets +1 without a scan.
-The factor 2 is far beyond the scan's rounding, so every sign, and every
-zero, is the one the full scan gives.
+temperature grid, and bisected with the exact sums.  The scan first asks a
+ground-level certificate: where the real levels below every complex row
+outweigh, twice over, the moduli of the complex terms whose cosine can be
+negative, Z > 0 is proven and the temperature gets +1 without a scan.  The
+factor 2 is far beyond the scan's rounding, so every sign, and every zero,
+is the one the full scan gives.  Both work in temperature chunks of at
+most SCAN_ELEMENTS (T x rows) elements.  critical_temperature scans its
+grid from the top down, chunk by chunk, only until the highest sign
+change, and doubles only the grid above that bracket's low end; each sign
+depends on its own temperature alone, so every T_c equals that of the
+whole-grid scan bit for bit.
 
 Thermal averages use the biorthogonal resolution sum_n |R_n><L_n| with
 <L_m|R_n> = delta_mn: <O> = (1/Z) sum_n mult_n e^{-beta E_n} <L_n|O|R_n> goes
@@ -66,7 +74,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ZeroPartitionError
-from .model import ModelParams, fold_plan, gap_operator
+from .model import GAP_OPERATOR, ModelParams, fold_plan
 from .roots import bisect
 
 __all__ = [
@@ -75,6 +83,7 @@ __all__ = [
     "signed_logsumexp",
     "thermal_table",
     "thermal_tables",
+    "sweep_tables",
     "table_from_spectra",
     "partition_function",
     "log_partition",
@@ -95,9 +104,11 @@ __all__ = [
 Z_FLOOR_LOG = math.log(1e-300)   # absolute |Z| floor in signed-log form
 CANCEL_FLOOR = 1e-14             # |sum| / sum|terms| below this: sign unreliable
 TABLE_CACHE_SIZE = 128
+SWEEP_SLOTS = 1 << 15            # eigenvalue slots of one sweep batch's tables
 TC_T_MIN = 2e-3                  # lowest temperature critical_temperature scans
 CERT_ROWS = 16                   # lowest real rows in the Z > 0 certificate
 MOMENT_BUDGET = 1 << 14          # summed elements in one chunk of _moments
+SCAN_ELEMENTS = 1 << 15          # (T x rows) elements in one chunk of a z-sign scan
 _U = 2.0**-53                    # unit roundoff of float64
 
 
@@ -179,6 +190,27 @@ def thermal_tables(points) -> list[SpectrumTable]:
         )
         for p, spectra in zip(points, spectral.block_spectra(points))
     ]
+
+
+def sweep_tables(points, reduce) -> list:
+    """reduce(batch, tables) over consecutive batches of a sweep's points,
+    the results concatenated.
+
+    Each batch's tables come from one thermal_tables call and hold at most
+    SWEEP_SLOTS eigenvalue slots, at least one point.  reduce returns one
+    result per point of its batch, the part of the tables the sweep keeps,
+    and a batch's tables are dropped before the next batch is solved, so a
+    sweep holds one batch's tables however long it is.
+    """
+    points = tuple(points)
+    if not points:
+        return []
+    size = max(1, SWEEP_SLOTS // len(fold_plan(points[0]).slot_nqb))
+    out = []
+    for lo in range(0, len(points), size):
+        batch = points[lo : lo + size]
+        out.extend(reduce(batch, thermal_tables(batch)))
+    return out
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -510,25 +542,38 @@ def _certified_positive(table: SpectrumTable, betas: np.ndarray, eps_eff: np.nda
     Every other term of Z is positive, so Z >= P - Q, and a temperature
     passes where Q = 0 or P > 2Q: there the negative terms are at most half
     the positive ones.  A table without complex rows passes everywhere.
+    The (T x rows) weights are formed SCAN_ELEMENTS at a time.
     """
+    ok = np.ones(len(betas), dtype=bool)
     trig = np.flatnonzero(table.gam != 0.0)
     if len(trig) == 0:
-        return np.ones(len(betas), dtype=bool)
+        return ok
     e0 = float(np.min(eps_eff))
     low = np.flatnonzero((table.gam == 0.0) & (eps_eff < np.min(eps_eff[trig])))
     if len(low) > CERT_ROWS:
         low = low[np.argpartition(eps_eff[low], CERT_ROWS)[:CERT_ROWS]]
-    p = np.exp(np.multiply.outer(betas, e0 - eps_eff[low])) @ table.mult[low]
-    w = np.exp(np.multiply.outer(betas, e0 - eps_eff[trig]))
-    w[np.multiply.outer(betas, np.abs(table.gam[trig])) < 0.5 * math.pi] = 0.0
-    q = w @ (np.where(table.pair[trig], 2.0, 1.0) * table.mult[trig])
-    return (q == 0.0) | (p > 2.0 * q)
+    de_low, de_trig = e0 - eps_eff[low], e0 - eps_eff[trig]
+    gam = np.abs(table.gam[trig])
+    amp = np.where(table.pair[trig], 2.0, 1.0) * table.mult[trig]
+    chunk = max(1, SCAN_ELEMENTS // (len(trig) + len(low)))
+    for lo in range(0, len(betas), chunk):
+        b = betas[lo : lo + chunk]
+        p = np.exp(np.multiply.outer(b, de_low)) @ table.mult[low]
+        w = np.multiply.outer(b, gam)
+        negative = w >= 0.5 * math.pi
+        np.multiply.outer(b, de_trig, out=w)
+        np.exp(w, out=w)
+        w *= negative
+        q = w @ amp
+        ok[lo : lo + chunk] = (q == 0.0) | (p > 2.0 * q)
+    return ok
 
 
 def _scan_signs(table: SpectrumTable, betas: np.ndarray, eps_eff: np.ndarray):
     """Sign of the float64 sum of the terms of Z at each beta.
 
-    The log-magnitudes fill one (T, rows) buffer that is shifted by its
+    The log-magnitudes of a chunk of _scan_chunk temperatures fill one
+    (T, rows) buffer, reused by every chunk, that is shifted by its
     per-temperature maximum, exponentiated and summed in place; cos,
     log|amp| and sign are taken only on the columns with gamma != 0, since
     cos(0) = 1 leaves the other terms at mult * factor * exp(-beta * eps).
@@ -536,17 +581,30 @@ def _scan_signs(table: SpectrumTable, betas: np.ndarray, eps_eff: np.ndarray):
     factor = np.where(table.pair, 2.0, 1.0)
     log_base = np.log(table.mult) + np.log(factor)
     trig = np.flatnonzero(table.gam != 0.0)
-    buf = np.multiply.outer(betas, eps_eff)
-    np.subtract(log_base, buf, out=buf)
-    amp = factor[trig] * np.cos(np.multiply.outer(betas, table.gam[trig]))
-    with np.errstate(divide="ignore"):
-        buf[:, trig] = (
-            np.log(table.mult[trig]) + np.log(np.abs(amp))
-        ) - np.multiply.outer(betas, eps_eff[trig])
-    buf -= np.max(buf, axis=1, keepdims=True)
-    np.exp(buf, out=buf)
-    buf[:, trig] *= np.sign(amp)
-    return np.sign(np.sum(buf, axis=1)).astype(int)
+    log_mult = np.log(table.mult[trig])
+    signs = np.empty(len(betas), dtype=int)
+    chunk = _scan_chunk(table)
+    whole = np.empty((min(chunk, len(betas)), len(eps_eff)))
+    for lo in range(0, len(betas), chunk):
+        b = betas[lo : lo + chunk]
+        buf = np.multiply.outer(b, eps_eff, out=whole[: len(b)])
+        np.subtract(log_base, buf, out=buf)
+        amp = factor[trig] * np.cos(np.multiply.outer(b, table.gam[trig]))
+        with np.errstate(divide="ignore"):
+            buf[:, trig] = (
+                log_mult + np.log(np.abs(amp))
+            ) - np.multiply.outer(b, eps_eff[trig])
+        buf -= np.max(buf, axis=1, keepdims=True)
+        np.exp(buf, out=buf)
+        buf[:, trig] *= np.sign(amp)
+        signs[lo : lo + chunk] = np.sign(np.sum(buf, axis=1))
+    return signs
+
+
+def _scan_chunk(table: SpectrumTable) -> int:
+    """Temperatures per chunk of a z-sign scan: SCAN_ELEMENTS (T x rows)
+    elements, at least one temperature."""
+    return max(1, SCAN_ELEMENTS // max(1, len(table)))
 
 
 def z_signs_on_grid(table: SpectrumTable, t_values, muS: float = 0.0, muQb: float = 0.0):
@@ -559,7 +617,9 @@ def z_signs_on_grid(table: SpectrumTable, t_values, muS: float = 0.0, muQb: floa
     exact-summation evaluator.  The certificate leaves every sign as the
     scan would give it: where it passes, the negative terms are at most
     half the positive ones, a margin no float64 rounding of the scan's sum
-    can close, so the scan too returns +1 there.
+    can close, so the scan too returns +1 there.  Both work in temperature
+    chunks whose (T x rows) arrays stay within SCAN_ELEMENTS elements, and
+    each sign depends on its own temperature alone.
     """
     t = np.asarray(list(t_values), dtype=float)
     if not np.all(t > 0.0):
@@ -568,7 +628,8 @@ def z_signs_on_grid(table: SpectrumTable, t_values, muS: float = 0.0, muQb: floa
     eps_eff = _eps_eff(table, muS, muQb)
     signs = np.ones(len(betas), dtype=int)
     scan = np.flatnonzero(~_certified_positive(table, betas, eps_eff))
-    signs[scan] = _scan_signs(table, betas[scan], eps_eff)
+    if len(scan):
+        signs[scan] = _scan_signs(table, betas[scan], eps_eff)
     return signs
 
 
@@ -650,6 +711,25 @@ def find_zeros(
     return records
 
 
+def _top_down(table, grid, muS, muQb):
+    """(grid[k:], its signs, highest bracket or None): the signs of Z on
+    the sorted grid, evaluated from the top down one _scan_chunk at a time
+    until a chunk completes a bracket (see _brackets); with none, k = 0 and
+    the whole grid is scanned.  No bracket above the returned one exists."""
+    signs = np.empty(len(grid), dtype=int)
+    chunk = _scan_chunk(table)
+    hi = len(grid)
+    while hi > 0:
+        lo = max(0, hi - chunk)
+        signs[lo:hi] = z_signs_on_grid(table, grid[lo:hi], muS, muQb)
+        # the pairs that start in this chunk; those above were checked before
+        found = _brackets(grid[lo : hi + 1], signs[lo : hi + 1])
+        if found:
+            return grid[lo:], signs[lo:], found[-1]
+        hi = lo
+    return grid, signs, None
+
+
 def critical_temperature(
     p: ModelParams,
     t_min: float = TC_T_MIN,
@@ -661,13 +741,19 @@ def critical_temperature(
 ) -> float:
     """Largest zero of Z(T); 0 when Z > 0 on the whole range.
 
-    Only the highest sign change matters, so the scan stabilizes the
-    location of the topmost bracket under grid doubling instead of the
-    full zero count (zeros pile up towards T = 0 when the ground state is
-    complex).  The range must satisfy 0 < t_min < t_max < inf, with
-    steps >= 2.  table, when given, stands for thermal_table(p) (a T_c map
-    takes its tables from one thermal_tables batch); the chemical
-    potentials are always p's.
+    Only the highest sign change matters (zeros pile up towards T = 0 when
+    the ground state is complex), so the geometric grid is scanned from the
+    top down until its highest bracket, and grid doubling stabilizes that
+    bracket's location, not the zero count.  A doubled grid's highest
+    bracket never lies below the one it refines, so once a bracket exists
+    one doubling settles it, and only the midpoints at or above its low end
+    are evaluated.  A grid with no sign change is scanned in full and
+    doubled once; if the doubled grid has none either, the result is 0.
+    Each sign depends on its own temperature alone, so this equals the scan
+    of the whole grid at every doubling, bit for bit.  The range must
+    satisfy 0 < t_min < t_max < inf, with steps >= 2.  table, when given,
+    stands for thermal_table(p) (a T_c map takes its tables from
+    sweep_tables batches); the chemical potentials are always p's.
     """
     if not 0.0 < t_min < t_max < math.inf or steps < 2:
         raise ValueError(
@@ -676,25 +762,20 @@ def critical_temperature(
     if table is None:
         table = thermal_table(p)
     muS, muQb = p.muS, p.muQb
-    grid = np.geomspace(t_min, t_max, steps)
-    signs = z_signs_on_grid(table, grid, muS, muQb)
-
-    def top_bracket():
-        br = _brackets(grid, signs)
-        return br[-1] if br else None
-
-    top = top_bracket()
-    for _ in range(max_doublings):
-        grid, signs = _doubled(table, grid, signs, muS, muQb)
-        denser_top = top_bracket()
-        if top is None and denser_top is None:
-            return 0.0
-        if top is not None and denser_top is not None and denser_top[0] >= top[0]:
-            top = denser_top
-            break
-        top = denser_top
+    grid, signs, top = _top_down(table, np.geomspace(t_min, t_max, steps), muS, muQb)
+    doublings = max_doublings
     if top is None:
-        return 0.0
+        if not doublings:
+            return 0.0
+        grid, signs = _doubled(table, grid, signs, muS, muQb)
+        found = _brackets(grid, signs)
+        if not found:
+            return 0.0
+        top, doublings = found[-1], doublings - 1
+    if doublings:
+        k = int(np.searchsorted(grid, top[0]))
+        grid, signs = _doubled(table, grid[k:], signs[k:], muS, muQb)
+        top = _brackets(grid, signs)[-1]
     t_lo, t_hi, s_lo = top
     if s_lo == 0:
         return t_lo
@@ -910,8 +991,9 @@ def _vector_table(p: ModelParams, op) -> tuple[SpectrumTable, np.ndarray, np.nda
     """Per-eigenvalue table of the vector spectra of p, the coefficients
     <L_n|O|R_n>, and a mask of the shapes with a near-defective level.
 
-    Laid out by the fold plan, as thermal_table is, so op, which maps a
-    BlockLabel to its operator matrix, must depend on the block shape alone.
+    Laid out by the fold plan, as thermal_table is; op is a fold-plan
+    operator's name or a callable that maps a BlockLabel to its operator
+    matrix and depends on the block shape alone (see vector_spectra).
     Every eigenvalue has its own row (pair False, signed gam) and carries
     its pair-number label; nS is the group's N when p.muS != 0, NaN otherwise.
     """
@@ -986,17 +1068,18 @@ def thermal_expectation(op, p: ModelParams, t: float) -> ExpectationResult:
 def gap_curve(p: ModelParams, t_values) -> np.ndarray:
     """Pairing gap Delta(T) = (G/2) sqrt(<pair correlator>) on a grid of T > 0.
 
-    The correlator is the thermal mean of gap_operator, from coefficients
-    computed once for all temperatures and one _moments batch over the
-    grid; only its real part is formed.  The weights are grand-canonical,
-    as in thermal_expectation.  Delta is NaN where Z vanishes and where the
+    The correlator is the thermal mean of gap_operator, whose sector stacks
+    the fold plan holds, from coefficients computed once for all
+    temperatures and one _moments batch over the grid; only its real part
+    is formed.  The weights are grand-canonical, as in
+    thermal_expectation.  Delta is NaN where Z vanishes and where the
     correlator is negative beyond 1e-8 (a biorthogonal mean need not be
     positive in the broken phase); one warning per curve counts the latter.
     """
     tv = np.asarray(list(t_values), dtype=float)
     if not np.all(tv > 0.0):
         raise ValueError("temperatures must be positive")
-    table, coef, _ = _vector_table(p, gap_operator)
+    table, coef, _ = _vector_table(p, GAP_OPERATOR)
     eps_eff = _eps_eff(table, p.muS, p.muQb)
     mean = _biorthogonal_means(table, coef, (1.0 / tv).tolist(), eps_eff, imag=False)[:, 0]
     negative = mean < -1e-8

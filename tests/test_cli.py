@@ -218,12 +218,19 @@ CARNOT_CORNERS = ["--t-values", "0.4,0.7", "--x-values", "3.5,4.5"]
         (["tc-map", "--alpha-min=-0.1"], "tc_map.tsv"),
         (["thermo", "--nv-count", "0"], "thermo.tsv"),
         (["tc-map", "--alpha-max", "inf", "--alpha-steps", "3"], "tc_map.tsv"),
+        (["tc-map", "--g-values", "1.0,nan"], "tc_map.tsv"),
+        (["tc-map", "--g-values", "inf"], "tc_map.tsv"),
+        (["--g", "nan", "thermo"], "thermo.tsv"),
+        (["--alpha", "inf", "spinodal", "--t-values", "0.144"], "spinodal_loci.tsv"),
+        (["--workers", "0", "tc-map"], "tc_map.tsv"),
+        (["--workers=-3", "spinodal", "--t-values", "0.144"], "spinodal_loci.tsv"),
     ],
     ids=["one-step", "reversed", "infinite", "negative-alpha", "zero-precision",
          "negative-precision", "flat-bracket", "negative-bracket", "repeated-temperature",
          "repeated-entropy", "repeated-alpha", "nan-x", "zero-stirling-alpha",
          "spinodal-negative-alpha", "tc-map-negative-alpha", "zero-nv-count",
-         "tc-map-infinite-alpha"],
+         "tc-map-infinite-alpha", "tc-map-nan-g", "tc-map-infinite-g", "nan-g",
+         "infinite-alpha", "zero-workers", "negative-workers"],
 )
 def test_infeasible_sweep_exits_two_before_solving(tmp_path, monkeypatch, argv, table):
     from pseudotherm import spectral
@@ -259,6 +266,42 @@ def test_sweeps_solve_their_tables_in_one_batch(tmp_path, monkeypatch, tiny_cfg)
                  "--t-values", "0.3,0.4", "--alpha-min", "0.2", "--alpha-max", "0.9",
                  "--alpha-steps", "21"]) == 0
     assert batches == [21]
+
+
+def test_sweeps_in_several_batches_write_the_same_tables(tmp_path, monkeypatch):
+    # a sweep longer than one batch is solved and reduced batch by batch,
+    # and writes the bytes of one batch
+    from pseudotherm import spectral, thermo
+    from pseudotherm.model import ModelParams, fold_plan
+
+    tc_map = ["tc-map", "--alpha-min", "0", "--alpha-max", "1.2", "--alpha-steps", "6",
+              "--g-values", "1.0,1.73"]
+    spinodal = ["spinodal", "--t-values", "0.144,0.3", "--alpha-min", "0.2",
+                "--alpha-max", "0.4", "--alpha-steps", "15"]
+    names = {"tc-map": ["tc_map.tsv"], "spinodal": ["spinodal_loci.tsv", "spinodal_intervals.tsv"]}
+
+    def tables(out, argv):
+        assert main(["--g", "1.73", "--workers", "2", "--out", str(out), *argv]) == 0
+        return [(out / name).read_bytes() for name in names[argv[0]]]
+
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    whole = {argv[0]: tables(tmp_path / "whole", argv) for argv in (tc_map, spinodal)}
+    assert b"\t0.157332202915\n" in whole["tc-map"][0]
+    batches = []
+    solve = spectral.block_spectra
+
+    def counted(points):
+        points = list(points)
+        batches.append(len(points))
+        return solve(points)
+
+    monkeypatch.setattr(spectral, "block_spectra", counted)
+    monkeypatch.setattr(thermo, "SWEEP_SLOTS", 5 * len(fold_plan(ModelParams()).slot_nqb))
+    assert tables(tmp_path / "split", tc_map) == whole["tc-map"]
+    assert batches == [5, 5, 2]
+    del batches[:]
+    assert tables(tmp_path / "split", spinodal) == whole["spinodal"]
+    assert batches == [5, 5, 5]
 
 
 def test_tc_map_desk_critical_temperatures(tmp_path, monkeypatch):

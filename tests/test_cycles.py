@@ -77,6 +77,32 @@ def test_targets_of_two_temperatures_share_one_coarse_batch(monkeypatch):
     assert first.alpha != second.alpha != third.alpha
 
 
+def test_coarse_scan_in_sweep_batches_equals_one_batch(monkeypatch):
+    # a coarse grid longer than one sweep batch is reduced to S curves batch
+    # by batch; every target gets the alpha, count and residual of one batch
+    from pseudotherm import cycles, spectral, thermo
+    from pseudotherm.model import fold_plan
+
+    whole = cycles.solve_alphas(SMALL, GRID_TARGETS)
+    batches = []
+    solve = spectral.block_spectra
+
+    def counted(points):
+        points = list(points)
+        batches.append(len(points))
+        return solve(points)
+
+    monkeypatch.setattr(spectral, "block_spectra", counted)
+    monkeypatch.setattr(thermo, "SWEEP_SLOTS", 20 * len(fold_plan(SMALL).slot_nqb))
+    split = cycles.solve_alphas(SMALL, GRID_TARGETS)
+    assert batches[:4] == [20, 20, 20, 4]
+    assert all(n <= len(GRID_TARGETS) for n in batches[4:])
+    for a, b in zip(whole, split):
+        _same(a, b)
+        if not isinstance(a, NoSolutionError):
+            assert a.state == b.state
+
+
 def test_lockstep_corners_equal_one_target_solves():
     from pseudotherm import cycles
 

@@ -247,6 +247,32 @@ def test_potentials_agree_under_transpose_duality(alpha, g):
             assert abs(x - y) <= rtol * abs(x), (name, a.T, x, y)
 
 
+# ten times the worst relative residual of the level swap measured on
+# IDENTITY_POINTS x IDENTITY_GRID at Omega1 2, Omega2 1, muS 0.1, muQb 0.2,
+# both couplings: 2.3e-15 (F), 1.4e-13 (U) and 1.4e-12 (S)
+SWAP_RTOL = {"F": 2.3e-14, "U": 1.4e-12, "S": 1.4e-11}
+
+
+@pytest.mark.parametrize("coupling_z", ["difference", "total"])
+@pytest.mark.parametrize("alpha,g", IDENTITY_POINTS)
+def test_potentials_agree_under_level_swap(alpha, g, coupling_z):
+    # (eps1, eps2, Omega1, Omega2) and (eps2, eps1, Omega2, Omega1) are the
+    # same system with its two levels relabelled; the difference coupling
+    # changes sign with them, which the sign-of-g similarity undoes
+    p = ModelParams(alpha=alpha, g=g, Omega1=2, Omega2=1, muS=0.1, muQb=0.2,
+                    coupling_z=coupling_z)
+    swapped = p.with_(eps1=p.eps2, eps2=p.eps1, Omega1=p.Omega2, Omega2=p.Omega1)
+    n = len(IDENTITY_GRID)
+    pts = potentials_batch([p] * n, IDENTITY_GRID)
+    swap = potentials_batch([swapped] * n, IDENTITY_GRID)
+    assert all(a.valid for a in pts)
+    for a, b in zip(pts, swap):
+        assert (a.z_sign, a.valid, a.z_nonpositive) == (b.z_sign, b.valid, b.z_nonpositive)
+        for name, rtol in SWAP_RTOL.items():
+            x, y = getattr(a, name), getattr(b, name)
+            assert abs(x - y) <= rtol * abs(x), (name, a.T, x, y)
+
+
 # ------------------------------------------------------------------ memory guard
 
 # MOMENT_BUDGET = 2^14 summed elements make one chunk's summed array 128 KiB;

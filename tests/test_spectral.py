@@ -219,7 +219,7 @@ def test_batch_split_by_the_stack_budget_is_bit_identical(monkeypatch):
     from pseudotherm import spectral
 
     points = [ModelParams(alpha=a, g=1.73, muQb=0.1) for a in (0.2, 0.36, 1.0, 1.3, 0.7)]
-    calls = []
+    calls, assembled = [], []
 
     def counted(fn):
         def call(h):
@@ -232,16 +232,63 @@ def test_batch_split_by_the_stack_budget_is_bit_identical(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
     whole = block_spectra(points)
     whole_calls, calls[:] = list(calls), []
-    # two points' stacks fit the budget, so the five points are solved in
-    # three chunks
+    # the budget holds two of the largest size group: groups of at most
+    # 2/5 of that are assembled in ranges for all five points, and each
+    # larger one alone, for slices of two points, in three steps
     plan = fold_plan(points[0])
-    monkeypatch.setattr(spectral, "STACK_ELEMENTS", 2 * plan.ops["z1"].size)
+    budget = 2 * max(g.span.stop - g.span.start for g in plan.sizes)
+    monkeypatch.setattr(spectral, "STACK_ELEMENTS", budget)
+    assemble = spectral.assemble_hamiltonian
+
+    def traced(pts, ops):
+        h = assemble(pts, ops)
+        assembled.append(h.size)
+        return h
+
+    monkeypatch.setattr(spectral, "assemble_hamiltonian", traced)
     split = block_spectra(points)
+    assert max(assembled) <= budget
+    assert sum(assembled) == len(points) * plan.ops["z1"].size
+    alone = 0
     for group in plan.sizes:
         n = group.slots.shape[1]
-        assert whole_calls.count(n) <= 2 and 3 <= calls.count(n) <= 6
+        assert whole_calls.count(n) <= 2
+        if len(points) * (group.span.stop - group.span.start) <= budget:
+            assert calls.count(n) <= 2
+        else:
+            alone += 1
+            assert 3 <= calls.count(n) <= 6
+    assert 0 < alone < len(plan.sizes)
+    # ranges hold several groups: fewer steps than groups plus slices
+    assert len(assembled) < len(plan.sizes) - alone + 3 * alone
     for got, want in zip(split, whole):
         _assert_bitwise_equal_spectra(got, want)
+
+
+# STACK_ELEMENTS = 2^16 elements per operator make one assembled range
+# 512 KiB of float64; the range, the one temporary of its assembly and a
+# group's non-symmetric copy are at most that, and the symmetry mask an
+# eighth of it, so 4 of them bound the solve.  The 15 spectra themselves
+# take 48 bytes per slot: eigenvalues, sort order, sorted copy and labels.
+# Assembled in one piece, the batch's 239k elements take 1.8 MiB per array.
+ISOTHERM_SLOTS = 15 * 1620
+SOLVE_PEAK_BYTES = 4 * 2**16 * 8 + 48 * ISOTHERM_SLOTS
+
+
+def test_isotherm_batch_stays_within_the_stack_budget():
+    import tracemalloc
+
+    p = ModelParams(g=1.73)
+    points = [p.with_(alpha=float(a)) for a in np.linspace(0.2, 0.4, 15)]
+    assert len(points) * len(fold_plan(p).slot_nqb) == ISOTHERM_SLOTS
+    block_spectra(points[:1])   # warm-up, outside the trace
+    tracemalloc.start()
+    try:
+        block_spectra(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SOLVE_PEAK_BYTES, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_stacked_vectors_equal_per_sector_solves(desk_broken):
@@ -260,6 +307,21 @@ def test_stacked_vectors_equal_per_sector_solves(desk_broken):
             assert np.array_equal(s.nqb, nqb)
             assert np.array_equal(s.near_defective, flags)
             assert np.max(np.abs(s.coef - coef)) <= 1e-13 * max(1.0, np.max(np.abs(coef)))
+
+
+def test_plan_operator_coefficients_equal_the_gathered_ones(monkeypatch, desk_broken):
+    # gap_operator's sector stacks read from the fold plan give the
+    # coefficients of its whole-block matrices, gathered sector by sector,
+    # bit for bit, and no whole-block operator is built
+    from pseudotherm import model
+
+    gathered = vector_spectra(desk_broken, gap_operator)
+    monkeypatch.setattr(model, "_block_operators", None)
+    read = vector_spectra(desk_broken, model.GAP_OPERATOR)
+    assert len(read) == len(gathered) == 81
+    for a, b in zip(read, gathered):
+        for x, y in zip(a, b):
+            assert x.tobytes() == y.tobytes()
 
 
 def test_vector_spectra_make_one_diagonalize_call_per_sector_size(monkeypatch, desk_broken):

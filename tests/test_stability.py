@@ -8,13 +8,14 @@ from pseudotherm.errors import ClassificationError, InvalidPointError
 from pseudotherm.stability import (
     Isotherm,
     compute_isotherm,
+    compute_isotherms,
     heterogeneous_free_energy,
     maxwell_check,
     pressure_alpha,
     pressure_from_f,
     spinodal_analysis,
 )
-from pseudotherm.thermo import thermal_table
+from pseudotherm.thermo import potentials, thermal_table
 
 
 def synthetic_isotherm(f, lo=-2.0, hi=2.0, n=401, t=1.0):
@@ -225,11 +226,42 @@ def test_isotherm_makes_at_most_two_lapack_calls_per_sector_size(monkeypatch):
 
 
 def test_shared_tables_give_the_same_isotherm():
+    # two isotherms share one solve of the grid; each equals its isotherm
+    # alone and the potentials of each point's cached table
     p = ModelParams(g=1.73)
     alphas = np.linspace(0.2, 0.4, 7)
-    tables = [thermal_table(p.with_(alpha=float(a))) for a in alphas]
-    for t in (0.1, 0.144):
-        alone, shared = compute_isotherm(p, t, alphas), compute_isotherm(p, t, alphas, tables)
-        assert alone.F.tobytes() == shared.F.tobytes()
-        assert np.array_equal(alone.valid, shared.valid)
+    shared = compute_isotherms(p, [0.1, 0.144], alphas)
+    for t, iso in zip((0.1, 0.144), shared):
+        alone = compute_isotherm(p, t, alphas)
+        cached = [potentials(q, t, thermal_table(q)) for q in (p.with_(alpha=a) for a in alphas)]
+        assert iso.T == t
+        assert alone.F.tobytes() == iso.F.tobytes() == np.array([pt.F for pt in cached]).tobytes()
+        assert np.array_equal(alone.valid, iso.valid)
+        assert np.array_equal(iso.valid, [pt.valid for pt in cached])
+
+
+def test_isotherms_in_sweep_batches_equal_one_batch(monkeypatch):
+    # a grid longer than one sweep batch is solved and reduced batch by
+    # batch, and gives the isotherms of one batch bit for bit
+    from pseudotherm import spectral, thermo
+    from pseudotherm.model import fold_plan
+
+    p = ModelParams(g=1.73)
+    alphas = np.linspace(0.2, 0.4, 7)
+    whole = compute_isotherms(p, [0.1, 0.144], alphas)
+    batches = []
+    solve = spectral.block_spectra
+
+    def counted(points):
+        points = list(points)
+        batches.append(len(points))
+        return solve(points)
+
+    monkeypatch.setattr(spectral, "block_spectra", counted)
+    monkeypatch.setattr(thermo, "SWEEP_SLOTS", 3 * len(fold_plan(p).slot_nqb))
+    split = compute_isotherms(p, [0.1, 0.144], alphas)
+    assert batches == [3, 3, 1]
+    for a, b in zip(whole, split):
+        assert a.F.tobytes() == b.F.tobytes()
+        assert np.array_equal(a.valid, b.valid)
 

@@ -693,6 +693,120 @@ def test_critical_temperature_validates_range(kwargs):
         critical_temperature(ModelParams(alpha=0.246, g=1.73), **kwargs)
 
 
+def full_grid_critical_temperature(p, table, t_max=2.0, steps=200, max_doublings=4):
+    """critical_temperature as it was before the top-down scan: every
+    doubling rescans the whole grid, and the loop stops when the doubled
+    grid's highest bracket does not lie below the last one."""
+    from pseudotherm.thermo import TC_T_MIN, _brackets, _doubled, _refine_bracket, z_signs_on_grid
+
+    grid = np.geomspace(TC_T_MIN, t_max, steps)
+    signs = z_signs_on_grid(table, grid, p.muS, p.muQb)
+
+    def top_bracket():
+        found = _brackets(grid, signs)
+        return found[-1] if found else None
+
+    top = top_bracket()
+    for _ in range(max_doublings):
+        grid, signs = _doubled(table, grid, signs, p.muS, p.muQb)
+        denser = top_bracket()
+        if top is None and denser is None:
+            return 0.0
+        if top is not None and denser is not None and denser[0] >= top[0]:
+            top = denser
+            break
+        top = denser
+    if top is None:
+        return 0.0
+    t_lo, t_hi, s_lo = top
+    if s_lo == 0:
+        return t_lo
+    return _refine_bracket(table, t_lo, t_hi, s_lo, p.muS, p.muQb, 1e-8).T_zero
+
+
+# zeros below T = 2 at g 1.73 for alpha 0.2-0.36 and at g 2.5 for alpha
+# 0.02-0.242; none at g 1.0.  t_max 0.16 puts alpha 0.242's T_c, 0.15699,
+# on the last pair of the grid, and 7 steps leave brackets to the doublings.
+TC_POINTS = [
+    ModelParams(alpha=a, g=g) for g in (1.0, 1.73, 2.5) for a in (0.02, 0.2, 0.242, 0.36, 1.2)
+] + [ModelParams(alpha=0.24, g=1.73, muS=0.2, muQb=0.1)]
+TC_SCANS = {
+    "default": {},
+    "top-pair": {"t_max": 0.16},
+    "coarse": {"steps": 7},
+    "coarse-one-doubling": {"steps": 7, "max_doublings": 1},
+    "no-doubling": {"max_doublings": 0},
+}
+
+
+@pytest.mark.parametrize("chunk_temps", [None, 1, 3])
+@pytest.mark.parametrize("scan", list(TC_SCANS))
+def test_top_down_critical_temperature_equals_full_grid_scan(monkeypatch, scan, chunk_temps):
+    # each sign depends on its own temperature alone, so scanning from the
+    # top down, in chunks of any size, returns the full scan's T_c bit for bit
+    from pseudotherm import thermo
+
+    tables = thermal_tables(TC_POINTS)
+    kwargs = TC_SCANS[scan]
+    want = [full_grid_critical_temperature(p, tb, **kwargs) for p, tb in zip(TC_POINTS, tables)]
+    if chunk_temps is not None:
+        monkeypatch.setattr(thermo, "SCAN_ELEMENTS", chunk_temps * max(map(len, tables)))
+    got = [critical_temperature(p, table=tb, **kwargs) for p, tb in zip(TC_POINTS, tables)]
+    assert [(x, type(x)) for x in got] == [(x, type(x)) for x in want]
+    if scan == "default":
+        assert sum(x > 0 for x in want) == 7 and sum(x == 0 for x in want) == 9
+
+
+def test_top_down_scan_stops_at_the_highest_bracket(monkeypatch):
+    # at alpha 0.242, g 1.73 only the temperatures above the top bracket's
+    # chunk, and the midpoints at or above its low end, are scanned
+    from pseudotherm import thermo
+
+    p = ModelParams(alpha=0.242, g=1.73)
+    table = thermal_table(p)
+    want = full_grid_critical_temperature(p, table)
+    scanned = []
+    scan = thermo.z_signs_on_grid
+
+    def counted(table, t_values, mu_s=0.0, mu_qb=0.0):
+        scanned.extend(t_values)
+        return scan(table, t_values, mu_s, mu_qb)
+
+    monkeypatch.setattr(thermo, "z_signs_on_grid", counted)
+    tc = critical_temperature(p, table=table)
+    assert tc == want
+    # the coarse grid down to the chunk that completes the top bracket,
+    # then the midpoints above its low end: 162 of the full scan's 399
+    chunk = thermo._scan_chunk(table)
+    grid = np.geomspace(thermo.TC_T_MIN, 2.0, 200)
+    lowest = grid[200 - chunk * math.ceil(np.count_nonzero(grid > tc) / chunk)]
+    assert min(scanned) == lowest
+    assert len(set(scanned)) == len(scanned) < 200
+
+
+# T x rows of one chunk is at most SCAN_ELEMENTS = 2^15 elements, 256 KiB of
+# float64; the scan's buffer, the certificate's weights and the cosine and
+# log temporaries of the complex rows are each at most that, and four such
+# arrays bound a chunk.  Unchunked, the 200 coarse temperatures at this
+# point's 1462 rows take 2.2 MiB per array.
+SCAN_PEAK_BYTES = 4 * 2**15 * 8
+
+
+def test_critical_temperature_stays_within_the_scan_budget():
+    import tracemalloc
+
+    p = ModelParams(alpha=0.242, g=1.73)
+    table = thermal_table(p)
+    critical_temperature(p, table=table)   # warm-up, outside the trace
+    tracemalloc.start()
+    try:
+        critical_temperature(p, table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SCAN_PEAK_BYTES, f"peak {peak / 2**20:.2f} MiB"
+
+
 # ----------------------------------------------------------------- potentials
 
 
