@@ -415,11 +415,13 @@ def cmd_cycle(p: ModelParams, args, config) -> None:
 
 
 def cmd_rescale_fit(p: ModelParams, args, config) -> None:
-    fit = fit_rescaling(
-        _values_arg(args.np_values),
-        g0=args.g0,
-        target=args.target,
-    )
+    np_values = _values_arg(args.np_values)
+    if not all(n >= 1 and float(n).is_integer() for n in np_values):
+        raise InfeasibleRequest(f"--np-values must be integers of at least 1, got {np_values}")
+    for name, v in (("--g0", args.g0), ("--target", args.target)):
+        if v is not None and not 0.0 < v < math.inf:
+            raise InfeasibleRequest(f"{name} must be positive and finite, got {v!r}")
+    fit = fit_rescaling(np_values, g0=args.g0, target=args.target)
     rows = [
         (n, g, fit.factor(n), r)
         for n, g, r in zip(fit.np_values, fit.g_values, fit.residuals)

@@ -163,8 +163,7 @@ def _entropies(p: ModelParams, items) -> list:
 def _tables(p: ModelParams, alphas) -> list:
     """Spectrum tables of p at each alpha, solved as one batch; no alphas
     (no Carnot corner with a root) make no solve."""
-    alphas = list(alphas)
-    return thermal_tables(p.with_(alpha=float(a)) for a in alphas) if alphas else []
+    return thermal_tables(p.with_(alpha=float(a)) for a in alphas)
 
 
 def _first_root(grid, s_vals, t, s_target, bracket) -> tuple:

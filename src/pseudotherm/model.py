@@ -565,6 +565,8 @@ def fit_rescaling(
 
     from .thermo import pairing_gap
 
+    if not all(float(n).is_integer() for n in np_list):
+        raise ValueError(f"every Np must be an integer, got {list(np_list)}")
     np_values = sorted(set(int(n) for n in np_list))
     if not np_values:
         raise ValueError("np_list must be non-empty")

@@ -28,10 +28,11 @@ eigenvalue call (a group too large for the budget alone is split over the
 points), and one lexsort orders every point's and shape's eigenvalues; a
 single point is a batch of one.
 
-vector_spectra, behind thermal averages, makes one batched diagonalize call
-per size and contracts each level's <L_n|O|R_n> within its sector, against
-the operator's sector stack (read from the plan for a plan operator such as
-the gap operator), so no eigenvector is ever laid out in a block basis.
+vector_spectra, behind thermal averages, assembles one point in the same
+bounded ranges, makes one batched diagonalize call per size and contracts
+each level's <L_n|O|R_n> within its sector, against the operator's sector
+stack (read from the plan for a plan operator such as the gap operator), so
+no eigenvector is ever laid out in a block basis.
 Each matrix of a batch is solved on its own, so the result equals a
 per-sector, per-point solve bit for bit.
 
@@ -84,13 +85,13 @@ IM_TOL = 1e-9              # GHz-relative floor for treating Im E as zero
 # resolvable parameter step).
 EP_IM_FLOOR = 1e-4
 EIGEN_CACHE_SIZE = 768
-# Matrix elements assembled per operator in one step of block_spectra: a
-# range of consecutive size groups for every point of a batch, or a slice of
-# the points for a group whose stacks alone exceed it.  One point's stacks
-# hold 16k elements at Omega = 4 and 1.7M at Omega = 10, the largest group
-# 2.6k and 99k; so a range holds 512 KiB of float64 per array, and a desk
-# batch of up to 25 points keeps one eigenvalue call per (size, symmetric)
-# group.  Speed depends on how a batch is cut: chunks of whole points
+# Matrix elements assembled per operator in one step of block_spectra or
+# vector_spectra: a range of consecutive size groups for every point of a
+# batch, or a slice of the points for a group whose stacks alone exceed it.
+# One point's stacks hold 16k elements at Omega = 4 and 1.7M at Omega = 10,
+# the largest group 2.6k and 99k; so a range holds 512 KiB of float64 per
+# array, and a desk batch of up to 25 points keeps one eigenvalue call per
+# (size, symmetric) group.  Speed depends on how a batch is cut: chunks of whole points
 # multiply the eigenvalue calls as the budget shrinks (a 15-point desk
 # batch took 68-70 ms at 2^18 and 81-83 ms at 2^15 elements per chunk),
 # while ranges of groups keep them (57-69 ms at 2^16; medians of 8, BLAS
@@ -241,12 +242,13 @@ def vector_spectra(p: ModelParams, op) -> list[VectorSpectrum]:
     maps a BlockLabel to its operator matrix on the whole block; a callable
     is called once per shape, on the shape's first block, so it must depend
     on the shape alone, and its sectors are gathered from that matrix.
-    Each sector-size group of the fold plan is assembled and decomposed
-    with one diagonalize call and contracted against the group's (k, n, n)
-    operator stack.  Every eigenvector lies in one pair-projection sector
-    (H conserves the projection), so <L_n|O|R_n> reads only the sector's
-    rows and columns of O: the contraction is exact for any op, also one
-    that mixes sectors.  Within a shape, levels run sector by sector in
+    The plan is assembled one range of size groups at a time, at most
+    STACK_ELEMENTS elements per operator, as in block_spectra, and each
+    sector-size group is decomposed with one diagonalize call and
+    contracted against the group's (k, n, n) operator stack.  Every
+    eigenvector lies in one pair-projection sector (H conserves the
+    projection), so <L_n|O|R_n> reads only the sector's rows and columns of
+    O: the contraction is exact for any op, also one that mixes sectors.  Within a shape, levels run sector by sector in
     increasing pair projection, each sector in the eigensolver's order.
     """
     plan = fold_plan(p)
@@ -255,15 +257,17 @@ def vector_spectra(p: ModelParams, op) -> list[VectorSpectrum]:
     w = np.empty(len(plan.slot_nqb), dtype=complex)
     coef = np.empty(len(plan.slot_nqb), dtype=complex)
     flags = np.empty(len(plan.slot_nqb), dtype=bool)
-    h = assemble_hamiltonian([p], plan.ops)[0]
-    for group in plan.sizes:
-        vals, left, right, bad = diagonalize(group.matrices(h))
-        if callable(op):
-            o = np.stack([ops[si][np.ix_(idx, idx)] for si, idx in group.sectors])
-        else:
-            o = group.matrices(plan.ops[op])
-        w[group.slots], flags[group.slots] = vals, bad
-        coef[group.slots] = np.einsum("kin,kij,kjn->kn", left, o, right)
+    for _, groups in _assembly_steps(plan.sizes, 1):
+        start, stop = groups[0].span.start, groups[-1].span.stop
+        h = assemble_hamiltonian([p], {name: o[start:stop] for name, o in plan.ops.items()})[0]
+        for group in groups:
+            vals, left, right, bad = diagonalize(group.matrices(h, start))
+            if callable(op):
+                o = np.stack([ops[si][np.ix_(idx, idx)] for si, idx in group.sectors])
+            else:
+                o = group.matrices(plan.ops[op])
+            w[group.slots], flags[group.slots] = vals, bad
+            coef[group.slots] = np.einsum("kin,kij,kjn->kn", left, o, right)
     return [
         VectorSpectrum(w[lo:hi], plan.slot_nqb[lo:hi], coef[lo:hi], flags[lo:hi])
         for lo, hi in plan.bounds

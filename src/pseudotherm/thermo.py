@@ -42,18 +42,17 @@ shift survives beta up to 1e3/GHz, and the exact sums resolve the
 cancellations that produce zeros; the sum of |terms| is kept to detect
 where they do.
 
-Zeros of Z(T) are bracketed by z_signs_on_grid, a float64 sign scan over a
-temperature grid, and bisected with the exact sums.  The scan first asks a
-ground-level certificate: where the real levels below every complex row
-outweigh, twice over, the moduli of the complex terms whose cosine can be
-negative, Z > 0 is proven and the temperature gets +1 without a scan.  The
-factor 2 is far beyond the scan's rounding, so every sign, and every zero,
-is the one the full scan gives.  Both work in temperature chunks of at
-most SCAN_ELEMENTS (T x rows) elements.  critical_temperature scans its
-grid from the top down, chunk by chunk, only until the highest sign
-change, and doubles only the grid above that bracket's low end; each sign
-depends on its own temperature alone, so every T_c equals that of the
-whole-grid scan bit for bit.
+Zeros of Z(T) are bracketed and bisected on the signs of z_signs_on_grid,
+each the sign of the kernel's exactly rounded Z.  Where the real levels
+below every complex row outweigh, twice over, the moduli of the complex
+terms whose cosine can be negative, a certificate proves Z > 0; elsewhere a
+float64 sum of the kernel's own terms keeps its sign beyond its rounding
+bound, and only the temperatures within rounding distance of a zero go to
+_moments.  Both work in chunks of at most SCAN_ELEMENTS (T x rows)
+elements.  critical_temperature scans its grid from the top down, chunk by
+chunk, only until the highest sign change, and doubles only the grid above
+that bracket's low end; each sign depends on its own temperature alone, so
+every T_c equals that of the whole-grid scan bit for bit.
 
 Thermal averages use the biorthogonal resolution sum_n |R_n><L_n| with
 <L_m|R_n> = delta_mn: <O> = (1/Z) sum_n mult_n e^{-beta E_n} <L_n|O|R_n> goes
@@ -393,6 +392,19 @@ def _moments(items, z_minus_one: bool = False) -> _Moments:
     return _Moments(*(np.concatenate(field) for field in zip(*chunks)))
 
 
+def _weights(log_base, eps, b):
+    """(w, top, shift) per row of the column b of betas: the log-weights
+    lw = log_base - b*eps, their maximum shift at column top, and
+    w = exp(lw - shift), formed in one buffer; the one weight step of
+    _moments and of the z-sign scan."""
+    lw = b * eps
+    np.subtract(log_base, lw, out=lw)
+    top = np.argmax(lw, axis=1)
+    shift = lw[np.arange(len(lw)), top]
+    lw -= shift[:, None]
+    return np.exp(lw, out=lw), top, shift
+
+
 def _chunk_moments(items, width: int, ncol: int, z_minus_one: bool) -> _Moments:
     """_moments of one chunk, every table padded to width and ncol columns."""
     index, stack = {}, []
@@ -407,13 +419,8 @@ def _chunk_moments(items, width: int, ncol: int, z_minus_one: bool) -> _Moments:
     gam = _padded([t.gam for t in stack], width, 0.0)[sel]
     b = np.array([beta for _, beta in items], dtype=float)[:, None]
 
-    lw = b * eps
-    np.subtract(log_base, lw, out=lw)
-    top = np.argmax(lw, axis=1)
+    w, top, shift = _weights(log_base, eps, b)
     rows = np.arange(len(items))
-    shift = lw[rows, top]
-    lw -= shift[:, None]
-    w = np.exp(lw, out=lw)
     x = b * gam
     wc = np.cos(x)
     wc *= w
@@ -527,10 +534,6 @@ class ZeroRecord:
     sign_pattern: tuple
 
 
-def _z_sign(table: SpectrumTable, t: float, muS: float, muQb: float) -> int:
-    return log_partition(table, 1.0 / t, muS, muQb).sign
-
-
 def _certified_positive(table: SpectrumTable, betas: np.ndarray, eps_eff: np.ndarray):
     """Mask over betas (all > 0) where a ground-level bound proves Z > 0.
 
@@ -570,34 +573,32 @@ def _certified_positive(table: SpectrumTable, betas: np.ndarray, eps_eff: np.nda
 
 
 def _scan_signs(table: SpectrumTable, betas: np.ndarray, eps_eff: np.ndarray):
-    """Sign of the float64 sum of the terms of Z at each beta.
+    """The sign of _moments' Z at each beta.
 
-    The log-magnitudes of a chunk of _scan_chunk temperatures fill one
-    (T, rows) buffer, reused by every chunk, that is shifted by its
-    per-temperature maximum, exponentiated and summed in place; cos,
-    log|amp| and sign are taken only on the columns with gamma != 0, since
-    cos(0) = 1 leaves the other terms at mult * factor * exp(-beta * eps).
+    Each chunk of _scan_chunk temperatures forms the kernel's own terms,
+    _weights times cos(beta*gamma) on the complex rows (cos 0 = 1), and sums
+    them in float64, which errs by at most gamma_(n-1) * sum|terms| in any
+    order (Higham, Accuracy and Stability, 2nd ed., 4.2); sum w bounds
+    sum|terms|, so a sum beyond 2*n*u * sum w has the exact sum's sign.
+    The temperatures left go to one _moments batch.
     """
-    factor = np.where(table.pair, 2.0, 1.0)
-    log_base = np.log(table.mult) + np.log(factor)
+    terms = _terms(table, eps_eff)
     trig = np.flatnonzero(table.gam != 0.0)
-    log_mult = np.log(table.mult[trig])
+    bound = 2.0 * len(eps_eff) * _U
     signs = np.empty(len(betas), dtype=int)
+    sure = np.empty(len(betas), dtype=bool)
     chunk = _scan_chunk(table)
-    whole = np.empty((min(chunk, len(betas)), len(eps_eff)))
     for lo in range(0, len(betas), chunk):
-        b = betas[lo : lo + chunk]
-        buf = np.multiply.outer(b, eps_eff, out=whole[: len(b)])
-        np.subtract(log_base, buf, out=buf)
-        amp = factor[trig] * np.cos(np.multiply.outer(b, table.gam[trig]))
-        with np.errstate(divide="ignore"):
-            buf[:, trig] = (
-                log_mult + np.log(np.abs(amp))
-            ) - np.multiply.outer(b, eps_eff[trig])
-        buf -= np.max(buf, axis=1, keepdims=True)
-        np.exp(buf, out=buf)
-        buf[:, trig] *= np.sign(amp)
-        signs[lo : lo + chunk] = np.sign(np.sum(buf, axis=1))
+        b = betas[lo : lo + chunk, None]
+        w = _weights(terms.log_base, eps_eff, b)[0]
+        margin = bound * np.sum(w, axis=1)
+        w[:, trig] *= np.cos(b * table.gam[trig])
+        total = np.sum(w, axis=1)
+        signs[lo : lo + chunk] = np.sign(total)
+        sure[lo : lo + chunk] = np.abs(total) > margin
+    exact = np.flatnonzero(~sure)
+    if len(exact):
+        signs[exact] = np.sign(_moments([(terms, beta) for beta in betas[exact]]).z)
     return signs
 
 
@@ -608,18 +609,14 @@ def _scan_chunk(table: SpectrumTable) -> int:
 
 
 def z_signs_on_grid(table: SpectrumTable, t_values, muS: float = 0.0, muQb: float = 0.0):
-    """Vectorized sign of Z over a grid of positive temperatures (fast scan path).
+    """The sign of Z at each positive temperature, that of log_partition.
 
-    A temperature where _certified_positive proves Z > 0 gets +1 at once;
-    the rest are scanned with a per-temperature max-shift and plain float64
-    summation, which resolves signs everywhere except within rounding
-    distance of a zero; brackets found here are refined with the
-    exact-summation evaluator.  The certificate leaves every sign as the
-    scan would give it: where it passes, the negative terms are at most
-    half the positive ones, a margin no float64 rounding of the scan's sum
-    can close, so the scan too returns +1 there.  Both work in temperature
-    chunks whose (T x rows) arrays stay within SCAN_ELEMENTS elements, and
-    each sign depends on its own temperature alone.
+    Grid scans, doublings and bisections all take their signs here.  Where
+    _certified_positive proves Z > 0 (the negative terms are at most half
+    the positive ones, a margin no rounding can close) the sign is +1 at
+    once; _scan_signs gives the rest.  Both work in temperature chunks of at
+    most SCAN_ELEMENTS (T x rows) elements, and each sign depends on its own
+    temperature alone.
     """
     t = np.asarray(list(t_values), dtype=float)
     if not np.all(t > 0.0):
@@ -635,10 +632,12 @@ def z_signs_on_grid(table: SpectrumTable, t_values, muS: float = 0.0, muQb: floa
 
 def _refine_bracket(table, t_lo, t_hi, s_lo, muS, muQb, rtol):
     """The zero of Z in [t_lo, t_hi], Z having sign s_lo at t_lo, bisected
-    by roots.bisect to relative rtol (a T where Z is exactly 0 is the zero)."""
+    by roots.bisect to relative rtol on the signs of z_signs_on_grid (a T
+    where Z is exactly 0 is the zero)."""
 
     def side(points):
-        return {k: _z_sign(table, t, muS, muQb) * s_lo for k, t in points.items()}
+        signs = z_signs_on_grid(table, points.values(), muS, muQb)
+        return dict(zip(points, (signs * s_lo).tolist()))
 
     t_zero, lo, hi = bisect({0: (t_lo, t_hi)}, side, rtol=rtol)[0]
     return ZeroRecord(t_zero, (lo, hi), (s_lo, -s_lo))
@@ -796,10 +795,6 @@ class ThermoPoint:
     Delta: float | None = None
     valid: bool = True
     z_nonpositive: bool = False
-
-    @property
-    def Z(self) -> float:
-        return SignedLog(self.ln_abs_z, self.z_sign).value()
 
 
 class _PotentialTerms(NamedTuple):

@@ -224,22 +224,32 @@ CARNOT_CORNERS = ["--t-values", "0.4,0.7", "--x-values", "3.5,4.5"]
         (["--alpha", "inf", "spinodal", "--t-values", "0.144"], "spinodal_loci.tsv"),
         (["--workers", "0", "tc-map"], "tc_map.tsv"),
         (["--workers=-3", "spinodal", "--t-values", "0.144"], "spinodal_loci.tsv"),
+        (["rescale-fit", "--np-values", "2.5"], "rescale_fit.tsv"),
+        (["rescale-fit", "--np-values", "0"], "rescale_fit.tsv"),
+        (["rescale-fit", "--np-values=-2"], "rescale_fit.tsv"),
+        (["rescale-fit", "--np-values", "2,nan"], "rescale_fit.tsv"),
+        (["rescale-fit", "--target=-1"], "rescale_fit.tsv"),
+        (["rescale-fit", "--target", "nan"], "rescale_fit.tsv"),
+        (["rescale-fit", "--g0", "0"], "rescale_fit.tsv"),
+        (["rescale-fit", "--g0", "nan"], "rescale_fit.tsv"),
     ],
     ids=["one-step", "reversed", "infinite", "negative-alpha", "zero-precision",
          "negative-precision", "flat-bracket", "negative-bracket", "repeated-temperature",
          "repeated-entropy", "repeated-alpha", "nan-x", "zero-stirling-alpha",
          "spinodal-negative-alpha", "tc-map-negative-alpha", "zero-nv-count",
          "tc-map-infinite-alpha", "tc-map-nan-g", "tc-map-infinite-g", "nan-g",
-         "infinite-alpha", "zero-workers", "negative-workers"],
+         "infinite-alpha", "zero-workers", "negative-workers", "fractional-np", "zero-np",
+         "negative-np", "nan-np", "negative-target", "nan-target", "zero-g0", "nan-g0"],
 )
 def test_infeasible_sweep_exits_two_before_solving(tmp_path, monkeypatch, argv, table):
     from pseudotherm import spectral
 
-    def refuse(points):
+    def refuse(*args):
         raise AssertionError("eigensolve before the request check")
 
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     monkeypatch.setattr(spectral, "block_spectra", refuse)
+    monkeypatch.setattr(spectral, "vector_spectra", refuse)
     spectral.block_eigen_data.cache_clear()
     assert main(["--g", "1.73", "--out", str(tmp_path), *argv]) == 2
     assert not (tmp_path / table).exists()
@@ -320,6 +330,26 @@ def test_tc_map_desk_critical_temperatures(tmp_path, monkeypatch):
     assert [r[0] for r in rows] == ["0.006", "0.246", "0.486", "0.726", "0.966", "1.206"]
     assert [r[2] for r in rows] == ["0", "0.156025268619", "0", "0", "0", "0"]
     assert tables["2"] == tables["1"]
+
+
+@pytest.mark.parametrize(
+    "alpha, g", [(0.242, 1.73), (0.2, 2.5), (0.36, 1.73), (0.02, 2.5), (0.3, 2.0), (0.36, 1.0)]
+)
+def test_tc_map_is_invariant_under_transpose_duality(tmp_path, monkeypatch, alpha, g):
+    # H(alpha, g)^T = H(1/alpha, alpha g) has the same spectrum, so tc-map
+    # writes the same T_c at both points: five with a zero of Z, one without
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+
+    def t_c(a, coupling):
+        out = tmp_path / repr(a)
+        assert main(["--out", str(out), "tc-map", "--alpha-min", repr(a), "--alpha-max",
+                     repr(a), "--alpha-steps", "1", "--g-values", repr(coupling)]) == 0
+        (row,) = read_table(str(out / "tc_map.tsv"))[2]
+        return float(row[2])
+
+    want = t_c(alpha, g)
+    assert (want > 0.0) == (g > 1.0)
+    assert t_c(1.0 / alpha, alpha * g) == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def test_unknown_config_key_exits_one(tmp_path):

@@ -263,6 +263,19 @@ def test_fit_rescaling_single_point_interpolates(monkeypatch):
     assert fit.residuals == (0.0,)
 
 
+@pytest.mark.parametrize("np_list", [[2.5], [2, 3.5], [2, math.nan], [math.inf]])
+def test_fit_rescaling_refuses_non_integer_pair_counts(monkeypatch, np_list):
+    # a fractional Np is refused, not truncated, before any gap solve
+    def refuse(p, t):
+        raise AssertionError("gap solve before the Np check")
+
+    import pseudotherm.thermo as thermo_mod
+
+    monkeypatch.setattr(thermo_mod, "pairing_gap", refuse)
+    with pytest.raises(ValueError, match="integer"):
+        fit_rescaling(np_list, g0=1.0, target=0.25)
+
+
 @pytest.mark.slow
 def test_fit_rescaling_reproduces_reference_factor():
     fit = fit_rescaling([2, 3, 4])

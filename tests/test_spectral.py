@@ -265,6 +265,37 @@ def test_batch_split_by_the_stack_budget_is_bit_identical(monkeypatch):
         _assert_bitwise_equal_spectra(got, want)
 
 
+def test_vector_ranges_split_by_the_stack_budget_are_bit_identical(monkeypatch, desk_broken):
+    # one point's plan assembled in ranges of at most twice the largest size
+    # group gives the levels and coefficients of the default budget, bit for
+    # bit, for the plan's gap operator and for a callable one
+    from pseudotherm import model, spectral
+
+    ops = (model.GAP_OPERATOR, dense_operator)
+    whole = [vector_spectra(desk_broken, op) for op in ops]
+    plan = fold_plan(desk_broken)
+    budget = 2 * max(g.span.stop - g.span.start for g in plan.sizes)
+    monkeypatch.setattr(spectral, "STACK_ELEMENTS", budget)
+    assemble, assembled = spectral.assemble_hamiltonian, []
+
+    def traced(pts, ops):
+        h = assemble(pts, ops)
+        assembled.append(h.size)
+        return h
+
+    monkeypatch.setattr(spectral, "assemble_hamiltonian", traced)
+    for op, want in zip(ops, whole):
+        del assembled[:]
+        got = vector_spectra(desk_broken, op)
+        assert max(assembled) <= budget
+        assert sum(assembled) == plan.ops["z1"].size
+        assert 1 < len(assembled) < len(plan.sizes)
+        assert len(got) == len(want) == 81
+        for a, b in zip(got, want):
+            for x, y in zip(a, b):
+                assert x.tobytes() == y.tobytes()
+
+
 # STACK_ELEMENTS = 2^16 elements per operator make one assembled range
 # 512 KiB of float64; the range, the one temporary of its assembly and a
 # group's non-symmetric copy are at most that, and the symmetry mask an

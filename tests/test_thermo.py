@@ -507,21 +507,56 @@ def test_doubled_grid_signs_equal_full_rescan(desk_broken):
     ids=["canonical", "grand-canonical"],
 )
 def test_fast_z_signs_equal_exact_signs_away_from_zeros(p):
-    # within rounding distance of a zero the float64 scan may err: there the
-    # exact sum has lost more than 10 of its ~16 digits to cancellation
-    from pseudotherm.thermo import _z_sign, z_signs_on_grid
+    # every sign is the exact one, near zeros of Z too
+    from pseudotherm.thermo import z_signs_on_grid
 
     table = thermal_table(p)
     grid = np.geomspace(2e-3, 2.0, 400)
     fast = z_signs_on_grid(table, grid, p.muS, p.muQb)
     assert np.sum(fast[:-1] != fast[1:]) >= 50
-    checked = 0
     for t, s in zip(grid, fast):
-        if log_partition(table, 1.0 / t, p.muS, p.muQb).cancellation > 10.0:
-            continue
-        assert s == _z_sign(table, t, p.muS, p.muQb)
-        checked += 1
-    assert checked >= 390
+        assert s == log_partition(table, 1.0 / t, p.muS, p.muQb).sign
+
+
+def test_signs_near_zeros_fall_back_to_the_exact_sum(monkeypatch):
+    # bisecting to adjacent floats brings temperatures within rounding
+    # distance of a zero, where the float sum cannot settle the sign: those
+    # go to the moments kernel, and every sign equals the exact one
+    from pseudotherm import thermo
+
+    p = ModelParams(alpha=0.242, g=1.73)
+    table = thermal_table(p)
+    grid = np.geomspace(0.02, 0.5, 200)
+    seen, exact = [], []
+    signs, moments = thermo.z_signs_on_grid, thermo._moments
+
+    def recorded(table, t_values, mu_s=0.0, mu_qb=0.0):
+        t_values = list(t_values)
+        got = signs(table, t_values, mu_s, mu_qb)
+        seen.extend(zip(t_values, got.tolist()))
+        return got
+
+    def counted(items, z_minus_one=False):
+        items = list(items)
+        exact.extend(beta for _, beta in items)
+        return moments(items, z_minus_one)
+
+    monkeypatch.setattr(thermo, "z_signs_on_grid", recorded)
+    monkeypatch.setattr(thermo, "_moments", counted)
+    zeros = find_zeros(p, grid, rtol=0.0)
+    monkeypatch.undo()
+    assert len(zeros) >= 10 and exact
+    assert all(s == log_partition(table, 1.0 / t).sign for t, s in seen)
+
+
+def test_z_signs_resolve_a_cancellation_the_float_sum_misses():
+    # at T = 1 the terms are e^-46, 1 and 2 * 0.5 * cos(pi) = -1: summed in
+    # row order in float64 they give 0, the exact sum gives e^-46 > 0
+    from pseudotherm.thermo import z_signs_on_grid
+
+    table = toy_table([(46.0, 0.0, 1), (0.0, 0.0, 1), (0.0, math.pi, 0.5)])
+    assert log_partition(table, 1.0).sign == 1
+    assert z_signs_on_grid(table, [1.0]).tolist() == [1]
 
 
 def test_zero_finders_read_chemical_potentials_from_the_point():
@@ -630,12 +665,10 @@ def certified(table, t_values, mu_s=0.0, mu_qb=0.0):
 
 @pytest.mark.parametrize("key", list(CERT_POINTS))
 def test_certificate_passes_only_where_exact_z_is_positive(key):
-    from pseudotherm.thermo import _z_sign
-
     table, mu_s, mu_qb = cert_table(key)
     t = np.concatenate(list(CERT_GRIDS.values()))
     ok = certified(table, t, mu_s, mu_qb)
-    assert all(_z_sign(table, x, mu_s, mu_qb) == 1 for x in t[ok])
+    assert all(log_partition(table, 1 / x, mu_s, mu_qb).sign == 1 for x in t[ok])
 
 
 def test_certificate_covers_real_ground_levels():
@@ -657,14 +690,12 @@ def test_certificate_on_pair_and_level_toys(offset):
     # a level of multiplicity g0 = 4 at 0 and a pair of multiplicity m at
     # offset, 2m/g0 from 0.4 to 3: wherever the certificate passes, exact
     # Z > 0, and it passes while the pair's cosine is still positive
-    from pseudotherm.thermo import _z_sign
-
     gamma, g0 = 1.3, 4
     t = np.geomspace(0.01, 20.0, 300)
     for ratio in np.linspace(0.4, 3.0, 14):
         table = toy_table([(0.0, 0.0, g0), (offset, gamma, ratio * g0 / 2.0)])
         ok = certified(table, t)
-        assert all(_z_sign(table, x, 0.0, 0.0) == 1 for x in t[ok]), ratio
+        assert all(log_partition(table, 1 / x, 0.0, 0.0).sign == 1 for x in t[ok]), ratio
         assert np.all(ok[gamma / t < 0.5 * math.pi]), ratio
         if offset > 0.0 and ratio < 0.5:
             # 2m exp(-beta*offset) < g0/2: the level outweighs the pair twice over
@@ -785,10 +816,10 @@ def test_top_down_scan_stops_at_the_highest_bracket(monkeypatch):
 
 
 # T x rows of one chunk is at most SCAN_ELEMENTS = 2^15 elements, 256 KiB of
-# float64; the scan's buffer, the certificate's weights and the cosine and
-# log temporaries of the complex rows are each at most that, and four such
-# arrays bound a chunk.  Unchunked, the 200 coarse temperatures at this
-# point's 1462 rows take 2.2 MiB per array.
+# float64; the scan's weights and the phase, cosine and gathered copy of its
+# complex rows, or the certificate's weights, are each at most that, and
+# four such arrays bound a chunk.  Unchunked, the 200 coarse temperatures at
+# this point's 1462 rows take 2.2 MiB per array.
 SCAN_PEAK_BYTES = 4 * 2**15 * 8
 
 
