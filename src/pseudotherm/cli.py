@@ -134,7 +134,10 @@ def _resolved_config(p: ModelParams, extra: dict) -> dict:
 
 
 def _parallel_map(fn, items, workers: int):
-    if workers <= 1:
+    """[fn(x) for x in items], in a pool of `workers` threads when there are
+    at least two of each."""
+    items = list(items)
+    if workers <= 1 or len(items) < 2:
         return [fn(x) for x in items]
     # concurrent.futures pulls in logging (~10 ms); single-worker steps skip it
     from concurrent.futures import ThreadPoolExecutor
@@ -253,12 +256,21 @@ def cmd_tc_map(p: ModelParams, args, config) -> None:
     tasks = [(g, a) for g in g_values for a in alphas]
     points = [p.with_(alpha=float(a), g=float(g)) for g, a in tasks]
 
-    # one stacked solve per batch of points; the workers scan and bisect Z(T)
+    # one stacked solve per batch of points; a point whose certificate
+    # proves Z > 0 on the whole scan has T_c 0 here, and the workers scan and
+    # bisect Z(T) at the others
     def scan(batch, tables):
         def one(i):
             return thermo.critical_temperature(batch[i], t_max=args.t_max, table=tables[i])
 
-        return _parallel_map(one, range(len(batch)), args.workers)
+        tcs = [0.0] * len(batch)
+        open_ = [
+            i for i, (q, table) in enumerate(zip(batch, tables))
+            if not thermo.zero_free_on_grid(q, t_max=args.t_max, table=table)
+        ]
+        for i, tc in zip(open_, _parallel_map(one, open_, args.workers)):
+            tcs[i] = tc
+        return tcs
 
     tcs = thermo.sweep_tables(points, scan)
     rows = [(a, g, tc) for (g, a), tc in zip(tasks, tcs)]

@@ -11,13 +11,13 @@ function vanishes.
 Both kinds take one path: one corner step solves every distinct corner of
 a cycle or a grid, then one builder checks the corners and books the four
 legs of each cycle.  Stirling corners sit at given alphas, whose spectrum
-tables are solved as one batch (thermo.thermal_tables).  Carnot corner
-alphas are solved on S(T, alpha) together (solve_alphas): one coarse scan
-of the bracket, solved in sweep batches that give the S curve of every
-temperature, then a lockstep bisection (roots.bisect) that solves the
-midpoints of all open corners as one batch per step.  Each such batch, and
-the corner states, take their potentials from one thermo.potentials_batch
-call.
+tables are solved together.  Carnot corner alphas are solved on S(T, alpha)
+together (solve_alphas): one coarse scan of the bracket, which gives the S
+curve of every temperature, then a lockstep bisection (roots.bisect) that
+solves the midpoints of all open corners together at each step.  Every
+such solve runs in thermo.sweep_tables batches, and each batch is reduced
+to its states or entropies, from one thermo.potentials_batch call, before
+the next is solved.
 
 Sign convention: work done ON the system and heat ABSORBED by the system
 are positive.
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CycleInfeasible, NoSolutionError
 from .model import ModelParams
 from .roots import bisect
-from .thermo import potentials_batch, sweep_tables, thermal_tables
+from .thermo import potentials_batch, sweep_tables
 
 __all__ = [
     "CycleSpec",
@@ -160,10 +160,25 @@ def _entropies(p: ModelParams, items) -> list:
     return [math.nan if state is None else state.S for state in _states(p, items)]
 
 
-def _tables(p: ModelParams, alphas) -> list:
-    """Spectrum tables of p at each alpha, solved as one batch; no alphas
-    (no Carnot corner with a root) make no solve."""
-    return thermal_tables(p.with_(alpha=float(a)) for a in alphas)
+def _swept(p: ModelParams, items, reduce) -> list:
+    """reduce(p, [(T, alpha, table), ...]), _states or _entropies, at each
+    (T, alpha) item.  The tables of the distinct alphas are solved in
+    thermo.sweep_tables batches, and each batch is reduced at its items
+    before the next is solved; no items (no Carnot corner with a root) make
+    no solve."""
+    items = list(items)
+    temps = {}
+    for t, a in items:
+        temps.setdefault(float(a), []).append(t)
+
+    def batch_results(batch, tables):
+        results = iter(
+            reduce(p, [(t, q.alpha, tb) for q, tb in zip(batch, tables) for t in temps[q.alpha]])
+        )
+        return [{t: next(results) for t in temps[q.alpha]} for q in batch]
+
+    by_alpha = dict(zip(temps, sweep_tables([p.with_(alpha=a) for a in temps], batch_results)))
+    return [by_alpha[float(a)][t] for t, a in items]
 
 
 def _first_root(grid, s_vals, t, s_target, bracket) -> tuple:
@@ -210,11 +225,11 @@ def solve_alphas(
     curve of every temperature before the next is solved.  The
     smallest-alpha root of each target is bisected to width <= tol in
     lockstep by roots.bisect: each step solves the midpoints of every open
-    bracket as one batch, and the quarter points that retry invalid
-    midpoints as a second.  One last batch at the roots gives each residual
-    and corner state.  Each point of a batch is solved on its own, so a
-    target gets the alpha, root count and residual that it gets when solved
-    alone, bit for bit.
+    bracket together, and the quarter points that retry invalid midpoints
+    in a second solve.  One last solve at the roots gives each residual and
+    corner state.  Each of these solves runs in sweep batches too.  Each
+    point of a batch is solved on its own, so a target gets the alpha, root
+    count and residual that it gets when solved alone, bit for bit.
 
     Returns one entry per target: a SolveResult, whose `state` is None where
     the root lies on an invalid point, or the NoSolutionError of a target
@@ -246,8 +261,7 @@ def solve_alphas(
         signs[k] = math.copysign(1.0, d_lo)
 
     def side(points):
-        tables = _tables(p, points.values())
-        s = _entropies(p, [(targets[k][0], a, tb) for (k, a), tb in zip(points.items(), tables)])
+        s = _swept(p, [(targets[k][0], a) for k, a in points.items()], _entropies)
         return {k: (s_k - targets[k][1]) * signs[k] for k, s_k in zip(points, s)}
 
     alphas = {}
@@ -259,11 +273,8 @@ def solve_alphas(
         else:
             alphas[k] = alpha
 
-    roots = [
-        (targets[k][0], alpha, table)
-        for (k, alpha), table in zip(alphas.items(), _tables(p, alphas.values()))
-    ]
-    for (k, alpha), state in zip(alphas.items(), _states(p, roots)):
+    roots = _swept(p, [(targets[k][0], alpha) for k, alpha in alphas.items()], _states)
+    for (k, alpha), state in zip(alphas.items(), roots):
         s_target = targets[k][1]
         residual = abs((state.S if state is not None else math.nan) - s_target)
         out[k] = SolveResult(
@@ -367,7 +378,7 @@ def _corner_states(p: ModelParams, specs) -> dict:
     """(T, x) -> CornerState, None on an invalid point, or a Carnot corner's
     NoSolutionError, for the distinct corners of specs of one kind and one
     bracket.  Carnot corners are solved by one solve_alphas call; the
-    distinct alphas of Stirling corners are solved as one batch."""
+    distinct alphas of Stirling corners are solved in sweep batches."""
     specs = list(specs)
     corners = list(dict.fromkeys(c for spec in specs for c in _corners(spec).values()))
     if specs and specs[0].kind == "carnot":
@@ -376,9 +387,7 @@ def _corner_states(p: ModelParams, specs) -> dict:
             c: sol if isinstance(sol, NoSolutionError) else sol.state
             for c, sol in zip(corners, solved)
         }
-    alphas = list(dict.fromkeys(a for _, a in corners))
-    tables = dict(zip(alphas, _tables(p, alphas)))
-    return dict(zip(corners, _states(p, [(t, a, tables[a]) for t, a in corners])))
+    return dict(zip(corners, _swept(p, corners, _states)))
 
 
 def _cycle(spec: CycleSpec, states: dict) -> CycleResult:

@@ -42,17 +42,22 @@ shift survives beta up to 1e3/GHz, and the exact sums resolve the
 cancellations that produce zeros; the sum of |terms| is kept to detect
 where they do.
 
-Zeros of Z(T) are bracketed and bisected on the signs of z_signs_on_grid,
-each the sign of the kernel's exactly rounded Z.  Where the real levels
-below every complex row outweigh, twice over, the moduli of the complex
-terms whose cosine can be negative, a certificate proves Z > 0; elsewhere a
-float64 sum of the kernel's own terms keeps its sign beyond its rounding
+Zeros of Z(T) are bracketed on the signs of z_signs_on_grid, each the
+sign of the kernel's exactly rounded Z.  Where the real levels below every
+complex row outweigh, twice over, the moduli of the complex terms whose
+cosine can be negative, a certificate proves Z > 0; elsewhere a float64 sum
+of the kernel's own terms (_scan_signs) keeps its sign beyond its rounding
 bound, and only the temperatures within rounding distance of a zero go to
 _moments.  Both work in chunks of at most SCAN_ELEMENTS (T x rows)
-elements.  critical_temperature scans its grid from the top down, chunk by
-chunk, only until the highest sign change, and doubles only the grid above
-that bracket's low end; each sign depends on its own temperature alone, so
-every T_c equals that of the whole-grid scan bit for bit.
+elements.  A bisection takes its signs from _scan_signs alone: next to a
+zero the certificate cannot pass.  critical_temperature runs the
+certificate once, over every temperature that a grid with no sign change
+is scanned at (zero_free_on_grid); where it passes at all of them, T_c is 0
+and nothing is scanned.  Otherwise only the temperatures it leaves open are
+scanned, from the top down, chunk by chunk, until the highest sign change,
+and only the grid above that bracket's low end is doubled; each sign
+depends on its own temperature alone, so every T_c equals that of the
+whole-grid scan bit for bit.
 
 Thermal averages use the biorthogonal resolution sum_n |R_n><L_n| with
 <L_m|R_n> = delta_mn: <O> = (1/Z) sum_n mult_n e^{-beta E_n} <L_n|O|R_n> goes
@@ -90,6 +95,7 @@ __all__ = [
     "ZeroRecord",
     "find_zeros",
     "critical_temperature",
+    "zero_free_on_grid",
     "ThermoPoint",
     "potentials",
     "potentials_batch",
@@ -608,48 +614,64 @@ def _scan_chunk(table: SpectrumTable) -> int:
     return max(1, SCAN_ELEMENTS // max(1, len(table)))
 
 
+def _open_signs(table: SpectrumTable, betas: np.ndarray, certified: np.ndarray, eps_eff):
+    """The sign of Z at each beta: +1 where certified, from _scan_signs
+    elsewhere."""
+    signs = np.ones(len(betas), dtype=int)
+    scan = np.flatnonzero(~certified)
+    if len(scan):
+        signs[scan] = _scan_signs(table, betas[scan], eps_eff)
+    return signs
+
+
 def z_signs_on_grid(table: SpectrumTable, t_values, muS: float = 0.0, muQb: float = 0.0):
     """The sign of Z at each positive temperature, that of log_partition.
 
-    Grid scans, doublings and bisections all take their signs here.  Where
-    _certified_positive proves Z > 0 (the negative terms are at most half
-    the positive ones, a margin no rounding can close) the sign is +1 at
-    once; _scan_signs gives the rest.  Both work in temperature chunks of at
-    most SCAN_ELEMENTS (T x rows) elements, and each sign depends on its own
-    temperature alone.
+    The grid scans and doublings of find_zeros take their signs here.
+    Where _certified_positive proves Z > 0 (the negative terms are at most
+    half the positive ones, a margin no rounding can close) the sign is +1
+    at once; _scan_signs gives the rest.  Both work in temperature chunks of
+    at most SCAN_ELEMENTS (T x rows) elements, and each sign depends on its
+    own temperature alone.
     """
     t = np.asarray(list(t_values), dtype=float)
     if not np.all(t > 0.0):
         raise ValueError("temperatures must be positive")
     betas = 1.0 / t
     eps_eff = _eps_eff(table, muS, muQb)
-    signs = np.ones(len(betas), dtype=int)
-    scan = np.flatnonzero(~_certified_positive(table, betas, eps_eff))
-    if len(scan):
-        signs[scan] = _scan_signs(table, betas[scan], eps_eff)
-    return signs
+    return _open_signs(table, betas, _certified_positive(table, betas, eps_eff), eps_eff)
 
 
 def _refine_bracket(table, t_lo, t_hi, s_lo, muS, muQb, rtol):
     """The zero of Z in [t_lo, t_hi], Z having sign s_lo at t_lo, bisected
-    by roots.bisect to relative rtol on the signs of z_signs_on_grid (a T
-    where Z is exactly 0 is the zero)."""
+    by roots.bisect to relative rtol (a T where Z is exactly 0 is the zero).
+
+    Each step's sign is that of z_signs_on_grid, taken from _scan_signs
+    alone: next to a zero the certificate cannot pass.
+    """
+    eps_eff = _eps_eff(table, muS, muQb)
 
     def side(points):
-        signs = z_signs_on_grid(table, points.values(), muS, muQb)
-        return dict(zip(points, (signs * s_lo).tolist()))
+        betas = 1.0 / np.fromiter(points.values(), dtype=float, count=len(points))
+        return dict(zip(points, (_scan_signs(table, betas, eps_eff) * s_lo).tolist()))
 
     t_zero, lo, hi = bisect({0: (t_lo, t_hi)}, side, rtol=rtol)[0]
     return ZeroRecord(t_zero, (lo, hi), (s_lo, -s_lo))
 
 
-def _doubled(table, grid, signs, muS, muQb):
-    """The sorted grid with its midpoints interleaved, and the sign of Z on
-    it.  Only the midpoints are evaluated: each sign of z_signs_on_grid
-    depends on its own temperature alone, so the known ones are reused."""
+def _interleaved(grid: np.ndarray) -> np.ndarray:
+    """The sorted grid with its midpoints interleaved."""
     denser = np.empty(2 * len(grid) - 1)
     denser[0::2] = grid
     denser[1::2] = 0.5 * (grid[:-1] + grid[1:])
+    return denser
+
+
+def _doubled(table, grid, signs, muS, muQb):
+    """_interleaved(grid) and the sign of Z on it.  Only the midpoints are
+    evaluated: each sign of z_signs_on_grid depends on its own temperature
+    alone, so the known ones are reused."""
+    denser = _interleaved(grid)
     denser_signs = np.empty(len(denser), dtype=int)
     denser_signs[0::2] = signs
     denser_signs[1::2] = z_signs_on_grid(table, denser[1::2], muS, muQb)
@@ -710,23 +732,65 @@ def find_zeros(
     return records
 
 
-def _top_down(table, grid, muS, muQb):
-    """(grid[k:], its signs, highest bracket or None): the signs of Z on
-    the sorted grid, evaluated from the top down one _scan_chunk at a time
-    until a chunk completes a bracket (see _brackets); with none, k = 0 and
-    the whole grid is scanned.  No bracket above the returned one exists."""
-    signs = np.empty(len(grid), dtype=int)
+def _tc_certificate(p, t_min, t_max, steps, max_doublings, table):
+    """(table, grid, betas, eps_eff, certified): the certificate of
+    critical_temperature, run once per table over the temperatures that a
+    grid with no sign change is scanned at, the geometric grid and, when
+    max_doublings > 0, the midpoints of its one doubling interleaved (the
+    coarse grid is then every other temperature); certified is where
+    _certified_positive proves Z > 0."""
+    if not 0.0 < t_min < t_max < math.inf or steps < 2:
+        raise ValueError(
+            f"need 0 < t_min < t_max < inf and steps >= 2, got [{t_min}, {t_max}] x {steps}"
+        )
+    if table is None:
+        table = thermal_table(p)
+    grid = np.geomspace(t_min, t_max, steps)
+    if max_doublings:
+        grid = _interleaved(grid)
+    betas = 1.0 / grid
+    eps_eff = _eps_eff(table, p.muS, p.muQb)
+    return table, grid, betas, eps_eff, _certified_positive(table, betas, eps_eff)
+
+
+def zero_free_on_grid(
+    p: ModelParams,
+    t_min: float = TC_T_MIN,
+    t_max: float = 2.0,
+    steps: int = 200,
+    max_doublings: int = 4,
+    table: SpectrumTable | None = None,
+) -> bool:
+    """Whether critical_temperature, given the same arguments, returns 0 on
+    its certificate alone: _certified_positive proves Z > 0 at every
+    temperature that a grid with no sign change is scanned at.  A T_c map
+    settles such points without a scan."""
+    certified = _tc_certificate(p, t_min, t_max, steps, max_doublings, table)[-1]
+    return bool(np.all(certified))
+
+
+def _top_down(table, grid, betas, certified, eps_eff):
+    """(signs, k, highest bracket or None) of Z on the sorted grid: +1 where
+    certified, elsewhere from _scan_signs, one _scan_chunk of the open
+    temperatures at a time from the top down, until a chunk completes a
+    bracket (see _brackets), whose low end is grid[k]; the signs are set
+    from grid[k] up.  With no bracket every open temperature is scanned and
+    k = 0.  No bracket above the returned one exists."""
+    signs = np.ones(len(grid), dtype=int)
+    scan = np.flatnonzero(~certified)
     chunk = _scan_chunk(table)
-    hi = len(grid)
-    while hi > 0:
-        lo = max(0, hi - chunk)
-        signs[lo:hi] = z_signs_on_grid(table, grid[lo:hi], muS, muQb)
-        # the pairs that start in this chunk; those above were checked before
-        found = _brackets(grid[lo : hi + 1], signs[lo : hi + 1])
+    top = len(grid)
+    for hi in range(len(scan), 0, -chunk):
+        idx = scan[max(0, hi - chunk) : hi]
+        signs[idx] = _scan_signs(table, betas[idx], eps_eff)
+        # the pairs from the lowest temperature scanned, or from the bottom
+        # once no open one is left below, up to those checked before
+        lo = idx[0] if hi > chunk else 0
+        found = _brackets(grid[lo : top + 1], signs[lo : top + 1])
         if found:
-            return grid[lo:], signs[lo:], found[-1]
-        hi = lo
-    return grid, signs, None
+            return signs, int(np.searchsorted(grid, found[-1][0])), found[-1]
+        top = lo
+    return signs, 0, None
 
 
 def critical_temperature(
@@ -741,44 +805,52 @@ def critical_temperature(
     """Largest zero of Z(T); 0 when Z > 0 on the whole range.
 
     Only the highest sign change matters (zeros pile up towards T = 0 when
-    the ground state is complex), so the geometric grid is scanned from the
-    top down until its highest bracket, and grid doubling stabilizes that
+    the ground state is complex), so grid doubling stabilizes that
     bracket's location, not the zero count.  A doubled grid's highest
     bracket never lies below the one it refines, so once a bracket exists
-    one doubling settles it, and only the midpoints at or above its low end
-    are evaluated.  A grid with no sign change is scanned in full and
-    doubled once; if the doubled grid has none either, the result is 0.
+    one doubling settles it.  A grid with no sign change is doubled once;
+    if the doubled grid has none either, the result is 0.
+
+    The certificate runs once, over the geometric grid and the midpoints of
+    that one doubling (see zero_free_on_grid); where it passes at all of
+    them the result is 0 and nothing is scanned.  Otherwise the open
+    temperatures of the grid are scanned from the top down until its
+    highest bracket, and the doubling evaluates only the open midpoints at
+    or above that bracket's low end; a bracket that only the doubled grid
+    shows takes one more doubling (z_signs_on_grid) above its low end.
     Each sign depends on its own temperature alone, so this equals the scan
     of the whole grid at every doubling, bit for bit.  The range must
     satisfy 0 < t_min < t_max < inf, with steps >= 2.  table, when given,
     stands for thermal_table(p) (a T_c map takes its tables from
     sweep_tables batches); the chemical potentials are always p's.
     """
-    if not 0.0 < t_min < t_max < math.inf or steps < 2:
-        raise ValueError(
-            f"need 0 < t_min < t_max < inf and steps >= 2, got [{t_min}, {t_max}] x {steps}"
-        )
-    if table is None:
-        table = thermal_table(p)
-    muS, muQb = p.muS, p.muQb
-    grid, signs, top = _top_down(table, np.geomspace(t_min, t_max, steps), muS, muQb)
-    doublings = max_doublings
+    table, grid, betas, eps_eff, certified = _tc_certificate(
+        p, t_min, t_max, steps, max_doublings, table
+    )
+    if certified.all():
+        return 0.0
+    coarse = slice(None, None, 2 if max_doublings else 1)
+    signs, k, top = _top_down(table, grid[coarse], betas[coarse], certified[coarse], eps_eff)
+    if max_doublings:
+        # the one doubling of the coarse grid from its k-th point: its
+        # midpoints are the certificate's odd temperatures
+        mids = slice(2 * k + 1, None, 2)
+        grid = grid[2 * k :]
+        denser_signs = np.empty(len(grid), dtype=int)
+        denser_signs[0::2] = signs[k:]
+        denser_signs[1::2] = _open_signs(table, betas[mids], certified[mids], eps_eff)
+        found = _brackets(grid, denser_signs)
+        if top is None and found and max_doublings > 1:
+            j = int(np.searchsorted(grid, found[-1][0]))
+            grid, denser_signs = _doubled(table, grid[j:], denser_signs[j:], p.muS, p.muQb)
+            found = _brackets(grid, denser_signs)
+        top = found[-1] if found else None
     if top is None:
-        if not doublings:
-            return 0.0
-        grid, signs = _doubled(table, grid, signs, muS, muQb)
-        found = _brackets(grid, signs)
-        if not found:
-            return 0.0
-        top, doublings = found[-1], doublings - 1
-    if doublings:
-        k = int(np.searchsorted(grid, top[0]))
-        grid, signs = _doubled(table, grid[k:], signs[k:], muS, muQb)
-        top = _brackets(grid, signs)[-1]
+        return 0.0
     t_lo, t_hi, s_lo = top
     if s_lo == 0:
         return t_lo
-    return _refine_bracket(table, t_lo, t_hi, s_lo, muS, muQb, rtol).T_zero
+    return _refine_bracket(table, t_lo, t_hi, s_lo, p.muS, p.muQb, rtol).T_zero
 
 
 @dataclass(frozen=True)

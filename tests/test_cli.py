@@ -314,6 +314,43 @@ def test_sweeps_in_several_batches_write_the_same_tables(tmp_path, monkeypatch):
     assert batches == [5, 5, 5]
 
 
+def test_cycle_grids_in_several_batches_write_the_same_tables(tmp_path, monkeypatch):
+    # the coarse scan, every bisection step and the roots of a Carnot grid,
+    # and the corners of a Stirling grid, are solved in sweep batches, and
+    # write the bytes of one batch
+    from pseudotherm import spectral, thermo
+    from pseudotherm.model import fold_plan
+
+    with open(CARNOT_SYSTEM, encoding="utf-8") as fh:
+        system = params_from_mapping(json.load(fh))
+
+    def tables(out, argv):
+        kind = argv[argv.index("--kind") + 1]
+        assert main(["--config", CARNOT_SYSTEM, "--out", str(out), *argv]) == 0
+        return [(out / f"cycle_{kind}{part}.tsv").read_bytes()
+                for part in ("", "_max_by_x", "_max_by_t")]
+
+    carnot = tables(tmp_path / "whole", CARNOT_ARGS)
+    stirling = tables(tmp_path / "whole", STIRLING_GRID_ARGS)
+    batches = []
+    solve = spectral.block_spectra
+
+    def counted(points):
+        points = list(points)
+        batches.append(len(points))
+        return solve(points)
+
+    monkeypatch.setattr(spectral, "block_spectra", counted)
+    monkeypatch.setattr(thermo, "SWEEP_SLOTS", 2 * len(fold_plan(system).slot_nqb))
+    assert tables(tmp_path / "split", CARNOT_ARGS) == carnot
+    # the 64 coarse points in 32 batches, then the 6 distinct corners at each
+    # of the 22 bisection steps and at the roots, in 3 batches each
+    assert batches == [2] * (32 + 23 * 3)
+    del batches[:]
+    assert tables(tmp_path / "split", STIRLING_GRID_ARGS) == stirling
+    assert batches == [2, 2, 1]
+
+
 def test_tc_map_desk_critical_temperatures(tmp_path, monkeypatch):
     # desk size at g 1.73: only alpha 0.246 has a zero of Z below T = 2, and
     # two worker threads write the same bytes as one
@@ -330,6 +367,47 @@ def test_tc_map_desk_critical_temperatures(tmp_path, monkeypatch):
     assert [r[0] for r in rows] == ["0.006", "0.246", "0.486", "0.726", "0.966", "1.206"]
     assert [r[2] for r in rows] == ["0", "0.156025268619", "0", "0", "0", "0"]
     assert tables["2"] == tables["1"]
+
+
+def test_tc_map_scans_only_open_points_in_threads(tmp_path, monkeypatch):
+    # the points whose certificate proves Z > 0 are settled in the calling
+    # thread; the others go to the pool, which starts only for two or more
+    import concurrent.futures
+
+    from pseudotherm import thermo
+
+    pools, scanned = [], []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def map(self, fn, items, **kwargs):
+            items = list(items)
+            pools.append((self._max_workers, len(items)))
+            return super().map(fn, items, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    solve = thermo.critical_temperature
+
+    def counted(p, **kwargs):
+        scanned.append(p.alpha)
+        return solve(p, **kwargs)
+
+    monkeypatch.setattr(thermo, "critical_temperature", counted)
+
+    def tc_map(workers, lo, hi):
+        out = tmp_path / f"w{workers}-{lo}"
+        assert main(["--g", "1.73", "--workers", workers, "--out", str(out), "tc-map",
+                     "--alpha-min", lo, "--alpha-max", hi, "--alpha-steps", "6"]) == 0
+        return (out / "tc_map.tsv").read_bytes()
+
+    # every point of alpha 0.2-0.3 has a zero of Z
+    assert tc_map("2", "0.2", "0.3") == tc_map("1", "0.2", "0.3")
+    assert pools == [(2, 6)]
+    assert len(scanned) == 12
+    del pools[:], scanned[:]
+    # only alpha 0.246 has one in 0.006-1.206
+    tc_map("2", "0.006", "1.206")
+    assert pools == [] and scanned == [0.246]
 
 
 @pytest.mark.parametrize(
@@ -398,7 +476,7 @@ def test_module_entry_point_runs(tmp_path, tiny_cfg):
 
 def test_cli_leaves_thread_pool_unimported():
     # concurrent.futures (and logging with it) costs ~10 ms to import; only
-    # a step with more than one worker needs it
+    # a step with more than one worker and more than one item needs it
     src = os.path.dirname(os.path.dirname(os.path.abspath(pseudotherm.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -406,6 +484,8 @@ def test_cli_leaves_thread_pool_unimported():
         "import sys\n"
         "from pseudotherm.cli import _parallel_map\n"
         "assert _parallel_map(abs, [-1, 2], 1) == [1, 2]\n"
+        "assert _parallel_map(abs, [-1], 2) == [1]\n"
+        "assert _parallel_map(abs, [], 2) == []\n"
         "print('concurrent.futures' in sys.modules)\n"
     )
     proc = subprocess.run(
@@ -560,6 +640,8 @@ CARNOT_INFEASIBLE_ARGS = ["--g", "1.73", "cycle", "--kind", "carnot",
                           "--t-values", "0.3,0.5,0.9", "--x-values", "3.0,4.0,5.0,9.0"]
 STIRLING_GRID_ARGS = ["--g", "1.73", "cycle", "--kind", "stirling",
                       "--t-values", "0.3,0.5,0.9,1.4", "--x-values", "0.2,0.4,0.7,1.1,1.5"]
+# Omega 8: 6 points of the T_c map below have a zero of Z, 6 none
+OMEGA8 = {"system.Omega": 8, "system.Omega1": 3, "system.Omega2": 3}
 # pinned file -> (config: a mapping, or a path read in place; argv; the file
 # the command writes)
 PINNED = {
@@ -581,6 +663,9 @@ PINNED = {
     "spinodal_intervals.tsv": (None, ISOTHERM_ARGS, "spinodal_intervals.tsv"),
     "tc_map.tsv": (None, [*TC_MAP_ARGS, "--g-values", "1.0,1.73"], "tc_map.tsv"),
     "tc_map_mu.tsv": (BROKEN_MU_POINT, TC_MAP_ARGS, "tc_map.tsv"),
+    "tc_map_omega8.tsv": (OMEGA8, ["--g", "1.73", "--workers", "2", "tc-map", "--alpha-min",
+                                   "0.1", "--alpha-max", "1.2", "--alpha-steps", "12"],
+                          "tc_map.tsv"),
     "cycle_carnot.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot.tsv"),
     "cycle_carnot_max_by_x.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot_max_by_x.tsv"),
     "cycle_carnot_max_by_t.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot_max_by_t.tsv"),

@@ -527,13 +527,19 @@ def test_signs_near_zeros_fall_back_to_the_exact_sum(monkeypatch):
     p = ModelParams(alpha=0.242, g=1.73)
     table = thermal_table(p)
     grid = np.geomspace(0.02, 0.5, 200)
-    seen, exact = [], []
-    signs, moments = thermo.z_signs_on_grid, thermo._moments
+    seen, scanned, exact = [], [], []
+    signs, scan, moments = thermo.z_signs_on_grid, thermo._scan_signs, thermo._moments
 
     def recorded(table, t_values, mu_s=0.0, mu_qb=0.0):
         t_values = list(t_values)
         got = signs(table, t_values, mu_s, mu_qb)
         seen.extend(zip(t_values, got.tolist()))
+        return got
+
+    # the bisection takes its signs from the scan without the certificate
+    def scanned_signs(table, betas, eps_eff):
+        got = scan(table, betas, eps_eff)
+        scanned.extend(zip(betas.tolist(), got.tolist()))
         return got
 
     def counted(items, z_minus_one=False):
@@ -542,11 +548,13 @@ def test_signs_near_zeros_fall_back_to_the_exact_sum(monkeypatch):
         return moments(items, z_minus_one)
 
     monkeypatch.setattr(thermo, "z_signs_on_grid", recorded)
+    monkeypatch.setattr(thermo, "_scan_signs", scanned_signs)
     monkeypatch.setattr(thermo, "_moments", counted)
     zeros = find_zeros(p, grid, rtol=0.0)
     monkeypatch.undo()
-    assert len(zeros) >= 10 and exact
+    assert len(zeros) >= 10 and exact and len(scanned) > len(seen)
     assert all(s == log_partition(table, 1.0 / t).sign for t, s in seen)
+    assert all(s == log_partition(table, beta).sign for beta, s in scanned)
 
 
 def test_z_signs_resolve_a_cancellation_the_float_sum_misses():
@@ -789,21 +797,22 @@ def test_top_down_critical_temperature_equals_full_grid_scan(monkeypatch, scan, 
 
 
 def test_top_down_scan_stops_at_the_highest_bracket(monkeypatch):
-    # at alpha 0.242, g 1.73 only the temperatures above the top bracket's
-    # chunk, and the midpoints at or above its low end, are scanned
+    # at alpha 0.242, g 1.73, where the certificate passes nowhere, only the
+    # temperatures above the top bracket's chunk, the midpoints at or above
+    # its low end and the bisection's are scanned
     from pseudotherm import thermo
 
     p = ModelParams(alpha=0.242, g=1.73)
     table = thermal_table(p)
     want = full_grid_critical_temperature(p, table)
     scanned = []
-    scan = thermo.z_signs_on_grid
+    scan = thermo._scan_signs
 
-    def counted(table, t_values, mu_s=0.0, mu_qb=0.0):
-        scanned.extend(t_values)
-        return scan(table, t_values, mu_s, mu_qb)
+    def counted(table, betas, eps_eff):
+        scanned.extend(betas.tolist())
+        return scan(table, betas, eps_eff)
 
-    monkeypatch.setattr(thermo, "z_signs_on_grid", counted)
+    monkeypatch.setattr(thermo, "_scan_signs", counted)
     tc = critical_temperature(p, table=table)
     assert tc == want
     # the coarse grid down to the chunk that completes the top bracket,
@@ -811,7 +820,7 @@ def test_top_down_scan_stops_at_the_highest_bracket(monkeypatch):
     chunk = thermo._scan_chunk(table)
     grid = np.geomspace(thermo.TC_T_MIN, 2.0, 200)
     lowest = grid[200 - chunk * math.ceil(np.count_nonzero(grid > tc) / chunk)]
-    assert min(scanned) == lowest
+    assert max(scanned) == 1.0 / lowest
     assert len(set(scanned)) == len(scanned) < 200
 
 
@@ -836,6 +845,154 @@ def test_critical_temperature_stays_within_the_scan_budget():
     finally:
         tracemalloc.stop()
     assert peak < SCAN_PEAK_BYTES, f"peak {peak / 2**20:.2f} MiB"
+
+
+def per_chunk_critical_temperature(p, table, t_max=2.0, steps=200, max_doublings=4):
+    """critical_temperature before its whole-grid certificate: the coarse
+    grid scanned from the top down, one chunk per z_signs_on_grid call (each
+    running the certificate on its own temperatures), and the top bracket
+    bisected on the signs of z_signs_on_grid."""
+    from pseudotherm.roots import bisect
+    from pseudotherm.thermo import TC_T_MIN, _brackets, _doubled, _scan_chunk, z_signs_on_grid
+
+    mu = (p.muS, p.muQb)
+    grid = np.geomspace(TC_T_MIN, t_max, steps)
+    signs = np.empty(len(grid), dtype=int)
+    top, hi = None, len(grid)
+    while hi > 0 and top is None:
+        lo = max(0, hi - _scan_chunk(table))
+        signs[lo:hi] = z_signs_on_grid(table, grid[lo:hi], *mu)
+        found = _brackets(grid[lo : hi + 1], signs[lo : hi + 1])
+        if found:
+            top, grid, signs = found[-1], grid[lo:], signs[lo:]
+        hi = lo
+    doublings = max_doublings
+    if top is None:
+        if not doublings:
+            return 0.0
+        grid, signs = _doubled(table, grid, signs, *mu)
+        found = _brackets(grid, signs)
+        if not found:
+            return 0.0
+        top, doublings = found[-1], doublings - 1
+    if doublings:
+        k = int(np.searchsorted(grid, top[0]))
+        grid, signs = _doubled(table, grid[k:], signs[k:], *mu)
+        top = _brackets(grid, signs)[-1]
+    t_lo, t_hi, s_lo = top
+    if s_lo == 0:
+        return t_lo
+
+    def side(points):
+        return dict(zip(points, (z_signs_on_grid(table, points.values(), *mu) * s_lo).tolist()))
+
+    return bisect({0: (t_lo, t_hi)}, side, rtol=1e-8)[0][0]
+
+
+# TC_POINTS, a zero-free point without complex rows and one at nonzero mu
+WHOLE_GRID_POINTS = TC_POINTS + [
+    ModelParams(alpha=1.0, g=1.73), ModelParams(alpha=0.7, g=1.73, muS=0.2, muQb=0.1)
+]
+
+
+def _certificate(kind):
+    """_certified_positive as it is, passing nowhere, or passing on every
+    other temperature only (each sound: they only narrow where it passes)."""
+    from pseudotherm.thermo import _certified_positive
+
+    if kind == "nowhere":
+        return lambda table, betas, eps_eff: np.zeros(len(betas), dtype=bool)
+    if kind == "every-other":
+        return lambda table, betas, eps_eff: (
+            _certified_positive(table, betas, eps_eff) & (np.arange(len(betas)) % 2 == 0)
+        )
+    return _certified_positive
+
+
+@pytest.mark.parametrize("certificate", ["as-is", "nowhere", "every-other"])
+@pytest.mark.parametrize("scan", ["default", "coarse", "no-doubling"])
+def test_whole_grid_certificate_equals_the_per_chunk_scan(monkeypatch, scan, certificate):
+    # the certificate runs once per table and settles zero-free points; the
+    # T_c of every point equals that of the per-chunk scan, bit for bit
+    from pseudotherm import thermo
+
+    tables = thermal_tables(WHOLE_GRID_POINTS)
+    assert not np.any(tables[-2].gam) and np.any(tables[-1].gam)
+    kwargs = TC_SCANS[scan]
+    monkeypatch.setattr(thermo, "_certified_positive", _certificate(certificate))
+    want = [
+        per_chunk_critical_temperature(p, tb, **kwargs) for p, tb in zip(WHOLE_GRID_POINTS, tables)
+    ]
+    got = [critical_temperature(p, table=tb, **kwargs) for p, tb in zip(WHOLE_GRID_POINTS, tables)]
+    assert [(x, type(x)) for x in got] == [(x, type(x)) for x in want]
+    if scan == "default":
+        assert sum(x > 0 for x in want) == 7 and sum(x == 0 for x in want) == 11
+
+
+def test_zero_free_points_are_settled_without_a_scan(monkeypatch):
+    # where the certificate passes on the whole grid and its midpoints, T_c
+    # is 0 and no sign is scanned; a point with a zero is left open
+    from pseudotherm import thermo
+    from pseudotherm.thermo import zero_free_on_grid
+
+    def refuse(*args):
+        raise AssertionError("scanned a zero-free point")
+
+    zero_free = [ModelParams(alpha=1.0, g=1.73), ModelParams(alpha=0.486, g=1.73),
+                 ModelParams(alpha=0.7, g=1.73, muS=0.2, muQb=0.1)]
+    tables = thermal_tables(zero_free)
+    assert all(np.any(tb.gam) for tb in tables[1:])
+    monkeypatch.setattr(thermo, "_scan_signs", refuse)
+    monkeypatch.setattr(thermo, "z_signs_on_grid", refuse)
+    for p, tb in zip(zero_free, tables):
+        assert zero_free_on_grid(p, table=tb)
+        assert critical_temperature(p, table=tb) == 0.0
+    monkeypatch.undo()
+    broken = ModelParams(alpha=0.36, g=1.73)
+    assert not zero_free_on_grid(broken)
+    assert critical_temperature(broken) > 0.0
+
+
+def test_a_zero_between_certified_grid_points_is_found():
+    # a level at 0 and a pair of multiplicity 20 at 2.4 (gamma 2.4): Z < 0
+    # around T 1 only, between the grid points 2e-3 and 2, where the
+    # certificate passes; it leaves their midpoint open, so the one doubling
+    # finds the zero
+    from pseudotherm import thermo
+
+    table = toy_table([(0.0, 0.0, 1), (2.4, 2.4, 20)])
+    p = ModelParams()
+    grid = np.geomspace(thermo.TC_T_MIN, 2.0, 2)
+    assert certified(table, grid).tolist() == [True, True]
+    assert not certified(table, [grid.mean()])[0]
+    assert not thermo.zero_free_on_grid(p, steps=2, table=table)
+    tc = critical_temperature(p, steps=2, table=table)
+    assert tc == per_chunk_critical_temperature(p, table, steps=2) > 1.0
+
+
+@pytest.mark.parametrize("rtol", [1e-8, 0.0])
+def test_find_zeros_equals_the_bisection_on_grid_signs(monkeypatch, rtol):
+    # a bisection takes its signs from the scan alone, without the
+    # certificate, and finds the zero records of the bisection on the signs
+    # of z_signs_on_grid, equal under ==
+    from pseudotherm import thermo
+    from pseudotherm.roots import bisect
+
+    def refine_on_grid_signs(table, t_lo, t_hi, s_lo, mu_s, mu_qb, rtol):
+        def side(points):
+            signs = thermo.z_signs_on_grid(table, points.values(), mu_s, mu_qb)
+            return dict(zip(points, (signs * s_lo).tolist()))
+
+        t_zero, lo, hi = bisect({0: (t_lo, t_hi)}, side, rtol=rtol)[0]
+        return thermo.ZeroRecord(t_zero, (lo, hi), (s_lo, -s_lo))
+
+    grid = np.geomspace(0.05, 0.5, 30)
+    points = [ModelParams(alpha=0.242, g=1.73), ModelParams(alpha=0.24, g=1.73, muS=0.2, muQb=0.1)]
+    got = [find_zeros(p, grid, rtol=rtol) for p in points]
+    monkeypatch.setattr(thermo, "_refine_bracket", refine_on_grid_signs)
+    want = [find_zeros(p, grid, rtol=rtol) for p in points]
+    assert [len(zeros) for zeros in want] == [20, 12]
+    assert got == want
 
 
 # ----------------------------------------------------------------- potentials
