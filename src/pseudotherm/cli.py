@@ -45,20 +45,26 @@ def params_from_mapping(mapping: dict) -> ModelParams:
     """Build ModelParams from flat `model.*` / `system.*` keys.
 
     Unknown keys are a hard error so a typo cannot silently fall back to a
-    default.
+    default.  A boolean number and a register size (system.Omega1/Omega2)
+    that is not an integer are refused, not rounded.
     """
     kwargs = {}
     for key, value in mapping.items():
-        if key in _MODEL_KEYS:
-            name = _MODEL_KEYS[key]
-            kwargs[name] = value if name == "coupling_z" else float(value)
-        elif key in _SYSTEM_KEYS:
-            name = _SYSTEM_KEYS[key]
-            kwargs[name] = float(value) if name == "Omega" else int(value)
-        else:
+        name = _MODEL_KEYS.get(key, _SYSTEM_KEYS.get(key))
+        if name is None:
             raise ValueError(
                 f"unknown configuration key {key!r}; valid keys: {', '.join(VALID_KEYS)}"
             )
+        if name == "coupling_z":
+            kwargs[name] = value
+            continue
+        if isinstance(value, bool):
+            raise InfeasibleRequest(f"{key} must be a number, got {value!r}")
+        kwargs[name] = float(value)
+        if name in ("Omega1", "Omega2"):
+            if not kwargs[name].is_integer():
+                raise InfeasibleRequest(f"{key} must be an integer, got {value!r}")
+            kwargs[name] = int(kwargs[name])
     _finite((k, v) for k, v in kwargs.items() if k != "coupling_z")
     return ModelParams(**kwargs)
 
@@ -336,7 +342,7 @@ def cmd_spinodal(p: ModelParams, args, config) -> None:
             f"x {args.alpha_steps}"
         )
     isotherms = stability.compute_isotherms(p, t_values, alphas)
-    results = _parallel_map(stability.spinodal_analysis, isotherms, args.workers)
+    results = [stability.spinodal_analysis(iso) for iso in isotherms]
     loci, intervals = [], []
     for iso, res in zip(isotherms, results):
         for a, f in res.minima:

@@ -130,7 +130,6 @@ class RescaledParams:
     gr: float
     Er: float
     Tr: float
-    Delta0: float
 
 
 # Every assembly operator is a register factor, on the (2s1+1)(2s2+1) space
@@ -466,25 +465,18 @@ def pair_coupling_factor(np_pairs: int) -> float:
     return FIT_A / (2.0 * np_pairs + FIT_B)
 
 
-def rescale(
-    p: ModelParams, np_pairs: int, ns: int, t: float, delta0: float | None = None
-) -> RescaledParams:
+def rescale(p: ModelParams, np_pairs: int, ns: int, t: float) -> RescaledParams:
     """Dimension-agnostic parameter scheme.
 
-    Gr = G0 * f(Np), gr = g / sqrt(Ns), Er = E / Ns, Tr = T / Delta0 with
-    Delta0 = D unless overridden.
+    Gr = G0 * f(Np), gr = g / sqrt(Ns), Er = E / Ns, Tr = T / D.
     """
     if np_pairs < 1 or ns < 1:
         raise ValueError("Np and Ns must be at least 1")
-    d0 = p.D if delta0 is None else delta0
-    if d0 <= 0:
-        raise ValueError("Delta0 must be positive")
     return RescaledParams(
         Gr=G0_REFERENCE * pair_coupling_factor(np_pairs),
         gr=p.g / math.sqrt(ns),
         Er=p.E / ns,
-        Tr=t / d0,
-        Delta0=d0,
+        Tr=t / p.D,
     )
 
 
@@ -549,13 +541,12 @@ def fit_rescaling(
     np_list,
     g0: float = G0_REFERENCE,
     target: float | None = None,
-    t_low: float = 0.02,
 ) -> RescaleFit:
     """Fit the pair-register size factor f(Np) = a / (2 Np + b).
 
     For each Np the coupling G is solved such that the model's
     low-temperature pairing gap, evaluated through the exact thermal
-    machinery at temperature t_low with the ensemble decoupled (g = 0),
+    machinery at temperature 0.02 with the ensemble decoupled (g = 0),
     equals `target`; every Np is bisected in lockstep (roots.bisect) to
     relative 1e-10.  G/g0 is then least-squares fitted against
     1/(2 Np + b).  With target=None the gap attained at G = g0 * f(Np) for
@@ -576,7 +567,7 @@ def fit_rescaling(
         p = ModelParams(
             G=g_pair, g=0.0, alpha=1.0, Omega=0.5, Omega1=n_pairs, Omega2=n_pairs
         )
-        return pairing_gap(p, t_low)
+        return pairing_gap(p, 0.02)
 
     if target is None:
         target = gap_at(g0 * pair_coupling_factor(np_values[0]), np_values[0])

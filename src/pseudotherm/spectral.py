@@ -288,7 +288,6 @@ def block_eigen_data(p: ModelParams) -> tuple:
 
 @dataclass(frozen=True)
 class GroundStateInfo:
-    E0: complex
     is_complex: bool
     gamma0: float
     g0: float
@@ -306,7 +305,6 @@ def ground_state_info(table) -> GroundStateInfo:
     members = ties & (np.abs(gam - gamma0) <= TIE_TOL)
     g0 = float(np.sum(table.mult[members]))
     return GroundStateInfo(
-        E0=complex(e_min, gamma0),
         is_complex=gamma0 > 0.0,
         gamma0=gamma0,
         g0=g0,
@@ -314,11 +312,12 @@ def ground_state_info(table) -> GroundStateInfo:
     )
 
 
-def complex_pair_counts(p: ModelParams, im_floor: float = EP_IM_FLOOR) -> tuple:
-    """Conjugate-pair count of each shape; a change in any component marks
-    an EP even when births and deaths in different shapes coincide."""
+def complex_pair_counts(p: ModelParams) -> tuple:
+    """Conjugate-pair count of each shape, eigenvalues with Im E >
+    EP_IM_FLOOR; a change in any component marks an EP even when births
+    and deaths in different shapes coincide."""
     return tuple(
-        int(np.sum(w.imag > im_floor)) for _, w, _ in block_eigen_data(p)
+        int(np.sum(w.imag > EP_IM_FLOOR)) for _, w, _ in block_eigen_data(p)
     )
 
 
@@ -346,13 +345,13 @@ def _with_param(p: ModelParams, param: str, x: float) -> ModelParams:
     return p.with_(**{param: float(x)})
 
 
-def _pairs(p: ModelParams, im_floor: float):
-    """Every eigenvalue with Im E > im_floor, with its shape and its index
-    in the shape's spectrum, shapes in plan order."""
+def _pairs(p: ModelParams):
+    """Every eigenvalue with Im E > EP_IM_FLOOR, with its shape and its
+    index in the shape's spectrum, shapes in plan order."""
     spectra = [w for _, w, _ in block_eigen_data(p)]
     sizes = [len(w) for w in spectra]
     w = np.concatenate(spectra)
-    at = np.flatnonzero(w.imag > im_floor)
+    at = np.flatnonzero(w.imag > EP_IM_FLOOR)
     shape = np.repeat(np.arange(len(sizes)), sizes)[at]
     return w[at], shape, at - (np.cumsum(sizes) - sizes)[shape]
 
@@ -370,15 +369,15 @@ def _near(points: np.ndarray, others: np.ndarray, radius: float) -> np.ndarray:
     return near
 
 
-def _newborn_at(p_hi_count, p_lo_count, im_floor):
+def _newborn_at(p_hi_count, p_lo_count):
     """(shape index, eigenvalue, index in the shape's spectrum) of the
     smallest-gamma pair of the higher-count side with no counterpart within
-    10 im_floor on the lower-count side, or failing that of its
+    10 EP_IM_FLOOR on the lower-count side, or failing that of its
     smallest-gamma pair; None where that side has no pair."""
-    pairs, shape, level = _pairs(p_hi_count, im_floor)
+    pairs, shape, level = _pairs(p_hi_count)
     if not len(pairs):
         return None
-    fresh = ~_near(pairs, _pairs(p_lo_count, im_floor)[0], 10 * im_floor)
+    fresh = ~_near(pairs, _pairs(p_lo_count)[0], 10 * EP_IM_FLOOR)
     pool = np.flatnonzero(fresh) if fresh.any() else np.arange(len(pairs))
     j = pool[np.argmin(pairs.imag[pool])]
     return shape[j], pairs[j], int(level[j])
@@ -388,12 +387,12 @@ def find_eps(
     p: ModelParams,
     sweep,
     precision: float = 1e-4,
-    im_floor: float = EP_IM_FLOOR,
 ) -> list[EpLocation]:
     """Locate exceptional points along a one-parameter sweep.
 
     sweep is a mapping with keys param ("alpha"|"g"), lo, hi, coarse_steps.
-    The number of complex pairs is scanned on the coarse grid; every count
+    The number of complex pairs, eigenvalues with Im E > EP_IM_FLOOR
+    (complex_pair_counts), is scanned on the coarse grid; every count
     change (a pair being born or dying, which is exactly a coalescence for
     a real matrix) is bisected in lockstep by roots.bisect, a point with
     the counts of the low end lying on its side, to a bracket no wider than
@@ -415,7 +414,7 @@ def find_eps(
     blocks = np.bincount(plan.shape_index)
 
     def counts_at(x):
-        return complex_pair_counts(_with_param(p, param, x), im_floor)
+        return complex_pair_counts(_with_param(p, param, x))
 
     grid = np.linspace(lo, hi, steps)
     counts = [counts_at(x) for x in grid]
@@ -437,7 +436,7 @@ def find_eps(
             p_hi, p_lo = _with_param(p, param, x_hi), _with_param(p, param, x_lo)
         else:
             p_hi, p_lo = _with_param(p, param, x_lo), _with_param(p, param, x_hi)
-        newborn = _newborn_at(p_hi, p_lo, im_floor)
+        newborn = _newborn_at(p_hi, p_lo)
         if newborn is None:
             warnings.warn(f"EP near {param}={x_lo:.6g} has no resolvable pair")
             continue

@@ -225,14 +225,6 @@ def thermal_table(p: ModelParams) -> SpectrumTable:
     return thermal_tables([p])[0]
 
 
-def _as_table(source) -> SpectrumTable:
-    if isinstance(source, ModelParams):
-        return thermal_table(source)
-    if not isinstance(source, SpectrumTable):
-        raise TypeError(f"expected ModelParams or SpectrumTable, got {type(source).__name__}")
-    return source
-
-
 class SignedLog(NamedTuple):
     """A real number stored as (log|x|, sign); log_abs_sum tracks sum|terms|
     so catastrophic cancellation is detectable."""
@@ -492,18 +484,18 @@ def _eps_eff(table: SpectrumTable, muS: float, muQb: float) -> np.ndarray:
 
 
 def log_partition(
-    table, beta: float, muS: float = 0.0, muQb: float = 0.0
+    table: SpectrumTable, beta: float, muS: float = 0.0, muQb: float = 0.0
 ) -> SignedLog:
-    """Grand partition function in signed-log form (never overflows)."""
+    """Grand partition function of a spectrum table (thermal_table) in
+    signed-log form (never overflows)."""
     if not beta > 0:
         raise ValueError("beta must be positive")
-    table = _as_table(table)
     mom = _moments([(_terms(table, _eps_eff(table, muS, muQb)), beta)])
     return _signed_log(float(mom.z[0]), float(mom.shift[0]), float(mom.abs_sum[0]))
 
 
 def partition_function(
-    table, beta: float, muS: float = 0.0, muQb: float = 0.0
+    table: SpectrumTable, beta: float, muS: float = 0.0, muQb: float = 0.0
 ) -> float:
     """Z as a plain float; raises OverflowError when not representable."""
     z = log_partition(table, beta, muS, muQb)
@@ -514,10 +506,10 @@ def partition_function(
     return z.value()
 
 
-def dominant_split(table, beta: float) -> tuple[float, float]:
-    """(Z0, Z') with Z0 the ground-level term: g0*exp(-beta*E0) for a real
-    ground state, 2*g0*exp(-beta*eps)*cos(beta*gamma) for a complex one."""
-    table = _as_table(table)
+def dominant_split(table: SpectrumTable, beta: float) -> tuple[float, float]:
+    """(Z0, Z') of a spectrum table (thermal_table), with Z0 the ground-level
+    term: g0*exp(-beta*E0) for a real ground state,
+    2*g0*exp(-beta*eps)*cos(beta*gamma) for a complex one."""
     gs = spectral.ground_state_info(table)
     mom = _moments([(_terms(table, table.eps), beta)])
     shift, z = float(mom.shift[0]), float(mom.z[0])
@@ -732,20 +724,20 @@ def find_zeros(
     return records
 
 
-def _tc_certificate(p, t_min, t_max, steps, max_doublings, table):
+def _tc_certificate(p, t_max, steps, max_doublings, table):
     """(table, grid, betas, eps_eff, certified): the certificate of
     critical_temperature, run once per table over the temperatures that a
-    grid with no sign change is scanned at, the geometric grid and, when
-    max_doublings > 0, the midpoints of its one doubling interleaved (the
-    coarse grid is then every other temperature); certified is where
-    _certified_positive proves Z > 0."""
-    if not 0.0 < t_min < t_max < math.inf or steps < 2:
+    grid with no sign change is scanned at, the geometric grid from
+    TC_T_MIN to t_max and, when max_doublings > 0, the midpoints of its one
+    doubling interleaved (the coarse grid is then every other temperature);
+    certified is where _certified_positive proves Z > 0."""
+    if not TC_T_MIN < t_max < math.inf or steps < 2:
         raise ValueError(
-            f"need 0 < t_min < t_max < inf and steps >= 2, got [{t_min}, {t_max}] x {steps}"
+            f"need {TC_T_MIN} < t_max < inf and steps >= 2, got t_max {t_max}, steps {steps}"
         )
     if table is None:
         table = thermal_table(p)
-    grid = np.geomspace(t_min, t_max, steps)
+    grid = np.geomspace(TC_T_MIN, t_max, steps)
     if max_doublings:
         grid = _interleaved(grid)
     betas = 1.0 / grid
@@ -755,7 +747,6 @@ def _tc_certificate(p, t_min, t_max, steps, max_doublings, table):
 
 def zero_free_on_grid(
     p: ModelParams,
-    t_min: float = TC_T_MIN,
     t_max: float = 2.0,
     steps: int = 200,
     max_doublings: int = 4,
@@ -763,9 +754,9 @@ def zero_free_on_grid(
 ) -> bool:
     """Whether critical_temperature, given the same arguments, returns 0 on
     its certificate alone: _certified_positive proves Z > 0 at every
-    temperature that a grid with no sign change is scanned at.  A T_c map
-    settles such points without a scan."""
-    certified = _tc_certificate(p, t_min, t_max, steps, max_doublings, table)[-1]
+    temperature that a grid from TC_T_MIN to t_max with no sign change is
+    scanned at.  A T_c map settles such points without a scan."""
+    certified = _tc_certificate(p, t_max, steps, max_doublings, table)[-1]
     return bool(np.all(certified))
 
 
@@ -795,14 +786,13 @@ def _top_down(table, grid, betas, certified, eps_eff):
 
 def critical_temperature(
     p: ModelParams,
-    t_min: float = TC_T_MIN,
     t_max: float = 2.0,
     steps: int = 200,
     rtol: float = 1e-8,
     max_doublings: int = 4,
     table: SpectrumTable | None = None,
 ) -> float:
-    """Largest zero of Z(T); 0 when Z > 0 on the whole range.
+    """Largest zero of Z(T) in [TC_T_MIN, t_max]; 0 when Z > 0 on it.
 
     Only the highest sign change matters (zeros pile up towards T = 0 when
     the ground state is complex), so grid doubling stabilizes that
@@ -819,13 +809,14 @@ def critical_temperature(
     or above that bracket's low end; a bracket that only the doubled grid
     shows takes one more doubling (z_signs_on_grid) above its low end.
     Each sign depends on its own temperature alone, so this equals the scan
-    of the whole grid at every doubling, bit for bit.  The range must
-    satisfy 0 < t_min < t_max < inf, with steps >= 2.  table, when given,
-    stands for thermal_table(p) (a T_c map takes its tables from
-    sweep_tables batches); the chemical potentials are always p's.
+    of the whole grid at every doubling, bit for bit.  The grid runs from
+    TC_T_MIN to t_max, which must satisfy TC_T_MIN < t_max < inf, with
+    steps >= 2.  table, when given, stands for thermal_table(p) (a T_c map
+    takes its tables from sweep_tables batches); the chemical potentials
+    are always p's.
     """
     table, grid, betas, eps_eff, certified = _tc_certificate(
-        p, t_min, t_max, steps, max_doublings, table
+        p, t_max, steps, max_doublings, table
     )
     if certified.all():
         return 0.0
@@ -864,7 +855,6 @@ class ThermoPoint:
     U: float
     S: float
     Cv: float
-    Delta: float | None = None
     valid: bool = True
     z_nonpositive: bool = False
 
@@ -1100,13 +1090,6 @@ def _biorthogonal_means(table: SpectrumTable, coef: np.ndarray, betas, eps_eff, 
     return means
 
 
-def _biorthogonal_mean(table: SpectrumTable, coef: np.ndarray, beta: float, eps_eff):
-    """The one-item _biorthogonal_means as a complex number; None where Z
-    counts as zero."""
-    (re, im), = _biorthogonal_means(table, coef, [beta], eps_eff, imag=True).tolist()
-    return None if math.isnan(re) else complex(re, im)
-
-
 def thermal_expectation(op, p: ModelParams, t: float) -> ExpectationResult:
     """Thermal mean of a blockwise operator via biorthogonal weights.
 
@@ -1122,14 +1105,15 @@ def thermal_expectation(op, p: ModelParams, t: float) -> ExpectationResult:
     if not t > 0:
         raise ValueError("temperature must be positive")
     table, coef, defective = _vector_table(p, op)
-    mean = _biorthogonal_mean(table, coef, 1.0 / t, _eps_eff(table, p.muS, p.muQb))
-    if mean is None:
+    eps_eff = _eps_eff(table, p.muS, p.muQb)
+    (re, im), = _biorthogonal_means(table, coef, [1.0 / t], eps_eff, imag=True).tolist()
+    if math.isnan(re):
         raise ZeroPartitionError(
             f"partition function vanishes at T={t:.6g}; expectation undefined"
         )
     plan = fold_plan(p)
     keys = tuple(plan.blocks[i].key() for i in np.flatnonzero(defective[plan.shape_index]))
-    return ExpectationResult(mean.real, abs(mean.imag), keys)
+    return ExpectationResult(re, abs(im), keys)
 
 
 def gap_curve(p: ModelParams, t_values) -> np.ndarray:

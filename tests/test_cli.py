@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -232,6 +233,11 @@ CARNOT_CORNERS = ["--t-values", "0.4,0.7", "--x-values", "3.5,4.5"]
         (["rescale-fit", "--target", "nan"], "rescale_fit.tsv"),
         (["rescale-fit", "--g0", "0"], "rescale_fit.tsv"),
         (["rescale-fit", "--g0", "nan"], "rescale_fit.tsv"),
+        (["--config", {"system.Omega1": 2.5}, "thermo"], "thermo.tsv"),
+        (["--config", {"system.Omega1": "2.5"}, "thermo"], "thermo.tsv"),
+        (["--config", {"system.Omega2": True}, "thermo"], "thermo.tsv"),
+        (["--config", {"system.Omega2": math.inf}, "thermo"], "thermo.tsv"),
+        (["--config", {"model.alpha": True}, "thermo"], "thermo.tsv"),
     ],
     ids=["one-step", "reversed", "infinite", "negative-alpha", "zero-precision",
          "negative-precision", "flat-bracket", "negative-bracket", "repeated-temperature",
@@ -239,10 +245,19 @@ CARNOT_CORNERS = ["--t-values", "0.4,0.7", "--x-values", "3.5,4.5"]
          "spinodal-negative-alpha", "tc-map-negative-alpha", "zero-nv-count",
          "tc-map-infinite-alpha", "tc-map-nan-g", "tc-map-infinite-g", "nan-g",
          "infinite-alpha", "zero-workers", "negative-workers", "fractional-np", "zero-np",
-         "negative-np", "nan-np", "negative-target", "nan-target", "zero-g0", "nan-g0"],
+         "negative-np", "nan-np", "negative-target", "nan-target", "zero-g0", "nan-g0",
+         "fractional-omega1", "fractional-omega1-text", "boolean-omega2", "infinite-omega2",
+         "boolean-alpha"],
 )
 def test_infeasible_sweep_exits_two_before_solving(tmp_path, monkeypatch, argv, table):
+    # a dict in argv stands for a config file holding it
     from pseudotherm import spectral
+
+    cfg = tmp_path / "cfg.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg))
+            argv = [*argv[:i], str(cfg), *argv[i + 1:]]
 
     def refuse(*args):
         raise AssertionError("eigensolve before the request check")
@@ -507,6 +522,32 @@ def test_cycle_stirling_tiny(tmp_path, tiny_cfg):
         assert os.path.exists(os.path.join(str(tmp_path), name))
 
 
+def test_spinodal_classifies_in_the_calling_thread(tmp_path, monkeypatch):
+    # the classification of an isotherm is pure Python on the alpha grid, so
+    # --workers starts no pool for it, and the tables are those of one worker
+    import concurrent.futures
+
+    pools = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+
+    def spinodal(workers):
+        out = tmp_path / f"w{workers}"
+        assert main(["--g", "1.73", "--workers", workers, "--out", str(out), "spinodal",
+                     "--t-values", "0.115,0.144,0.173", "--alpha-steps", "41"]) == 0
+        return [(out / name).read_bytes()
+                for name in ("spinodal_loci.tsv", "spinodal_intervals.tsv")]
+
+    assert spinodal("2") == spinodal("1")
+    assert pools == []
+
+
 def test_spinodal_subcommand(tmp_path, tiny_cfg):
     rc = main(["--config", tiny_cfg, "--out", str(tmp_path), "spinodal",
                "--t-values", "0.4", "--alpha-min", "0.2", "--alpha-max", "0.9",
@@ -565,8 +606,12 @@ def test_parallel_map_matches_serial(tmp_path, tiny_cfg):
 
 def test_benchmark_hooks_find_their_names():
     # perfbench/spans.py wraps and reads layer functions and caches by module
-    # attribute; install() fails on any name the program no longer has.  In a
-    # subprocess, because install() patches numpy.linalg in place
+    # attribute (thermo._refine_bracket, cycles.solve_alpha,
+    # cycles._solve_alpha_cached, spectral.build_block_hamiltonian,
+    # cli._parallel_map, ...); install() fails on any name the program no
+    # longer has, so a rename in src/ fails here, not only in the benchmark's
+    # own suite.  In a subprocess, because install() patches numpy.linalg in
+    # place
     src = os.path.dirname(os.path.dirname(os.path.abspath(pseudotherm.__file__)))
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)

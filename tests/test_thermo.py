@@ -15,6 +15,7 @@ from pseudotherm.blocks import enumerate_nv_labels, enumerate_qubit_labels
 from pseudotherm.errors import ZeroPartitionError
 from pseudotherm.model import build_block_hamiltonian, fold_plan, gap_operator
 from pseudotherm.thermo import (
+    TC_T_MIN,
     SignedLog,
     SpectrumTable,
     critical_temperature,
@@ -371,6 +372,15 @@ def reference_biorthogonal_mean(table, coef, beta, eps_eff):
     return complex(re, im)
 
 
+def biorthogonal_mean(table, coef, beta, eps_eff):
+    """The biorthogonal mean of one temperature from thermo's batch, as a
+    complex number; None where Z counts as zero."""
+    from pseudotherm.thermo import _biorthogonal_means
+
+    (re, im), = _biorthogonal_means(table, coef, [beta], eps_eff, imag=True).tolist()
+    return None if math.isnan(re) else complex(re, im)
+
+
 REFERENCE_GRID = np.geomspace(0.05, 15.0, 80)
 
 
@@ -436,19 +446,19 @@ def test_flags_match_reference_beside_every_zero(desk_broken):
 def test_biorthogonal_mean_vanishes_where_reference_does(desk_broken):
     # zeros bisected to 1e-15 put T within a few ulps of a zero, where
     # |Z| drops below CANCEL_FLOOR times the modulus sum
-    from pseudotherm.thermo import _biorthogonal_mean, _vector_table
+    from pseudotherm.thermo import _vector_table
 
     table, coef, _ = _vector_table(desk_broken, gap_operator)
     zeros = find_zeros(desk_broken, np.geomspace(0.02, 0.5, 200), rtol=1e-15)
     vanished = 0
     for t in [t for z in zeros for t in (z.T_zero, *z.bracket)]:
-        got = _biorthogonal_mean(table, coef, 1.0 / t, table.eps)
+        got = biorthogonal_mean(table, coef, 1.0 / t, table.eps)
         want = reference_biorthogonal_mean(table, coef, 1.0 / t, table.eps)
         assert (got is None) == (want is None)
         vanished += got is None
     assert vanished >= 10
     for t in REFERENCE_GRID:
-        got = _biorthogonal_mean(table, coef, 1.0 / t, table.eps)
+        got = biorthogonal_mean(table, coef, 1.0 / t, table.eps)
         want = reference_biorthogonal_mean(table, coef, 1.0 / t, table.eps)
         digits = 10.0 ** log_partition(table, 1.0 / t).cancellation
         assert abs(got - want) <= 1e-12 * abs(want) * digits
@@ -459,9 +469,9 @@ def test_biorthogonal_mean_vanishes_where_reference_does(desk_broken):
     )
     one = np.ones(2, dtype=complex)
     beta_zero = math.pi / (2.0 * 0.5)
-    assert _biorthogonal_mean(pair, one, beta_zero, pair.eps) is None
+    assert biorthogonal_mean(pair, one, beta_zero, pair.eps) is None
     assert reference_biorthogonal_mean(pair, one, beta_zero, pair.eps) is None
-    got = _biorthogonal_mean(pair, one, 0.5 * beta_zero, pair.eps)
+    got = biorthogonal_mean(pair, one, 0.5 * beta_zero, pair.eps)
     assert got == pytest.approx(reference_biorthogonal_mean(pair, one, 0.5 * beta_zero, pair.eps))
 
 
@@ -722,9 +732,9 @@ def test_z_signs_refuse_nonpositive_temperatures(desk):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"t_min": 0.5, "t_max": 0.01}, {"t_max": -1.0}, {"t_max": 1e-3}, {"t_min": 0.0},
+    [{"t_max": TC_T_MIN}, {"t_max": -1.0}, {"t_max": 1e-3}, {"t_max": 0.0},
      {"t_max": math.inf}, {"steps": 1}],
-    ids=["reversed", "negative-max", "max-below-min", "zero-min", "infinite-max",
+    ids=["max-at-min", "negative-max", "max-below-min", "zero-max", "infinite-max",
          "one-step"],
 )
 def test_critical_temperature_validates_range(kwargs):
@@ -736,7 +746,7 @@ def full_grid_critical_temperature(p, table, t_max=2.0, steps=200, max_doublings
     """critical_temperature as it was before the top-down scan: every
     doubling rescans the whole grid, and the loop stops when the doubled
     grid's highest bracket does not lie below the last one."""
-    from pseudotherm.thermo import TC_T_MIN, _brackets, _doubled, _refine_bracket, z_signs_on_grid
+    from pseudotherm.thermo import _brackets, _doubled, _refine_bracket, z_signs_on_grid
 
     grid = np.geomspace(TC_T_MIN, t_max, steps)
     signs = z_signs_on_grid(table, grid, p.muS, p.muQb)
@@ -853,7 +863,7 @@ def per_chunk_critical_temperature(p, table, t_max=2.0, steps=200, max_doublings
     running the certificate on its own temperatures), and the top bracket
     bisected on the signs of z_signs_on_grid."""
     from pseudotherm.roots import bisect
-    from pseudotherm.thermo import TC_T_MIN, _brackets, _doubled, _scan_chunk, z_signs_on_grid
+    from pseudotherm.thermo import _brackets, _doubled, _scan_chunk, z_signs_on_grid
 
     mu = (p.muS, p.muQb)
     grid = np.geomspace(TC_T_MIN, t_max, steps)
@@ -1119,7 +1129,7 @@ def test_hermitian_expectation_matches_direct(desk):
 def test_expectation_raises_at_partition_zero(desk_broken):
     # zeros bisected to 1e-15 put T within a few ulps of a zero of Z, where
     # the biorthogonal mean is undefined
-    from pseudotherm.thermo import _biorthogonal_mean, _vector_table
+    from pseudotherm.thermo import _vector_table
 
     table, coef, _ = _vector_table(desk_broken, gap_operator)
     zeros = find_zeros(desk_broken, np.geomspace(0.02, 0.5, 200), rtol=1e-15)
@@ -1127,7 +1137,7 @@ def test_expectation_raises_at_partition_zero(desk_broken):
         t
         for z in zeros
         for t in (z.T_zero, *z.bracket)
-        if _biorthogonal_mean(table, coef, 1.0 / t, table.eps) is None
+        if biorthogonal_mean(table, coef, 1.0 / t, table.eps) is None
     )
     with pytest.raises(ZeroPartitionError):
         thermal_expectation(gap_operator, desk_broken, t_zero)
@@ -1282,12 +1292,12 @@ def test_gap_is_nan_where_the_correlator_is_negative():
     # at alpha 0.24 the biorthogonal pair correlator dips far below zero at a
     # few low temperatures, where |Z| is still 4-19% of the sum of moduli:
     # Delta is NaN exactly there, and one warning counts them
-    from pseudotherm.thermo import _biorthogonal_mean, _vector_table
+    from pseudotherm.thermo import _vector_table
 
     p = ModelParams(alpha=0.24, g=1.73)
     t_values = np.linspace(0.05, 0.3, 200)
     table, coef, _ = _vector_table(p, gap_operator)
-    means = [_biorthogonal_mean(table, coef, 1.0 / t, table.eps) for t in t_values]
+    means = [biorthogonal_mean(table, coef, 1.0 / t, table.eps) for t in t_values]
     negative = [m is not None and m.real < -1e-8 for m in means]
     assert sum(negative) == 7 and min(m.real for m in means if m is not None) < -0.4
     first = t_values[negative.index(True)]
