@@ -25,7 +25,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from itertools import product
 from math import comb, factorial
+from typing import NamedTuple
 
 from .algebra import require_half_integer
 
@@ -64,9 +66,8 @@ class QubitBlockLabel:
     mult: int
 
 
-@dataclass(frozen=True)
-class BlockLabel:
-    """Product sector; the Hamiltonian acts irreducibly on it."""
+class BlockLabel(NamedTuple):
+    """Product sector; the Hamiltonian acts irreducibly on it (a named pair: cheap to build)."""
 
     nv: NvBlockLabel
     qb: QubitBlockLabel
@@ -234,17 +235,16 @@ def serialized(cached):
 
 @lru_cache(maxsize=32)
 def _enumerate_blocks(omega: float, omega1: int, omega2: int) -> tuple[BlockLabel, ...]:
-    """Every admissible product sector exactly once, deterministically ordered.
+    """Every admissible product sector exactly once, in BlockLabel.key order:
+    each ensemble label, by (N, tau, k), with every qubit label in turn.
 
     Memoized per system size; the tuple is shared by every caller.
     """
     if omega <= 0 or omega1 <= 0 or omega2 <= 0:
         raise ValueError("all register sizes must be positive")
-    nv_labels = enumerate_nv_labels(omega)
+    nv_labels = sorted(enumerate_nv_labels(omega), key=lambda nv: (nv.N, nv.tau, nv.k))
     qb_labels = enumerate_qubit_labels(omega1, omega2)
-    blocks = [BlockLabel(nv, qb) for nv in nv_labels for qb in qb_labels]
-    blocks.sort(key=BlockLabel.key)
-    return tuple(blocks)
+    return tuple(map(BlockLabel._make, product(nv_labels, qb_labels)))
 
 
 enumerate_blocks = serialized(_enumerate_blocks)

@@ -45,8 +45,8 @@ def params_from_mapping(mapping: dict) -> ModelParams:
     """Build ModelParams from flat `model.*` / `system.*` keys.
 
     Unknown keys are a hard error so a typo cannot silently fall back to a
-    default.  A boolean number and a register size (system.Omega1/Omega2)
-    that is not an integer are refused, not rounded.
+    default.  A boolean number, a register size (system.Omega1/Omega2) that
+    is not an integer, and any value ModelParams refuses are infeasible.
     """
     kwargs = {}
     for key, value in mapping.items():
@@ -66,7 +66,10 @@ def params_from_mapping(mapping: dict) -> ModelParams:
                 raise InfeasibleRequest(f"{key} must be an integer, got {value!r}")
             kwargs[name] = int(kwargs[name])
     _finite((k, v) for k, v in kwargs.items() if k != "coupling_z")
-    return ModelParams(**kwargs)
+    try:
+        return ModelParams(**kwargs)
+    except ValueError as exc:
+        raise InfeasibleRequest(str(exc)) from None
 
 
 def _finite(values) -> None:
@@ -566,12 +569,10 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.workers < 1:
         raise InfeasibleRequest(f"--workers {args.workers} must be at least 1")
-    mapping = load_config(args.config)
-    p = params_from_mapping(mapping)
-    overrides = {name: getattr(args, name) for name in ("alpha", "g")}
-    overrides = {name: v for name, v in overrides.items() if v is not None}
-    _finite(overrides.items())
-    p = p.with_(**overrides)
+    overrides = {f"model.{name}": getattr(args, name) for name in ("alpha", "g")}
+    p = params_from_mapping(
+        {**load_config(args.config), **{k: v for k, v in overrides.items() if v is not None}}
+    )
     os.makedirs(args.out, exist_ok=True)
     config = _resolved_config(p, {"run.command": args.command})
     _DISPATCH[args.command](p, args, config)

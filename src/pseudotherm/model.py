@@ -15,6 +15,10 @@ the full product space and then cut down.
 
 fold_plan, cached per system size and coupling mode, is the one layout:
 blocks -> (s1, s2, S) shapes -> sectors -> operator stacks by sector size.
+It is built in whole-array passes, with no loop over blocks, shapes or
+sectors: shapes and exact multiplicity sums follow from the ensemble and
+qubit labels whose product the blocks are; one stable sort of every basis
+state by (shape, pair projection) gives the slots, sectors and size groups.
 
 Energies are in GHz with k_B = 1, so temperatures are in GHz too.
 """
@@ -100,8 +104,8 @@ class ModelParams:
         if self.D < 0 or self.G < 0 or self.alpha < 0:
             raise ValueError("D, G and alpha must be non-negative")
         algebra.require_half_integer(self.Omega, "Omega")
-        if self.Omega1 < 1 or self.Omega2 < 1:
-            raise ValueError("Omega1 and Omega2 must be positive integers")
+        if self.Omega <= 0 or self.Omega1 < 1 or self.Omega2 < 1:
+            raise ValueError("Omega must be positive, Omega1 and Omega2 positive integers")
         if self.coupling_z not in ("difference", "total"):
             raise ValueError("coupling_z must be 'difference' or 'total'")
 
@@ -148,16 +152,24 @@ _TERMS = {
 }
 
 
+# the spin matrices of each spin s, shared by the register and ensemble factors
+_spin = lru_cache(maxsize=SHAPE_CACHE_SIZE)(algebra.spin_operators)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: the same products, without its overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _register_factors(two_s1: int, two_s2: int) -> np.ndarray:
     """(6, d, d) register factors of one (s1, s2), d = (2s1+1)(2s2+1):
     1, Sz1, Sz2, (S+1 + S+2)(S-1 + S-2), Sz2 - Sz1 and Sz1 + Sz2."""
-    ops1 = algebra.spin_operators(two_s1 / 2.0)
-    ops2 = algebra.spin_operators(two_s2 / 2.0)
+    ops1, ops2 = _spin(two_s1 / 2.0), _spin(two_s2 / 2.0)
     i1, i2 = np.eye(two_s1 + 1), np.eye(two_s2 + 1)
-    z1 = np.kron(ops1["Sz"], i2)
-    z2 = np.kron(i1, ops2["Sz"])
-    p = np.kron(ops1["Splus"], i2) + np.kron(i1, ops2["Splus"])
+    z1 = _kron(ops1["Sz"], i2)
+    z2 = _kron(i1, ops2["Sz"])
+    p = _kron(ops1["Splus"], i2) + _kron(i1, ops2["Splus"])
     out = np.stack([np.eye(len(z1)), z1, z2, p @ p.T, z2 - z1, z1 + z2])
     out.setflags(write=False)
     return out
@@ -167,7 +179,7 @@ def _register_factors(two_s1: int, two_s2: int) -> np.ndarray:
 def _nv_factors(two_S: int) -> np.ndarray:
     """(5, 2S+1, 2S+1) ensemble factors of one S:
     1, Sz^2, S+^2 + S-^2, S+ and S-."""
-    ops = algebra.spin_operators(two_S / 2.0)
+    ops = _spin(two_S / 2.0)
     sz, sp = ops["Sz"], ops["Splus"]
     sm = sp.T
     out = np.stack([np.eye(two_S + 1), sz @ sz, sp @ sp + sm @ sm, sp, sm])
@@ -175,37 +187,40 @@ def _nv_factors(two_S: int) -> np.ndarray:
     return out
 
 
-class _ShapeBasis(NamedTuple):
-    """The product basis of one (s1, s2, S) shape, state by state."""
+def _states(shapes: np.ndarray) -> tuple:
+    """Every basis state of the (2 s1, 2 s2, 2 S) rows of shapes, shape after
+    shape: its shape, basis index reg * (2S+1) + nv, register index
+    i1 * (2s2+1) + i2, ensemble index nv and 2 (m1 + m2), m = s - i."""
+    nv_dim = shapes[:, 2] + 1
+    dims = (shapes[:, 0] + 1) * (shapes[:, 1] + 1) * nv_dim
+    si = np.repeat(np.arange(len(shapes)), dims)
+    basis = np.arange(len(si)) - np.repeat(np.cumsum(dims) - dims, dims)
+    reg, nv = np.divmod(basis, nv_dim[si])
+    i1, i2 = np.divmod(reg, shapes[si, 1] + 1)
+    return si, basis, reg, nv, shapes[si, 0] + shapes[si, 1] - 2 * (i1 + i2)
 
-    reg: np.ndarray        # register index of (m1, m2)
-    nv: np.ndarray         # ensemble index of M
-    ztot_diag: np.ndarray  # m1 + m2
-    sectors: tuple         # (2(m1 + m2), basis indices) per sector, ascending
+
+def _first_seen(codes: np.ndarray) -> tuple:
+    """(ids, firsts) of a non-negative integer array: each entry's value
+    numbered in order of first appearance, and where each value first
+    appears.  np.unique would import numpy.ma into every process (~17 ms)."""
+    order = np.argsort(codes, kind="stable")
+    runs = np.flatnonzero(np.diff(codes[order], prepend=-1))  # each value's run
+    firsts = order[runs]  # a stable sort puts each value's first entry first
+    by_first = np.argsort(firsts, kind="stable")
+    ids = np.empty_like(order)
+    ids[order] = np.repeat(np.argsort(by_first, kind="stable"), np.diff(runs, append=len(codes)))
+    return ids, firsts[by_first]
 
 
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _shape_operators(two_s1: int, two_s2: int, two_S: int) -> _ShapeBasis:
-    """Where each basis state of one shape sits in the factor spaces, and
-    its split into pair-projection sectors.
-
-    Blocks with equal spins share these read-only index arrays; every
-    operator of the shape is a gather from its factors at them (see
-    _sector_stacks).  The name is that of the per-shape cache that
-    perfbench/spans.py reports.
-    """
-    two_m1 = two_s1 - 2 * np.arange(two_s1 + 1)  # m = s, s-1, ..., -s
-    two_m2 = two_s2 - 2 * np.arange(two_s2 + 1)
-    reg_keys = (two_m1[:, None] + two_m2).ravel()
-    reg = np.repeat(np.arange(len(reg_keys)), two_S + 1)
-    nv = np.tile(np.arange(two_S + 1), len(reg_keys))
-    keys = reg_keys[reg]
-    # sectors in ascending key order, each index run ascending; np.unique
-    # would import numpy.ma into every process (~17 ms)
-    order = np.argsort(keys, kind="stable")
-    runs = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
-    out = _ShapeBasis(reg, nv, keys / 2.0, tuple((int(keys[i[0]]), i) for i in runs))
-    for a in (out.reg, out.nv, out.ztot_diag, *runs):
+def _shape_operators(two_s1: int, two_s2: int, two_S: int) -> tuple:
+    """(register index, ensemble index, m1 + m2) of each basis state of one
+    shape, read-only, for its whole-block operators (_block_operators).  The
+    name is that of the per-shape cache that perfbench/spans.py reports."""
+    _, _, reg, nv, twice_m = _states(np.array([[two_s1, two_s2, two_S]]))
+    out = (reg, nv, twice_m / 2.0)
+    for a in out:
         a.setflags(write=False)
     return out
 
@@ -220,53 +235,42 @@ def _padded(factors) -> np.ndarray:
     return out
 
 
-def _flat_index(factors, ids, idx) -> np.ndarray:
-    """(k, n, n) positions, in one flattened (spins, d, d) factor of
-    factors, of the rows and columns idx[i] of spin ids[i]."""
-    d = factors.shape[-1]
-    return (ids * d * d)[:, None, None] + idx[:, :, None] * d + idx[:, None, :]
+def _sector_stacks(names, registers, spins, states, runs) -> np.ndarray:
+    """(len(names), elements): the named operators on runs of k sectors of
+    n basis states each, (k, n) in runs, laid end to end, each (n, n)
+    raveled.  A state (register id, register index, spin id, ensemble index)
+    lies in the (2 s1, 2 s2) registers[id] times the 2 S spins[id]; each
+    operator is one take from each zero-padded factor array, multiplied."""
+    out = np.empty((len(names), sum(k * n * n for k, n in runs)))
+    at = np.empty(out.shape[1], dtype=int)
 
+    def positions(factors, ids, idx):  # of each element in the flat (spins, d, d) factors
+        d = factors.shape[-1]
+        first, s, e = ids * d * d + idx * d, 0, 0
+        for k, n in runs:
+            np.add(first[s:s + k * n].reshape(k, n, 1), idx[s:s + k * n].reshape(k, 1, n),
+                   out=at[e:e + k * n * n].reshape(k, n, n))
+            s, e = s + k * n, e + k * n * n
 
-def _sector_stacks(names, shapes, groups) -> np.ndarray:
-    """(len(names), elements): the named operators on every group of k
-    sectors of n basis states each, each group's (k, n, n) stack raveled,
-    the groups laid end to end in order.
-
-    A sector is (index into shapes, basis indices of that shape).  The
-    register factors of each distinct (s1, s2) among shapes, and the
-    ensemble factors of each distinct S, are zero-padded into one array
-    each; each operator of a group is then one flat take from its register
-    factor and one from its ensemble factor, multiplied.
-    """
-    reg_keys = list(dict.fromkeys(shape[:2] for shape in shapes))
-    nv_keys = list(dict.fromkeys(shape[2] for shape in shapes))
-    reg = _padded([_register_factors(*key) for key in reg_keys])
-    nv = _padded([_nv_factors(key) for key in nv_keys])
-    reg_id = np.array([reg_keys.index(shape[:2]) for shape in shapes])
-    nv_id = np.array([nv_keys.index(shape[2]) for shape in shapes])
-    bases = [_shape_operators(*shape) for shape in shapes]
-    out = np.empty((len(names), sum(len(g) * len(g[0][1]) ** 2 for g in groups)))
-    start = 0
-    for sectors in groups:
-        si = np.array([i for i, _ in sectors])
-        ra = np.stack([bases[i].reg[idx] for i, idx in sectors])
-        na = np.stack([bases[i].nv[idx] for i, idx in sectors])
-        at_reg, at_nv = _flat_index(reg, reg_id[si], ra), _flat_index(nv, nv_id[si], na)
-        stop = start + at_reg.size
-        for row, name in zip(out, names):
-            r, v = _TERMS[name]
-            a = row[start:stop].reshape(at_reg.shape)
-            reg[r].take(at_reg, out=a)
-            a *= nv[v].take(at_nv)
-        start = stop
+    reg = _padded([_register_factors(*key) for key in registers])
+    positions(reg, *states[:2])
+    for row, name in zip(out, names):
+        # at lies in range, and "clip" lets take write row without a buffer
+        reg[_TERMS[name][0]].take(at, out=row, mode="clip")
+    nv = _padded([_nv_factors(key) for key in spins])
+    positions(nv, *states[2:])
+    for row, name in zip(out, names):
+        row *= nv[_TERMS[name][1]].take(at)
     return out
 
 
 def _block_operators(names, shape: tuple) -> np.ndarray:
     """(len(names), dim, dim): the named operators on the whole block of a
     shape, the one sector that holds every basis state."""
-    every = np.arange(len(_shape_operators(*shape).reg))
-    return _sector_stacks(names, (shape,), [[(0, every)]]).reshape(len(names), len(every), -1)
+    reg, nv, _ = _shape_operators(*shape)
+    zero = np.zeros(len(reg), dtype=int)
+    ops = _sector_stacks(names, [shape[:2]], [shape[2]], (zero, reg, zero, nv), [(1, len(reg))])
+    return ops.reshape(len(names), len(reg), -1)
 
 
 def _shape_of(b: BlockLabel) -> tuple:
@@ -323,54 +327,77 @@ class FoldPlan(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _build_fold_plan(omega: float, omega1: int, omega2: int, coupling_z: str) -> FoldPlan:
-    """The layout of one system size and coupling mode (see FoldPlan); the
-    only place that maps blocks to shapes and shapes to sectors.  Blocks of
-    one shape share their spectrum; the sector stacks are written straight
-    from the spin factors (_sector_stacks)."""
+    """The layout of one system size and coupling mode (see FoldPlan), in
+    whole-array passes (module docstring); the only place that maps blocks
+    to shapes and shapes to sectors.  Blocks of one shape share a spectrum."""
     blocks = enumerate_blocks(omega, omega1, omega2)
-    index, first, by_shape, by_n = {}, {}, {}, {}
-    shape_index = np.empty(len(blocks), dtype=int)
-    for i, b in enumerate(blocks):
-        si = shape_index[i] = index.setdefault(_shape_of(b), len(index))
-        first.setdefault(si, i)
-        by_shape[si] = by_shape.get(si, 0) + b.mult
-        by_n[si, b.nv.N] = by_n.get((si, b.nv.N), 0) + b.mult
-    shapes = tuple(index)
+    nq = (omega1 + 1) * (omega2 + 1)
+    qb, nv = [b.qb for b in blocks[:nq]], [b.nv for b in blocks[::nq]]
+    registers = [(round(2 * q.s1), round(2 * q.s2)) for q in qb]
+    qb_mult = np.array([q.mult for q in qb], dtype=object)
+    nv_mult = np.array([e.mult for e in nv], dtype=object)
+    nv_n, nv_two_S = np.array([(e.N, round(2 * e.S)) for e in nv]).T
 
-    by_size: dict = {}
-    slot_m, bounds = [], []
-    for si, shape in enumerate(shapes):
-        start = len(slot_m)
-        for key, idx in _shape_operators(*shape).sectors:
-            slots = np.arange(len(slot_m), len(slot_m) + len(idx))
-            by_size.setdefault(len(idx), []).append(((si, idx), slots))
-            slot_m.extend([key / 2.0] * len(idx))
-        bounds.append((start, len(slot_m)))
+    def product(ids, at):  # at * nq + qubit label, exact sums of the ids groups
+        mult = np.zeros(len(at), dtype=object)
+        np.add.at(mult, ids, nv_mult)
+        return (np.add.outer(at * nq, np.arange(nq)).ravel(),
+                np.multiply.outer(mult, qb_mult).ravel().tolist())
+
+    s_id, s_first = _first_seen(nv_two_S)
+    shape_index = np.add.outer(s_id * nq, np.arange(nq)).ravel()
+    first, by_shape = product(s_id, s_first)
+    # (S, N) pairs by first appearance
+    n_id, n_first = _first_seen(nv_two_S * (nv_n.max() + 1) + nv_n)
+    by_n, n_mult = product(n_id, s_id[n_first])
+    spins = nv_two_S[s_first]
+    shapes = np.column_stack((np.tile(registers, (len(spins), 1)), np.repeat(spins, nq)))
+
+    si, basis, reg, ensemble, twice_m = _states(shapes)
+    # the slots: the states by (shape, pair projection); |twice_m| <= span
+    span = shapes[:, :2].sum(1).max()
+    key = si * (2 * span + 1) + twice_m + span
+    order = np.argsort(key, kind="stable")
+    twice_m = twice_m[order]
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    n = np.diff(starts, append=len(si))
+    # the sectors group by group (sizes by first appearance), in slot order
+    g_id, g_first = _first_seen(n)
+    by_group = np.argsort(g_id, kind="stable")
+    k, size = np.bincount(g_id), n[g_first]
+    n = n[by_group]
+    slots = np.repeat(starts[by_group] - np.cumsum(n) + n, n) + np.arange(len(si))
+    stacked = order[slots]
     names = assembly_operators(coupling_z)
-    sectors = [tuple(sector for sector, _ in members) for members in by_size.values()]
-    ops = _sector_stacks(names, shapes, sectors)
-    sizes, stop = [], 0
-    for group, members in zip(sectors, by_size.values()):
-        slots = np.stack([sl for _, sl in members])
-        slots.setflags(write=False)
-        start, stop = stop, stop + slots.size * slots.shape[1]
-        sizes.append(_SizeGroup(slice(start, stop), slots, group))
-    slot_shape = np.repeat(np.arange(len(shapes)), [hi - lo for lo, hi in bounds])
-    slot_nqb = np.array(slot_m) + 0.5 * (omega1 + omega2)
-    for a in (shape_index, ops, slot_shape, slot_nqb):
+    runs = list(zip(k.tolist(), size.tolist()))
+    spin_id, reg_id = np.divmod(si[stacked], nq)
+    ops = _sector_stacks(names, registers, spins.tolist(),
+                         (reg_id, reg[stacked], spin_id, ensemble[stacked]), runs)
+    idx, slot_nqb = basis[stacked], twice_m / 2.0 + 0.5 * (omega1 + omega2)
+    for a in (shape_index, ops, si, slot_nqb, slots, idx):
         a.setflags(write=False)
+
+    rows = np.cumsum(k * size)[:-1]
+    groups = zip(runs, np.cumsum(k * size * size).tolist(),
+                 np.split(slots, rows), np.split(idx, rows),
+                 np.split(si[starts[by_group]], np.cumsum(k)[:-1]))
+    stops = np.cumsum(np.bincount(si))
     return FoldPlan(
         blocks=blocks,
         shape_index=shape_index,
-        shapes=shapes,
-        first=tuple(first.values()),
-        by_shape=tuple((si, None, m) for si, m in by_shape.items()),
-        by_n=tuple((si, n, m) for (si, n), m in by_n.items()),
+        shapes=tuple(map(tuple, shapes.tolist())),
+        first=tuple(first.tolist()),
+        by_shape=tuple((i, None, m) for i, m in enumerate(by_shape)),
+        by_n=tuple(zip(by_n.tolist(), np.repeat(nv_n[n_first], nq).tolist(), n_mult)),
         ops=dict(zip(names, ops)),
-        sizes=tuple(sizes),
-        slot_shape=slot_shape,
+        sizes=tuple(
+            _SizeGroup(slice(end - kg * ng * ng, end), sl.reshape(kg, ng),
+                       tuple(zip(sh.tolist(), ix.reshape(kg, ng))))
+            for (kg, ng), end, sl, ix, sh in groups
+        ),
+        slot_shape=si,
         slot_nqb=slot_nqb,
-        bounds=tuple(bounds),
+        bounds=tuple(zip((stops - np.bincount(si)).tolist(), stops.tolist())),
     )
 
 
@@ -450,7 +477,7 @@ def build_block_hamiltonian(p: ModelParams, b: BlockLabel) -> np.ndarray:
 
 def qubit_sz_diagonal(b: BlockLabel) -> np.ndarray:
     """Diagonal of Sz1 + Sz2 in the product basis (conserved by every term)."""
-    return _shape_operators(*_shape_of(b)).ztot_diag
+    return _shape_operators(*_shape_of(b))[2]
 
 
 def gap_operator(b: BlockLabel) -> np.ndarray:

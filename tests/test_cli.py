@@ -238,6 +238,13 @@ CARNOT_CORNERS = ["--t-values", "0.4,0.7", "--x-values", "3.5,4.5"]
         (["--config", {"system.Omega2": True}, "thermo"], "thermo.tsv"),
         (["--config", {"system.Omega2": math.inf}, "thermo"], "thermo.tsv"),
         (["--config", {"model.alpha": True}, "thermo"], "thermo.tsv"),
+        (["--config", {"system.Omega": 2.3}, "thermo"], "thermo.tsv"),
+        (["--config", {"system.Omega": -1}, "thermo"], "thermo.tsv"),
+        (["--config", {"system.Omega": 0}, "thermo"], "thermo.tsv"),
+        (["--config", {"system.Omega1": 0}, "thermo"], "thermo.tsv"),
+        (["--config", {"model.D": -1}, "thermo"], "thermo.tsv"),
+        (["--config", {"model.coupling_z": "foo"}, "thermo"], "thermo.tsv"),
+        (["--alpha", "-0.5", "thermo"], "thermo.tsv"),
     ],
     ids=["one-step", "reversed", "infinite", "negative-alpha", "zero-precision",
          "negative-precision", "flat-bracket", "negative-bracket", "repeated-temperature",
@@ -247,7 +254,8 @@ CARNOT_CORNERS = ["--t-values", "0.4,0.7", "--x-values", "3.5,4.5"]
          "infinite-alpha", "zero-workers", "negative-workers", "fractional-np", "zero-np",
          "negative-np", "nan-np", "negative-target", "nan-target", "zero-g0", "nan-g0",
          "fractional-omega1", "fractional-omega1-text", "boolean-omega2", "infinite-omega2",
-         "boolean-alpha"],
+         "boolean-alpha", "fractional-omega", "negative-omega", "zero-omega", "zero-omega1",
+         "negative-d", "unknown-coupling", "negative-alpha-flag"],
 )
 def test_infeasible_sweep_exits_two_before_solving(tmp_path, monkeypatch, argv, table):
     # a dict in argv stands for a config file holding it
@@ -510,6 +518,32 @@ def test_cli_leaves_thread_pool_unimported():
     assert proc.stdout.strip() == "False"
 
 
+def test_desk_steps_leave_numpy_ma_and_scipy_unimported(tmp_path):
+    # numpy.ma (~17 ms, pulled in by np.unique) and scipy cost start-up time
+    # in every process; the fold plan and the desk spinodal and tc-map steps
+    # need neither
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudotherm.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    spinodal = ["--g", "1.73", "spinodal", "--t-values", "0.144", "--alpha-min", "0.2",
+                "--alpha-max", "0.4", "--alpha-steps", "15"]
+    tc_map = ["--workers", "2", "tc-map", "--alpha-steps", "6", "--g-values", "1.0,1.73"]
+    code = (
+        "import sys\n"
+        "from pseudotherm.cli import main\n"
+        f"for argv in ({spinodal!r}, {tc_map!r}):\n"
+        f"    assert main(['--out', {str(tmp_path)!r}, *argv]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'numpy.ma' or m.startswith(('numpy.ma.', 'scipy'))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "spinodal_loci.tsv").exists() and (tmp_path / "tc_map.tsv").exists()
+
+
 def test_cycle_stirling_tiny(tmp_path, tiny_cfg):
     rc = main(["--config", tiny_cfg, "--out", str(tmp_path), "cycle",
                "--kind", "stirling", "--t-values", "0.3,0.9",
@@ -711,6 +745,13 @@ PINNED = {
     "tc_map_omega8.tsv": (OMEGA8, ["--g", "1.73", "--workers", "2", "tc-map", "--alpha-min",
                                    "0.1", "--alpha-max", "1.2", "--alpha-steps", "12"],
                           "tc_map.tsv"),
+    "thermo_gap_omega8.tsv": (OMEGA8, ["--alpha", "0.36", "--g", "1.73", *GAP_ARGS,
+                                       "--t-steps", "40"], "thermo.tsv"),
+    # no spinodal lies in this range: the table pins the classified isotherm's
+    # empty result at the size of 42 size groups and 1088 sectors
+    "spinodal_loci_omega8.tsv": (OMEGA8, ["--g", "1.73", "spinodal", "--t-values", "0.3",
+                                          "--alpha-min", "0.2", "--alpha-max", "0.5",
+                                          "--alpha-steps", "8"], "spinodal_loci.tsv"),
     "cycle_carnot.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot.tsv"),
     "cycle_carnot_max_by_x.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot_max_by_x.tsv"),
     "cycle_carnot_max_by_t.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot_max_by_t.tsv"),

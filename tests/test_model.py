@@ -41,6 +41,9 @@ def test_param_validation():
         ModelParams(g=float("nan"))
     with pytest.raises(ValueError):
         ModelParams(coupling_z="sideways")
+    for sizes in ({"Omega": 0.0}, {"Omega1": 0}, {"Omega2": 0}):
+        with pytest.raises(ValueError, match="positive"):
+            ModelParams(**sizes)
 
 
 def nv_only_block(p):
@@ -178,6 +181,149 @@ def test_coupling_modes_share_the_layout_of_a_size(size):
     for sign in ("plus", "minus"):
         a, b = diff.ops[f"couple_{sign}_difference"], total.ops[f"couple_{sign}_total"]
         assert a.shape == b.shape and not np.array_equal(a, b)
+
+
+# ---- the fold plan against the per-block, per-shape, per-sector algorithm it
+# replaced, kept here as the reference: every field, bit for bit
+
+def _reference_plan(omega, omega1, omega2, coupling_z):
+    from pseudotherm import algebra, blocks
+
+    def register_factors(two_s1, two_s2):
+        ops1 = algebra.spin_operators(two_s1 / 2.0)
+        ops2 = algebra.spin_operators(two_s2 / 2.0)
+        i1, i2 = np.eye(two_s1 + 1), np.eye(two_s2 + 1)
+        z1, z2 = np.kron(ops1["Sz"], i2), np.kron(i1, ops2["Sz"])
+        p = np.kron(ops1["Splus"], i2) + np.kron(i1, ops2["Splus"])
+        return np.stack([np.eye(len(z1)), z1, z2, p @ p.T, z2 - z1, z1 + z2])
+
+    def nv_factors(two_S):
+        ops = algebra.spin_operators(two_S / 2.0)
+        sz, sp = ops["Sz"], ops["Splus"]
+        sm = sp.T
+        return np.stack([np.eye(two_S + 1), sz @ sz, sp @ sp + sm @ sm, sp, sm])
+
+    def shape_basis(two_s1, two_s2, two_S):
+        two_m1 = two_s1 - 2 * np.arange(two_s1 + 1)
+        two_m2 = two_s2 - 2 * np.arange(two_s2 + 1)
+        reg_keys = (two_m1[:, None] + two_m2).ravel()
+        reg = np.repeat(np.arange(len(reg_keys)), two_S + 1)
+        nv = np.tile(np.arange(two_S + 1), len(reg_keys))
+        keys = reg_keys[reg]
+        order = np.argsort(keys, kind="stable")
+        runs = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+        return reg, nv, tuple((int(keys[i[0]]), i) for i in runs)
+
+    def sector_stacks(names, shapes, groups):
+        reg_keys = list(dict.fromkeys(shape[:2] for shape in shapes))
+        nv_keys = list(dict.fromkeys(shape[2] for shape in shapes))
+        reg = model._padded([register_factors(*key) for key in reg_keys])
+        nv = model._padded([nv_factors(key) for key in nv_keys])
+        reg_id = np.array([reg_keys.index(shape[:2]) for shape in shapes])
+        nv_id = np.array([nv_keys.index(shape[2]) for shape in shapes])
+        bases = [shape_basis(*shape) for shape in shapes]
+
+        def flat(factors, ids, idx):
+            d = factors.shape[-1]
+            return (ids * d * d)[:, None, None] + idx[:, :, None] * d + idx[:, None, :]
+
+        out = np.empty((len(names), sum(len(g) * len(g[0][1]) ** 2 for g in groups)))
+        start = 0
+        for sectors in groups:
+            si = np.array([i for i, _ in sectors])
+            ra = np.stack([bases[i][0][idx] for i, idx in sectors])
+            na = np.stack([bases[i][1][idx] for i, idx in sectors])
+            at_reg, at_nv = flat(reg, reg_id[si], ra), flat(nv, nv_id[si], na)
+            stop = start + at_reg.size
+            for row, name in zip(out, names):
+                r, v = model._TERMS[name]
+                a = row[start:stop].reshape(at_reg.shape)
+                reg[r].take(at_reg, out=a)
+                a *= nv[v].take(at_nv)
+            start = stop
+        return out
+
+    nv_labels = blocks.enumerate_nv_labels(omega)
+    qb_labels = blocks.enumerate_qubit_labels(omega1, omega2)
+    block_list = sorted((blocks.BlockLabel(e, q) for e in nv_labels for q in qb_labels),
+                        key=blocks.BlockLabel.key)
+    index, first, by_shape, by_n = {}, {}, {}, {}
+    shape_index = np.empty(len(block_list), dtype=int)
+    for i, b in enumerate(block_list):
+        si = shape_index[i] = index.setdefault(model._shape_of(b), len(index))
+        first.setdefault(si, i)
+        by_shape[si] = by_shape.get(si, 0) + b.mult
+        by_n[si, b.nv.N] = by_n.get((si, b.nv.N), 0) + b.mult
+    shapes = tuple(index)
+    by_size, slot_m, bounds = {}, [], []
+    for si, shape in enumerate(shapes):
+        start = len(slot_m)
+        for key, idx in shape_basis(*shape)[2]:
+            slots = np.arange(len(slot_m), len(slot_m) + len(idx))
+            by_size.setdefault(len(idx), []).append(((si, idx), slots))
+            slot_m.extend([key / 2.0] * len(idx))
+        bounds.append((start, len(slot_m)))
+    names = model.assembly_operators(coupling_z)
+    sectors = [tuple(sector for sector, _ in members) for members in by_size.values()]
+    ops = sector_stacks(names, shapes, sectors)
+    sizes, stop = [], 0
+    for group, members in zip(sectors, by_size.values()):
+        slots = np.stack([sl for _, sl in members])
+        start, stop = stop, stop + slots.size * slots.shape[1]
+        sizes.append((slice(start, stop), slots, group))
+    return dict(
+        blocks=tuple(block_list), shape_index=shape_index, shapes=shapes,
+        first=tuple(first.values()),
+        by_shape=tuple((si, None, m) for si, m in by_shape.items()),
+        by_n=tuple((si, n, m) for (si, n), m in by_n.items()),
+        ops=dict(zip(names, ops)), sizes=sizes,
+        slot_shape=np.repeat(np.arange(len(shapes)), [hi - lo for lo, hi in bounds]),
+        slot_nqb=np.array(slot_m) + 0.5 * (omega1 + omega2), bounds=tuple(bounds),
+    )
+
+
+def _same_array(a, ref):
+    return a.dtype == ref.dtype and a.shape == ref.shape and a.tobytes() == ref.tobytes()
+
+
+def _same_ints(a, ref):
+    # equal, with the exact Python ints (and None) of the reference
+    return a == ref and [type(x) for t in a for x in t] == [type(x) for t in ref for x in t]
+
+
+@pytest.mark.parametrize("coupling_z", ["difference", "total"])
+@pytest.mark.parametrize("omega, omega1, omega2", [
+    (4.0, 2, 2), (1.0, 1, 1), (2.0, 1, 1), (0.5, 1, 1), (2.5, 2, 1), (8.0, 3, 3),
+])
+def test_fold_plan_equals_the_per_sector_build(omega, omega1, omega2, coupling_z):
+    plan = model._build_fold_plan(omega, omega1, omega2, coupling_z)
+    ref = _reference_plan(omega, omega1, omega2, coupling_z)
+    assert plan.blocks == ref["blocks"]
+    for field in ("shape_index", "slot_shape", "slot_nqb"):
+        assert _same_array(getattr(plan, field), ref[field]), field
+        assert not getattr(plan, field).flags.writeable, field
+    assert plan.shapes == ref["shapes"] and plan.bounds == ref["bounds"]
+    for field in ("shapes", "first", "by_shape", "by_n", "bounds"):
+        value = getattr(plan, field)
+        assert _same_ints([v if isinstance(v, tuple) else (v,) for v in value],
+                          [v if isinstance(v, tuple) else (v,) for v in ref[field]]), field
+    assert list(plan.ops) == list(ref["ops"])
+    for name, op in plan.ops.items():
+        assert _same_array(op, ref["ops"][name]) and not op.flags.writeable, name
+    assert len(plan.sizes) == len(ref["sizes"])
+    for group, (span, slots, sectors) in zip(plan.sizes, ref["sizes"]):
+        assert group.span == span and type(group.span.start) is type(span.start) is int
+        assert _same_array(group.slots, slots) and not group.slots.flags.writeable
+        assert [si for si, _ in group.sectors] == [si for si, _ in sectors]
+        assert all(type(si) is int for si, _ in group.sectors)
+        for (_, idx), (_, ref_idx) in zip(group.sectors, sectors):
+            assert _same_array(idx, ref_idx) and not idx.flags.writeable
+
+
+def test_fold_plan_refuses_an_empty_register():
+    for omega, omega1, omega2 in [(0.0, 1, 1), (1.0, 0, 1), (1.0, 1, 0)]:
+        with pytest.raises(ValueError, match="positive"):
+            model._build_fold_plan(omega, omega1, omega2, "difference")
 
 
 @pytest.mark.parametrize("size", SIZES, ids=["desk", "omega1"])

@@ -398,6 +398,25 @@ def test_thermal_table_leaves_numpy_ma_unimported():
     assert proc.stdout.strip() == "False"
 
 
+# the worst per-shape eigenvalue difference of the transpose duality at
+# Omega 8 (Omega1 = Omega2 = 3) on these points, measured: 2.6e-12 (at desk
+# size: 2.8e-13); the bound is ten times that
+DUALITY_ATOL_OMEGA8 = 2.6e-11
+
+
+@pytest.mark.parametrize("alpha,g", [(0.36, 1.73), (0.8, 1.0), (1.5, 2.5)])
+def test_shape_spectra_agree_under_transpose_duality_at_omega8(alpha, g):
+    # H(1/alpha, alpha g) = H(alpha, g)^T: the plan at scale (42 size groups,
+    # 1088 sectors) pairs every shape's levels with the same labels
+    size = {"Omega": 8.0, "Omega1": 3, "Omega2": 3}
+    spectra = block_spectra([ModelParams(alpha=alpha, g=g, **size)])[0]
+    dual = block_spectra([ModelParams(alpha=1.0 / alpha, g=alpha * g, **size)])[0]
+    assert len(spectra) == len(dual) == 272
+    for a, b in zip(spectra, dual):
+        assert a.label == b.label and np.array_equal(a.nqb, b.nqb)
+        assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= DUALITY_ATOL_OMEGA8, a.label
+
+
 def test_threads_missing_together_build_one_plan():
     import sys
     import threading
