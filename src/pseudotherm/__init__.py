@@ -11,7 +11,7 @@ constructions and quantum heat cycles on top of that sum.
 
 from .blocks import BlockLabel, enumerate_blocks
 from .model import ModelParams, RescaledParams, rescale
-from .spectral import BlockSpectrum, diagonalize, find_eps, ground_state_info
+from .spectral import diagonalize, find_eps, ground_state_info
 from .thermo import (
     ThermoPoint,
     critical_temperature,
@@ -23,7 +23,6 @@ from .thermo import (
 
 __all__ = [
     "BlockLabel",
-    "BlockSpectrum",
     "ModelParams",
     "RescaledParams",
     "ThermoPoint",

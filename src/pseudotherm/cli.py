@@ -166,7 +166,10 @@ def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
 
 
 def _values_arg(text: str) -> list[float]:
-    vals = [float(x) for x in text.split(",") if x.strip()]
+    try:
+        vals = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise InfeasibleRequest(f"{text!r} is not a comma-separated list of numbers") from None
     if not vals:
         raise InfeasibleRequest("empty value list")
     return vals
@@ -206,12 +209,13 @@ def cmd_blocks_dump(p: ModelParams, args, config) -> None:
 
 
 def cmd_spectrum(p: ModelParams, args, config) -> None:
-    spectra = spectral.block_eigen_data(p)
+    w, _ = spectral.block_eigen_data(p)
     plan = fold_plan(p)
-    rows = []
-    for i, (b, si) in enumerate(zip(plan.blocks, plan.shape_index)):
-        for e in spectra[si][1]:
-            rows.append((i, b.mult, e.real, e.imag))
+    rows = [
+        (i, b.mult, e.real, e.imag)
+        for i, (b, si) in enumerate(zip(plan.blocks, plan.shape_index))
+        for e in w[slice(*plan.bounds[si])]
+    ]
     write_table(
         os.path.join(args.out, "spectrum.tsv"),
         ["block-id", "mult", "ReE", "ImE"],
@@ -384,6 +388,8 @@ def cmd_cycle(p: ModelParams, args, config) -> None:
     for flag, values in (("--t-values", t_values), ("--x-values", x_values)):
         if len(set(values)) < len(values):
             raise InfeasibleRequest(f"{flag} repeats a value")
+        if len(values) < 2:
+            raise InfeasibleRequest(f"{flag} holds one value: the grid has no cell")
     if args.kind == "stirling" and not min(x_values) > 0.0:
         raise InfeasibleRequest(f"stirling alphas must be positive, got {args.x_values}")
     if args.kind == "carnot" and not 0.0 <= args.bracket_lo < args.bracket_hi < math.inf:
@@ -461,6 +467,10 @@ def cmd_rescale_fit(p: ModelParams, args, config) -> None:
 def cmd_oracle_check(p: ModelParams, args, config) -> None:
     from . import oracle
 
+    try:
+        oracle.FockSpace(p.Omega, p.Omega1, p.Omega2).check()
+    except ValueError as exc:
+        raise InfeasibleRequest(str(exc)) from None
     mism = []
     wf = oracle.fock_spectrum(p)
     wb = oracle.block_union_spectrum(p)

@@ -40,6 +40,7 @@ from .roots import bisect
 __all__ = [
     "ModelParams",
     "RescaledParams",
+    "Fold",
     "FoldPlan",
     "fold_plan",
     "build_block_hamiltonian",
@@ -291,22 +292,34 @@ class _SizeGroup(NamedTuple):
         return h[..., at].reshape(*h.shape[:-1], *self.slots.shape, -1)
 
 
+class Fold(NamedTuple):
+    """One point's slots gathered into table rows: the slot, the float
+    multiplicity, the N (NaN when folded over N) and the fold group of each
+    row, and the exact integer dimension the rows stand for."""
+
+    slots: np.ndarray
+    mult: np.ndarray
+    n: np.ndarray
+    group: np.ndarray
+    dim_total: int
+
+
 class FoldPlan(NamedTuple):
     """The layout of one system size and coupling mode: blocks -> (s1, s2, S)
     shapes -> pair-projection sectors -> sector stacks by size.
 
     Shapes are numbered in order of first appearance among the blocks; the
-    first block of a shape is its representative, which labels its
-    spectrum.  A fold group is (shape index, N or None, exact summed
-    multiplicity of its blocks): by_shape holds one per shape, by_n one per
-    (shape, N), in order of first appearance, for sums whose terms depend
-    on N (muS != 0).
+    first block of a shape is its representative.  A fold group is (shape
+    index, N or None, exact summed multiplicity of its blocks): by_shape
+    holds one per shape, by_n one per (shape, N), in order of first
+    appearance, for sums whose terms depend on N (muS != 0); folds holds
+    the Fold of each, every group taking its shape's slots.
 
-    Eigenvalue slots run shape by shape and, within a shape, sector by
-    sector in increasing pair projection.  ops holds the sector-restricted
-    assembly operators of every size group, the groups laid end to end, so
-    that one assemble_hamiltonian call assembles them all; only these
-    stacks depend on the coupling mode.
+    Eigenvalue slots run shape by shape (a shape is its range in bounds)
+    and, within a shape, sector by sector in increasing pair projection.
+    ops holds the sector-restricted assembly operators of every size group,
+    the groups laid end to end, so that one assemble_hamiltonian call
+    assembles them all; only these stacks depend on the coupling mode.
     """
 
     blocks: tuple             # every block, in enumeration order
@@ -320,9 +333,10 @@ class FoldPlan(NamedTuple):
     slot_shape: np.ndarray    # shape index of each eigenvalue slot
     slot_nqb: np.ndarray      # pair number N_qb of each slot
     bounds: tuple             # (first, last + 1) slot of each shape
+    folds: tuple              # Fold of by_shape and of by_n
 
-    def groups(self, split_n: bool) -> tuple:
-        return self.by_n if split_n else self.by_shape
+    def fold(self, split_n: bool) -> Fold:
+        return self.folds[split_n]
 
 
 @lru_cache(maxsize=32)
@@ -381,14 +395,26 @@ def _build_fold_plan(omega: float, omega1: int, omega2: int, coupling_z: str) ->
     groups = zip(runs, np.cumsum(k * size * size).tolist(),
                  np.split(slots, rows), np.split(idx, rows),
                  np.split(si[starts[by_group]], np.cumsum(k)[:-1]))
-    stops = np.cumsum(np.bincount(si))
+    counts = np.bincount(si)
+    lows = np.cumsum(counts) - counts  # first slot of each shape
+
+    def fold(at, ns, mults):  # the groups (shape at, N ns), one after another
+        width = counts[at]
+        group = np.repeat(np.arange(len(width)), width)
+        arrays = (np.arange(len(group)) + np.repeat(lows[at] - np.cumsum(width) + width, width),
+                  np.array(mults, dtype=float)[group], ns[group], group)
+        for a in arrays:
+            a.setflags(write=False)
+        return Fold(*arrays, sum(m * c for m, c in zip(mults, width.tolist())))
+
+    n_of = np.repeat(nv_n[n_first], nq)
     return FoldPlan(
         blocks=blocks,
         shape_index=shape_index,
         shapes=tuple(map(tuple, shapes.tolist())),
         first=tuple(first.tolist()),
         by_shape=tuple((i, None, m) for i, m in enumerate(by_shape)),
-        by_n=tuple(zip(by_n.tolist(), np.repeat(nv_n[n_first], nq).tolist(), n_mult)),
+        by_n=tuple(zip(by_n.tolist(), n_of.tolist(), n_mult)),
         ops=dict(zip(names, ops)),
         sizes=tuple(
             _SizeGroup(slice(end - kg * ng * ng, end), sl.reshape(kg, ng),
@@ -397,7 +423,9 @@ def _build_fold_plan(omega: float, omega1: int, omega2: int, coupling_z: str) ->
         ),
         slot_shape=si,
         slot_nqb=slot_nqb,
-        bounds=tuple(zip((stops - np.bincount(si)).tolist(), stops.tolist())),
+        bounds=tuple(zip(lows.tolist(), (lows + counts).tolist())),
+        folds=(fold(np.arange(len(shapes)), np.full(len(shapes), np.nan), by_shape),
+               fold(by_n, n_of.astype(float), n_mult)),
     )
 
 

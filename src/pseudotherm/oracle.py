@@ -24,7 +24,7 @@ from functools import reduce
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, fold_plan
 
 __all__ = [
     "FockSpace",
@@ -196,15 +196,13 @@ def block_union_spectrum(p: ModelParams) -> np.ndarray:
 
     This is the quantity fock_spectrum must reproduce as a multiset.
     """
-    from .model import fold_plan
     from .spectral import block_eigen_data
 
-    spectra = block_eigen_data(p)
-    chunks = [
-        np.repeat(spectra[si][1] - p.muS * n - p.muQb * spectra[si][2], mult)
-        for si, n, mult in fold_plan(p).by_n
-    ]
-    w = np.concatenate(chunks)
+    plan = fold_plan(p)
+    fold = plan.fold(True)
+    w, nqb = block_eigen_data(p)
+    w = w[fold.slots] - p.muS * fold.n - p.muQb * nqb[fold.slots]
+    w = np.repeat(w, np.array([m for *_, m in plan.by_n])[fold.group])
     return w[np.lexsort((w.imag, w.real))]
 
 

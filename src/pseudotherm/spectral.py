@@ -36,11 +36,11 @@ no eigenvector is ever laid out in a block basis.
 Each matrix of a batch is solved on its own, so the result equals a
 per-sector, per-point solve bit for bit.
 
-The spectral layer is per shape: block_spectra and block_eigen_data hold
-one spectrum per shape of the fold plan, labelled by the shape's first
-block, and the EP sweep counts and matches pairs per shape.  Blocks appear
-only at the output edge, through the plan's one block -> shape map: the
-spectrum table's rows, the Fock-oracle multiset, EP block keys and the
+The spectral layer is flat: its arrays run in the fold plan's slot order,
+a shape is its slot range (plan.bounds), and the EP sweep counts and
+matches pairs per shape through plan.slot_shape.  Blocks appear only at
+the output edge, through the plan's one block -> shape map: the spectrum
+table's rows, the Fock-oracle multiset, EP block keys and the
 defective-block keys of thermal averages.
 """
 
@@ -50,11 +50,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import BlockLabel
 from .errors import SolverFailure
 # build_block_hamiltonian is not called in this module; perfbench/spans.py wraps
 # it under this module's name.
@@ -62,9 +60,7 @@ from .model import ModelParams, assemble_hamiltonian, build_block_hamiltonian, f
 from .roots import bisect
 
 __all__ = [
-    "BlockSpectrum",
     "EpLocation",
-    "VectorSpectrum",
     "diagonalize",
     "block_spectra",
     "vector_spectra",
@@ -97,19 +93,6 @@ EIGEN_CACHE_SIZE = 768
 # while ranges of groups keep them (57-69 ms at 2^16; medians of 8, BLAS
 # on 1 thread, 2-core VM).
 STACK_ELEMENTS = 1 << 16
-
-
-@dataclass
-class BlockSpectrum:
-    """Eigenvalues of every block of one shape, labelled by its first block.
-
-    eigenvalues are sorted by (Re, Im) so conjugate partners sit adjacent;
-    nqb holds the exact pair-number label of each eigenvalue's sector.
-    """
-
-    label: BlockLabel
-    eigenvalues: np.ndarray
-    nqb: np.ndarray
 
 
 def diagonalize(h: np.ndarray) -> tuple:
@@ -167,25 +150,26 @@ def _assembly_steps(sizes, n: int) -> list:
     return steps
 
 
-def block_spectra(points) -> list[list[BlockSpectrum]]:
-    """Eigenvalues of each point of a batch once per (s1, s2, S) shape of
-    the fold plan.
+def block_spectra(points) -> tuple:
+    """Read-only (points, slots) arrays (w, nqb): the eigenvalues of each
+    point of a batch in the fold plan's slot order, and their pair-number
+    labels.
 
     The points share one system size and one coupling_z (ValueError
     otherwise).  The Hamiltonian reads only the shape of a block, so each
-    point's result holds one spectrum per shape, in the plan's shape order,
-    labelled by the shape's first block; model.fold_plan maps every block to
-    its shape.  The sector stacks are assembled for all points one range of
-    consecutive size groups at a time, at most STACK_ELEMENTS elements per
-    operator (see _assembly_steps), and each (size, symmetric) group is
-    solved with one eigenvalue call; each shape's eigenvalues are merged
-    across sectors and sorted by (Re, Im) in one sort.  Every matrix is
-    solved on its own, so a point's spectra equal those of a batch of that
-    point alone bit for bit.
+    point holds one spectrum per (s1, s2, S) shape, the shape's slot range
+    (plan.bounds); model.fold_plan maps every block to its shape.  The
+    sector stacks are assembled for all points one range of consecutive
+    size groups at a time, at most STACK_ELEMENTS elements per operator
+    (see _assembly_steps), and each (size, symmetric) group is solved with
+    one eigenvalue call; one lexsort by (shape, Re, Im) then orders every
+    shape's eigenvalues across its sectors, so conjugate partners sit
+    adjacent.  Every matrix is solved on its own, so a point's row equals
+    that of a batch of that point alone bit for bit.
     """
     points = tuple(points)
     if not points:
-        return []
+        return np.empty((0, 0), dtype=complex), np.empty((0, 0))
     p = points[0]
     for q in points:
         if (q.Omega, q.Omega1, q.Omega2, q.coupling_z) != (
@@ -215,27 +199,14 @@ def block_spectra(points) -> list[list[BlockSpectrum]]:
     nqb = plan.slot_nqb[order]
     for a in (w, nqb):
         a.setflags(write=False)
-    labels = [plan.blocks[first] for first in plan.first]
-    return [
-        [BlockSpectrum(label, wi[lo:hi], qi[lo:hi]) for label, (lo, hi) in zip(labels, plan.bounds)]
-        for wi, qi in zip(w, nqb)
-    ]
+    return w, nqb
 
 
-class VectorSpectrum(NamedTuple):
-    """The levels of one shape with the biorthogonal coefficients of an
-    operator: eigenvalues, their pair-number labels nqb, coef[n] =
-    <L_n|O|R_n>, and the near-defective flag of each level."""
-
-    eigenvalues: np.ndarray
-    nqb: np.ndarray
-    coef: np.ndarray
-    near_defective: np.ndarray
-
-
-def vector_spectra(p: ModelParams, op) -> list[VectorSpectrum]:
-    """Levels and coefficients <L_n|O|R_n> of op, once per shape of the
-    fold plan, in the plan's shape order.
+def vector_spectra(p: ModelParams, op) -> tuple:
+    """Read-only slot arrays (w, coef, near_defective) of one point: its
+    levels in the fold plan's slot order, the coefficients coef[n] =
+    <L_n|O|R_n> of op and the near-defective flag of each level; the pair
+    labels are plan.slot_nqb.
 
     op is the name of a fold-plan operator (model.assembly_operators), whose
     sector stacks are read from the plan as they are, or a callable that
@@ -248,8 +219,9 @@ def vector_spectra(p: ModelParams, op) -> list[VectorSpectrum]:
     contracted against the group's (k, n, n) operator stack.  Every
     eigenvector lies in one pair-projection sector (H conserves the
     projection), so <L_n|O|R_n> reads only the sector's rows and columns of
-    O: the contraction is exact for any op, also one that mixes sectors.  Within a shape, levels run sector by sector in
-    increasing pair projection, each sector in the eigensolver's order.
+    O: the contraction is exact for any op, also one that mixes sectors.
+    Within a shape, levels run sector by sector in increasing pair
+    projection, each sector in the eigensolver's order.
     """
     plan = fold_plan(p)
     if callable(op):
@@ -268,22 +240,22 @@ def vector_spectra(p: ModelParams, op) -> list[VectorSpectrum]:
                 o = group.matrices(plan.ops[op])
             w[group.slots], flags[group.slots] = vals, bad
             coef[group.slots] = np.einsum("kin,kij,kjn->kn", left, o, right)
-    return [
-        VectorSpectrum(w[lo:hi], plan.slot_nqb[lo:hi], coef[lo:hi], flags[lo:hi])
-        for lo, hi in plan.bounds
-    ]
+    for a in (w, coef, flags):
+        a.setflags(write=False)
+    return w, coef, flags
 
 
 @lru_cache(maxsize=EIGEN_CACHE_SIZE)
 def block_eigen_data(p: ModelParams) -> tuple:
-    """Cached eigenvalue-only spectra (label, eigenvalues, nqb), one per
-    shape as block_spectra returns them.
+    """Cached read-only slot arrays (w, nqb) of one point, its row of
+    block_spectra.
 
     Behind the spectrum table, the block union spectrum and
     exceptional-point sweeps; sweeps that revisit the same point
     (bisections) hit the cache.
     """
-    return tuple((s.label, s.eigenvalues, s.nqb) for s in block_spectra([p])[0])
+    w, nqb = block_spectra([p])
+    return w[0], nqb[0]
 
 
 @dataclass(frozen=True)
@@ -316,8 +288,10 @@ def complex_pair_counts(p: ModelParams) -> tuple:
     """Conjugate-pair count of each shape, eigenvalues with Im E >
     EP_IM_FLOOR; a change in any component marks an EP even when births
     and deaths in different shapes coincide."""
+    plan = fold_plan(p)
+    w, _ = block_eigen_data(p)
     return tuple(
-        int(np.sum(w.imag > EP_IM_FLOOR)) for _, w, _ in block_eigen_data(p)
+        np.bincount(plan.slot_shape[w.imag > EP_IM_FLOOR], minlength=len(plan.shapes)).tolist()
     )
 
 
@@ -347,13 +321,12 @@ def _with_param(p: ModelParams, param: str, x: float) -> ModelParams:
 
 def _pairs(p: ModelParams):
     """Every eigenvalue with Im E > EP_IM_FLOOR, with its shape and its
-    index in the shape's spectrum, shapes in plan order."""
-    spectra = [w for _, w, _ in block_eigen_data(p)]
-    sizes = [len(w) for w in spectra]
-    w = np.concatenate(spectra)
+    index in the shape's spectrum, in slot order."""
+    slot_shape = fold_plan(p).slot_shape
+    w, _ = block_eigen_data(p)
     at = np.flatnonzero(w.imag > EP_IM_FLOOR)
-    shape = np.repeat(np.arange(len(sizes)), sizes)[at]
-    return w[at], shape, at - (np.cumsum(sizes) - sizes)[shape]
+    shape = slot_shape[at]
+    return w[at], shape, at - np.searchsorted(slot_shape, shape)
 
 
 def _near(points: np.ndarray, others: np.ndarray, radius: float) -> np.ndarray:

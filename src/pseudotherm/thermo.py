@@ -1,10 +1,11 @@
 """Exact grand partition function over blocks and everything derived from it.
 
 Every sum over blocks follows model.fold_plan, the one block -> shape map:
-the per-shape spectra of spectral.block_spectra, one row set per shape, or
-per (shape, N) when muS != 0, with the exact summed multiplicity of its
-blocks.  Both the spectrum table and the vector table of thermal averages
-are laid out by it; blocks appear only in the keys of defective_blocks.
+one gather of a point's flat slot row by the plan's Fold, one row set per
+shape, or per (shape, N) when muS != 0, with the exact summed multiplicity
+of its blocks.  The spectrum table and the vector table of thermal
+averages share that Fold; blocks appear only in the keys of
+defective_blocks.
 
 A sweep over parameter points (an isotherm, a T_c map, the coarse S(alpha)
 scan of a cycle corner) takes its tables from sweep_tables: batches of at
@@ -78,7 +79,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ZeroPartitionError
-from .model import GAP_OPERATOR, ModelParams, fold_plan
+from .model import GAP_OPERATOR, Fold, ModelParams, fold_plan
 from .roots import bisect
 
 __all__ = [
@@ -140,40 +141,30 @@ class SpectrumTable:
         return len(self.eps)
 
 
-def table_from_spectra(rows) -> SpectrumTable:
-    """Fold spectra into a table in one vectorized pass.
+def table_from_spectra(w: np.ndarray, nqb: np.ndarray, fold: Fold) -> SpectrumTable:
+    """Fold one point's slot arrays, eigenvalues w and pair-number labels
+    nqb, into a table with one gather.
 
-    Each row is (mult, N, eigenvalues, nqb): the exact integer multiplicity
-    behind the eigenvalues, their ensemble-number label (None when the row
-    spans several N), and their pair-number labels (None when unknown).
-    Table rows keep the order of the input rows and of the eigenvalues in
-    each; a conjugate pair keeps only its +i*gamma member.
+    Table rows keep the order of the fold's rows; a conjugate pair keeps
+    only its +i*gamma member, and every fold group must hold as many
+    +i*gamma members as -i*gamma ones.
     """
-    mults, ns, ws, nqbs = zip(*rows)
-    sizes = [len(w) for w in ws]
-    w = np.concatenate(ws)
-    npair = np.concatenate(
-        [np.full(k, np.nan) if q is None else q for k, q in zip(sizes, nqbs)]
-    )
-    row = np.repeat(np.arange(len(sizes)), sizes)
+    w, npair = w[fold.slots], nqb[fold.slots]
     thresh = spectral.IM_TOL * np.maximum(1.0, np.abs(w))
     is_real = np.abs(w.imag) <= thresh
-    n_pos = np.bincount(row[~is_real & (w.imag > 0)], minlength=len(sizes))
-    n_neg = np.bincount(row[~is_real & (w.imag < 0)], minlength=len(sizes))
-    if not np.array_equal(n_pos, n_neg):
-        n = ns[int(np.argmax(n_pos != n_neg))]
-        raise AssertionError(f"conjugation symmetry violated in a row with N={n}")
+    balance = np.bincount(fold.group, weights=np.where(is_real, 0.0, np.sign(w.imag)))
+    if balance.any():
+        n = fold.n[fold.group == np.flatnonzero(balance)[0]][0]
+        raise AssertionError(f"conjugation symmetry violated in a row with N={n:g}")
     keep = is_real | (w.imag > thresh)
-    mult = np.repeat(np.array([float(m) for m in mults]), sizes)
-    n_s = np.repeat(np.array([np.nan if n is None else float(n) for n in ns]), sizes)
     return SpectrumTable(
         eps=w.real[keep],
         gam=np.where(is_real, 0.0, w.imag)[keep],
-        mult=mult[keep],
-        nS=n_s[keep],
+        mult=fold.mult[keep],
+        nS=fold.n[keep],
         npair=npair[keep],
         pair=~is_real[keep],
-        dim_total=sum(m * k for m, k in zip(mults, sizes)),
+        dim_total=fold.dim_total,
     )
 
 
@@ -182,18 +173,15 @@ def thermal_tables(points) -> list[SpectrumTable]:
     mode, uncached.
 
     The spectra of all points come from one spectral.block_spectra call, one
-    stacked solve per sector size, and each point's table is laid out by the
-    fold plan: one row set per shape, or per (shape, N) when its muS != 0.
+    stacked solve per sector size, and each point's table is one gather by
+    the fold plan: one row set per shape, or per (shape, N) when its muS != 0.
     A table folded over N has NaN nS and refuses muS != 0.  Sweeps (an
     isotherm, a T_c map, a coarse S(alpha) scan) take their tables here.
     """
     points = tuple(points)
     return [
-        table_from_spectra(
-            (m, n, spectra[i].eigenvalues, spectra[i].nqb)
-            for i, n, m in fold_plan(p).groups(p.muS != 0.0)
-        )
-        for p, spectra in zip(points, spectral.block_spectra(points))
+        table_from_spectra(w, nqb, fold_plan(p).fold(p.muS != 0.0))
+        for p, w, nqb in zip(points, *spectral.block_spectra(points))
     ]
 
 
@@ -1048,29 +1036,28 @@ def _vector_table(p: ModelParams, op) -> tuple[SpectrumTable, np.ndarray, np.nda
     """Per-eigenvalue table of the vector spectra of p, the coefficients
     <L_n|O|R_n>, and a mask of the shapes with a near-defective level.
 
-    Laid out by the fold plan, as thermal_table is; op is a fold-plan
+    Gathered by the fold plan, as thermal_table is; op is a fold-plan
     operator's name or a callable that maps a BlockLabel to its operator
     matrix and depends on the block shape alone (see vector_spectra).
     Every eigenvalue has its own row (pair False, signed gam) and carries
     its pair-number label; nS is the group's N when p.muS != 0, NaN otherwise.
     """
-    spectra = spectral.vector_spectra(p, op)
-    index, ns, mults = zip(*fold_plan(p).groups(p.muS != 0.0))
-    rows = [spectra[i] for i in index]
-    sizes = [len(s.eigenvalues) for s in rows]
-    w = np.concatenate([s.eigenvalues for s in rows])
+    w, coef, flags = spectral.vector_spectra(p, op)
+    plan = fold_plan(p)
+    fold = plan.fold(p.muS != 0.0)
+    w = w[fold.slots]
     table = SpectrumTable(
         eps=w.real,
         gam=w.imag,
-        mult=np.repeat(np.array(mults, dtype=float), sizes),
-        nS=np.repeat(np.array([np.nan if n is None else n for n in ns], dtype=float), sizes),
-        npair=np.concatenate([s.nqb for s in rows]),
+        mult=fold.mult,
+        nS=fold.n,
+        npair=plan.slot_nqb[fold.slots],
         pair=np.zeros(len(w), dtype=bool),
-        dim_total=sum(m * k for m, k in zip(mults, sizes)),
+        dim_total=fold.dim_total,
     )
-    coef = np.concatenate([s.coef for s in rows])
-    defective = np.array([s.near_defective.any() for s in spectra])
-    return table, coef, defective
+    defective = np.zeros(len(plan.shapes), dtype=bool)
+    defective[plan.slot_shape[flags]] = True
+    return table, coef[fold.slots], defective
 
 
 def _biorthogonal_means(table: SpectrumTable, coef: np.ndarray, betas, eps_eff, imag: bool):

@@ -69,19 +69,80 @@ def kron_shape_operators(two_s1: int, two_s2: int, two_S: int, coupling_z: str) 
     }
 
 
-def per_block_spectra(p) -> list:
-    """(block, spectrum) for every block of p, in block order.
+def shape_spectra(p) -> list:
+    """(eigenvalues, nqb) of every (s1, s2, S) shape of p, in the fold
+    plan's shape order: the shape's slot range of block_eigen_data."""
+    from pseudotherm.spectral import block_eigen_data
 
-    block_spectra holds one spectrum per (s1, s2, S) shape; each block gets
-    the one whose label has its own quasispins and ensemble spin.
+    w, nqb = block_eigen_data(p)
+    return [(w[lo:hi], nqb[lo:hi]) for lo, hi in model.fold_plan(p).bounds]
+
+
+def per_block_spectra(p) -> list:
+    """(block, (eigenvalues, nqb)) for every block of p, in block order.
+
+    block_spectra holds one spectrum per (s1, s2, S) shape, the shape's slot
+    range; each block gets the one whose first block has its own
+    quasispins and ensemble spin.
     """
-    from pseudotherm.spectral import block_spectra
+    plan = model.fold_plan(p)
 
     def spins(b):
         return (b.qb.s1, b.qb.s2, b.nv.S)
 
-    by_spins = {spins(s.label): s for s in block_spectra([p])[0]}
+    by_spins = {spins(plan.blocks[i]): s for i, s in zip(plan.first, shape_spectra(p))}
     return [(b, by_spins[spins(b)]) for b in p.blocks()]
+
+
+def fold_rows(rows):
+    """The per-group fold, a reference for the fold plan's gather: each row
+    is (mult, N, eigenvalues, nqb), the exact integer multiplicity behind
+    the eigenvalues, their ensemble number (None when the row spans several
+    N) and their pair-number labels (None when unknown).  Table rows keep
+    the order of the input rows and of the eigenvalues in each; a conjugate
+    pair keeps only its +i*gamma member."""
+    from pseudotherm import spectral
+    from pseudotherm.thermo import SpectrumTable
+
+    mults, ns, ws, nqbs = zip(*rows)
+    sizes = [len(w) for w in ws]
+    w = np.concatenate(ws)
+    npair = np.concatenate(
+        [np.full(k, np.nan) if q is None else q for k, q in zip(sizes, nqbs)]
+    )
+    row = np.repeat(np.arange(len(sizes)), sizes)
+    thresh = spectral.IM_TOL * np.maximum(1.0, np.abs(w))
+    is_real = np.abs(w.imag) <= thresh
+    n_pos = np.bincount(row[~is_real & (w.imag > 0)], minlength=len(sizes))
+    n_neg = np.bincount(row[~is_real & (w.imag < 0)], minlength=len(sizes))
+    if not np.array_equal(n_pos, n_neg):
+        n = ns[int(np.argmax(n_pos != n_neg))]
+        raise AssertionError(f"conjugation symmetry violated in a row with N={n}")
+    keep = is_real | (w.imag > thresh)
+    mult = np.repeat(np.array([float(m) for m in mults]), sizes)
+    n_s = np.repeat(np.array([np.nan if n is None else float(n) for n in ns]), sizes)
+    return SpectrumTable(
+        eps=w.real[keep],
+        gam=np.where(is_real, 0.0, w.imag)[keep],
+        mult=mult[keep],
+        nS=n_s[keep],
+        npair=npair[keep],
+        pair=~is_real[keep],
+        dim_total=sum(m * k for m, k in zip(mults, sizes)),
+    )
+
+
+def plan_fold_rows(p, split_n: bool) -> list:
+    """The (mult, N, eigenvalues, nqb) rows of p's fold groups, by_n when
+    split_n and by_shape otherwise, each the slices of its shape."""
+    plan = model.fold_plan(p)
+    spectra = shape_spectra(p)
+    return [(m, n, *spectra[si]) for si, n, m in (plan.by_n if split_n else plan.by_shape)]
+
+
+def one_group_fold(n: int):
+    """The fold of n slots as one group of multiplicity 1, N unknown."""
+    return model.Fold(np.arange(n), np.ones(n), np.full(n, np.nan), np.zeros(n, dtype=int), n)
 
 
 def sector_indices(p, b):

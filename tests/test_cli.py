@@ -245,6 +245,16 @@ CARNOT_CORNERS = ["--t-values", "0.4,0.7", "--x-values", "3.5,4.5"]
         (["--config", {"model.D": -1}, "thermo"], "thermo.tsv"),
         (["--config", {"model.coupling_z": "foo"}, "thermo"], "thermo.tsv"),
         (["--alpha", "-0.5", "thermo"], "thermo.tsv"),
+        (["spinodal", "--t-values", "abc"], "spinodal_loci.tsv"),
+        (["cycle", "--kind", "stirling", "--t-values", "0.4,x", "--x-values", "0.3,0.5"],
+         "cycle_stirling.tsv"),
+        (["tc-map", "--g-values", "1,abc"], "tc_map.tsv"),
+        (["rescale-fit", "--np-values", "2,x"], "rescale_fit.tsv"),
+        (["oracle-check"], "oracle_check.tsv"),
+        (["cycle", "--kind", "stirling", "--t-values", "0.4", "--x-values", "0.3,0.5"],
+         "cycle_stirling.tsv"),
+        (["cycle", "--kind", "carnot", "--t-values", "0.4,0.7", "--x-values", "3.5"],
+         "cycle_carnot.tsv"),
     ],
     ids=["one-step", "reversed", "infinite", "negative-alpha", "zero-precision",
          "negative-precision", "flat-bracket", "negative-bracket", "repeated-temperature",
@@ -255,7 +265,9 @@ CARNOT_CORNERS = ["--t-values", "0.4,0.7", "--x-values", "3.5,4.5"]
          "negative-np", "nan-np", "negative-target", "nan-target", "zero-g0", "nan-g0",
          "fractional-omega1", "fractional-omega1-text", "boolean-omega2", "infinite-omega2",
          "boolean-alpha", "fractional-omega", "negative-omega", "zero-omega", "zero-omega1",
-         "negative-d", "unknown-coupling", "negative-alpha-flag"],
+         "negative-d", "unknown-coupling", "negative-alpha-flag", "text-t-value",
+         "text-cycle-t-value", "text-g-value", "text-np-value", "oracle-over-fock-cap",
+         "one-t-value", "one-x-value"],
 )
 def test_infeasible_sweep_exits_two_before_solving(tmp_path, monkeypatch, argv, table):
     # a dict in argv stands for a config file holding it

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     dense_operator,
+    one_group_fold,
     per_block_spectra,
     per_sector_eigenvalues,
     per_sector_vector_spectrum,
     sector_indices,
+    shape_spectra,
 )
 from pseudotherm import ModelParams
 from pseudotherm.model import _shape_of, build_block_hamiltonian, fold_plan, gap_operator
@@ -80,7 +82,7 @@ def test_diagonalize_refuses_a_single_matrix():
 
 
 def test_conjugation_closure_per_block(desk_broken):
-    for _, w, _ in block_eigen_data(desk_broken):
+    for w, _ in shape_spectra(desk_broken):
         paired = np.sort_complex(w)
         assert np.max(np.abs(np.sort_complex(paired.conj()) - paired)) < 1e-10
 
@@ -102,9 +104,11 @@ def test_biorthogonal_completeness(desk_broken):
     assert np.max(np.abs(ident - np.eye(big.dim))) < 1e-8
     # so the coefficients of any operator sum to its trace, shape by shape,
     # also for one that couples the sectors
-    for s, first in zip(vector_spectra(desk_broken, dense_operator), fold_plan(desk_broken).first):
+    plan = fold_plan(desk_broken)
+    _, coef, _ = vector_spectra(desk_broken, dense_operator)
+    for (lo, hi), first in zip(plan.bounds, plan.first):
         trace = np.trace(dense_operator(desk_broken.blocks()[first]))
-        assert abs(np.sum(s.coef) - trace) < 1e-8 * max(1.0, abs(trace))
+        assert abs(np.sum(coef[lo:hi]) - trace) < 1e-8 * max(1.0, abs(trace))
 
 
 def test_left_right_offdiagonal_orthogonality(desk_broken):
@@ -119,8 +123,7 @@ def test_left_right_offdiagonal_orthogonality(desk_broken):
 
 def test_eigendata_matches_full_matrix_eig(tiny):
     # every block's own matrix against the spectrum of its shape
-    for b, s in per_block_spectra(tiny):
-        w = s.eigenvalues
+    for b, (w, _) in per_block_spectra(tiny):
         w_full = np.linalg.eigvals(build_block_hamiltonian(tiny, b))
         assert np.max(
             np.abs(np.sort_complex(w) - np.sort_complex(w_full))
@@ -135,18 +138,21 @@ def _one_block_per_shape(p):
 
 
 def test_blocks_of_one_shape_share_read_only_spectra(desk_broken):
-    # one read-only spectrum per (s1, s2, S) shape, labelled by its first block
-    spectra = block_spectra([desk_broken])[0]
-    assert len(desk_broken.blocks()) == 855 and len(spectra) == 81
-    assert [s.label for s in spectra] == _one_block_per_shape(desk_broken)
-    for s in spectra:
-        assert not s.eigenvalues.flags.writeable and not s.nqb.flags.writeable
+    # one read-only slot range per (s1, s2, S) shape, whose representative
+    # is its first block
+    plan = fold_plan(desk_broken)
+    assert len(desk_broken.blocks()) == 855 and len(plan.bounds) == 81
+    assert [plan.blocks[i] for i in plan.first] == _one_block_per_shape(desk_broken)
+    for a in (*block_spectra([desk_broken]), *block_eigen_data(desk_broken),
+              *vector_spectra(desk_broken, gap_operator)):
+        assert not a.flags.writeable
     # the shared spectrum equals a per-sector solve of any block of the shape
     last = {_shape_of(b): b for b in desk_broken.blocks()}
-    for s in spectra[::9]:
-        w, nqb = per_sector_eigenvalues(desk_broken, last[_shape_of(s.label)])
-        assert np.array_equal(s.eigenvalues, w)
-        assert np.array_equal(s.nqb, nqb)
+    spectra = shape_spectra(desk_broken)
+    for first, (eigenvalues, labels) in list(zip(plan.first, spectra))[::9]:
+        w, nqb = per_sector_eigenvalues(desk_broken, last[_shape_of(plan.blocks[first])])
+        assert np.array_equal(eigenvalues, w)
+        assert np.array_equal(labels, nqb)
 
 
 @pytest.mark.parametrize("coupling_z", ["difference", "total"])
@@ -154,14 +160,15 @@ def test_blocks_of_one_shape_share_read_only_spectra(desk_broken):
 def test_stacked_solve_equals_per_sector_solves(coupling_z, alpha, g):
     # alpha = 1 and g = 0 make every sector symmetric (eigvalsh branch)
     p = ModelParams(alpha=alpha, g=g, coupling_z=coupling_z)
+    plan = fold_plan(p)
     reps = _one_block_per_shape(p)
-    stacked = block_spectra([p])[0]
-    assert [s.label for s in stacked] == reps
-    for b, s in zip(reps, stacked):
+    (stacked,), (labels,) = block_spectra([p])
+    assert [plan.blocks[i] for i in plan.first] == reps
+    for b, (lo, hi) in zip(reps, plan.bounds):
         w, nqb = per_sector_eigenvalues(p, b)
-        assert np.array_equal(s.eigenvalues, w)
-        assert np.array_equal(s.nqb, nqb)
-    has_pairs = any(np.any(s.eigenvalues.imag != 0) for s in stacked)
+        assert np.array_equal(stacked[lo:hi], w)
+        assert np.array_equal(labels[lo:hi], nqb)
+    has_pairs = bool(np.any(stacked.imag != 0))
     assert has_pairs == (alpha != 1.0 and g != 0.0)
 
 
@@ -182,10 +189,9 @@ MIXED_POINTS = [
 
 
 def _assert_bitwise_equal_spectra(got, want):
-    assert [s.label for s in got] == [s.label for s in want]
-    for s, w in zip(got, want):
-        assert s.eigenvalues.tobytes() == w.eigenvalues.tobytes()
-        assert s.nqb.tobytes() == w.nqb.tobytes()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=10, deadline=None)
@@ -195,9 +201,9 @@ def test_batched_spectra_equal_per_point_spectra(data, coupling_z):
     points = data.draw(st.permutations(MIXED_POINTS + drawn))
     points = [q.with_(coupling_z=coupling_z) for q in points]
     batch = block_spectra(points)
-    assert len(batch) == len(points)
-    for q, spectra in zip(points, batch):
-        _assert_bitwise_equal_spectra(spectra, block_spectra([q])[0])
+    assert all(a.shape[0] == len(points) for a in batch)
+    for i, q in enumerate(points):
+        _assert_bitwise_equal_spectra([a[i] for a in batch], [a[0] for a in block_spectra([q])])
 
 
 @pytest.mark.parametrize(
@@ -212,7 +218,7 @@ def test_batched_spectra_equal_per_point_spectra(data, coupling_z):
 def test_batch_refuses_mixed_sizes_and_couplings(other):
     with pytest.raises(ValueError, match="one system size and one coupling_z"):
         block_spectra([ModelParams(alpha=0.36), other])
-    assert block_spectra([]) == []
+    assert [a.shape for a in block_spectra([])] == [(0, 0), (0, 0)]
 
 
 def test_batch_split_by_the_stack_budget_is_bit_identical(monkeypatch):
@@ -261,8 +267,7 @@ def test_batch_split_by_the_stack_budget_is_bit_identical(monkeypatch):
     assert 0 < alone < len(plan.sizes)
     # ranges hold several groups: fewer steps than groups plus slices
     assert len(assembled) < len(plan.sizes) - alone + 3 * alone
-    for got, want in zip(split, whole):
-        _assert_bitwise_equal_spectra(got, want)
+    _assert_bitwise_equal_spectra(split, whole)
 
 
 def test_vector_ranges_split_by_the_stack_budget_are_bit_identical(monkeypatch, desk_broken):
@@ -290,10 +295,8 @@ def test_vector_ranges_split_by_the_stack_budget_are_bit_identical(monkeypatch, 
         assert max(assembled) <= budget
         assert sum(assembled) == plan.ops["z1"].size
         assert 1 < len(assembled) < len(plan.sizes)
-        assert len(got) == len(want) == 81
-        for a, b in zip(got, want):
-            for x, y in zip(a, b):
-                assert x.tobytes() == y.tobytes()
+        assert len(got[0]) == len(want[0]) == len(plan.slot_nqb)
+        _assert_bitwise_equal_spectra(got, want)
 
 
 # STACK_ELEMENTS = 2^16 elements per operator make one assembled range
@@ -327,17 +330,17 @@ def test_stacked_vectors_equal_per_sector_solves(desk_broken):
     # first block, the vectors embedded in the block and contracted with
     # the whole block operator there; the dense operator couples sectors
     plan = fold_plan(desk_broken)
+    assert len(plan.shapes) == 81
     for op in (gap_operator, dense_operator):
-        spectra = vector_spectra(desk_broken, op)
-        assert len(spectra) == len(plan.shapes) == 81
-        for first, s in list(zip(plan.first, spectra))[::5]:
+        got_w, got_coef, got_flags = vector_spectra(desk_broken, op)
+        for first, (lo, hi) in list(zip(plan.first, plan.bounds))[::5]:
             w, nqb, coef, flags = per_sector_vector_spectrum(
                 desk_broken, desk_broken.blocks()[first], op
             )
-            assert np.array_equal(s.eigenvalues, w)
-            assert np.array_equal(s.nqb, nqb)
-            assert np.array_equal(s.near_defective, flags)
-            assert np.max(np.abs(s.coef - coef)) <= 1e-13 * max(1.0, np.max(np.abs(coef)))
+            assert np.array_equal(got_w[lo:hi], w)
+            assert np.array_equal(plan.slot_nqb[lo:hi], nqb)
+            assert np.array_equal(got_flags[lo:hi], flags)
+            assert np.max(np.abs(got_coef[lo:hi] - coef)) <= 1e-13 * max(1.0, np.max(np.abs(coef)))
 
 
 def test_plan_operator_coefficients_equal_the_gathered_ones(monkeypatch, desk_broken):
@@ -349,10 +352,8 @@ def test_plan_operator_coefficients_equal_the_gathered_ones(monkeypatch, desk_br
     gathered = vector_spectra(desk_broken, gap_operator)
     monkeypatch.setattr(model, "_block_operators", None)
     read = vector_spectra(desk_broken, model.GAP_OPERATOR)
-    assert len(read) == len(gathered) == 81
-    for a, b in zip(read, gathered):
-        for x, y in zip(a, b):
-            assert x.tobytes() == y.tobytes()
+    assert len(read[0]) == len(gathered[0]) == len(fold_plan(desk_broken).slot_nqb)
+    _assert_bitwise_equal_spectra(read, gathered)
 
 
 def test_vector_spectra_make_one_diagonalize_call_per_sector_size(monkeypatch, desk_broken):
@@ -409,12 +410,15 @@ def test_shape_spectra_agree_under_transpose_duality_at_omega8(alpha, g):
     # H(1/alpha, alpha g) = H(alpha, g)^T: the plan at scale (42 size groups,
     # 1088 sectors) pairs every shape's levels with the same labels
     size = {"Omega": 8.0, "Omega1": 3, "Omega2": 3}
-    spectra = block_spectra([ModelParams(alpha=alpha, g=g, **size)])[0]
-    dual = block_spectra([ModelParams(alpha=1.0 / alpha, g=alpha * g, **size)])[0]
-    assert len(spectra) == len(dual) == 272
-    for a, b in zip(spectra, dual):
-        assert a.label == b.label and np.array_equal(a.nqb, b.nqb)
-        assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= DUALITY_ATOL_OMEGA8, a.label
+    p = ModelParams(alpha=alpha, g=g, **size)
+    q = ModelParams(alpha=1.0 / alpha, g=alpha * g, **size)
+    plan = fold_plan(p)
+    assert fold_plan(q) is plan and len(plan.bounds) == 272
+    (w, nqb), (w_dual, nqb_dual) = (block_eigen_data(x) for x in (p, q))
+    assert np.array_equal(nqb, nqb_dual)
+    for first, (lo, hi) in zip(plan.first, plan.bounds):
+        worst = np.max(np.abs(w[lo:hi] - w_dual[lo:hi]))
+        assert worst <= DUALITY_ATOL_OMEGA8, plan.blocks[first]
 
 
 def test_threads_missing_together_build_one_plan():
@@ -428,7 +432,7 @@ def test_threads_missing_together_build_one_plan():
     results = [None] * len(points)
 
     def solve(i):
-        results[i] = block_spectra([points[i]])[0]
+        results[i] = block_spectra([points[i]])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -442,9 +446,8 @@ def test_threads_missing_together_build_one_plan():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert model._build_fold_plan.cache_info().misses == 1
-    for p, spectra in zip(points, results):
-        for s, alone in zip(spectra, block_spectra([p])[0]):
-            assert np.array_equal(s.eigenvalues, alone.eigenvalues)
+    for p, (w, _) in zip(points, results):
+        assert np.array_equal(w, block_spectra([p])[0])
 
 
 # The split of a spectrum into real levels and conjugate pairs (eps, gamma)
@@ -452,7 +455,8 @@ def test_threads_missing_together_build_one_plan():
 
 
 def _split(w):
-    table = table_from_spectra([(1, None, np.asarray(w, dtype=complex), None)])
+    w = np.asarray(w, dtype=complex)
+    table = table_from_spectra(w, np.full(len(w), np.nan), one_group_fold(len(w)))
     return table.eps[~table.pair], np.column_stack([table.eps, table.gam])[table.pair]
 
 
@@ -477,7 +481,7 @@ def test_classify_unpaired_raises():
 def test_classify_stable_under_tolerance_halving(desk_broken, monkeypatch):
     from pseudotherm import spectral
 
-    spectra = [w for _, w, _ in block_eigen_data(desk_broken)[:50]]
+    spectra = [w for w, _ in shape_spectra(desk_broken)[:50]]
     counts = []
     for im_tol in (1e-9, 5e-10):
         monkeypatch.setattr(spectral, "IM_TOL", im_tol)
@@ -507,7 +511,8 @@ def test_ground_state_complex_at_strong_coupling(desk_broken):
 
 def test_hermitian_point_never_breaks():
     p = ModelParams(alpha=1.0, g=1.73)
-    assert all(np.all(w.imag == 0.0) for _, w, _ in block_eigen_data(p))
+    w, _ = block_eigen_data(p)
+    assert np.all(w.imag == 0.0)
 
 
 def test_find_eps_none_in_decoupled_window():
@@ -577,16 +582,17 @@ def test_find_eps_weighs_shape_counts_by_blocks(monkeypatch):
     p = ModelParams(g=1.73)
     plan = fold_plan(p)
     blocks = np.bincount(plan.shape_index)
-    many, few = int(np.argmax(blocks)), int(np.argmin(blocks))
+    # a pair needs two slots; the shape of the most blocks has one
+    slots = np.diff(plan.bounds).ravel()
+    many, few = int(np.argmax(np.where(slots >= 2, blocks, 0))), int(np.argmin(blocks))
     assert blocks[many] > blocks[few]
 
     def fake_eigen_data(q):
-        w = [np.zeros(1, dtype=complex) for _ in blocks]
-        if q.alpha < 0.5:
-            w[many] = np.array([1.0 - 0.5j, 1.0 + 0.5j])
-        else:
-            w[few] = np.array([2.0 - 0.5j, 2.0 + 0.5j])
-        return tuple((plan.blocks[i], x, None) for i, x in zip(plan.first, w))
+        w = np.zeros(len(plan.slot_nqb), dtype=complex)
+        si, e = (many, 1.0) if q.alpha < 0.5 else (few, 2.0)
+        lo = plan.bounds[si][0]
+        w[lo:lo + 2] = [e - 0.5j, e + 0.5j]
+        return w, plan.slot_nqb
 
     monkeypatch.setattr(spectral, "block_eigen_data", fake_eigen_data)
     (ep,) = find_eps(p, {"param": "alpha", "lo": 0.4, "hi": 0.6, "coarse_steps": 3})
@@ -657,7 +663,9 @@ def test_first_eps_about_unity_validates_search():
 
 
 def test_nqb_labels_are_conserved_pair_counts(tiny):
-    for label, w, nqb in block_eigen_data(tiny):
+    plan = fold_plan(tiny)
+    for first, (w, nqb) in zip(plan.first, shape_spectra(tiny)):
+        label = plan.blocks[first]
         assert nqb is not None
         two_s1 = round(2 * label.qb.s1)
         two_s2 = round(2 * label.qb.s2)

@@ -5,15 +5,17 @@ import pytest
 
 from conftest import (
     dense_operator,
+    fold_rows,
     per_block_spectra,
     per_sector_eigenvalues,
     per_sector_vector_spectrum,
+    plan_fold_rows,
 )
 from pseudotherm import ModelParams
 from pseudotherm.algebra import spin_operators
 from pseudotherm.blocks import enumerate_nv_labels, enumerate_qubit_labels
 from pseudotherm.errors import ZeroPartitionError
-from pseudotherm.model import build_block_hamiltonian, fold_plan, gap_operator
+from pseudotherm.model import Fold, build_block_hamiltonian, fold_plan, gap_operator
 from pseudotherm.thermo import (
     TC_T_MIN,
     SignedLog,
@@ -110,8 +112,7 @@ def test_toy_critical_temperature_closed_form():
 
 def test_partition_blockwise_equals_merged(desk_broken):
     blocks = [
-        table_from_spectra([(b.mult, b.nv.N, s.eigenvalues, s.nqb)])
-        for b, s in per_block_spectra(desk_broken)
+        fold_rows([(b.mult, b.nv.N, w, nqb)]) for b, (w, nqb) in per_block_spectra(desk_broken)
     ]
     table = thermal_table(desk_broken)
     for beta in (0.2, 1.0, 3.0):
@@ -126,9 +127,7 @@ def test_shape_fold_matches_per_block_fold(alpha):
     # the per-block fold of the same spectra is the reference
     p = ModelParams(alpha=alpha, g=1.73)
     table = thermal_table(p)
-    per_block = table_from_spectra(
-        (b.mult, b.nv.N, s.eigenvalues, s.nqb) for b, s in per_block_spectra(p)
-    )
+    per_block = fold_rows((b.mult, b.nv.N, w, nqb) for b, (w, nqb) in per_block_spectra(p))
     assert table.dim_total == per_block.dim_total == 2**24
     assert len(table) < len(per_block)
     assert np.all(np.isnan(table.nS))
@@ -143,20 +142,51 @@ def test_shape_fold_matches_per_block_fold(alpha):
                 assert abs(a - b) <= 1e-9 * abs(b)
 
 
-@pytest.mark.parametrize("muS", [0.0, 0.2])
-def test_thermal_table_equals_fold_of_blocks_solved_alone(muS):
+@pytest.mark.parametrize(
+    "muS, muQb", [(0.0, 0.0), (0.2, 0.0), (0.0, 0.1)], ids=["0.0", "0.2", "muQb-0.1"]
+)
+def test_thermal_table_equals_fold_of_blocks_solved_alone(muS, muQb):
     # thermal_table solves all shapes in one stacked pass; the reference
     # solves each sector of each representative block on its own
-    p = ModelParams(alpha=0.36, g=1.73, muS=muS)
+    p = ModelParams(alpha=0.36, g=1.73, muS=muS, muQb=muQb)
     plan = fold_plan(p)
     alone = [per_sector_eigenvalues(p, plan.blocks[i]) for i in plan.first]
-    want = table_from_spectra(
-        (m, n, *alone[i]) for i, n, m in plan.groups(muS != 0.0)
-    )
+    by_group = plan.by_n if muS != 0.0 else plan.by_shape
+    want = fold_rows((m, n, *alone[i]) for i, n, m in by_group)
     got = thermal_table(p)
     assert got.dim_total == want.dim_total == 2**24
     for field in ("eps", "gam", "mult", "nS", "npair", "pair"):
         assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+
+
+GATHER_POINTS = {
+    "desk-mu0": ModelParams(alpha=0.36, g=1.73),
+    "desk-muS": ModelParams(alpha=0.36, g=1.73, muS=0.2),
+    "desk-muQb": ModelParams(alpha=0.36, g=1.73, muQb=0.1),
+    "omega8-muS-muQb": ModelParams(alpha=0.36, g=1.73, muS=0.2, muQb=0.1,
+                                   Omega=8.0, Omega1=3, Omega2=3),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GATHER_POINTS))
+def test_gather_fold_equals_the_per_group_fold(key):
+    # the fold plan's one gather against a fold of the shapes' slices
+    # group by group, bit for bit, with dim_total the same exact int
+    p = GATHER_POINTS[key]
+    got = thermal_table(p)
+    want = fold_rows(plan_fold_rows(p, p.muS != 0.0))
+    assert got.dim_total == want.dim_total and type(got.dim_total) is int
+    for field in ("eps", "gam", "mult", "nS", "npair", "pair"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    plan = fold_plan(p)
+    fold = plan.fold(p.muS != 0.0)
+    assert all(not a.flags.writeable for a in fold[:4])
+    # every row lies in its own group's shape
+    shapes = np.array([si for si, _, _ in (plan.by_n if p.muS != 0.0 else plan.by_shape)])
+    assert np.array_equal(plan.slot_shape[fold.slots], shapes[fold.group])
+    if p.muS == 0.0:
+        assert np.array_equal(fold.slots, np.arange(len(plan.slot_nqb)))
 
 
 def test_batched_tables_equal_single_point_tables():
@@ -218,11 +248,23 @@ def test_threads_missing_together_enumerate_blocks_once(monkeypatch):
 
 
 def test_vectorized_fold_equals_row_by_row_fold(desk_broken):
-    block_rows = [
-        (b.mult, b.nv.N, s.eigenvalues, s.nqb) for b, s in per_block_spectra(desk_broken)
-    ]
-    table = table_from_spectra(block_rows)
-    rows = [table_from_spectra([row]) for row in block_rows]
+    # a fold with one group per block, gathered from the shapes' slots,
+    # against the per-group fold of each block alone
+    from pseudotherm.spectral import block_eigen_data
+
+    plan = fold_plan(desk_broken)
+    lo, hi = np.array(plan.bounds).T[:, plan.shape_index]
+    k = hi - lo
+    fold = Fold(
+        slots=np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)]),
+        mult=np.repeat([float(b.mult) for b in plan.blocks], k),
+        n=np.repeat([float(b.nv.N) for b in plan.blocks], k),
+        group=np.repeat(np.arange(len(k)), k),
+        dim_total=sum(b.mult * n for b, n in zip(plan.blocks, k.tolist())),
+    )
+    table = table_from_spectra(*block_eigen_data(desk_broken), fold)
+    block_rows = [(b.mult, b.nv.N, w, nqb) for b, (w, nqb) in per_block_spectra(desk_broken)]
+    rows = [fold_rows([row]) for row in block_rows]
     assert table.dim_total == sum(r.dim_total for r in rows) == 2**24
     for field in ("eps", "gam", "mult", "nS", "npair", "pair"):
         want = np.concatenate([getattr(r, field) for r in rows])
@@ -232,8 +274,12 @@ def test_vectorized_fold_equals_row_by_row_fold(desk_broken):
 def test_fold_rejects_unpaired_complex_value():
     real = np.array([1.0 + 0j, 2.0 + 0j])
     unpaired = np.array([1.0 + 0.5j, 2.0 + 0j])
+    fold = Fold(
+        slots=np.arange(4), mult=np.array([1.0, 1.0, 2.0, 2.0]),
+        n=np.array([3.0, 3.0, 7.0, 7.0]), group=np.array([0, 0, 1, 1]), dim_total=6,
+    )
     with pytest.raises(AssertionError, match="N=7"):
-        table_from_spectra([(1, 3, real, None), (2, 7, unpaired, None)])
+        table_from_spectra(np.concatenate([real, unpaired]), np.full(4, np.nan), fold)
 
 
 def test_table_folded_over_n_refuses_mu_s(desk_broken):
