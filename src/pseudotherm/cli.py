@@ -349,6 +349,11 @@ def cmd_spinodal(p: ModelParams, args, config) -> None:
             f"x {args.alpha_steps}"
         )
     isotherms = stability.compute_isotherms(p, t_values, alphas)
+    for iso in isotherms:
+        if np.sum(iso.valid) < stability.MIN_POINTS:
+            raise InfeasibleRequest(
+                f"the isotherm at T={iso.T:g} has fewer than {stability.MIN_POINTS} valid points"
+            )
     results = [stability.spinodal_analysis(iso) for iso in isotherms]
     loci, intervals = [], []
     for iso, res in zip(isotherms, results):
@@ -468,18 +473,18 @@ def cmd_oracle_check(p: ModelParams, args, config) -> None:
     from . import oracle
 
     try:
-        oracle.FockSpace(p.Omega, p.Omega1, p.Omega2).check()
-    except ValueError as exc:
+        ops = oracle.fock_operators(oracle.FockSpace(p.Omega, p.Omega1, p.Omega2))
+    except ValueError as exc:     # the Fock dimension cap
         raise InfeasibleRequest(str(exc)) from None
     mism = []
-    wf = oracle.fock_spectrum(p)
+    wf = oracle.fock_spectrum(p, ops)
     wb = oracle.block_union_spectrum(p)
     spec_err = float(np.max(np.abs(wf - wb)))
     if spec_err > 1e-8:
         mism.append(f"spectrum multiset mismatch {spec_err:.3e}")
     z_err = 0.0
     for beta in (0.1, 1.0, 5.0, 20.0):
-        zf = oracle.fock_partition(p, beta)
+        zf = oracle.fock_partition(p, beta, ops)
         zb = thermo.partition_function(thermo.thermal_table(p), beta, p.muS, p.muQb)
         z_err = max(z_err, abs(zf - zb) / abs(zf))
     if z_err > 1e-8:

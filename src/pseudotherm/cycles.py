@@ -15,9 +15,8 @@ tables are solved together.  Carnot corner alphas are solved on S(T, alpha)
 together (solve_alphas): one coarse scan of the bracket, which gives the S
 curve of every temperature, then a lockstep bisection (roots.bisect) that
 solves the midpoints of all open corners together at each step.  Every
-such solve runs in thermo.sweep_tables batches, and each batch is reduced
-to its states or entropies, from one thermo.potentials_batch call, before
-the next is solved.
+such solve is one thermo.sweep_potentials call, which gives the state at
+each (alpha, T) item and holds one sweep batch's tables at a time.
 
 Sign convention: work done ON the system and heat ABSORBED by the system
 are positive.
@@ -34,7 +33,7 @@ import numpy as np
 from .errors import CycleInfeasible, NoSolutionError
 from .model import ModelParams
 from .roots import bisect
-from .thermo import potentials_batch, sweep_tables
+from .thermo import sweep_potentials
 
 __all__ = [
     "CycleSpec",
@@ -135,50 +134,24 @@ class CycleResult:
     degenerate: bool
 
 
-def _states(p: ModelParams, items) -> list:
-    """The CornerState, or None on an invalid point, at each (T, alpha,
-    table) item, all from one potentials_batch call; a None table stands
-    for the point's thermal_table."""
-    items = list(items)
-    points = potentials_batch(
-        [p.with_(alpha=float(a)) for _, a, _ in items],
-        [t for t, _, _ in items],
-        [table for _, _, table in items],
-    )
-    return [
-        CornerState(
-            T=t, alpha=float(a), S=pt.S, U=pt.U, F=pt.F, z_nonpositive=pt.z_nonpositive
-        )
-        if pt.valid
-        else None
-        for (t, a, _), pt in zip(items, points)
-    ]
-
-
-def _entropies(p: ModelParams, items) -> list:
-    """S at each (T, alpha, table) item (see _states), NaN on an invalid point."""
-    return [math.nan if state is None else state.S for state in _states(p, items)]
-
-
-def _swept(p: ModelParams, items, reduce) -> list:
-    """reduce(p, [(T, alpha, table), ...]), _states or _entropies, at each
-    (T, alpha) item.  The tables of the distinct alphas are solved in
-    thermo.sweep_tables batches, and each batch is reduced at its items
-    before the next is solved; no items (no Carnot corner with a root) make
-    no solve."""
+def _swept(p: ModelParams, items) -> list:
+    """The CornerState, or None on an invalid point, at each (T, alpha)
+    item, from one thermo.sweep_potentials call over the distinct alphas,
+    each at the temperatures of its items; no items (no Carnot corner with
+    a root) make no solve."""
     items = list(items)
     temps = {}
     for t, a in items:
         temps.setdefault(float(a), []).append(t)
-
-    def batch_results(batch, tables):
-        results = iter(
-            reduce(p, [(t, q.alpha, tb) for q, tb in zip(batch, tables) for t in temps[q.alpha]])
-        )
-        return [{t: next(results) for t in temps[q.alpha]} for q in batch]
-
-    by_alpha = dict(zip(temps, sweep_tables([p.with_(alpha=a) for a in temps], batch_results)))
-    return [by_alpha[float(a)][t] for t, a in items]
+    swept = sweep_potentials([p.with_(alpha=a) for a in temps], temps.values())
+    states = {
+        (t, a): CornerState(T=t, alpha=a, S=pt.S, U=pt.U, F=pt.F, z_nonpositive=pt.z_nonpositive)
+        if pt.valid
+        else None
+        for a, pts in zip(temps, swept)
+        for t, pt in zip(temps[a], pts)
+    }
+    return [states[t, float(a)] for t, a in items]
 
 
 def _first_root(grid, s_vals, t, s_target, bracket) -> tuple:
@@ -221,15 +194,15 @@ def solve_alphas(
 
     The bracket is scanned on a coarse grid (invalid state points fragment
     it); each sign change of S - S_target marks one root.  The grid is
-    solved once, in thermo.sweep_tables batches, each reduced to the S
-    curve of every temperature before the next is solved.  The
-    smallest-alpha root of each target is bisected to width <= tol in
-    lockstep by roots.bisect: each step solves the midpoints of every open
-    bracket together, and the quarter points that retry invalid midpoints
-    in a second solve.  One last solve at the roots gives each residual and
-    corner state.  Each of these solves runs in sweep batches too.  Each
-    point of a batch is solved on its own, so a target gets the alpha, root
-    count and residual that it gets when solved alone, bit for bit.
+    solved once, by one thermo.sweep_potentials call at every target
+    temperature, which gives the S curve of each.  The smallest-alpha root
+    of each target is bisected to width <= tol in lockstep by roots.bisect:
+    each step solves the midpoints of every open bracket together, and the
+    quarter points that retry invalid midpoints in a second solve.  One
+    last solve at the roots gives each residual and corner state.  Each of
+    these solves is one sweep_potentials call too (_swept).  Each point of
+    a sweep is solved on its own, so a target gets the alpha, root count
+    and residual that it gets when solved alone, bit for bit.
 
     Returns one entry per target: a SolveResult, whose `state` is None where
     the root lies on an invalid point, or the NoSolutionError of a target
@@ -240,14 +213,12 @@ def solve_alphas(
         return []
     grid = np.linspace(bracket[0], bracket[1], coarse)
     temps = list(dict.fromkeys(t for t, _ in targets))
-
-    def entropies(batch, tables):
-        s = _entropies(p, [(t, q.alpha, table) for t in temps for q, table in zip(batch, tables)])
-        return np.reshape(s, (len(temps), len(batch))).T
-
-    # per grid alpha, S at each temperature
-    s_grid = sweep_tables([p.with_(alpha=float(a)) for a in grid], entropies)
-    curves = dict(zip(temps, np.transpose(s_grid)))
+    # per grid alpha, the ThermoPoint at each temperature
+    swept = sweep_potentials([p.with_(alpha=float(a)) for a in grid], [temps] * len(grid))
+    curves = {
+        t: np.array([pts[j].S if pts[j].valid else math.nan for pts in swept])
+        for j, t in enumerate(temps)
+    }
 
     out = [None] * len(targets)
     counts, brackets, signs = {}, {}, {}
@@ -261,7 +232,8 @@ def solve_alphas(
         signs[k] = math.copysign(1.0, d_lo)
 
     def side(points):
-        s = _swept(p, [(targets[k][0], a) for k, a in points.items()], _entropies)
+        states = _swept(p, [(targets[k][0], a) for k, a in points.items()])
+        s = [math.nan if state is None else state.S for state in states]
         return {k: (s_k - targets[k][1]) * signs[k] for k, s_k in zip(points, s)}
 
     alphas = {}
@@ -273,10 +245,9 @@ def solve_alphas(
         else:
             alphas[k] = alpha
 
-    roots = _swept(p, [(targets[k][0], alpha) for k, alpha in alphas.items()], _states)
+    roots = _swept(p, [(targets[k][0], alpha) for k, alpha in alphas.items()])
     for (k, alpha), state in zip(alphas.items(), roots):
-        s_target = targets[k][1]
-        residual = abs((state.S if state is not None else math.nan) - s_target)
+        residual = abs((state.S if state is not None else math.nan) - targets[k][1])
         out[k] = SolveResult(
             alpha=float(alpha), root_count=counts[k], residual=residual, state=state
         )
@@ -377,8 +348,8 @@ def _corners(spec: CycleSpec) -> dict:
 def _corner_states(p: ModelParams, specs) -> dict:
     """(T, x) -> CornerState, None on an invalid point, or a Carnot corner's
     NoSolutionError, for the distinct corners of specs of one kind and one
-    bracket.  Carnot corners are solved by one solve_alphas call; the
-    distinct alphas of Stirling corners are solved in sweep batches."""
+    bracket.  Carnot corners are solved by one solve_alphas call, Stirling
+    corners by one _swept call over their distinct alphas."""
     specs = list(specs)
     corners = list(dict.fromkeys(c for spec in specs for c in _corners(spec).values()))
     if specs and specs[0].kind == "carnot":
@@ -387,7 +358,7 @@ def _corner_states(p: ModelParams, specs) -> dict:
             c: sol if isinstance(sol, NoSolutionError) else sol.state
             for c, sol in zip(corners, solved)
         }
-    return dict(zip(corners, _swept(p, corners, _states)))
+    return dict(zip(corners, _swept(p, corners)))
 
 
 def _cycle(spec: CycleSpec, states: dict) -> CycleResult:

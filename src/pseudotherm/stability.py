@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ClassificationError, InvalidPointError
 from .model import ModelParams
-from .thermo import potentials, potentials_batch, sweep_tables
+from .thermo import potentials, sweep_potentials
 
 __all__ = [
     "Isotherm",
@@ -80,30 +80,20 @@ class SpinodalResult:
 def compute_isotherms(p: ModelParams, t_values, alphas) -> list[Isotherm]:
     """F along the alpha grid at each temperature of t_values.
 
-    The grid's tables come from thermo.sweep_tables batches, and each batch
-    is reduced to F and validity at every temperature, from one
-    thermo.potentials_batch call, before the next is solved; the tables do
-    not depend on T, so one solve serves every isotherm.
+    F and validity come from one thermo.sweep_potentials call over the
+    grid: the tables do not depend on T, so one solve serves every
+    isotherm, and the sweep holds one batch's tables at a time.
     """
     alphas = np.asarray(list(alphas), dtype=float)
     t_values = [float(t) for t in t_values]
-
-    def reduce(batch, tables):
-        pts = potentials_batch(
-            [q for _ in t_values for q in batch],
-            [t for t in t_values for _ in batch],
-            [table for _ in t_values for table in tables],
-        )
-        return [[(pt.F, pt.valid) for pt in pts[i :: len(batch)]] for i in range(len(batch))]
-
-    # per alpha, (F, valid) at each temperature
-    states = sweep_tables([p.with_(alpha=float(a)) for a in alphas], reduce)
+    points = [p.with_(alpha=float(a)) for a in alphas]
+    states = sweep_potentials(points, [t_values] * len(points))     # per alpha, per T
     return [
         Isotherm(
             T=t,
             alphas=alphas,
-            F=np.array([s[j][0] for s in states], dtype=float),
-            valid=np.array([s[j][1] for s in states], dtype=bool),
+            F=np.array([s[j].F for s in states], dtype=float),
+            valid=np.array([s[j].valid for s in states], dtype=bool),
         )
         for j, t in enumerate(t_values)
     ]

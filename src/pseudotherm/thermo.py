@@ -7,13 +7,15 @@ of its blocks.  The spectrum table and the vector table of thermal
 averages share that Fold; blocks appear only in the keys of
 defective_blocks.
 
-A sweep over parameter points (an isotherm, a T_c map, the coarse S(alpha)
-scan of a cycle corner) takes its tables from sweep_tables: batches of at
-most SWEEP_SLOTS eigenvalue slots, each from one thermal_tables call (one
-stacked eigensolve per sector size for all its points, uncached) and each
-reduced to what the sweep keeps before the next is solved, so a sweep
-holds one batch's tables however long it is.  thermal_table caches the
-tables of points visited one at a time (bisections, single commands).
+A sweep over parameter points takes its tables from sweep_tables: batches
+of at most SWEEP_SLOTS eigenvalue slots, each from one thermal_tables call
+(one stacked eigensolve per sector size for all its points, uncached) and
+each reduced to what the sweep keeps before the next is solved, so a sweep
+holds one batch's tables however long it is.  A state sweep in (alpha, T)
+(an isotherm, the S(alpha) scans and corners of a cycle) goes through
+sweep_potentials, one potentials_batch call per batch.  thermal_table
+caches the tables of points visited one at a time (bisections, single
+commands).
 potentials, critical_temperature and find_zeros take such a table beside
 the point, whose chemical potentials they always use.
 
@@ -89,6 +91,7 @@ __all__ = [
     "thermal_table",
     "thermal_tables",
     "sweep_tables",
+    "sweep_potentials",
     "table_from_spectra",
     "partition_function",
     "log_partition",
@@ -204,6 +207,25 @@ def sweep_tables(points, reduce) -> list:
         batch = points[lo : lo + size]
         out.extend(reduce(batch, thermal_tables(batch)))
     return out
+
+
+def sweep_potentials(points, temperatures) -> list:
+    """Per point, the ThermoPoint at each temperature of its own sequence
+    in temperatures, the one potentials gives that item alone.  Each
+    sweep_tables batch goes through one potentials_batch call, point by
+    point, before the next batch is solved."""
+    points, temps = list(points), [list(ts) for ts in temperatures]
+    if len(points) != len(temps):
+        raise ValueError("points and temperature sequences differ in length")
+    pending = iter(temps)
+
+    def reduce(batch, tables):
+        ts = [next(pending) for _ in batch]
+        items = [(q, t, table) for q, table, tq in zip(batch, tables, ts) for t in tq]
+        pts = iter(potentials_batch(*zip(*items)) if items else ())
+        return [[next(pts) for _ in tq] for tq in ts]
+
+    return sweep_tables(points, reduce)
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -446,7 +468,8 @@ def _signed_log(x: float, shift: float, abs_sum: float = 0.0) -> SignedLog:
     log_abs_sum = shift + math.log(abs_sum) if abs_sum > 0.0 else -math.inf
     if x == 0.0:
         return SignedLog(-math.inf, 0, log_abs_sum)
-    return SignedLog(shift + math.log(abs(x)), 1 if x > 0 else -1, log_abs_sum)
+    # a NaN x, a Z that is not finite, gets sign 0
+    return SignedLog(shift + math.log(abs(x)), (x > 0) - (x < 0), log_abs_sum)
 
 
 def _labels(values: np.ndarray, what: str, mu: str) -> np.ndarray:
@@ -612,13 +635,18 @@ def z_signs_on_grid(table: SpectrumTable, t_values, muS: float = 0.0, muQb: floa
     half the positive ones, a margin no rounding can close) the sign is +1
     at once; _scan_signs gives the rest.  Both work in temperature chunks of
     at most SCAN_ELEMENTS (T x rows) elements, and each sign depends on its
-    own temperature alone.
+    own temperature alone.  A temperature so low that beta*E overflows, so
+    that Z is not finite, is refused like one that is not positive.
     """
     t = np.asarray(list(t_values), dtype=float)
     if not np.all(t > 0.0):
         raise ValueError("temperatures must be positive")
-    betas = 1.0 / t
     eps_eff = _eps_eff(table, muS, muQb)
+    scale = max(np.max(np.abs(eps_eff)), np.max(np.abs(table.gam)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        betas = 1.0 / t
+        if not np.all(np.isfinite(betas * scale)):
+            raise ValueError("temperatures must be high enough that beta*E is finite")
     return _open_signs(table, betas, _certified_positive(table, betas, eps_eff), eps_eff)
 
 
@@ -930,8 +958,9 @@ def potentials_batch(points, t_values, tables=None) -> list[ThermoPoint]:
 def _thermo_point(p, t, beta, prep, shift, top, z, z_minus_one, abs_sum, sums) -> ThermoPoint:
     """The ThermoPoint of one item from its moments (see potentials)."""
     m0 = _signed_log(z, shift)
-    invalid = z == 0.0 or m0.log_abs < Z_FLOOR_LOG or abs(z) < CANCEL_FLOOR * abs_sum
-    if invalid:
+    # NaN fails too: a Z that is not finite (beta*E overflowed) is invalid
+    valid = Z_FLOOR_LOG <= m0.log_abs < math.inf and abs(z) >= CANCEL_FLOOR * abs_sum
+    if not valid:
         return ThermoPoint(
             T=t,
             ln_abs_z=m0.log_abs,

@@ -189,6 +189,30 @@ def test_spinodal_refuses_grid_before_solving(tmp_path, monkeypatch, lo, hi, ste
     assert not (tmp_path / "spinodal_loci.tsv").exists()
 
 
+def test_thermo_rows_where_z_is_not_finite_are_invalid(tmp_path, monkeypatch):
+    # beta*E overflows at both temperatures: Z is NaN, and the rows say so
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    with np.errstate(all="ignore"):
+        rc = main(["--g", "1.73", "--out", str(tmp_path), "thermo", "--t-min", "1e-320",
+                   "--t-max", "1e-319", "--t-steps", "2"])
+    assert rc == 0
+    _, cols, rows = read_table(str(tmp_path / "thermo.tsv"))
+    assert [(row[cols.index("z_sign")], row[cols.index("valid")]) for row in rows] == [
+        ("0", "0"), ("0", "0")
+    ]
+
+
+def test_spinodal_isotherm_with_too_few_valid_points_exits_two(tmp_path, monkeypatch):
+    # a check after the solve: every point of the 1e-320 isotherm is invalid
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    with np.errstate(all="ignore"):
+        rc = main(["--g", "1.73", "--out", str(tmp_path), "spinodal", "--t-values",
+                   "0.2,1e-320", "--alpha-min", "0.2", "--alpha-max", "0.4",
+                   "--alpha-steps", "6"])
+    assert rc == 2
+    assert not (tmp_path / "spinodal_loci.tsv").exists()
+
+
 CARNOT_CORNERS = ["--t-values", "0.4,0.7", "--x-values", "3.5,4.5"]
 
 
@@ -733,6 +757,8 @@ STIRLING_GRID_ARGS = ["--g", "1.73", "cycle", "--kind", "stirling",
                       "--t-values", "0.3,0.5,0.9,1.4", "--x-values", "0.2,0.4,0.7,1.1,1.5"]
 # Omega 8: 6 points of the T_c map below have a zero of Z, 6 none
 OMEGA8 = {"system.Omega": 8, "system.Omega1": 3, "system.Omega2": 3}
+OMEGA8_ISOTHERM_ARGS = ["--g", "1.73", "spinodal", "--t-values", "0.3,0.5", "--alpha-min",
+                        "0.1", "--alpha-max", "0.3", "--alpha-steps", "16"]
 # pinned file -> (config: a mapping, or a path read in place; argv; the file
 # the command writes)
 PINNED = {
@@ -764,6 +790,12 @@ PINNED = {
     "spinodal_loci_omega8.tsv": (OMEGA8, ["--g", "1.73", "spinodal", "--t-values", "0.3",
                                           "--alpha-min", "0.2", "--alpha-max", "0.5",
                                           "--alpha-steps", "8"], "spinodal_loci.tsv"),
+    # two isotherms across the loci: at T 0.5 three minima, two binodals and
+    # two spinodal intervals; at T 0.3 one minimum and eight inflections
+    "spinodal_loci_omega8_binodal.tsv": (OMEGA8, OMEGA8_ISOTHERM_ARGS, "spinodal_loci.tsv"),
+    "spinodal_intervals_omega8_binodal.tsv": (
+        OMEGA8, OMEGA8_ISOTHERM_ARGS, "spinodal_intervals.tsv"
+    ),
     "cycle_carnot.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot.tsv"),
     "cycle_carnot_max_by_x.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot_max_by_x.tsv"),
     "cycle_carnot_max_by_t.tsv": (CARNOT_SYSTEM, CARNOT_ARGS, "cycle_carnot_max_by_t.tsv"),

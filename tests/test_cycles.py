@@ -116,10 +116,11 @@ def test_lockstep_corners_equal_one_target_solves():
 
 
 def test_root_on_a_coarse_point_is_exact():
-    from pseudotherm import cycles
+    from pseudotherm import cycles, thermo
 
     grid = np.linspace(0.02, 1.6, 16)
-    (s,) = cycles._entropies(SMALL, [(0.5, grid[5], None)])
+    ((point,),) = thermo.sweep_potentials([SMALL.with_(alpha=float(grid[5]))], [[0.5]])
+    s = point.S
     (res,) = cycles.solve_alphas(SMALL, [(0.5, s)], coarse=16)
     assert (res.alpha, res.root_count, res.residual) == (grid[5], 1, 0.0)
     assert res.state.S == s
@@ -170,15 +171,16 @@ def test_stirling_grid_solves_its_alphas_in_one_batch(monkeypatch):
 
 
 def _invalid_where(monkeypatch, is_invalid):
-    """Make cycles.potentials_batch report an invalid point at every alpha
+    """Make thermo.potentials_batch, through which thermo.sweep_potentials
+    gives every cycle its states, report an invalid point at every alpha
     for which is_invalid(alpha) holds; returns the list of alphas it was
     asked, in order."""
     import dataclasses
 
-    from pseudotherm import cycles
+    from pseudotherm import cycles, thermo
 
     asked = []
-    potentials_batch = cycles.potentials_batch
+    potentials_batch = thermo.potentials_batch
 
     def patched(points, t_values, tables=None):
         points = list(points)
@@ -188,7 +190,7 @@ def _invalid_where(monkeypatch, is_invalid):
             for p, pt in zip(points, potentials_batch(points, t_values, tables))
         ]
 
-    monkeypatch.setattr(cycles, "potentials_batch", patched)
+    monkeypatch.setattr(thermo, "potentials_batch", patched)
     cycles._solve_alpha_cached.cache_clear()
     return asked
 
@@ -224,11 +226,17 @@ def test_invalid_midpoint_falls_back_in_lockstep(monkeypatch):
 def test_rising_entropy_curve_gives_the_same_root(monkeypatch):
     # S falls with alpha on every real bracket; mirrored to -S it rises, and
     # the target -S must land on the same alpha, bit for bit
-    from pseudotherm import cycles
+    import dataclasses
+
+    from pseudotherm import cycles, thermo
 
     falling = cycles.solve_alphas(SMALL, [(0.4, 3.5), (0.7, 4.5)], tol=0.0)
-    entropies = cycles._entropies
-    monkeypatch.setattr(cycles, "_entropies", lambda *args: [-s for s in entropies(*args)])
+    potentials_batch = thermo.potentials_batch
+
+    def mirrored(*args):
+        return [dataclasses.replace(pt, S=-pt.S) for pt in potentials_batch(*args)]
+
+    monkeypatch.setattr(thermo, "potentials_batch", mirrored)
     rising = cycles.solve_alphas(SMALL, [(0.4, -3.5), (0.7, -4.5)], tol=0.0)
     assert [r.alpha for r in rising] == [r.alpha for r in falling]
     assert [r.root_count for r in rising] == [1, 1]

@@ -188,6 +188,41 @@ def test_ragged_batch_equals_points():
         assert same_point(pt, potentials(p, t, table=table))
 
 
+@pytest.mark.parametrize("batch_points", [None, 2])
+def test_sweep_potentials_equals_points(monkeypatch, batch_points):
+    # per-point temperature lists of unequal length, one of them empty and
+    # one repeating a temperature, in one sweep batch and split over four
+    from pseudotherm import spectral
+    from pseudotherm.model import fold_plan
+
+    points = [CARNOT_SYSTEM.with_(alpha=float(a)) for a in np.linspace(0.02, 1.6, 7)]
+    temps = [[0.3], [0.5, 0.5, 1.2], [], [0.05, 0.4], [2.0, 0.7, 0.9, 3.0], [0.6], [0.25, 0.8]]
+    if batch_points is not None:
+        slots = len(fold_plan(CARNOT_SYSTEM).slot_nqb)
+        monkeypatch.setattr(thermo, "SWEEP_SLOTS", batch_points * slots)
+    batches = []
+    solve = spectral.block_spectra
+
+    def counted(batch):
+        batch = list(batch)
+        batches.append(len(batch))
+        return solve(batch)
+
+    monkeypatch.setattr(spectral, "block_spectra", counted)
+    swept = thermo.sweep_potentials(points, temps)
+    assert batches == ([7] if batch_points is None else [2, 2, 2, 1])
+    assert [len(pts) for pts in swept] == [len(ts) for ts in temps]
+    for p, ts, pts in zip(points, temps, swept):
+        for t, pt in zip(ts, pts):
+            assert same_point(pt, potentials(p, t))
+
+
+def test_sweep_potentials_refuses_mismatched_lengths():
+    with pytest.raises(ValueError, match="differ in length"):
+        thermo.sweep_potentials([GAP_POINT], [[1.0], [2.0]])
+    assert thermo.sweep_potentials([], []) == []
+
+
 def test_gap_curve_equals_its_points():
     grid = GAP_GRID[::6]
     curve = gap_curve(GAP_POINT, grid)

@@ -776,6 +776,26 @@ def test_z_signs_refuse_nonpositive_temperatures(desk):
     assert len(z_signs_on_grid(table, [])) == 0
 
 
+# where 1/T or beta*E overflows, the kernel's terms are NaN and Z is not finite
+UNDERFLOW_TEMPERATURES = {"subnormal-t": 1e-320, "beta-e-overflows": 1e-308}
+
+
+@pytest.mark.parametrize("t", UNDERFLOW_TEMPERATURES.values(), ids=UNDERFLOW_TEMPERATURES)
+def test_z_signs_refuse_temperatures_where_z_is_not_finite(desk_broken, t):
+    from pseudotherm.thermo import z_signs_on_grid
+
+    with pytest.raises(ValueError, match="beta\\*E is finite"):
+        z_signs_on_grid(thermal_table(desk_broken), [0.5, t])
+
+
+@pytest.mark.parametrize("t", UNDERFLOW_TEMPERATURES.values(), ids=UNDERFLOW_TEMPERATURES)
+def test_potentials_where_z_is_not_finite_are_invalid(desk_broken, t):
+    with np.errstate(all="ignore"):
+        pt = potentials(desk_broken, t)
+    assert (pt.valid, pt.z_sign) == (False, 0)
+    assert all(math.isnan(x) for x in (pt.ln_abs_z, pt.F, pt.U, pt.S, pt.Cv))
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [{"t_max": TC_T_MIN}, {"t_max": -1.0}, {"t_max": 1e-3}, {"t_max": 0.0},
