@@ -234,16 +234,7 @@ def cmd_eps(p: ModelParams, args, config) -> None:
         raise InfeasibleRequest(f"an alpha sweep must be non-negative, got --lo {args.lo}")
     if not args.precision > 0.0:
         raise InfeasibleRequest(f"--precision {args.precision} must be positive")
-    pts = spectral.find_eps(
-        p,
-        {
-            "param": args.param,
-            "lo": args.lo,
-            "hi": args.hi,
-            "coarse_steps": args.steps,
-        },
-        precision=args.precision,
-    )
+    pts = spectral.find_eps(p, args.param, args.lo, args.hi, args.steps, args.precision)
     rows = [
         (e.param, e.value, e.bracket[0], e.bracket[1], e.re_coalesce, e.gamma)
         for e in pts
@@ -484,7 +475,7 @@ def cmd_oracle_check(p: ModelParams, args, config) -> None:
         mism.append(f"spectrum multiset mismatch {spec_err:.3e}")
     z_err = 0.0
     for beta in (0.1, 1.0, 5.0, 20.0):
-        zf = oracle.fock_partition(p, beta, ops)
+        zf = oracle.fock_partition(wf, beta)
         zb = thermo.partition_function(thermo.thermal_table(p), beta, p.muS, p.muQb)
         z_err = max(z_err, abs(zf - zb) / abs(zf))
     if z_err > 1e-8:

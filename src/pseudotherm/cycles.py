@@ -8,15 +8,18 @@ the genuinely physical questions: whether the requested corners exist at
 all, and what happens when a leg touches the region where the partition
 function vanishes.
 
-Both kinds take one path: one corner step solves every distinct corner of
-a cycle or a grid, then one builder checks the corners and books the four
-legs of each cycle.  Stirling corners sit at given alphas, whose spectrum
-tables are solved together.  Carnot corner alphas are solved on S(T, alpha)
-together (solve_alphas): one coarse scan of the bracket, which gives the S
-curve of every temperature, then a lockstep bisection (roots.bisect) that
-solves the midpoints of all open corners together at each step.  Every
-such solve is one thermo.sweep_potentials call, which gives the state at
-each (alpha, T) item and holds one sweep batch's tables at a time.
+A cycle is one CycleSpec (kind, T1, T2, x1, x2): two isotherms joined by
+two legs at x1 and x2, where x is the entropy S of a Carnot adiabat and the
+alpha of a Stirling isochore.  Both kinds take one path: one corner step
+solves every distinct corner of a cycle or a grid, then one builder checks
+the corners and books the four legs of each cycle.  Stirling corners sit at
+given alphas, whose spectrum tables are solved together.  Carnot corner
+alphas are solved on S(T, alpha) together (solve_alphas): one coarse scan
+of the bracket, which gives the S curve of every temperature, then a
+lockstep bisection (roots.bisect) that solves the midpoints of all open
+corners together at each step.  Every such solve is one
+thermo.sweep_potentials call, which gives the state at each (alpha, T) item
+and holds one sweep batch's tables at a time.
 
 Sign convention: work done ON the system and heat ABSORBED by the system
 are positive.
@@ -43,8 +46,7 @@ __all__ = [
     "SolveResult",
     "solve_alpha",
     "solve_alphas",
-    "carnot_cycle",
-    "stirling_cycle",
+    "cycle",
     "stirling_classical_efficiency",
     "efficiency_grid",
     "GridResult",
@@ -56,21 +58,20 @@ ALPHA_TOL = 1e-8
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """Requested cycle corners.
+    """Requested cycle corners: two isotherms at T1 < T2 joined by two legs
+    at x1 and x2.
 
-    Carnot: two adiabats at entropies S1 < S2 and two isotherms at
-    T1 < T2; the alphas realizing the entropies are solved inside
-    `bracket`.  Stirling: two constant-alpha legs at alpha1 < alpha2 and
-    two isotherms.
+    Carnot: x is the entropy of two adiabats, x1 <= x2, and the alphas
+    realizing the entropies are solved inside `bracket`.  Stirling: x is
+    the alpha of two constant-alpha legs, 0 < x1 < x2; the bracket is not
+    used.
     """
 
     kind: str
     T1: float
     T2: float
-    S1: float | None = None
-    S2: float | None = None
-    alpha1: float | None = None
-    alpha2: float | None = None
+    x1: float
+    x2: float
     bracket: tuple = DEFAULT_BRACKET
 
     def __post_init__(self):
@@ -79,15 +80,15 @@ class CycleSpec:
         if not self.T1 < self.T2:
             raise ValueError("need T1 < T2")
         if self.kind == "carnot":
-            if self.S1 is None or self.S2 is None or not self.S1 <= self.S2:
+            if not self.x1 <= self.x2:
                 raise ValueError("carnot needs S1 <= S2")
+            if not self.bracket[0] < self.bracket[1]:
+                raise ValueError("empty alpha bracket")
         else:
-            if self.alpha1 is None or self.alpha2 is None or not self.alpha1 < self.alpha2:
+            if not self.x1 < self.x2:
                 raise ValueError("stirling needs alpha1 < alpha2")
-            if not self.alpha1 > 0.0:
+            if not self.x1 > 0.0:
                 raise ValueError("stirling needs alpha1 > 0")
-        if not self.bracket[0] < self.bracket[1]:
-            raise ValueError("empty alpha bracket")
 
 
 @dataclass(frozen=True)
@@ -339,10 +340,9 @@ def _close_cycle(kind, corners, legs, eta_classical, r_alpha):
 
 
 def _corners(spec: CycleSpec) -> dict:
-    """Corner name -> (T, x) in the order A-D; x is S for Carnot and alpha
-    for Stirling."""
-    x1, x2 = (spec.S1, spec.S2) if spec.kind == "carnot" else (spec.alpha1, spec.alpha2)
-    return {"A": (spec.T2, x1), "B": (spec.T2, x2), "C": (spec.T1, x2), "D": (spec.T1, x1)}
+    """Corner name -> (T, x) in the order A-D."""
+    return {"A": (spec.T2, spec.x1), "B": (spec.T2, spec.x2),
+            "C": (spec.T1, spec.x2), "D": (spec.T1, spec.x1)}
 
 
 def _corner_states(p: ModelParams, specs) -> dict:
@@ -397,23 +397,23 @@ def _cycle(spec: CycleSpec, states: dict) -> CycleResult:
         eta_classical = 1.0 - spec.T1 / spec.T2
         r_alpha = (b.alpha / c.alpha) / (a.alpha / d.alpha)
     else:
-        eta_classical = stirling_classical_efficiency(spec.T1, spec.T2, spec.alpha1, spec.alpha2)
+        eta_classical = stirling_classical_efficiency(spec.T1, spec.T2, spec.x1, spec.x2)
         r_alpha = None
     res = _close_cycle(spec.kind, corners, legs, eta_classical, r_alpha)
-    if carnot and spec.S1 == spec.S2:
+    if carnot and spec.x1 == spec.x2:
         res = CycleResult(**{**res.__dict__, "eta": 0.0, "degenerate": True})
     return res
 
 
-def carnot_cycle(p: ModelParams, spec: CycleSpec) -> CycleResult:
-    """Two isotherms (T2 hot, T1 cold) joined by two constant-entropy legs.
+def cycle(p: ModelParams, spec: CycleSpec) -> CycleResult:
+    """Two isotherms (T2 hot, T1 cold) joined by two legs at x1 and x2.
 
-    Corner order: A=(T2,S1) -> B=(T2,S2) -> C=(T1,S2) -> D=(T1,S1).
-    Isothermal legs carry Q = T dS; adiabats carry W = dU.  The four
-    corners are solved together by one solve_alphas call.
+    Corner order: A=(T2,x1) -> B=(T2,x2) -> C=(T1,x2) -> D=(T1,x1).
+    Isothermal legs carry Q = T dS.  Carnot adiabats carry W = dU, and
+    their four corner alphas are solved together by one solve_alphas call;
+    Stirling constant-alpha legs carry W = 0, Q = dU, and their two alphas
+    are solved as one batch.
     """
-    if spec.kind != "carnot":
-        raise ValueError("spec.kind must be carnot")
     return _cycle(spec, _corner_states(p, [spec]))
 
 
@@ -423,18 +423,6 @@ def stirling_classical_efficiency(t1, t2, alpha1, alpha2) -> float:
     if t1 == t2:
         return 0.0
     return (t2 - t1) / (t2 + 2.5 * (t2 - t1) / math.log(alpha2 / alpha1))
-
-
-def stirling_cycle(p: ModelParams, spec: CycleSpec) -> CycleResult:
-    """Two isotherms joined by two constant-alpha legs.
-
-    Corner order: A=(T2,a1) -> B=(T2,a2) -> C=(T1,a2) -> D=(T1,a1);
-    constant-alpha legs carry W = 0, Q = dU.  The two alphas are solved as
-    one batch.
-    """
-    if spec.kind != "stirling":
-        raise ValueError("spec.kind must be stirling")
-    return _cycle(spec, _corner_states(p, [spec]))
 
 
 @dataclass(frozen=True)
@@ -495,22 +483,16 @@ def efficiency_grid(
     x_values = sorted(float(x) for x in x_values)
     if kind not in ("carnot", "stirling"):
         raise ValueError("kind must be carnot or stirling")
-    cells_x = [
-        (t1, t2, x1, x2)
+    specs = [
+        CycleSpec(kind, t1, t2, x1, x2, bracket)
         for i1, t1 in enumerate(t_values)
         for t2 in t_values[i1 + 1 :]
         for j1, x1 in enumerate(x_values)
         for x2 in x_values[j1 + 1 :]
     ]
-    specs = [
-        CycleSpec(kind="carnot", T1=t1, T2=t2, S1=x1, S2=x2, bracket=bracket)
-        if kind == "carnot"
-        else CycleSpec(kind="stirling", T1=t1, T2=t2, alpha1=x1, alpha2=x2)
-        for t1, t2, x1, x2 in cells_x
-    ]
     states = _corner_states(p, specs)
     cells = []
-    for (t1, t2, x1, x2), spec in zip(cells_x, specs):
+    for spec in specs:
         try:
             res = _cycle(spec, states)
         except CycleInfeasible as exc:
@@ -519,5 +501,5 @@ def efficiency_grid(
         else:
             outcome = dict(eta=res.eta, eta_classical=res.eta_classical, feasible=True,
                            degenerate=res.degenerate)
-        cells.append(GridCell(T1=t1, T2=t2, x1=x1, x2=x2, **outcome))
+        cells.append(GridCell(T1=spec.T1, T2=spec.T2, x1=spec.x1, x2=spec.x2, **outcome))
     return GridResult(kind=kind, cells=tuple(cells))

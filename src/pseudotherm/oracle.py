@@ -206,9 +206,9 @@ def block_union_spectrum(p: ModelParams) -> np.ndarray:
     return w[np.lexsort((w.imag, w.real))]
 
 
-def fock_partition(p: ModelParams, beta: float, ops: _FockOps | None = None) -> float:
-    """Direct trace of exp(-beta (H - mu N)) over all Fock states."""
-    w = fock_spectrum(p, ops)
+def fock_partition(w: np.ndarray, beta: float) -> float:
+    """Direct trace of exp(-beta (H - mu N)) over all Fock states: the sum
+    over a Fock spectrum w (fock_spectrum) of exp(-beta Re E) cos(beta Im E)."""
     return float(math.fsum(np.exp(-beta * w.real) * np.cos(beta * w.imag)))
 
 

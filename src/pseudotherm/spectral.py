@@ -358,28 +358,29 @@ def _newborn_at(p_hi_count, p_lo_count):
 
 def find_eps(
     p: ModelParams,
-    sweep,
+    param: str,
+    lo: float,
+    hi: float,
+    steps: int,
     precision: float = 1e-4,
 ) -> list[EpLocation]:
-    """Locate exceptional points along a one-parameter sweep.
+    """Locate exceptional points along a sweep of param ("alpha" or "g")
+    over [lo, hi].
 
-    sweep is a mapping with keys param ("alpha"|"g"), lo, hi, coarse_steps.
     The number of complex pairs, eigenvalues with Im E > EP_IM_FLOOR
-    (complex_pair_counts), is scanned on the coarse grid; every count
-    change (a pair being born or dying, which is exactly a coalescence for
-    a real matrix) is bisected in lockstep by roots.bisect, a point with
-    the counts of the low end lying on its side, to a bracket no wider than
-    `precision` or until its midpoint rounds onto an end, and the newborn
-    pair's Re(E) is recorded.  An empty result just means no EP in range;
-    windows narrower than the coarse step are invisible.
+    (complex_pair_counts), is scanned on a coarse grid of `steps` points,
+    at least 2; every count change (a pair being born or dying, which is
+    exactly a coalescence for a real matrix) is bisected in lockstep by
+    roots.bisect, a point with the counts of the low end lying on its side,
+    to a bracket no wider than `precision` or until its midpoint rounds onto
+    an end, and the newborn pair's Re(E) is recorded.  An empty result just
+    means no EP in range; windows narrower than the coarse step are
+    invisible.
     """
-    param = sweep["param"]
-    lo, hi = float(sweep["lo"]), float(sweep["hi"])
-    steps = int(sweep["coarse_steps"])
     if not lo < hi:
         raise ValueError("sweep requires lo < hi")
     if steps < 2:
-        raise ValueError("coarse_steps must be at least 2")
+        raise ValueError("steps must be at least 2")
     if not precision > 0:
         raise ValueError(f"precision must be positive, got {precision!r}")
 

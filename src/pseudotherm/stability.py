@@ -189,7 +189,7 @@ def _features(alphas, f, valid):
     return sorted(minima), sorted(inflections)
 
 
-def spinodal_analysis(iso: Isotherm, check_stability: bool = True) -> SpinodalResult:
+def spinodal_analysis(iso: Isotherm) -> SpinodalResult:
     """Classify one isotherm into binodal / metastable / spinodal intervals.
 
     Minima come from sign changes of the discrete first derivative
@@ -219,7 +219,7 @@ def spinodal_analysis(iso: Isotherm, check_stability: bool = True) -> SpinodalRe
             metastable.append((a1, a2))
 
     stable = True
-    if check_stability and len(iso.alphas) >= 9:
+    if len(iso.alphas) >= 9:
         half_minima, _ = _features(iso.alphas[::2], iso.F[::2], iso.valid[::2])
         stable = len(half_minima) == len(minima)
 
@@ -260,16 +260,15 @@ def heterogeneous_free_energy(res: SpinodalResult, iso: Isotherm, alpha: float) 
     raise ValueError(f"alpha={alpha:.6g} lies in no binodal interval")
 
 
-def maxwell_check(
-    p: ModelParams, t: float, alpha: float, rel_step: float = 1e-3
-) -> dict:
-    """Cross-relation dS/dalpha|_T = dp_alpha/dT|_alpha by central differences.
+def maxwell_check(p: ModelParams, t: float, alpha: float) -> dict:
+    """Cross-relation dS/dalpha|_T = dp_alpha/dT|_alpha by central differences
+    with relative step 1e-3 in alpha and T.
 
     Returns both sides and their residual relative to max(|lhs|, |rhs|, eps).
     If any stencil point is invalid the residual is NaN and flagged.
     """
-    h_a = rel_step * max(abs(alpha), 1.0)
-    h_t = rel_step * t
+    h_a = 1e-3 * max(abs(alpha), 1.0)
+    h_t = 1e-3 * t
 
     def entropy(a: float) -> float:
         pt = potentials(p.with_(alpha=float(a)), t)
@@ -278,8 +277,8 @@ def maxwell_check(
     try:
         s_hi, s_lo = entropy(alpha + h_a), entropy(alpha - h_a)
         lhs = (s_hi - s_lo) / (2.0 * h_a)
-        p_hi = pressure_alpha(p, t + h_t, alpha, rel_step=rel_step)
-        p_lo = pressure_alpha(p, t - h_t, alpha, rel_step=rel_step)
+        p_hi = pressure_alpha(p, t + h_t, alpha)
+        p_lo = pressure_alpha(p, t - h_t, alpha)
         rhs = (p_hi - p_lo) / (2.0 * h_t)
     except InvalidPointError:
         return {"dS_dalpha": math.nan, "dp_dT": math.nan, "residual": math.nan,

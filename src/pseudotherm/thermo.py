@@ -112,6 +112,7 @@ __all__ = [
 
 Z_FLOOR_LOG = math.log(1e-300)   # absolute |Z| floor in signed-log form
 CANCEL_FLOOR = 1e-14             # |sum| / sum|terms| below this: sign unreliable
+PHASE_LIMIT = 2.0**50            # beta*max|gamma| above this: cos(beta*gamma) unresolved
 TABLE_CACHE_SIZE = 128
 SWEEP_SLOTS = 1 << 15            # eigenvalue slots of one sweep batch's tables
 TC_T_MIN = 2e-3                  # lowest temperature critical_temperature scans
@@ -405,11 +406,14 @@ def _weights(log_base, eps, b):
     lw = log_base - b*eps, their maximum shift at column top, and
     w = exp(lw - shift), formed in one buffer; the one weight step of
     _moments and of the z-sign scan."""
-    lw = b * eps
-    np.subtract(log_base, lw, out=lw)
-    top = np.argmax(lw, axis=1)
-    shift = lw[np.arange(len(lw)), top]
-    lw -= shift[:, None]
+    # where beta*E overflows the log-weights are not finite, and the
+    # validity test of a point refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        lw = b * eps
+        np.subtract(log_base, lw, out=lw)
+        top = np.argmax(lw, axis=1)
+        shift = lw[np.arange(len(lw)), top]
+        lw -= shift[:, None]
     return np.exp(lw, out=lw), top, shift
 
 
@@ -429,8 +433,12 @@ def _chunk_moments(items, width: int, ncol: int, z_minus_one: bool) -> _Moments:
 
     w, top, shift = _weights(log_base, eps, b)
     rows = np.arange(len(items))
-    x = b * gam
-    wc = np.cos(x)
+    # likewise the phases (see _weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = b * gam
+        wc = np.cos(x)
+        if ncol:
+            ws = np.sin(x, out=x)
     wc *= w
     first = 2 if z_minus_one else 1      # the summed row of the first column
     a = np.zeros((len(items), first + ncol, width + 1))
@@ -439,7 +447,6 @@ def _chunk_moments(items, width: int, ncol: int, z_minus_one: bool) -> _Moments:
         a[:, 1, :width] = wc
         a[rows, 1, top], a[:, 1, width] = _two_sum(wc[rows, top], -1.0)
     if ncol:
-        ws = np.sin(x, out=x)
         ws *= w
         cols = np.zeros((len(stack), ncol, 2, width))
         for i, t in enumerate(stack):
@@ -540,7 +547,6 @@ class ZeroRecord:
 
     T_zero: float
     bracket: tuple
-    sign_pattern: tuple
 
 
 def _certified_positive(table: SpectrumTable, betas: np.ndarray, eps_eff: np.ndarray):
@@ -636,17 +642,22 @@ def z_signs_on_grid(table: SpectrumTable, t_values, muS: float = 0.0, muQb: floa
     at once; _scan_signs gives the rest.  Both work in temperature chunks of
     at most SCAN_ELEMENTS (T x rows) elements, and each sign depends on its
     own temperature alone.  A temperature so low that beta*E overflows, so
-    that Z is not finite, is refused like one that is not positive.
+    that Z is not finite, is refused like one that is not positive, and so
+    is one where beta*max|gamma| passes PHASE_LIMIT (see potentials).
     """
     t = np.asarray(list(t_values), dtype=float)
     if not np.all(t > 0.0):
         raise ValueError("temperatures must be positive")
     eps_eff = _eps_eff(table, muS, muQb)
-    scale = max(np.max(np.abs(eps_eff)), np.max(np.abs(table.gam)))
+    gam_max = np.max(np.abs(table.gam))
     with np.errstate(over="ignore", invalid="ignore"):
         betas = 1.0 / t
-        if not np.all(np.isfinite(betas * scale)):
+        if not np.all(np.isfinite(betas * max(np.max(np.abs(eps_eff)), gam_max))):
             raise ValueError("temperatures must be high enough that beta*E is finite")
+    if np.any(betas * gam_max > PHASE_LIMIT):
+        raise ValueError(
+            "temperatures must be high enough that the phase beta*gamma is resolved"
+        )
     return _open_signs(table, betas, _certified_positive(table, betas, eps_eff), eps_eff)
 
 
@@ -664,7 +675,7 @@ def _refine_bracket(table, t_lo, t_hi, s_lo, muS, muQb, rtol):
         return dict(zip(points, (_scan_signs(table, betas, eps_eff) * s_lo).tolist()))
 
     t_zero, lo, hi = bisect({0: (t_lo, t_hi)}, side, rtol=rtol)[0]
-    return ZeroRecord(t_zero, (lo, hi), (s_lo, -s_lo))
+    return ZeroRecord(t_zero, (lo, hi))
 
 
 def _interleaved(grid: np.ndarray) -> np.ndarray:
@@ -734,18 +745,18 @@ def find_zeros(
     records = []
     for t_lo, t_hi, s_lo in brackets:
         if s_lo == 0:
-            records.append(ZeroRecord(t_lo, (t_lo, t_lo), (0, 0)))
+            records.append(ZeroRecord(t_lo, (t_lo, t_lo)))
         else:
             records.append(_refine_bracket(table, t_lo, t_hi, s_lo, muS, muQb, rtol))
     return records
 
 
-def _tc_certificate(p, t_max, steps, max_doublings, table):
+def _tc_certificate(p, t_max, steps, doubled, table):
     """(table, grid, betas, eps_eff, certified): the certificate of
     critical_temperature, run once per table over the temperatures that a
     grid with no sign change is scanned at, the geometric grid from
-    TC_T_MIN to t_max and, when max_doublings > 0, the midpoints of its one
-    doubling interleaved (the coarse grid is then every other temperature);
+    TC_T_MIN to t_max and, when doubled, the midpoints of its one doubling
+    interleaved (the coarse grid is then every other temperature);
     certified is where _certified_positive proves Z > 0."""
     if not TC_T_MIN < t_max < math.inf or steps < 2:
         raise ValueError(
@@ -754,7 +765,7 @@ def _tc_certificate(p, t_max, steps, max_doublings, table):
     if table is None:
         table = thermal_table(p)
     grid = np.geomspace(TC_T_MIN, t_max, steps)
-    if max_doublings:
+    if doubled:
         grid = _interleaved(grid)
     betas = 1.0 / grid
     eps_eff = _eps_eff(table, p.muS, p.muQb)
@@ -765,14 +776,14 @@ def zero_free_on_grid(
     p: ModelParams,
     t_max: float = 2.0,
     steps: int = 200,
-    max_doublings: int = 4,
     table: SpectrumTable | None = None,
 ) -> bool:
-    """Whether critical_temperature, given the same arguments, returns 0 on
-    its certificate alone: _certified_positive proves Z > 0 at every
-    temperature that a grid from TC_T_MIN to t_max with no sign change is
-    scanned at.  A T_c map settles such points without a scan."""
-    certified = _tc_certificate(p, t_max, steps, max_doublings, table)[-1]
+    """Whether critical_temperature, given the same arguments and its
+    default grid doublings, returns 0 on its certificate alone:
+    _certified_positive proves Z > 0 at every temperature that a grid from
+    TC_T_MIN to t_max with no sign change is scanned at.  A T_c map settles
+    such points without a scan."""
+    certified = _tc_certificate(p, t_max, steps, True, table)[-1]
     return bool(np.all(certified))
 
 
@@ -804,11 +815,11 @@ def critical_temperature(
     p: ModelParams,
     t_max: float = 2.0,
     steps: int = 200,
-    rtol: float = 1e-8,
     max_doublings: int = 4,
     table: SpectrumTable | None = None,
 ) -> float:
-    """Largest zero of Z(T) in [TC_T_MIN, t_max]; 0 when Z > 0 on it.
+    """Largest zero of Z(T) in [TC_T_MIN, t_max], bisected to relative
+    1e-8; 0 when Z > 0 on it.
 
     Only the highest sign change matters (zeros pile up towards T = 0 when
     the ground state is complex), so grid doubling stabilizes that
@@ -832,7 +843,7 @@ def critical_temperature(
     are always p's.
     """
     table, grid, betas, eps_eff, certified = _tc_certificate(
-        p, t_max, steps, max_doublings, table
+        p, t_max, steps, bool(max_doublings), table
     )
     if certified.all():
         return 0.0
@@ -857,7 +868,7 @@ def critical_temperature(
     t_lo, t_hi, s_lo = top
     if s_lo == 0:
         return t_lo
-    return _refine_bracket(table, t_lo, t_hi, s_lo, p.muS, p.muQb, rtol).T_zero
+    return _refine_bracket(table, t_lo, t_hi, s_lo, p.muS, p.muQb, 1e-8).T_zero
 
 
 @dataclass(frozen=True)
@@ -877,14 +888,15 @@ class ThermoPoint:
 
 class _PotentialTerms(NamedTuple):
     """The terms of one (table, muS, muQb) for potentials: the moment
-    columns by name, the ground row's grand-canonical energy e0 and the
-    energies de_eff measured from it."""
+    columns by name, the ground row's grand-canonical energy e0, the
+    energies de_eff measured from it and the table's max|gamma|."""
 
     table: SpectrumTable
     terms: _Terms
     names: tuple
     e0: float
     de_eff: np.ndarray
+    gam_max: float
 
 
 def _potential_terms(table: SpectrumTable, muS: float, muQb: float) -> _PotentialTerms:
@@ -908,7 +920,8 @@ def _potential_terms(table: SpectrumTable, muS: float, muQb: float) -> _Potentia
     if muQb != 0.0:
         columns["n_qb"] = (table.npair, 0.0)
     terms = _terms(table, eps_eff, columns.values())
-    return _PotentialTerms(table, terms, tuple(columns), e0, de_eff)
+    gam_max = float(np.max(np.abs(table.gam)))
+    return _PotentialTerms(table, terms, tuple(columns), e0, de_eff, gam_max)
 
 
 def potentials_batch(points, t_values, tables=None) -> list[ThermoPoint]:
@@ -959,7 +972,11 @@ def _thermo_point(p, t, beta, prep, shift, top, z, z_minus_one, abs_sum, sums) -
     """The ThermoPoint of one item from its moments (see potentials)."""
     m0 = _signed_log(z, shift)
     # NaN fails too: a Z that is not finite (beta*E overflowed) is invalid
-    valid = Z_FLOOR_LOG <= m0.log_abs < math.inf and abs(z) >= CANCEL_FLOOR * abs_sum
+    valid = (
+        Z_FLOOR_LOG <= m0.log_abs < math.inf
+        and abs(z) >= CANCEL_FLOOR * abs_sum
+        and beta * prep.gam_max <= PHASE_LIMIT
+    )
     if not valid:
         return ThermoPoint(
             T=t,
@@ -1018,20 +1035,26 @@ def potentials(p: ModelParams, t: float, table: SpectrumTable | None = None) -> 
     the potentials are continued through ln|Z| and flagged z_nonpositive;
     where |Z| sinks below the floor (or is pure cancellation noise) the
     point is flagged invalid and carries NaN potentials.
+
+    So is a point where beta*max|gamma| over the table's complex rows
+    passes PHASE_LIMIT = 2^50 (about 1.1e15): the phase beta*gamma, rounded
+    in beta = 1/T and in the product, errs by up to 2u*beta*|gamma| with
+    u = 2^-53, a quarter radian or more past the limit, so cos(beta*gamma)
+    keeps no correct digit.  A table without complex rows has no limit.
     """
     return potentials_batch([p], [t], [table])[0]
 
 
-def potentials_fd(p: ModelParams, t: float, rel_step: float = 1e-3) -> dict:
+def potentials_fd(p: ModelParams, t: float) -> dict:
     """Finite-difference cross-checks of the analytic potentials.
 
-    Central differences with step h = rel_step * t: S from -dOmega/dT with
+    Central differences with step h = 1e-3 * t: S from -dOmega/dT with
     the grand potential Omega = -T ln|Z|, C_V from dU/dT, and U from
     -d(ln|Z|)/d(beta) = <H - muS N - muQb N_qb> plus muS <N> + muQb <N_qb>,
     where <N> = T d(ln|Z|)/d(muS) (likewise N_qb) is differenced in the
     potential with the same step h.  Meaningful away from zeros of Z.
     """
-    h = rel_step * t
+    h = 1e-3 * t
     lo, hi = potentials_batch([p, p], [t - h, t + h])
     if not (lo.valid and hi.valid):
         raise ZeroPartitionError("finite-difference stencil crosses an invalid point")

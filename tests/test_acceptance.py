@@ -80,12 +80,11 @@ def test_criterion_02_oracle_equivalence():
     worst_z = 0.0
     for (alpha, g) in [(1.0, 1.0), (0.4, 1.73)]:
         p = ModelParams(Omega=0.5, Omega1=1, Omega2=1, alpha=alpha, g=g)
-        worst_spec = max(
-            worst_spec, float(np.max(np.abs(fock_spectrum(p) - block_union_spectrum(p))))
-        )
+        w = fock_spectrum(p)
+        worst_spec = max(worst_spec, float(np.max(np.abs(w - block_union_spectrum(p)))))
         table = thermal_table(p)
         for beta in (0.1, 1.0, 5.0, 20.0):
-            zf = fock_partition(p, beta)
+            zf = fock_partition(w, beta)
             zb = partition_function(table, beta)
             worst_z = max(worst_z, abs(zf - zb) / abs(zf))
     elapsed = time.time() - t0
@@ -218,13 +217,11 @@ def test_criterion_08_carnot_recovery():
     clean = [c for c in grid.cells if c.feasible and not c.degenerate]
     devs = [abs(c.eta - c.eta_classical) for c in clean]
     # closure residuals re-checked on a few explicit cycles
-    from pseudotherm.cycles import CycleSpec, carnot_cycle
+    from pseudotherm.cycles import CycleSpec, cycle
 
     residuals = []
     for c in clean[:5]:
-        res = carnot_cycle(
-            DESK, CycleSpec(kind="carnot", T1=c.T1, T2=c.T2, S1=c.x1, S2=c.x2)
-        )
+        res = cycle(DESK, CycleSpec(kind="carnot", T1=c.T1, T2=c.T2, x1=c.x1, x2=c.x2))
         residuals.append(max(res.energy_residual, res.entropy_residual))
     ok = len(clean) >= 20 and max(devs) <= 1e-3 and max(residuals) <= 1e-8
     report(
@@ -240,10 +237,7 @@ def test_criterion_08_carnot_recovery():
 
 
 def test_criterion_09_stirling_enhancement():
-    eps = find_eps(
-        DESK, {"param": "alpha", "lo": 0.39, "hi": 0.5, "coarse_steps": 60},
-        precision=1e-4,
-    )
+    eps = find_eps(DESK, "alpha", 0.39, 0.5, 60, precision=1e-4)
     ep_star = min(eps, key=lambda e: e.re_coalesce)
     a_ep = round(ep_star.value, 4)
 
@@ -340,7 +334,7 @@ def test_criterion_11_spinodal_region():
         )
 
     iso_hi = compute_isotherm(DESK, 0.072 * DESK.D, alphas)
-    res_hi = spinodal_analysis(iso_hi, check_stability=False)
+    res_hi = spinodal_analysis(iso_hi)
     merge_ok = len(res_hi.minima) <= 1 and res_hi.spinodal == ()
 
     ok = minima_ok and lever_ok and partition_ok and merge_ok

@@ -189,13 +189,20 @@ def test_spinodal_refuses_grid_before_solving(tmp_path, monkeypatch, lo, hi, ste
     assert not (tmp_path / "spinodal_loci.tsv").exists()
 
 
-def test_thermo_rows_where_z_is_not_finite_are_invalid(tmp_path, monkeypatch):
-    # beta*E overflows at both temperatures: Z is NaN, and the rows say so
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    with np.errstate(all="ignore"):
-        rc = main(["--g", "1.73", "--out", str(tmp_path), "thermo", "--t-min", "1e-320",
-                   "--t-max", "1e-319", "--t-steps", "2"])
-    assert rc == 0
+def test_thermo_rows_where_z_is_not_finite_are_invalid(tmp_path):
+    # beta*E overflows at both temperatures: Z is NaN, and the rows say so,
+    # without numpy's warnings about the NaN on stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudotherm.__file__)))
+    env = dict(os.environ)
+    env.pop(CONFIG_ENV_VAR, None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pseudotherm", "--g", "1.73", "--out", str(tmp_path), "thermo",
+         "--t-min", "1e-320", "--t-max", "1e-319", "--t-steps", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     _, cols, rows = read_table(str(tmp_path / "thermo.tsv"))
     assert [(row[cols.index("z_sign")], row[cols.index("valid")]) for row in rows] == [
         ("0", "0"), ("0", "0")
@@ -410,6 +417,19 @@ def test_cycle_grids_in_several_batches_write_the_same_tables(tmp_path, monkeypa
     assert batches == [2, 2, 1]
 
 
+def test_stirling_grid_ignores_the_alpha_bracket(tmp_path):
+    # the bracket bounds the Carnot corner solves alone: a Stirling grid
+    # given an empty one writes the bytes of the default
+    def tables(out, extra):
+        argv = ["--config", CARNOT_SYSTEM, "--out", str(out), *STIRLING_GRID_ARGS, *extra]
+        assert main(argv) == 0
+        return [(out / f"cycle_stirling{part}.tsv").read_bytes()
+                for part in ("", "_max_by_x", "_max_by_t")]
+
+    empty = tables(tmp_path / "empty", ["--bracket-lo", "2", "--bracket-hi", "1"])
+    assert empty == tables(tmp_path / "default", [])
+
+
 def test_tc_map_desk_critical_temperatures(tmp_path, monkeypatch):
     # desk size at g 1.73: only alpha 0.246 has a zero of Z below T = 2, and
     # two worker threads write the same bytes as one
@@ -502,6 +522,26 @@ def test_oracle_check_passes(tmp_path, tiny_cfg):
     assert rc == 0
     _, _, rows = read_table(os.path.join(str(tmp_path), "oracle_check.tsv"))
     assert float(rows[0][1]) < 1e-8
+
+
+def test_oracle_check_solves_the_fock_matrix_once(tmp_path, monkeypatch):
+    # the spectrum check and the four partition traces share one eigensolve
+    from pseudotherm.oracle import FockSpace
+
+    dim = FockSpace(1.0, 1, 1).dimension
+    solves = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        if np.shape(a) == (dim, dim):
+            solves.append(dim)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    cfg = tmp_path / "mu.json"
+    cfg.write_text(json.dumps({**OMEGA1_POINT, "model.muS": 0.4}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "oracle-check"]) == 0
+    assert solves == [dim]
 
 
 @pytest.mark.parametrize("mu_s, mu_qb", [(0.0, 0.3), (0.4, 0.0), (0.4, 0.3)])
@@ -810,7 +850,7 @@ def write_ep_levels(path) -> None:
     from pseudotherm.spectral import find_eps
 
     p = params_from_mapping({"model.g": 1.73})
-    eps = find_eps(p, {"param": "alpha", "lo": 0.39, "hi": 0.5, "coarse_steps": 24})
+    eps = find_eps(p, "alpha", 0.39, 0.5, 24)
     write_table(
         path,
         ["value", "block_key", "level_indices"],

@@ -6,11 +6,10 @@ import pytest
 from pseudotherm import ModelParams
 from pseudotherm.cycles import (
     CycleSpec,
-    carnot_cycle,
+    cycle,
     efficiency_grid,
     solve_alpha,
     stirling_classical_efficiency,
-    stirling_cycle,
 )
 from pseudotherm.errors import CycleInfeasible, NoSolutionError
 
@@ -130,9 +129,9 @@ def test_grid_cells_equal_their_own_carnot_cycles():
     grid = efficiency_grid(SMALL, "carnot", [0.2, 0.4, 0.7], [1.0, 3.5, 5.5])
     assert any(c.feasible for c in grid.cells) and not all(c.feasible for c in grid.cells)
     for cell in grid.cells:
-        spec = CycleSpec(kind="carnot", T1=cell.T1, T2=cell.T2, S1=cell.x1, S2=cell.x2)
+        spec = CycleSpec(kind="carnot", T1=cell.T1, T2=cell.T2, x1=cell.x1, x2=cell.x2)
         try:
-            res = carnot_cycle(SMALL, spec)
+            res = cycle(SMALL, spec)
         except CycleInfeasible as exc:
             assert not cell.feasible
             assert cell.reason == str(exc).splitlines()[0][:120]
@@ -145,8 +144,8 @@ def test_grid_cells_equal_their_own_stirling_cycles():
     grid = efficiency_grid(SMALL, "stirling", [0.2, 0.4, 0.7], [0.3, 0.6, 1.1])
     assert len(grid.cells) == 9
     for cell in grid.cells:
-        spec = CycleSpec(kind="stirling", T1=cell.T1, T2=cell.T2, alpha1=cell.x1, alpha2=cell.x2)
-        res = stirling_cycle(SMALL, spec)
+        spec = CycleSpec(kind="stirling", T1=cell.T1, T2=cell.T2, x1=cell.x1, x2=cell.x2)
+        res = cycle(SMALL, spec)
         assert cell.feasible
         assert (cell.eta, cell.eta_classical, cell.degenerate) == (
             res.eta, res.eta_classical, res.degenerate
@@ -252,7 +251,7 @@ def test_invalid_stirling_corner_is_recorded(monkeypatch):
         (0.7, 0.9): "",
     }
     with pytest.raises(CycleInfeasible, match="corner A lies on an invalid point"):
-        stirling_cycle(SMALL, CycleSpec(kind="stirling", T1=0.4, T2=0.7, alpha1=0.5, alpha2=0.9))
+        cycle(SMALL, CycleSpec(kind="stirling", T1=0.4, T2=0.7, x1=0.5, x2=0.9))
 
 
 def test_sub_ulp_tolerance_returns(p):
@@ -269,18 +268,18 @@ def test_solve_alpha_no_solution_reports_range(p):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        CycleSpec(kind="otto", T1=0.5, T2=1.0, S1=1, S2=2)
+        CycleSpec(kind="otto", T1=0.5, T2=1.0, x1=1, x2=2)
     with pytest.raises(ValueError):
-        CycleSpec(kind="carnot", T1=1.0, T2=0.5, S1=1, S2=2)
+        CycleSpec(kind="carnot", T1=1.0, T2=0.5, x1=1, x2=2)
     with pytest.raises(ValueError):
-        CycleSpec(kind="stirling", T1=0.5, T2=1.0, alpha1=0.9, alpha2=0.3)
+        CycleSpec(kind="stirling", T1=0.5, T2=1.0, x1=0.9, x2=0.3)
     with pytest.raises(ValueError, match="alpha1 > 0"):
-        CycleSpec(kind="stirling", T1=0.5, T2=1.0, alpha1=0.0, alpha2=0.3)
+        CycleSpec(kind="stirling", T1=0.5, T2=1.0, x1=0.0, x2=0.3)
 
 
 def test_carnot_recovers_classical_efficiency(p):
-    spec = CycleSpec(kind="carnot", T1=0.5, T2=1.0, S1=4.0, S2=8.0)
-    res = carnot_cycle(p, spec)
+    spec = CycleSpec(kind="carnot", T1=0.5, T2=1.0, x1=4.0, x2=8.0)
+    res = cycle(p, spec)
     assert not res.degenerate
     assert res.eta == pytest.approx(1.0 - 0.5 / 1.0, abs=1e-6)
     assert res.energy_residual <= 1e-8
@@ -290,35 +289,35 @@ def test_carnot_recovers_classical_efficiency(p):
 
 
 def test_carnot_first_law(p):
-    res = carnot_cycle(p, CycleSpec(kind="carnot", T1=0.5, T2=1.1, S1=4.0, S2=7.0))
+    res = cycle(p, CycleSpec(kind="carnot", T1=0.5, T2=1.1, x1=4.0, x2=7.0))
     assert abs(res.W_T) == pytest.approx(res.Q_in - abs(res.Q_out), rel=1e-6)
 
 
 def test_carnot_r_alpha_near_unity(p):
-    res = carnot_cycle(p, CycleSpec(kind="carnot", T1=0.5, T2=1.0, S1=4.0, S2=8.0))
+    res = cycle(p, CycleSpec(kind="carnot", T1=0.5, T2=1.0, x1=4.0, x2=8.0))
     assert res.R_alpha == pytest.approx(1.0, abs=0.3)
 
 
 def test_carnot_degenerate_zero_area(p):
-    res = carnot_cycle(p, CycleSpec(kind="carnot", T1=0.5, T2=1.0, S1=5.0, S2=5.0))
+    res = cycle(p, CycleSpec(kind="carnot", T1=0.5, T2=1.0, x1=5.0, x2=5.0))
     assert res.degenerate
     assert res.eta == 0.0
 
 
 def test_carnot_refrigerator_cop(p):
-    res = carnot_cycle(p, CycleSpec(kind="carnot", T1=0.5, T2=1.0, S1=4.0, S2=8.0))
+    res = cycle(p, CycleSpec(kind="carnot", T1=0.5, T2=1.0, x1=4.0, x2=8.0))
     # reversible cycle: cop matches T1/(T2-T1) built from its own heats
     assert res.cop == pytest.approx(0.5 / 0.5, rel=1e-4)
 
 
 def test_carnot_infeasible_corner_raises(p):
     with pytest.raises(CycleInfeasible):
-        carnot_cycle(p, CycleSpec(kind="carnot", T1=2.0, T2=3.0, S1=1.0, S2=2.0))
+        cycle(p, CycleSpec(kind="carnot", T1=2.0, T2=3.0, x1=1.0, x2=2.0))
 
 
 def test_stirling_energy_books(p):
-    spec = CycleSpec(kind="stirling", T1=0.4, T2=1.2, alpha1=0.5, alpha2=0.9)
-    res = stirling_cycle(p, spec)
+    spec = CycleSpec(kind="stirling", T1=0.4, T2=1.2, x1=0.5, x2=0.9)
+    res = cycle(p, spec)
     assert res.energy_residual <= 1e-8
     assert res.entropy_residual <= 1e-8
     assert res.W_T < 0.0
@@ -336,8 +335,8 @@ def test_stirling_classical_comparator_formula():
 
 
 def test_stirling_leg_reversal_consistency(p):
-    spec = CycleSpec(kind="stirling", T1=0.4, T2=1.2, alpha1=0.5, alpha2=0.9)
-    res = stirling_cycle(p, spec)
+    spec = CycleSpec(kind="stirling", T1=0.4, T2=1.2, x1=0.5, x2=0.9)
+    res = cycle(p, spec)
     # traversing backwards negates every leg exactly: rebuild by hand
     total_q = math.fsum(l.Q for l in res.legs)
     assert res.W_T == pytest.approx(-total_q, rel=1e-9)

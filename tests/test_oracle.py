@@ -80,14 +80,15 @@ def test_spectrum_multiset_matches_blocks_hermitian():
 def test_partition_agrees_with_block_pipeline(tiny, coupling_z):
     p = tiny.with_(coupling_z=coupling_z)
     table = thermal_table(p)
+    w = fock_spectrum(p)
     for beta in (0.1, 1.0, 5.0, 20.0):
-        zf = fock_partition(p, beta)
+        zf = fock_partition(w, beta)
         zb = partition_function(table, beta)
         assert zb == pytest.approx(zf, rel=1e-8)
 
 
 def test_infinite_temperature_limit(tiny):
-    assert fock_partition(tiny, 1e-12) == pytest.approx(64.0, rel=1e-9)
+    assert fock_partition(fock_spectrum(tiny), 1e-12) == pytest.approx(64.0, rel=1e-9)
 
 
 def test_decoupled_factorization_in_fock_picture():
@@ -108,7 +109,7 @@ def test_decoupled_factorization_in_fock_picture():
     # embedded traces over-count by the spectator register's dimension
     z_nv = math.fsum(np.exp(-beta * np.linalg.eigvalsh(h_nv))) / 2**4
     z_qb = math.fsum(np.exp(-beta * np.linalg.eigvalsh(h_qb))) / 2**2
-    assert fock_partition(p, beta) == pytest.approx(z_nv * z_qb, rel=1e-10)
+    assert fock_partition(fock_spectrum(p, ops), beta) == pytest.approx(z_nv * z_qb, rel=1e-10)
 
 
 def test_fock_expectation_identity(tiny):
@@ -118,7 +119,7 @@ def test_fock_expectation_identity(tiny):
 
 def test_chemical_potential_enters_grand_matrix(tiny):
     p = tiny.with_(muS=0.4)
-    zf = fock_partition(p, 0.9)
+    zf = fock_partition(fock_spectrum(p), 0.9)
     zb = partition_function(thermal_table(p), 0.9, muS=0.4)
     assert zb == pytest.approx(zf, rel=1e-8)
 
@@ -133,9 +134,10 @@ def test_grand_partition_matches_fock_with_chemical_potentials(mu_s, mu_qb):
     ops = fock_operators(FockSpace(1.0, 1, 1))
     h = fock_hamiltonian(p, ops)
     table = thermal_table(p)
+    w = fock_spectrum(p, ops)
     for t in (0.2, 0.7, 3.0):
         beta = 1.0 / t
-        zf = fock_partition(p, beta, ops)
+        zf = fock_partition(w, beta)
         zb = partition_function(table, beta, p.muS, p.muQb)
         assert zb == pytest.approx(zf, rel=1e-8)
         n_s = fock_expectation(ops.n_nv, p, beta, ops)

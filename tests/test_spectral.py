@@ -518,9 +518,7 @@ def test_hermitian_point_never_breaks():
 def test_find_eps_none_in_decoupled_window():
     # g -> 0+: the coupling that generates non-normality is switched off
     p = ModelParams(g=0.02)
-    eps = find_eps(
-        p, {"param": "alpha", "lo": 0.9, "hi": 1.1, "coarse_steps": 12}
-    )
+    eps = find_eps(p, "alpha", 0.9, 1.1, 12)
     assert eps == []
 
 
@@ -538,7 +536,7 @@ def test_find_eps_none_without_strain(fixed, value, param, lo, hi):
     # at E = 0, diag(alpha^(-M/2)) makes H(alpha, g) similar to the Hermitian
     # H(1, g sqrt(alpha)): every spectrum is real, so there is no EP to find
     p = ModelParams(E=0.0, **{fixed: value})
-    assert find_eps(p, {"param": param, "lo": lo, "hi": hi, "coarse_steps": 40}) == []
+    assert find_eps(p, param, lo, hi, 40) == []
     # the same sweep at the default strain holds complex pairs
     strained = p.with_(E=ModelParams().E)
     assert any(
@@ -549,9 +547,9 @@ def test_find_eps_none_without_strain(fixed, value, param, lo, hi):
 
 def test_find_eps_brackets_and_determinism():
     p = ModelParams(g=1.73)
-    sweep = {"param": "alpha", "lo": 0.39, "hi": 0.5, "coarse_steps": 24}
-    eps1 = find_eps(p, sweep, precision=1e-4)
-    eps2 = find_eps(p, sweep, precision=1e-4)  # rerun: bisection determinism
+    sweep = ("alpha", 0.39, 0.5, 24)
+    eps1 = find_eps(p, *sweep, precision=1e-4)
+    eps2 = find_eps(p, *sweep, precision=1e-4)  # rerun: bisection determinism
     assert [e.value for e in eps1] == [e.value for e in eps2]
     assert eps1, "expected at least one EP near the critical window edge"
     for e in eps1:
@@ -566,9 +564,7 @@ def test_find_eps_finds_low_energy_ep():
     # the pair whose real part undercuts -10 GHz dies just past the
     # critical window; a per-block count scan resolves its coalescence
     p = ModelParams(g=1.73)
-    eps = find_eps(
-        p, {"param": "alpha", "lo": 0.39, "hi": 0.5, "coarse_steps": 60}
-    )
+    eps = find_eps(p, "alpha", 0.39, 0.5, 60)
     assert min(e.re_coalesce for e in eps) < -10.0
 
 
@@ -595,7 +591,7 @@ def test_find_eps_weighs_shape_counts_by_blocks(monkeypatch):
         return w, plan.slot_nqb
 
     monkeypatch.setattr(spectral, "block_eigen_data", fake_eigen_data)
-    (ep,) = find_eps(p, {"param": "alpha", "lo": 0.4, "hi": 0.6, "coarse_steps": 3})
+    (ep,) = find_eps(p, "alpha", 0.4, 0.6, 3)
     assert ep.bracket[0] < 0.5 <= ep.bracket[1]
     assert ep.block_key == plan.blocks[plan.first[many]].key()
     assert ep.level_indices == (plan.first[many], 1)
@@ -605,21 +601,21 @@ def test_find_eps_weighs_shape_counts_by_blocks(monkeypatch):
 def test_find_eps_validates_sweep():
     p = ModelParams()
     with pytest.raises(ValueError):
-        find_eps(p, {"param": "beta", "lo": 0, "hi": 1, "coarse_steps": 4})
+        find_eps(p, "beta", 0, 1, 4)
     with pytest.raises(ValueError):
-        find_eps(p, {"param": "alpha", "lo": 1, "hi": 0, "coarse_steps": 4})
+        find_eps(p, "alpha", 1, 0, 4)
     for precision in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="precision"):
-            find_eps(p, {"param": "alpha", "lo": 0, "hi": 1, "coarse_steps": 4}, precision)
+            find_eps(p, "alpha", 0, 1, 4, precision)
 
 
 def test_sub_ulp_precision_bisects_until_the_midpoint_meets_an_end():
     # a precision below float spacing once spun forever: the midpoint of two
     # adjacent floats is one of them
     p = ModelParams(g=1.73)
-    sweep = {"param": "alpha", "lo": 0.39, "hi": 0.5, "coarse_steps": 6}
-    fine = find_eps(p, sweep, precision=1e-12)
-    finest = find_eps(p, sweep, precision=1e-20)
+    sweep = ("alpha", 0.39, 0.5, 6)
+    fine = find_eps(p, *sweep, precision=1e-12)
+    finest = find_eps(p, *sweep, precision=1e-20)
     assert fine and len(finest) == len(fine)
     for e, f in zip(finest, fine):
         lo, hi = e.bracket

@@ -46,7 +46,7 @@ def test_extrema_of_f_are_zeros_of_pressure():
     p = ModelParams(g=1.73)
     t = 0.05 * p.D
     iso = compute_isotherm(p, t, np.linspace(0.2, 0.45, 151))
-    res = spinodal_analysis(iso, check_stability=False)
+    res = spinodal_analysis(iso)
     assert res.minima, "expected structure below the critical temperature"
     a_min = res.minima[0][0]
     p_at_min = pressure_alpha(p, t, a_min, rel_step=2e-3)
@@ -102,7 +102,7 @@ def test_invalid_points_make_interval_indeterminate():
     valid = np.ones(401, dtype=bool)
     valid[195:206] = False  # poison the barrier between the wells
     iso = Isotherm(T=1.0, alphas=alphas, F=vals, valid=valid)
-    res = spinodal_analysis(iso, check_stability=False)
+    res = spinodal_analysis(iso)
     assert len(res.minima) == 2
     assert res.binodal == ()
     assert len(res.indeterminate) == 1
@@ -146,7 +146,7 @@ def test_lever_rule_on_model_isotherm():
     p = ModelParams(g=1.73)
     t = 0.05 * p.D
     iso = compute_isotherm(p, t, np.linspace(0.2, 0.4, 201))
-    res = spinodal_analysis(iso, check_stability=False)
+    res = spinodal_analysis(iso)
     assert len(res.minima) >= 2
     assert res.spinodal
     for (s_lo, s_hi) in res.spinodal:

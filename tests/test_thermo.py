@@ -796,6 +796,37 @@ def test_potentials_where_z_is_not_finite_are_invalid(desk_broken, t):
     assert all(math.isnan(x) for x in (pt.ln_abs_z, pt.F, pt.U, pt.S, pt.Cv))
 
 
+# where beta*max|gamma| passes PHASE_LIMIT, cos(beta*gamma) has no correct
+# digit: the complex rows of desk_broken reach |gamma| 2.61, and these points
+# once read valid with S 1.8e21, 3.3e100 and -1.4e300
+UNRESOLVED_PHASE_TEMPERATURES = {"t-1e-20": 1e-20, "t-1e-100": 1e-100, "t-1e-300": 1e-300}
+
+
+@pytest.mark.parametrize(
+    "t", UNRESOLVED_PHASE_TEMPERATURES.values(), ids=UNRESOLVED_PHASE_TEMPERATURES
+)
+def test_potentials_where_the_phase_is_unresolved_are_invalid(desk_broken, t):
+    pt = potentials(desk_broken, t)
+    assert not pt.valid
+    assert all(math.isnan(x) for x in (pt.F, pt.U, pt.S, pt.Cv))
+
+
+def test_potentials_without_complex_rows_have_no_phase_limit():
+    p = ModelParams(alpha=1.0, g=1.73)
+    assert not np.any(thermal_table(p).gam)
+    assert potentials(p, 1e-100).valid
+
+
+def test_z_signs_refuse_temperatures_where_the_phase_is_unresolved(desk_broken):
+    from pseudotherm.thermo import PHASE_LIMIT, z_signs_on_grid
+
+    table = thermal_table(desk_broken)
+    edge = float(np.max(np.abs(table.gam))) / PHASE_LIMIT   # beta*max|gamma| = PHASE_LIMIT
+    assert len(z_signs_on_grid(table, [0.5, 1.01 * edge])) == 2
+    with pytest.raises(ValueError, match="phase beta\\*gamma is resolved"):
+        z_signs_on_grid(table, [0.5, 0.99 * edge])
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [{"t_max": TC_T_MIN}, {"t_max": -1.0}, {"t_max": 1e-3}, {"t_max": 0.0},
@@ -1060,7 +1091,7 @@ def test_find_zeros_equals_the_bisection_on_grid_signs(monkeypatch, rtol):
             return dict(zip(points, (signs * s_lo).tolist()))
 
         t_zero, lo, hi = bisect({0: (t_lo, t_hi)}, side, rtol=rtol)[0]
-        return thermo.ZeroRecord(t_zero, (lo, hi), (s_lo, -s_lo))
+        return thermo.ZeroRecord(t_zero, (lo, hi))
 
     grid = np.geomspace(0.05, 0.5, 30)
     points = [ModelParams(alpha=0.242, g=1.73), ModelParams(alpha=0.24, g=1.73, muS=0.2, muQb=0.1)]
